@@ -6,11 +6,11 @@ Adam. Here we use a short sine-mixture dataset so the whole run takes a few
 seconds, then look at the loss curve and a handful of predictions.
 """
 
-import numpy as np
-
+from tcnad.autodiff import Tensor
 from tcnad.data import compute_stats, normalize
-from tcnad.forecaster import ModelConfig, init_forecaster, predict
+from tcnad.forecaster import ModelConfig, forward, init_forecaster
 from tcnad.synthetic import sines_with_level_shifts
+from tcnad.thresholds import anomaly_scores
 from tcnad.trainer import TrainConfig, build_windows, train
 
 # ---------------------------------------------------------------------------
@@ -48,12 +48,9 @@ test = normalize(ds.test, stats)
 print("\n t   truth            prediction")
 for t in range(model_cfg.window, model_cfg.window + 8):
     window = test[t - model_cfg.window : t]
-    pred = predict(params, window)
+    pred = forward(Tensor(window), params).values
     truth = test[t]
     print(f"{t:3d}  [{truth[0]:6.3f} {truth[1]:6.3f}]  [{pred[0]:6.3f} {pred[1]:6.3f}]")
 
-residuals = []
-for t in range(model_cfg.window, test.shape[0]):
-    pred = predict(params, test[t - model_cfg.window : t])
-    residuals.append(np.sqrt(np.mean((pred - test[t]) ** 2)))
-print(f"\nmean residual RMSE on the test split: {np.mean(residuals):.4f}")
+print(f"\nmean residual RMSE on the test split: "
+      f"{anomaly_scores(params, test).scores.mean():.4f}")

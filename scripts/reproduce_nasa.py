@@ -37,19 +37,17 @@ from pathlib import Path
 import numpy as np
 
 from tcnad.data import (
-    compute_stats,
     load_channel,
-    normalize,
     read_manifest,
     write_manifest,
     write_matrix_binary,
     write_report_csv,
     write_scores_csv,
 )
-from tcnad.evaluation import aggregate, labels_from_segments, point_adjusted_report
-from tcnad.forecaster import ModelConfig, init_forecaster, load_checkpoint, save_checkpoint
-from tcnad.thresholds import anomaly_scores, apply_threshold, best_f1_threshold
-from tcnad.trainer import TrainConfig, build_windows, train
+from tcnad.evaluation import aggregate
+from tcnad.forecaster import ModelConfig, load_checkpoint, save_checkpoint
+from tcnad.pipeline import evaluate_channel, fit_channel
+from tcnad.trainer import TrainConfig
 
 REFERENCE = {
     "SMAP": {"precision": 0.9539, "recall": 0.9019, "f1": 0.9272},
@@ -96,24 +94,17 @@ def run_channel(dataset: Path, work: Path, channel: str, model_cfg: ModelConfig,
     if resume and ckpt_path.exists():
         params, stats = load_checkpoint(ckpt_path)
     else:
-        stats = compute_stats(ds.train)
-        samples = build_windows(normalize(ds.train, stats), model_cfg.window)
-        params = init_forecaster(ds.train.shape[1], model_cfg, seed=train_cfg.seed)
         progress = None
         if not quiet:
             def progress(epoch, loss):
                 print(f"    epoch {epoch + 1}/{train_cfg.epochs} loss={loss:.5f}",
                       flush=True)
-        train(params, samples, train_cfg, progress=progress)
+        stats, params, _ = fit_channel(ds.train, model_cfg, train_cfg, progress=progress)
         save_checkpoint(ckpt_path, params, stats)
 
-    seq = anomaly_scores(params, normalize(ds.test, stats))
+    seq, _, report = evaluate_channel(params, stats, ds.test, ds.segments, channel)
     write_scores_csv(scores_path, seq)
-    labels = labels_from_segments(ds.segments, ds.test.shape[0])
-    labels = labels[seq.first_timestep : seq.first_timestep + seq.scores.size]
-    chosen = best_f1_threshold(seq.scores, labels)
-    preds = apply_threshold(seq.scores, chosen.threshold)
-    return point_adjusted_report(preds, labels, channel=channel)
+    return report
 
 
 def main(argv=None) -> int:

@@ -39,10 +39,10 @@ from .forecaster import (
     forward,
     init_forecaster,
     load_checkpoint,
-    predict,
     save_checkpoint,
 )
 from .optim import AdamState, adam_step
+from .pipeline import evaluate_channel, fit_channel
 from .synthetic import SyntheticDataset, sines_with_level_shifts
 from .tcn import TcnBlockParams, TcnStackParams, receptive_field
 from .thresholds import (
@@ -103,9 +103,11 @@ __all__ = [
     "build_windows",
     "compute_stats",
     "epsilon_threshold",
+    "evaluate_channel",
     "evaluate_loss",
     "evaluate_predictions",
     "f1_score",
+    "fit_channel",
     "fit_gpd",
     "forward",
     "init_forecaster",
@@ -117,7 +119,6 @@ __all__ = [
     "point_adjust",
     "point_adjusted_report",
     "pot_threshold",
-    "predict",
     "read_manifest",
     "read_matrix",
     "save_checkpoint",

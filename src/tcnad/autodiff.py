@@ -320,19 +320,14 @@ def softmax_rows(x: Tensor) -> Tensor:
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors by 1/(1-rate).
 
-    Identity when not training or when rate == 0. ``rng`` is required only when
-    a mask is actually drawn, which keeps inference deterministic for free.
+    Returns ``x`` itself when not training or when rate == 0, so nothing is
+    copied or recorded. ``rng`` is required only when a mask is actually drawn,
+    which keeps inference deterministic for free.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        out = Tensor(x.values.copy())
-
-        def rule_id(g):
-            if x.requires_grad:
-                x.accumulate_grad(g)
-
-        return _maybe_record(out, rule_id, x)
+        return x
 
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")

@@ -8,6 +8,7 @@ failure (diverged training, impossible tail fit).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -17,7 +18,6 @@ import numpy as np
 
 from .data import (
     DataFormatError,
-    compute_stats,
     list_channels,
     load_channel,
     normalize,
@@ -31,12 +31,9 @@ from .data import (
     write_report_csv,
     write_scores_csv,
 )
-from .evaluation import (
-    aggregate,
-    labels_from_segments,
-    point_adjusted_report,
-)
-from .forecaster import ModelConfig, init_forecaster, load_checkpoint, save_checkpoint
+from .evaluation import aggregate, point_adjusted_report
+from .forecaster import ModelConfig, load_checkpoint, save_checkpoint
+from .pipeline import evaluate_channel, fit_channel, scored_labels
 from .thresholds import (
     GpdFitError,
     ScoreSequence,
@@ -46,13 +43,7 @@ from .thresholds import (
     epsilon_threshold,
     pot_threshold,
 )
-from .trainer import (
-    EmptyDatasetError,
-    TrainConfig,
-    TrainingDivergedError,
-    build_windows,
-    train,
-)
+from .trainer import EmptyDatasetError, TrainConfig, TrainingDivergedError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -173,9 +164,17 @@ def _resolve_channels(data_dir, requested: list[str]) -> list[str]:
 
 
 def _is_manifest(path) -> bool:
+    """True for a manifest header (has ``chan_id``), False for ``timestep,label``."""
     with open(path, newline="") as fh:
-        first = fh.readline()
-    return "chan_id" in first.split(",")[0:4] or first.startswith("chan_id")
+        header = [h.strip() for h in next(csv.reader(fh), [])]
+    if "chan_id" in header:
+        return True
+    if header[:2] == ["timestep", "label"]:
+        return False
+    raise DataFormatError(
+        f"{path}: expected a manifest header with a 'chan_id' column "
+        "or a 'timestep,label' header"
+    )
 
 
 def _aligned_labels(labels_path, seq: ScoreSequence, channel: str | None,
@@ -189,16 +188,10 @@ def _aligned_labels(labels_path, seq: ScoreSequence, channel: str | None,
             raise DataFormatError(f"channel {ch!r} not found in {labels_path}")
         entry = manifest[ch]
         length = entry.num_values if entry.num_values is not None else lo + n
-        if length < lo + n:
-            raise DataFormatError(
-                f"{labels_path}: channel {ch!r} covers {length} steps but the "
-                f"scores reach timestep {lo + n - 1}"
-            )
         try:
-            full = labels_from_segments(entry.segments, length)
+            return scored_labels(entry.segments, length, seq)
         except ValueError as exc:
-            raise DataFormatError(f"{labels_path}: {exc}") from None
-        return full[lo : lo + n]
+            raise DataFormatError(f"{labels_path}: channel {ch!r}: {exc}") from None
     labels, first = read_labels_csv(labels_path)
     offset = lo - first
     if offset < 0 or offset + n > labels.size:
@@ -209,20 +202,10 @@ def _aligned_labels(labels_path, seq: ScoreSequence, channel: str | None,
     return labels[offset : offset + n]
 
 
-def _train_one_channel(data_dir, channel, model_cfg, train_cfg, norm_mode, quiet):
-    ds = load_channel(data_dir, channel)
-    stats = compute_stats(ds.train, norm_mode)
-    train_norm = normalize(ds.train, stats)
-    samples = build_windows(train_norm, model_cfg.window)
-    params = init_forecaster(ds.train.shape[1], model_cfg, seed=train_cfg.seed)
-
-    progress = None
-    if not quiet:
-        def progress(epoch, loss, _ch=channel, _total=train_cfg.epochs):
-            print(f"[{_ch}] epoch {epoch + 1}/{_total} loss={loss:.6f}")
-
-    result = train(params, samples, train_cfg, progress=progress)
-    return ds, stats, params, result
+def _progress(channel, epochs, quiet):
+    if quiet:
+        return None
+    return lambda epoch, loss: print(f"[{channel}] epoch {epoch + 1}/{epochs} loss={loss:.6f}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +218,9 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for channel in _resolve_channels(args.data, args.channel):
-        _, stats, params, result = _train_one_channel(
-            args.data, channel, model_cfg, train_cfg, norm_mode, args.quiet
+        stats, params, result = fit_channel(
+            load_channel(args.data, channel).train, model_cfg, train_cfg, norm_mode,
+            _progress(channel, train_cfg.epochs, args.quiet),
         )
         ckpt = out_dir / f"{channel}.ckpt"
         save_checkpoint(ckpt, params, stats)
@@ -340,23 +324,18 @@ def cmd_sweep(args) -> int:
         cfg_w = replace(model_cfg, window=w)
         reports = []
         for channel in channels:
-            ds, stats, params, _ = _train_one_channel(
-                args.data, channel, cfg_w, train_cfg, norm_mode, args.quiet
+            ds = load_channel(args.data, channel)
+            stats, params, _ = fit_channel(
+                ds.train, cfg_w, train_cfg, norm_mode,
+                _progress(channel, train_cfg.epochs, args.quiet),
             )
-            test_norm = normalize(ds.test, stats)
-            seq = anomaly_scores(params, test_norm)
-            labels = labels_from_segments(ds.segments, ds.test.shape[0])[w:]
-            th = best_f1_threshold(seq.scores, labels)
-            preds = apply_threshold(seq.scores, th.threshold)
-            reports.append(point_adjusted_report(preds, labels, channel=channel))
+            reports.append(evaluate_channel(params, stats, ds.test, ds.segments, channel)[2])
         agg = aggregate(reports, "micro")
         rows.append((w, agg.precision, agg.recall, agg.f1))
         print(f"window={w} precision={agg.precision:.4f} recall={agg.recall:.4f} f1={agg.f1:.4f}")
     if args.out:
-        import csv as _csv
-
         with open(args.out, "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["window", "precision", "recall", "f1"])
             for w, p, r, f1 in rows:
                 writer.writerow([w, repr(p), repr(r), repr(f1)])

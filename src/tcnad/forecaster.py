@@ -204,11 +204,6 @@ def forward(
     return reshape(out, (m,))
 
 
-def predict(params: ForecasterParams, window: np.ndarray) -> np.ndarray:
-    """Tape-free inference convenience for a single numpy window."""
-    return forward(Tensor(window), params, training=False).values
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------

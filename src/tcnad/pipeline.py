@@ -1,0 +1,47 @@
+"""The per-channel protocol, written once.
+
+``fit_channel`` takes normalisation statistics from the train split only and
+trains a forecaster seeded from ``TrainConfig.seed``. ``evaluate_channel``
+scores the test split by residual, aligns the labels to the scored timesteps,
+picks the best-F1 grid threshold and reports point-adjusted precision/recall/F1.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .data import NormalizationStats, compute_stats, normalize
+from .evaluation import AnomalySegment, EvalReport, labels_from_segments, point_adjusted_report
+from .forecaster import ForecasterParams, ModelConfig, init_forecaster
+from .thresholds import ScoreSequence, ThresholdResult, anomaly_scores, apply_threshold
+from .thresholds import best_f1_threshold
+from .trainer import TrainConfig, TrainResult, build_windows, train
+
+
+def fit_channel(train_matrix: np.ndarray, model_cfg: ModelConfig, train_cfg: TrainConfig,
+                norm_mode: str = "per_feature", progress=None
+                ) -> tuple[NormalizationStats, ForecasterParams, TrainResult]:
+    """Normalise the train split by its own statistics and train a forecaster on it."""
+    stats = compute_stats(train_matrix, norm_mode)
+    samples = build_windows(normalize(train_matrix, stats), model_cfg.window)
+    params = init_forecaster(train_matrix.shape[1], model_cfg, seed=train_cfg.seed)
+    return stats, params, train(params, samples, train_cfg, progress=progress)
+
+
+def scored_labels(segments: list[AnomalySegment], length: int, seq: ScoreSequence) -> np.ndarray:
+    """Labels of a ``length``-step series cut to exactly the timesteps ``seq`` scores."""
+    lo, hi = seq.first_timestep, seq.first_timestep + seq.scores.size
+    if length < hi:
+        raise ValueError(f"labels cover {length} steps but the scores reach timestep {hi - 1}")
+    return labels_from_segments(segments, length)[lo:hi]
+
+
+def evaluate_channel(params: ForecasterParams, stats: NormalizationStats, test_matrix: np.ndarray,
+                     segments: list[AnomalySegment], channel: str = ""
+                     ) -> tuple[ScoreSequence, ThresholdResult, EvalReport]:
+    """Score the test split, pick the best-F1 threshold and evaluate it point-adjusted."""
+    seq = anomaly_scores(params, normalize(test_matrix, stats))
+    labels = scored_labels(segments, test_matrix.shape[0], seq)
+    chosen = best_f1_threshold(seq.scores, labels)
+    preds = apply_threshold(seq.scores, chosen.threshold)
+    return seq, chosen, point_adjusted_report(preds, labels, channel=channel)

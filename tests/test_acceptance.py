@@ -34,13 +34,9 @@ from tcnad.autodiff import (
     causal_dilated_conv1d,
     rmse_loss,
 )
-from tcnad.data import compute_stats, normalize
-from tcnad.evaluation import (
-    f1_score,
-    labels_from_segments,
-    point_adjusted_report,
-)
+from tcnad.evaluation import f1_score, point_adjusted_report
 from tcnad.forecaster import ModelConfig, forward, init_forecaster
+from tcnad.pipeline import evaluate_channel, fit_channel
 from tcnad.synthetic import sines_with_level_shifts
 from tcnad.tcn import (
     TcnBlockParams,
@@ -49,7 +45,6 @@ from tcnad.tcn import (
     tcn_forward,
 )
 from tcnad.thresholds import (
-    anomaly_scores,
     apply_threshold,
     best_f1_threshold,
     epsilon_threshold,
@@ -57,7 +52,7 @@ from tcnad.thresholds import (
     pot_displacement,
     pot_threshold,
 )
-from tcnad.trainer import TrainConfig, build_windows, train
+from tcnad.trainer import TrainConfig
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -311,16 +306,8 @@ def test_criterion_7_synthetic_end_to_end(capfd):
         )
         train_cfg = TrainConfig(epochs=5, batch_size=128, learning_rate=3e-3, seed=0)
 
-        stats = compute_stats(ds.train)
-        samples = build_windows(normalize(ds.train, stats), model_cfg.window)
-        params = init_forecaster(ds.train.shape[1], model_cfg, seed=0)
-        train(params, samples, train_cfg)
-
-        seq = anomaly_scores(params, normalize(ds.test, stats))
-        labels = labels_from_segments(ds.segments, ds.test.shape[0])[model_cfg.window:]
-        chosen = best_f1_threshold(seq.scores, labels)
-        preds = apply_threshold(seq.scores, chosen.threshold)
-        report = point_adjusted_report(preds, labels)
+        stats, params, _ = fit_channel(ds.train, model_cfg, train_cfg)
+        _, _, report = evaluate_channel(params, stats, ds.test, ds.segments)
 
         elapsed = time.time() - start
         assert report.f1 >= 0.9
@@ -359,22 +346,13 @@ def test_criterion_9_ablations(capfd):
             "no_variable": replace(base, variable_attention=False),
             "static": replace(base, attention_mode="static"),
         }
-        stats = compute_stats(ds.train)
-        samples = build_windows(normalize(ds.train, stats), base.window)
-        test_norm = normalize(ds.test, stats)
-        labels = labels_from_segments(ds.segments, ds.test.shape[0])[base.window:]
-
         seeds = (0, 1, 2)
         f1s = {}
         for seed in seeds:
             for name, cfg in variants.items():
-                params = init_forecaster(3, cfg, seed=seed)
                 tc = TrainConfig(epochs=3, batch_size=128, learning_rate=3e-3, seed=seed)
-                train(params, samples, tc)
-                seq = anomaly_scores(params, test_norm)
-                chosen = best_f1_threshold(seq.scores, labels)
-                preds = apply_threshold(seq.scores, chosen.threshold)
-                f1s[(seed, name)] = point_adjusted_report(preds, labels).f1
+                stats, params, _ = fit_channel(ds.train, cfg, tc)
+                f1s[(seed, name)] = evaluate_channel(params, stats, ds.test, ds.segments)[2].f1
 
         verdicts = []
         for ablation in ("no_temporal", "no_variable", "static"):

@@ -195,13 +195,18 @@ class TestRmse:
 
 class TestDropout:
     def test_identity_when_not_training(self):
-        x = Tensor(np.ones((4, 4)))
-        np.testing.assert_array_equal(dropout(x, 0.5, training=False).values, x.values)
+        x = Tensor(np.ones((4, 4)), requires_grad=True)
+        with Tape() as tape:
+            out = dropout(x, 0.5, training=False)
+        assert out is x
+        assert len(tape) == 0
 
     def test_identity_at_rate_zero(self):
-        x = Tensor(np.ones((4, 4)))
-        out = dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
-        np.testing.assert_array_equal(out.values, x.values)
+        x = Tensor(np.ones((4, 4)), requires_grad=True)
+        with Tape() as tape:
+            out = dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
+        assert out is x
+        assert len(tape) == 0
 
     def test_mask_fraction_and_scaling(self):
         rng = np.random.default_rng(42)

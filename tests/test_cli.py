@@ -1,12 +1,15 @@
 """Command line interface: exit codes, wiring, and a small end-to-end run."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tcnad
 from tcnad.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from tcnad.data import (
     ManifestEntry,
@@ -128,6 +131,30 @@ class TestDataErrors:
         capsys.readouterr()
 
 
+    def test_manifest_shorter_than_scores(self, tmp_path, four_point, capsys):
+        scores, _ = four_point  # timesteps 0..3
+        manifest = tmp_path / "labeled_anomalies.csv"
+        write_manifest(manifest, [ManifestEntry("C-1", [], "X", 3)])
+        code = main(
+            ["threshold", "--scores", str(scores), "--method", "grid",
+             "--labels", str(manifest)]
+        )
+        assert code == EXIT_DATA
+        assert "reach timestep 3" in capsys.readouterr().err
+
+    def test_unknown_labels_header(self, four_point, tmp_path, capsys):
+        scores, _ = four_point
+        labels = tmp_path / "odd.csv"
+        labels.write_text("t,y\n0,0\n")
+        code = main(
+            ["evaluate", "--scores", str(scores), "--labels", str(labels),
+             "--threshold", "0.5"]
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "'chan_id'" in err and "'timestep,label'" in err
+
+
 class TestThresholdCommand:
     def test_grid_on_fixture(self, four_point, tmp_path, capsys):
         scores, labels = four_point
@@ -221,6 +248,21 @@ class TestEvaluateCommand:
         )
         assert code == EXIT_OK
         assert "precision=0.5000" in capsys.readouterr().out  # spike at t=5 is a fp
+
+    def test_manifest_with_chan_id_as_fifth_column(self, tmp_path, capsys):
+        scores = tmp_path / "C-1.csv"
+        write_scores_csv(scores, ScoreSequence(np.array([0.1, 0.9, 0.2, 0.8]), 2))
+        manifest = tmp_path / "labeled_anomalies.csv"
+        manifest.write_text(
+            "spacecraft,class,num_values,note,chan_id,anomaly_sequences\n"
+            'X,point,6,,C-1,"[[3, 3]]"\n'
+        )
+        code = main(
+            ["evaluate", "--scores", str(scores), "--labels", str(manifest),
+             "--threshold", "0.5"]
+        )
+        assert code == EXIT_OK
+        assert "precision=0.5000" in capsys.readouterr().out
 
 
 class TestExportCommand:
@@ -326,9 +368,12 @@ class TestPipeline:
 
 class TestConsoleScript:
     def test_installed_entry_point(self):
+        # the child imports the same tcnad as this suite, installed or not
+        root = str(Path(tcnad.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "tcnad.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "threshold" in proc.stdout

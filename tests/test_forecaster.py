@@ -11,7 +11,6 @@ from tcnad.forecaster import (
     forward,
     init_forecaster,
     load_checkpoint,
-    predict,
     save_checkpoint,
 )
 
@@ -30,7 +29,7 @@ class TestShapes:
         assert params.variable.weight.values.shape == (100, 200)
         assert len(params.mlp) == 3  # two hidden layers + output
         x = np.random.default_rng(42).standard_normal((100, 25))
-        assert predict(params, x).shape == (25,)
+        assert forward(Tensor(x), params).values.shape == (25,)
 
     def test_branch_toggles_change_concat_width(self):
         m = 3
@@ -44,7 +43,7 @@ class TestShapes:
             assert (params.variable is None) == (not variable)
             assert params.tcn.blocks[0].conv1_filters.values.shape[1] == width
             x = np.random.default_rng(0).standard_normal((8, m))
-            assert predict(params, x).shape == (m,)
+            assert forward(Tensor(x), params).values.shape == (m,)
 
     def test_static_attention_mode(self):
         cfg = ModelConfig(window=8, tcn_channels=4, mlp_units=4, attention_mode="static")
@@ -53,14 +52,14 @@ class TestShapes:
         assert params.temporal.weight.values.shape == (3, 3)
         assert params.temporal.score_vec.values.shape == (6,)
         x = np.random.default_rng(0).standard_normal((8, 3))
-        assert predict(params, x).shape == (3,)
+        assert forward(Tensor(x), params).values.shape == (3,)
 
     def test_rejects_wrong_window_shape(self):
         params = init_forecaster(3, TINY, seed=0)
         with pytest.raises(ValueError):
-            predict(params, np.zeros((9, 3)))
+            forward(Tensor(np.zeros((9, 3))), params)
         with pytest.raises(ValueError):
-            predict(params, np.zeros((8, 2)))
+            forward(Tensor(np.zeros((8, 2))), params)
 
     def test_mlp_zero_hidden_layers(self):
         cfg = ModelConfig(window=8, tcn_channels=4, mlp_layers=0)
@@ -102,7 +101,9 @@ class TestDeterminism:
     def test_inference_is_deterministic(self):
         params = init_forecaster(3, TINY, seed=0)
         x = np.random.default_rng(1).standard_normal((8, 3))
-        np.testing.assert_array_equal(predict(params, x), predict(params, x))
+        np.testing.assert_array_equal(
+            forward(Tensor(x), params).values, forward(Tensor(x), params).values
+        )
 
     def test_training_mode_needs_rng_when_dropout_active(self):
         cfg = ModelConfig(window=8, tcn_channels=4, mlp_units=4, dropout=0.2)
@@ -179,7 +180,9 @@ class TestCheckpoints:
         assert loaded_stats.mode == "per_feature"
         assert loaded.config == params.config
         x = np.random.default_rng(0).standard_normal((8, 3))
-        np.testing.assert_array_equal(predict(params, x), predict(loaded, x))
+        np.testing.assert_array_equal(
+            forward(Tensor(x), params).values, forward(Tensor(x), loaded).values
+        )
 
     def test_roundtrip_without_stats(self, tmp_path):
         params = init_forecaster(2, TINY, seed=0)
@@ -198,7 +201,9 @@ class TestCheckpoints:
         assert loaded.temporal is None
         assert loaded.config.temporal_attention is False
         x = np.random.default_rng(0).standard_normal((8, 3))
-        np.testing.assert_array_equal(predict(params, x), predict(loaded, x))
+        np.testing.assert_array_equal(
+            forward(Tensor(x), params).values, forward(Tensor(x), loaded).values
+        )
 
     def test_save_is_byte_deterministic(self, tmp_path):
         params = init_forecaster(2, TINY, seed=9)

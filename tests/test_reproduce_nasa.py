@@ -1,0 +1,59 @@
+"""scripts/reproduce_nasa.py on a tiny fabricated .npy archive: train, then resume."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from tcnad.data import ManifestEntry, read_scores_csv, write_manifest
+from tcnad.evaluation import AnomalySegment
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_nasa.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("reproduce_nasa", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write_archive(raw, n_train=240, n_test=160):
+    """One SMAP and one MSL channel with two features and a level shift each."""
+    rng = np.random.default_rng(0)
+    t = np.arange(n_train + n_test)
+    entries = []
+    for channel, craft in (("A-1", "SMAP"), ("M-1", "MSL")):
+        series = np.stack([np.sin(2 * np.pi * t / 20), np.cos(2 * np.pi * t / 16)], axis=1)
+        series += 0.01 * rng.standard_normal(series.shape)
+        series[n_train + 90 : n_train + 105] += 0.9
+        for split, rows in (("train", series[:n_train]), ("test", series[n_train:])):
+            (raw / split).mkdir(parents=True, exist_ok=True)
+            np.save(raw / split / f"{channel}.npy", rows)
+        entries.append(ManifestEntry(channel, [AnomalySegment(90, 104)], craft, n_test))
+    write_manifest(raw / "labeled_anomalies.csv", entries)
+
+
+def test_train_then_resume_rescores_without_training(tmp_path, monkeypatch, capsys):
+    raw, work = tmp_path / "raw", tmp_path / "work"
+    _write_archive(raw)
+    script = _load_script()
+    argv = ["--raw", str(raw), "--work", str(work), "--window", "8", "--epochs", "1",
+            "--limit", "1", "--quiet"]
+
+    assert script.main(argv) == 0
+    scores = work / "scores" / "A-1.csv"
+    report = (work / "report.csv").read_text().splitlines()
+    assert report[0] == "channel,tp,fp,fn,precision,recall,f1"
+    assert report[1].startswith("A-1,") and report[2].startswith("SMAP(micro),")
+    seq = read_scores_csv(scores)
+    assert (seq.first_timestep, seq.scores.size) == (8, 160 - 8)
+    first = scores.read_bytes()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("--resume retrained a channel that has a checkpoint")
+
+    monkeypatch.setattr(script, "fit_channel", fail)
+    assert script.main(argv + ["--resume"]) == 0
+    assert scores.read_bytes() == first
+    capsys.readouterr()

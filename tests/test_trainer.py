@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import tcnad
+from tcnad.autodiff import Tensor
 from tcnad.data import compute_stats, normalize
-from tcnad.forecaster import ModelConfig, init_forecaster
+from tcnad.forecaster import ModelConfig, forward, init_forecaster
 from tcnad.trainer import (
     EmptyDatasetError,
     TrainConfig,
@@ -158,10 +159,8 @@ class TestEvaluateLoss:
     def test_matches_manual_mean(self):
         params = init_forecaster(2, TINY, seed=0)
         samples = _toy_samples(n=12)
-        from tcnad.forecaster import predict
-
         manual = np.mean([
-            np.sqrt(np.mean((predict(params, s.inputs) - s.target) ** 2))
+            np.sqrt(np.mean((forward(Tensor(s.inputs), params).values - s.target) ** 2))
             for s in samples
         ])
         np.testing.assert_allclose(evaluate_loss(params, samples), manual, rtol=1e-12)
