@@ -26,15 +26,15 @@ model_cfg = ModelConfig(window=12, conv_kernel=5, tcn_kernel=3, tcn_channels=8,
 train_cfg = TrainConfig(epochs=6, batch_size=64, learning_rate=5e-3,
                         seed=0, val_fraction=0.1)
 
-samples = build_windows(series, model_cfg.window)
-print(f"{len(samples)} training windows of shape "
-      f"{samples[0].inputs.shape} -> {samples[0].target.shape}")
+windows = build_windows(series, model_cfg.window)   # row i: w inputs, then the target
+print(f"{len(windows)} training windows of shape "
+      f"{windows[0, :-1].shape} -> {windows[0, -1].shape}")
 
 # ---------------------------------------------------------------------------
 # 2. train, printing one line per epoch
 # ---------------------------------------------------------------------------
 params = init_forecaster(ds.train.shape[1], model_cfg, seed=0)
-result = train(params, samples, train_cfg,
+result = train(params, windows, train_cfg,
                progress=lambda e, l: print(f"epoch {e + 1}: train rmse {l:.4f}"))
 
 print("\nloss curve:", [round(l, 4) for l in result.loss_history])

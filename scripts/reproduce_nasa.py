@@ -31,7 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +93,12 @@ def run_channel(dataset: Path, work: Path, channel: str, model_cfg: ModelConfig,
 
     if resume and ckpt_path.exists():
         params, stats = load_checkpoint(ckpt_path)
+        saved = asdict(params.config) | {"seed": params.seed}
+        wanted = asdict(model_cfg) | {"seed": train_cfg.seed}
+        changed = [f"{k} {saved[k]!r} -> {wanted[k]!r}" for k in wanted if saved[k] != wanted[k]]
+        if changed:
+            raise SystemExit(f"{ckpt_path}: checkpoint does not match the requested run "
+                             f"({'; '.join(changed)}); rerun without --resume")
     else:
         progress = None
         if not quiet:
@@ -123,7 +129,8 @@ def main(argv=None) -> int:
     parser.add_argument("--limit", type=int,
                         help="only the first N channels per run (smoke testing)")
     parser.add_argument("--resume", action="store_true",
-                        help="reuse existing checkpoints instead of retraining")
+                        help="reuse existing checkpoints instead of retraining; stops "
+                        "if one was trained with other model flags or seed")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 

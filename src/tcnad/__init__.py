@@ -62,9 +62,7 @@ from .trainer import (
     TrainConfig,
     TrainResult,
     TrainingDivergedError,
-    WindowSample,
     build_windows,
-    evaluate_loss,
     train,
 )
 
@@ -93,7 +91,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "TrainingDivergedError",
-    "WindowSample",
     "adam_step",
     "aggregate",
     "anomaly_scores",
@@ -104,7 +101,6 @@ __all__ = [
     "compute_stats",
     "epsilon_threshold",
     "evaluate_channel",
-    "evaluate_loss",
     "evaluate_predictions",
     "f1_score",
     "fit_channel",

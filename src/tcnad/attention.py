@@ -84,9 +84,6 @@ class AttentionParams:
     def d_out(self) -> int:
         return self.weight.values.shape[0]
 
-    def tensors(self) -> list[Tensor]:
-        return [self.weight, self.score_vec]
-
 
 @dataclass
 class AttentionOutput:

@@ -235,6 +235,11 @@ def cmd_score(args) -> int:
     test = read_matrix(args.test)
     if not np.all(np.isfinite(test)):
         raise DataFormatError(f"{args.test}: matrix contains non-finite values")
+    if test.shape[1] != params.n_features:
+        raise DataFormatError(
+            f"{args.test}: checkpoint expects {params.n_features} features, "
+            f"matrix has {test.shape[1]}"
+        )
     series = normalize(test, stats) if stats is not None else test
     seq = anomaly_scores(params, series)
     write_scores_csv(args.out, seq)
@@ -319,18 +324,18 @@ def cmd_sweep(args) -> int:
     channels = _resolve_channels(args.data, args.channel)
     norm_mode = "global" if args.global_minmax else "per_feature"
 
-    rows = []
-    for w in windows:
-        cfg_w = replace(model_cfg, window=w)
-        reports = []
-        for channel in channels:
-            ds = load_channel(args.data, channel)
+    reports = [[] for _ in windows]          # reports[k]: one per channel at windows[k]
+    for channel in channels:
+        ds = load_channel(args.data, channel)
+        for w, per_window in zip(windows, reports):
             stats, params, _ = fit_channel(
-                ds.train, cfg_w, train_cfg, norm_mode,
+                ds.train, replace(model_cfg, window=w), train_cfg, norm_mode,
                 _progress(channel, train_cfg.epochs, args.quiet),
             )
-            reports.append(evaluate_channel(params, stats, ds.test, ds.segments, channel)[2])
-        agg = aggregate(reports, "micro")
+            per_window.append(evaluate_channel(params, stats, ds.test, ds.segments, channel)[2])
+    rows = []
+    for w, per_window in zip(windows, reports):
+        agg = aggregate(per_window, "micro")
         rows.append((w, agg.precision, agg.recall, agg.f1))
         print(f"window={w} precision={agg.precision:.4f} recall={agg.recall:.4f} f1={agg.f1:.4f}")
     if args.out:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -287,42 +287,29 @@ def list_channels(data_dir) -> list[str]:
 # config files
 # ---------------------------------------------------------------------------
 
-_MODEL_FIELDS = {
-    "window": int, "conv_kernel": int, "tcn_kernel": int, "tcn_channels": int,
-    "dilations": "dilations", "mlp_layers": int, "mlp_units": int,
-    "dropout": float, "attention_mode": str, "attention_activation": str,
-    "temporal_attention": "bool", "variable_attention": "bool",
-}
-_TRAIN_FIELDS = {
-    "epochs": int, "batch_size": int, "learning_rate": float,
-    "seed": int, "shuffle": "bool", "val_fraction": float,
-}
+# config key -> default; the default's type decides how the value is parsed
+_MODEL_FIELDS = {f.name: f.default for f in fields(ModelConfig)}
+_TRAIN_FIELDS = {f.name: f.default for f in fields(TrainConfig)}
 _FIXED_FIELDS = {"optimizer": "adam", "loss": "rmse"}
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-def _parse_value(kind, raw: str, where: str):
+def _parse_value(default, raw: str, where: str):
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        if kind == "bool":
+        if isinstance(default, bool):     # before int: bool is an int subclass
             low = raw.lower()
             if low in _TRUE:
                 return True
             if low in _FALSE:
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "dilations":
+        if isinstance(default, tuple):    # dilations
             return tuple(int(part) for part in raw.replace(" ", "").split(","))
+        return type(default)(raw)
     except ValueError as exc:
         raise DataFormatError(f"{where}: {exc}") from None
-    raise AssertionError(kind)
 
 
 def parse_config_file(path) -> tuple[ModelConfig, TrainConfig]:

@@ -115,15 +115,6 @@ class ForecasterParams:
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    @property
-    def concat_width(self) -> int:
-        branches = 1
-        if self.temporal is not None:
-            branches += 1
-        if self.variable is not None:
-            branches += 1
-        return branches * self.n_features
-
 
 def init_forecaster(n_features: int, config: ModelConfig, seed: int = 0) -> ForecasterParams:
     """Fan-in scaled uniform weights, zero biases, all drawn from one seeded rng."""

@@ -23,9 +23,9 @@ def fit_channel(train_matrix: np.ndarray, model_cfg: ModelConfig, train_cfg: Tra
                 ) -> tuple[NormalizationStats, ForecasterParams, TrainResult]:
     """Normalise the train split by its own statistics and train a forecaster on it."""
     stats = compute_stats(train_matrix, norm_mode)
-    samples = build_windows(normalize(train_matrix, stats), model_cfg.window)
+    windows = build_windows(normalize(train_matrix, stats), model_cfg.window)
     params = init_forecaster(train_matrix.shape[1], model_cfg, seed=train_cfg.seed)
-    return stats, params, train(params, samples, train_cfg, progress=progress)
+    return stats, params, train(params, windows, train_cfg, progress=progress)
 
 
 def scored_labels(segments: list[AnomalySegment], length: int, seq: ScoreSequence) -> np.ndarray:

@@ -44,19 +44,10 @@ class TcnBlockParams:
     def kernel_size(self) -> int:
         return self.conv1_filters.values.shape[0]
 
-    def tensors(self) -> list[Tensor]:
-        out = [self.conv1_filters, self.conv1_bias, self.conv2_filters, self.conv2_bias]
-        if self.downsample is not None:
-            out.append(self.downsample)
-        return out
-
 
 @dataclass
 class TcnStackParams:
     blocks: list[TcnBlockParams]
-
-    def tensors(self) -> list[Tensor]:
-        return [t for b in self.blocks for t in b.tensors()]
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:

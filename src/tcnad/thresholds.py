@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
 from .evaluation import segments_from_labels
-from .forecaster import ForecasterParams, forward
-from .trainer import build_windows
+from .forecaster import ForecasterParams
+from .trainer import build_windows, window_scores
 
 DEFAULT_Z_GRID = tuple(np.arange(2.0, 10.0 + 1e-9, 0.5))
 
@@ -70,29 +69,10 @@ class ThresholdResult:
     fit: GpdFit | None = None
 
 
-def scores_from_residuals(predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Row-wise RMSE across features: one non-negative score per time step."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if predictions.shape != targets.shape or predictions.ndim != 2:
-        raise ValueError(
-            f"predictions/targets must share a (n, m) shape, got "
-            f"{predictions.shape} vs {targets.shape}"
-        )
-    diff = predictions - targets
-    return np.sqrt(np.mean(diff * diff, axis=1))
-
-
 def anomaly_scores(params: ForecasterParams, series: np.ndarray) -> ScoreSequence:
     """Score every predictable step of an (already normalized) test series."""
-    series = np.asarray(series, dtype=np.float64)
     window = params.config.window
-    samples = build_windows(series, window)
-    preds = np.empty((len(samples), params.n_features))
-    for i, s in enumerate(samples):
-        preds[i] = forward(Tensor(s.inputs), params).values
-    scores = scores_from_residuals(preds, series[window:])
-    return ScoreSequence(scores=scores, first_timestep=window)
+    return ScoreSequence(window_scores(params, build_windows(series, window)), window)
 
 
 def apply_threshold(scores: np.ndarray, threshold: float) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Sliding-window dataset construction and the Adam training loop."""
+"""Sliding windows, the Adam training loop, and the one inference loop."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tape, Tensor, backward, rmse_loss
 from .forecaster import ForecasterParams, forward
@@ -26,22 +27,13 @@ class TrainingDivergedError(RuntimeError):
         self.batch_index = batch_index
 
 
-@dataclass
-class WindowSample:
-    """One training example: ``inputs`` (w, m) predicts ``target`` (m,).
+def build_windows(series: np.ndarray, window: int) -> np.ndarray:
+    """All length-w sliding windows of a (N, m) series, each with its target row.
 
-    Both fields are views into the source series, not copies.
-    """
-
-    inputs: np.ndarray
-    target: np.ndarray
-
-
-def build_windows(series: np.ndarray, window: int) -> list[WindowSample]:
-    """All length-w sliding windows of a (N, m) series, each paired with row w.
-
-    A series of N rows yields N - w samples; windows never straddle series
-    boundaries because each call sees exactly one series.
+    Returns a read-only (N - w, w + 1, m) view into the series: row ``i`` is
+    ``series[i : i + w + 1]``, whose first w rows are the model input and whose
+    last row is the one-step target. Windows never straddle series boundaries
+    because each call sees exactly one series.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 2:
@@ -53,10 +45,16 @@ def build_windows(series: np.ndarray, window: int) -> list[WindowSample]:
         raise EmptyDatasetError(
             f"series of length {n} yields no samples for window {window}"
         )
-    return [
-        WindowSample(inputs=series[i : i + window], target=series[i + window])
-        for i in range(n - window)
-    ]
+    return sliding_window_view(series, (window + 1, series.shape[1]))[:, 0]
+
+
+def window_scores(params: ForecasterParams, windows: np.ndarray) -> np.ndarray:
+    """Per-window RMSE of the one-step forecast, without any tape or dropout."""
+    preds = np.empty((len(windows), params.n_features))
+    for i, win in enumerate(windows):
+        preds[i] = forward(Tensor(win[:-1]), params).values
+    diff = preds - windows[:, -1]
+    return np.sqrt(np.mean(diff * diff, axis=1))
 
 
 @dataclass
@@ -86,24 +84,13 @@ class TrainResult:
     val_history: list[float] = field(default_factory=list)
 
 
-def evaluate_loss(params: ForecasterParams, samples: list[WindowSample]) -> float:
-    """Mean per-sample RMSE without touching any tape or dropout."""
-    if not samples:
-        raise ValueError("evaluate_loss needs at least one sample")
-    total = 0.0
-    for s in samples:
-        loss = rmse_loss(forward(Tensor(s.inputs), params), Tensor(s.target))
-        total += float(loss.values)
-    return total / len(samples)
-
-
 def train(
     params: ForecasterParams,
-    samples: list[WindowSample],
+    windows: np.ndarray,
     config: TrainConfig,
     progress=None,
 ) -> TrainResult:
-    """Minibatch Adam on the window samples, mutating ``params`` in place.
+    """Minibatch Adam on the ``build_windows`` rows, mutating ``params`` in place.
 
     Gradients are accumulated one sample at a time on a per-sample tape, then
     scaled by 1/batch. The epoch loss recorded in ``loss_history`` is the mean
@@ -114,15 +101,12 @@ def train(
     spawned off ``config.seed``, so identical inputs give identical results.
     ``progress``, if given, is called as ``progress(epoch, train_loss)``.
     """
-    if not samples:
+    if len(windows) == 0:
         raise EmptyDatasetError("no training samples")
-    n_val = int(round(len(samples) * config.val_fraction))
-    if n_val > 0:
-        fit_samples, val_samples = samples[:-n_val], samples[-n_val:]
-    else:
-        fit_samples, val_samples = samples, []
-    if not fit_samples:
+    n = len(windows) - int(round(len(windows) * config.val_fraction))
+    if n == 0:
         raise EmptyDatasetError("val_fraction leaves no training samples")
+    fit_windows, val_windows = windows[:n], windows[n:]
 
     shuffle_seq, dropout_seq = np.random.SeedSequence(config.seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seq)
@@ -132,7 +116,6 @@ def train(
     adam = AdamState(learning_rate=config.learning_rate)
     result = TrainResult(params=params)
 
-    n = len(fit_samples)
     for epoch in range(config.epochs):
         order = np.arange(n)
         if config.shuffle:
@@ -144,10 +127,10 @@ def train(
                 t.zero_grad()
             batch_total = 0.0
             for i in idx:
-                s = fit_samples[i]
+                win = fit_windows[i]
                 with Tape():
-                    pred = forward(Tensor(s.inputs), params, training=True, rng=dropout_rng)
-                    loss = rmse_loss(pred, Tensor(s.target))
+                    pred = forward(Tensor(win[:-1]), params, training=True, rng=dropout_rng)
+                    loss = rmse_loss(pred, Tensor(win[-1]))
                     backward(loss)
                 batch_total += float(loss.values)
             if not np.isfinite(batch_total):
@@ -159,8 +142,8 @@ def train(
             adam_step(tensors, adam)
             epoch_total += batch_total
         result.loss_history.append(epoch_total / n)
-        if val_samples:
-            result.val_history.append(evaluate_loss(params, val_samples))
+        if len(val_windows):
+            result.val_history.append(float(window_scores(params, val_windows).mean()))
         if progress is not None:
             progress(epoch, result.loss_history[-1])
     return result

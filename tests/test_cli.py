@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tcnad
+import tcnad.cli
 from tcnad.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from tcnad.data import (
     ManifestEntry,
@@ -21,6 +22,7 @@ from tcnad.data import (
     write_scores_csv,
 )
 from tcnad.evaluation import AnomalySegment
+from tcnad.forecaster import ModelConfig, init_forecaster, save_checkpoint
 from tcnad.thresholds import ScoreSequence
 
 CONFIG = """\
@@ -141,6 +143,18 @@ class TestDataErrors:
         )
         assert code == EXIT_DATA
         assert "reach timestep 3" in capsys.readouterr().err
+
+    def test_score_feature_count_mismatch(self, tmp_path, capsys):
+        ckpt = tmp_path / "m3.ckpt"
+        cfg = ModelConfig(window=8, tcn_channels=4, dilations=(1,), mlp_layers=0)
+        save_checkpoint(ckpt, init_forecaster(3, cfg, seed=0))
+        test = tmp_path / "test.csv"
+        write_matrix_csv(test, np.zeros((200, 4)))
+        code = main(["score", "--checkpoint", str(ckpt), "--test", str(test),
+                     "--out", str(tmp_path / "scores.csv")])
+        assert code == EXIT_DATA
+        assert "checkpoint expects 3 features, matrix has 4" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()
 
     def test_unknown_labels_header(self, four_point, tmp_path, capsys):
         scores, _ = four_point
@@ -340,16 +354,29 @@ class TestPipeline:
         assert a == b
         capsys.readouterr()
 
-    def test_sweep_window(self, tmp_path, capsys):
+    def test_sweep_window(self, tmp_path, capsys, monkeypatch):
         _write_dataset(tmp_path)
+        for split in ("train", "test"):
+            (tmp_path / split / "C-2.csv").write_bytes((tmp_path / split / "C-1.csv").read_bytes())
+        write_manifest(tmp_path / "labeled_anomalies.csv", [
+            ManifestEntry(ch, [AnomalySegment(70, 85)], "X", 120) for ch in ("C-1", "C-2")
+        ])
+        loaded, real_load = [], tcnad.cli.load_channel
+
+        def counting_load_channel(data_dir, channel):
+            loaded.append(channel)
+            return real_load(data_dir, channel)
+
+        monkeypatch.setattr(tcnad.cli, "load_channel", counting_load_channel)
         cfg = _write_config(tmp_path)
         out = tmp_path / "sweep.csv"
         code = main(
-            ["sweep-window", "--data", str(tmp_path), "--channel", "C-1",
+            ["sweep-window", "--data", str(tmp_path), "--channel", "all",
              "--windows", "6,8", "--config", str(cfg), "--epochs", "1",
              "--out", str(out), "--quiet"]
         )
         assert code == EXIT_OK
+        assert loaded == ["C-1", "C-2"]
         stdout = capsys.readouterr().out
         assert "window=6 " in stdout and "window=8 " in stdout
         lines = out.read_text().splitlines()

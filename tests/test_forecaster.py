@@ -22,7 +22,6 @@ class TestShapes:
     def test_default_config_shapes(self):
         cfg = ModelConfig()
         params = init_forecaster(25, cfg, seed=0)
-        assert params.concat_width == 75
         assert params.tcn.blocks[0].conv1_filters.values.shape == (4, 75, 32)
         assert params.preconv_filters.values.shape == (7, 25, 25)
         assert params.temporal.weight.values.shape == (25, 50)
@@ -38,7 +37,6 @@ class TestShapes:
             cfg = ModelConfig(window=8, tcn_channels=4, mlp_units=4,
                               temporal_attention=temporal, variable_attention=variable)
             params = init_forecaster(m, cfg, seed=0)
-            assert params.concat_width == width
             assert (params.temporal is None) == (not temporal)
             assert (params.variable is None) == (not variable)
             assert params.tcn.blocks[0].conv1_filters.values.shape[1] == width

@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tcnad.data import ManifestEntry, read_scores_csv, write_manifest
 from tcnad.evaluation import AnomalySegment
@@ -55,5 +56,25 @@ def test_train_then_resume_rescores_without_training(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(script, "fit_channel", fail)
     assert script.main(argv + ["--resume"]) == 0
+    assert scores.read_bytes() == first
+    capsys.readouterr()
+
+
+def test_resume_with_changed_model_flags_stops(tmp_path, capsys):
+    raw, work = tmp_path / "raw", tmp_path / "work"
+    _write_archive(raw)
+    script = _load_script()
+    argv = ["--raw", str(raw), "--work", str(work), "--epochs", "1", "--limit", "1", "--quiet"]
+
+    assert script.main(argv + ["--window", "8"]) == 0
+    scores = work / "scores" / "A-1.csv"
+    first = scores.read_bytes()
+
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv + ["--window", "12", "--seed", "3", "--resume"])
+    message = str(exc.value.code)
+    assert str(work / "checkpoints" / "A-1.ckpt") in message
+    assert "window 8 -> 12" in message and "seed 0 -> 3" in message
+    assert "dropout" not in message
     assert scores.read_bytes() == first
     capsys.readouterr()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import best_f1_reference, gpd_quantile_sample
-from tcnad.forecaster import ModelConfig, init_forecaster
+from tcnad.autodiff import Tensor
+from tcnad.forecaster import ModelConfig, forward, init_forecaster
 from tcnad.thresholds import (
     DEFAULT_Z_GRID,
     GpdFitError,
@@ -17,25 +18,29 @@ from tcnad.thresholds import (
     gpd_nll,
     pot_displacement,
     pot_threshold,
-    scores_from_residuals,
 )
+
+SMALL = ModelConfig(window=8, conv_kernel=3, tcn_kernel=2, tcn_channels=4,
+                    dilations=(1,), mlp_layers=1, mlp_units=4, dropout=0.0)
 
 
 class TestScores:
     def test_residual_hand_case(self):
-        pred = np.array([[3.0, 4.0], [1.0, 1.0]])
-        target = np.array([[0.0, 0.0], [1.0, 1.0]])
-        out = scores_from_residuals(pred, target)
-        np.testing.assert_allclose(out, [np.sqrt(12.5), 0.0])
+        params = init_forecaster(3, SMALL, seed=1)
+        series = np.random.default_rng(1).standard_normal((20, 3))
+        manual = [
+            np.sqrt(np.mean((forward(Tensor(series[t - 8 : t]), params).values - series[t]) ** 2))
+            for t in range(8, 20)
+        ]
+        np.testing.assert_allclose(anomaly_scores(params, series).scores, manual, rtol=1e-12)
 
     def test_shape_mismatch(self):
+        params = init_forecaster(2, SMALL, seed=0)
         with pytest.raises(ValueError):
-            scores_from_residuals(np.zeros((3, 2)), np.zeros((2, 2)))
+            anomaly_scores(params, np.zeros((30, 3)))
 
     def test_anomaly_scores_alignment(self):
-        cfg = ModelConfig(window=8, conv_kernel=3, tcn_kernel=2, tcn_channels=4,
-                          dilations=(1,), mlp_layers=1, mlp_units=4, dropout=0.0)
-        params = init_forecaster(2, cfg, seed=0)
+        params = init_forecaster(2, SMALL, seed=0)
         series = np.random.default_rng(0).standard_normal((30, 2))
         seq = anomaly_scores(params, series)
         assert seq.first_timestep == 8

@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
-import tcnad
-from tcnad.autodiff import Tensor
 from tcnad.data import compute_stats, normalize
-from tcnad.forecaster import ModelConfig, forward, init_forecaster
+from tcnad.forecaster import ModelConfig, init_forecaster
+from tcnad.thresholds import anomaly_scores
 from tcnad.trainer import (
     EmptyDatasetError,
     TrainConfig,
     TrainingDivergedError,
-    WindowSample,
     build_windows,
-    evaluate_loss,
     train,
 )
 
@@ -24,12 +21,12 @@ TINY = ModelConfig(window=4, conv_kernel=3, tcn_kernel=2, tcn_channels=4,
 class TestBuildWindows:
     def test_counts_and_alignment(self):
         series = np.arange(10.0).reshape(5, 2)
-        samples = build_windows(series, 2)
-        assert len(samples) == 3
-        np.testing.assert_array_equal(samples[0].inputs, series[0:2])
-        np.testing.assert_array_equal(samples[0].target, series[2])
-        np.testing.assert_array_equal(samples[-1].inputs, series[2:4])
-        np.testing.assert_array_equal(samples[-1].target, series[4])
+        windows = build_windows(series, 2)
+        assert windows.shape == (3, 3, 2)
+        for i in range(3):
+            np.testing.assert_array_equal(windows[i], series[i : i + 3])
+        np.testing.assert_array_equal(windows[-1, :-1], series[2:4])
+        np.testing.assert_array_equal(windows[-1, -1], series[4])
 
     def test_single_window(self):
         series = np.zeros((101, 3))
@@ -41,9 +38,9 @@ class TestBuildWindows:
 
     def test_windows_are_views_not_copies(self):
         series = np.zeros((50, 2))
-        samples = build_windows(series, 10)
-        assert all(np.shares_memory(s.inputs, series) for s in samples)
-        assert all(np.shares_memory(s.target, series) for s in samples)
+        windows = build_windows(series, 10)
+        assert np.shares_memory(windows, series)
+        assert not windows.flags.writeable
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
@@ -60,17 +57,19 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
 
-def _toy_samples(n=40, m=2, window=4, seed=0):
-    rng = np.random.default_rng(seed)
-    series = rng.standard_normal((n, m)) * 0.1
-    return build_windows(series, window)
+def _toy_series(n=40, m=2, seed=0):
+    return np.random.default_rng(seed).standard_normal((n, m)) * 0.1
+
+
+def _toy_windows(n=40, m=2, window=4, seed=0):
+    return build_windows(_toy_series(n, m, seed), window)
 
 
 class TestTrainLoop:
     def test_zero_epochs_is_identity(self):
         params = init_forecaster(2, TINY, seed=0)
         before = [t.values.copy() for t in params.tensors()]
-        result = train(params, _toy_samples(), TrainConfig(epochs=0))
+        result = train(params, _toy_windows(), TrainConfig(epochs=0))
         assert result.loss_history == []
         for prev, t in zip(before, params.tensors()):
             np.testing.assert_array_equal(prev, t.values)
@@ -83,7 +82,7 @@ class TestTrainLoop:
     def test_same_seed_is_bit_identical(self):
         def run():
             params = init_forecaster(2, TINY, seed=3)
-            result = train(params, _toy_samples(), TrainConfig(epochs=3, seed=11, batch_size=16))
+            result = train(params, _toy_windows(), TrainConfig(epochs=3, seed=11, batch_size=16))
             return result.loss_history, [t.values.copy() for t in params.tensors()]
 
         h1, p1 = run()
@@ -96,34 +95,36 @@ class TestTrainLoop:
         losses = {}
         for seed in (0, 1):
             params = init_forecaster(2, TINY, seed=3)
-            result = train(params, _toy_samples(), TrainConfig(epochs=2, seed=seed, batch_size=8))
+            result = train(params, _toy_windows(), TrainConfig(epochs=2, seed=seed, batch_size=8))
             losses[seed] = result.loss_history
         assert losses[0] != losses[1]
 
     def test_nan_aborts_with_location(self):
         params = init_forecaster(2, TINY, seed=0)
-        samples = _toy_samples(n=40)
-        bad_target = samples[20].target.copy()
-        bad_target[0] = np.nan
-        samples[20] = WindowSample(inputs=samples[20].inputs, target=bad_target)
+        series = _toy_series(n=40)
+        series[24, 0] = np.nan    # window 20's target; no earlier window reads row 24
         with pytest.raises(TrainingDivergedError) as err:
-            train(params, samples, TrainConfig(epochs=2, batch_size=8, shuffle=False))
-        # sample 20 sits in batch index 2 of the very first epoch
+            train(params, build_windows(series, 4),
+                  TrainConfig(epochs=2, batch_size=8, shuffle=False))
+        # window 20 sits in batch index 2 of the very first epoch
         assert err.value.epoch == 0
         assert err.value.batch_index == 2
 
     def test_validation_split_is_chronological_tail(self):
-        samples = _toy_samples(n=44, window=4)  # 40 samples
+        series = _toy_series(n=44)  # 40 windows, the last 10 held out
         params = init_forecaster(2, TINY, seed=0)
         result = train(
-            params, samples,
+            params, build_windows(series, 4),
             TrainConfig(epochs=2, batch_size=16, val_fraction=0.25),
         )
         assert len(result.val_history) == 2
         assert all(np.isfinite(v) for v in result.val_history)
+        tail = anomaly_scores(params, series[30:]).scores
+        assert tail.size == 10
+        np.testing.assert_allclose(result.val_history[-1], tail.mean(), rtol=1e-12)
 
     def test_val_fraction_must_leave_training_data(self):
-        samples = _toy_samples(n=6, window=4)  # 2 samples
+        samples = _toy_windows(n=6, window=4)  # 2 samples
         params = init_forecaster(2, TINY, seed=0)
         with pytest.raises(EmptyDatasetError):
             train(params, samples, TrainConfig(epochs=1, val_fraction=0.9))
@@ -131,7 +132,7 @@ class TestTrainLoop:
     def test_progress_callback_sees_every_epoch(self):
         seen = []
         params = init_forecaster(2, TINY, seed=0)
-        train(params, _toy_samples(), TrainConfig(epochs=3),
+        train(params, _toy_windows(), TrainConfig(epochs=3),
               progress=lambda e, loss: seen.append((e, loss)))
         assert [e for e, _ in seen] == [0, 1, 2]
 
@@ -154,18 +155,3 @@ class TestTrainLoop:
         assert result.loss_history[-1] < 0.05
         assert result.loss_history[-1] < result.loss_history[0] / 4
 
-
-class TestEvaluateLoss:
-    def test_matches_manual_mean(self):
-        params = init_forecaster(2, TINY, seed=0)
-        samples = _toy_samples(n=12)
-        manual = np.mean([
-            np.sqrt(np.mean((forward(Tensor(s.inputs), params).values - s.target) ** 2))
-            for s in samples
-        ])
-        np.testing.assert_allclose(evaluate_loss(params, samples), manual, rtol=1e-12)
-
-    def test_empty_raises(self):
-        params = init_forecaster(2, TINY, seed=0)
-        with pytest.raises(ValueError):
-            evaluate_loss(params, [])
