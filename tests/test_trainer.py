@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tcnad.data import compute_stats, normalize
-from tcnad.forecaster import ModelConfig, init_forecaster
+from tcnad.autodiff import Tensor
+from tcnad.forecaster import ModelConfig, forward, init_forecaster
 from tcnad.thresholds import anomaly_scores
 from tcnad.trainer import (
     EmptyDatasetError,
@@ -12,6 +13,7 @@ from tcnad.trainer import (
     TrainingDivergedError,
     build_windows,
     train,
+    window_scores,
 )
 
 TINY = ModelConfig(window=4, conv_kernel=3, tcn_kernel=2, tcn_channels=4,
@@ -155,3 +157,15 @@ class TestTrainLoop:
         assert result.loss_history[-1] < 0.05
         assert result.loss_history[-1] < result.loss_history[0] / 4
 
+
+class TestEvaluateLoss:
+    def test_matches_manual_mean(self):
+        # the validation loss train reports is the mean of window_scores
+        params = init_forecaster(2, TINY, seed=0)
+        windows = _toy_windows(n=16)
+        manual = np.mean([
+            np.sqrt(np.mean((forward(Tensor(w[:-1]), params).values - w[-1]) ** 2))
+            for w in windows
+        ])
+        np.testing.assert_allclose(window_scores(params, windows).mean(), manual,
+                                   rtol=1e-12)
