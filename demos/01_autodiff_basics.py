@@ -23,7 +23,8 @@ from tcnad.autodiff import (
 rng = np.random.default_rng(0)
 
 # ---------------------------------------------------------------------------
-# 1. a scalar chain: loss = rmse(sigmoid(x @ w), target)
+# 1. a scalar chain: loss = sum over rows i of rmse(sigmoid(x @ w)[i], target[i])
+#    (rmse_loss treats the last axis as one row, as in a batch of forecasts)
 # ---------------------------------------------------------------------------
 x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
 w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)

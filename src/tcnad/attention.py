@@ -18,6 +18,9 @@ so the attended neighbour can genuinely depend on the query. The static form
 
 which factors into p_i + q_j under a monotone map, so every query ranks
 neighbours identically.
+
+Node features may carry leading batch axes, (..., n, d_in); each batch entry
+is attended independently with the same weights.
 """
 
 from __future__ import annotations
@@ -87,9 +90,9 @@ class AttentionParams:
 
 @dataclass
 class AttentionOutput:
-    aggregated: Tensor  # (n, d_in)
-    weights: Tensor     # (n, n), rows sum to 1
-    scores: Tensor      # (n, n), pre-softmax
+    aggregated: Tensor  # (..., n, d_in)
+    weights: Tensor     # (..., n, n), rows sum to 1
+    scores: Tensor      # (..., n, n), pre-softmax
 
 
 def init_attention(
@@ -117,16 +120,16 @@ def init_attention(
 
 
 def _check_nodes(x: Tensor, params: AttentionParams):
-    if x.values.ndim != 2:
-        raise ValueError("attention expects node features of shape (n, d_in)")
-    if x.values.shape[1] != params.d_in:
+    if x.values.ndim < 2:
+        raise ValueError("attention expects node features of shape (..., n, d_in)")
+    if x.values.shape[-1] != params.d_in:
         raise ValueError(
-            f"node feature dim {x.values.shape[1]} != params d_in {params.d_in}"
+            f"node feature dim {x.values.shape[-1]} != params d_in {params.d_in}"
         )
 
 
 def dynamic_scores(x: Tensor, params: AttentionParams) -> Tensor:
-    """(n, n) score matrix with the nonlinearity inside the score product."""
+    """(..., n, n) score matrix with the nonlinearity inside the score product."""
     _check_nodes(x, params)
     d = params.d_in
     left = matmul(x, transpose(slice_cols(params.weight, 0, d)))
@@ -136,7 +139,7 @@ def dynamic_scores(x: Tensor, params: AttentionParams) -> Tensor:
 
 
 def static_scores(x: Tensor, params: AttentionParams) -> Tensor:
-    """(n, n) score matrix where scores decompose as leaky_relu(p_i + q_j)."""
+    """(..., n, n) score matrix where scores decompose as leaky_relu(p_i + q_j)."""
     _check_nodes(x, params)
     d_out = params.d_out
     u = matmul(x, transpose(params.weight))
@@ -144,8 +147,8 @@ def static_scores(x: Tensor, params: AttentionParams) -> Tensor:
     a_right = reshape(slice_vec(params.score_vec, d_out, 2 * d_out), (d_out, 1))
     p = matmul(u, a_left)
     q = matmul(u, a_right)
-    n = x.values.shape[0]
-    return leaky_relu(reshape(pairwise_sum(p, q), (n, n)), params.slope)
+    n = x.values.shape[-2]
+    return leaky_relu(reshape(pairwise_sum(p, q), x.values.shape[:-2] + (n, n)), params.slope)
 
 
 def attend(x: Tensor, params: AttentionParams) -> AttentionOutput:
@@ -162,11 +165,11 @@ def attend(x: Tensor, params: AttentionParams) -> AttentionOutput:
 
 
 def temporal_attention(x: Tensor, params: AttentionParams) -> Tensor:
-    """Attend across the w time-step rows of a (w, m) window."""
+    """Attend across the w time-step rows of a (..., w, m) window."""
     return attend(x, params).aggregated
 
 
 def variable_attention(x: Tensor, params: AttentionParams) -> Tensor:
-    """Attend across the m variable columns of a (w, m) window."""
+    """Attend across the m variable columns of a (..., w, m) window."""
     out = attend(transpose(x), params)
     return transpose(out.aggregated)

@@ -5,9 +5,11 @@ computes its result eagerly with numpy and, when a tape is active and any input
 requires gradients, records a closure that knows how to push the output
 gradient back onto the inputs. ``backward`` replays the records in reverse.
 
-Gradients accumulate (+=) so tensors used in several places get the sum of all
-contributions. NaN/Inf are not checked per-op; they propagate to the loss where
-the trainer surfaces them.
+Every op accepts any number of leading batch axes and acts on the trailing one
+or two; a 2-D weight or a 1-D bias is shared across the batch, so its gradient
+is summed over the leading axes. Gradients accumulate (+=) so tensors used in
+several places get the sum of all contributions. NaN/Inf are not checked
+per-op; they propagate to the loss where the trainer surfaces them.
 """
 
 from __future__ import annotations
@@ -42,8 +44,10 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            # a copy, since rules may hand one array to several inputs (add does)
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -79,9 +83,19 @@ class Tape:
         self._records.append((out, rule))
 
     def replay_backward(self):
-        for out, rule in reversed(self._records):
+        """Run the rules newest first, releasing each record and its output grad.
+
+        Records are in topological order, so once a rule has run no later rule
+        reads its output's grad; dropping it (and the closure holding the
+        forward intermediates) bounds memory by the live part of the graph.
+        Leaves are never outputs, so they keep their grads.
+        """
+        records = self._records
+        while records:
+            out, rule = records.pop()
             if out.grad is not None:
                 rule(out.grad)
+                out.grad = None
 
 
 def active_tape() -> Tape | None:
@@ -92,9 +106,9 @@ def backward(loss: Tensor):
     """Run reverse-mode accumulation from a scalar loss.
 
     Must be called inside the ``with Tape()`` block that produced ``loss``.
-    Seeds d(loss)/d(loss) = 1 and replays the tape in reverse; afterwards every
-    ``requires_grad`` leaf that influenced the loss holds its gradient in
-    ``.grad``.
+    Seeds d(loss)/d(loss) = 1 and replays the tape in reverse, emptying it;
+    afterwards every ``requires_grad`` leaf that influenced the loss holds its
+    gradient in ``.grad`` and intermediate outputs hold none.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.values.shape}")
@@ -118,25 +132,33 @@ def _maybe_record(out: Tensor, rule, *inputs: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ValueError("matmul expects 2-D tensors")
-    if a.values.shape[1] != b.values.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.values.shape} @ {b.values.shape}")
-    out = Tensor(a.values @ b.values)
+    """(..., n, k) @ (k, p) or (..., n, k) @ (..., k, p) -> (..., n, p)."""
+    av, bv = a.values, b.values
+    if av.ndim < 2 or bv.ndim not in (2, av.ndim):
+        raise ValueError(
+            f"matmul expects (..., n, k) @ (k, p) or (..., k, p), got {av.shape} @ {bv.shape}"
+        )
+    if av.shape[-1] != bv.shape[-2] or (bv.ndim > 2 and av.shape[:-2] != bv.shape[:-2]):
+        raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
+    out = Tensor(av @ bv)
 
     def rule(g):
         if a.requires_grad:
-            a.accumulate_grad(g @ b.values.T)
+            a.accumulate_grad(g @ np.swapaxes(bv, -1, -2))
         if b.requires_grad:
-            b.accumulate_grad(a.values.T @ g)
+            if bv.ndim == 2:
+                # one 2-D matmul sums the shared weight's grad over the batch
+                b.accumulate_grad(av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            else:
+                b.accumulate_grad(np.swapaxes(av, -1, -2) @ g)
 
     return _maybe_record(out, rule, a, b)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-D ``b`` broadcast across rows of 2-D ``a``."""
+    """Elementwise sum; also accepts a 1-D ``b`` broadcast along the last axis of ``a``."""
     bias_broadcast = (
-        a.values.ndim == 2 and b.values.ndim == 1 and b.values.shape[0] == a.values.shape[1]
+        a.values.ndim >= 2 and b.values.ndim == 1 and b.values.shape[0] == a.values.shape[-1]
     )
     if not bias_broadcast and a.values.shape != b.values.shape:
         raise ValueError(f"add shape mismatch: {a.values.shape} + {b.values.shape}")
@@ -146,19 +168,20 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0) if bias_broadcast else g)
+            b.accumulate_grad(g.reshape(-1, g.shape[-1]).sum(axis=0) if bias_broadcast else g)
 
     return _maybe_record(out, rule, a, b)
 
 
 def transpose(x: Tensor) -> Tensor:
-    if x.values.ndim != 2:
-        raise ValueError("transpose expects a 2-D tensor")
-    out = Tensor(x.values.T)
+    """Swap the last two axes."""
+    if x.values.ndim < 2:
+        raise ValueError("transpose expects at least 2 axes")
+    out = Tensor(np.swapaxes(x.values, -1, -2))
 
     def rule(g):
         if x.requires_grad:
-            x.accumulate_grad(g.T)
+            x.accumulate_grad(np.swapaxes(g, -1, -2))
 
     return _maybe_record(out, rule, x)
 
@@ -174,15 +197,15 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Columns ``start:stop`` of a 2-D tensor."""
-    if x.values.ndim != 2:
-        raise ValueError("slice_cols expects a 2-D tensor")
-    out = Tensor(x.values[:, start:stop])
+    """Columns ``start:stop`` (last axis) of a tensor with at least 2 axes."""
+    if x.values.ndim < 2:
+        raise ValueError("slice_cols expects at least 2 axes")
+    out = Tensor(x.values[..., start:stop])
 
     def rule(g):
         if x.requires_grad:
             full = np.zeros_like(x.values)
-            full[:, start:stop] = g
+            full[..., start:stop] = g
             x.accumulate_grad(full)
 
     return _maybe_record(out, rule, x)
@@ -204,65 +227,69 @@ def slice_vec(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def take_row(x: Tensor, index: int) -> Tensor:
-    """Row ``index`` of a 2-D tensor, kept 2-D with shape (1, d)."""
-    if x.values.ndim != 2:
-        raise ValueError("take_row expects a 2-D tensor")
-    out = Tensor(x.values[index : index + 1, :])
+    """Row ``index`` (second-to-last axis), kept as an axis: (..., n, d) -> (..., 1, d)."""
+    if x.values.ndim < 2:
+        raise ValueError("take_row expects at least 2 axes")
+    out = Tensor(x.values[..., index : index + 1, :])
 
     def rule(g):
         if x.requires_grad:
             full = np.zeros_like(x.values)
-            full[index : index + 1, :] = g
+            full[..., index : index + 1, :] = g
             x.accumulate_grad(full)
 
     return _maybe_record(out, rule, x)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Horizontal concatenation of 2-D tensors with equal row counts."""
+    """Concatenation along the last axis of tensors whose other axes match."""
     if not parts:
         raise ValueError("concat_cols needs at least one tensor")
-    rows = parts[0].values.shape[0]
+    lead = parts[0].values.shape[:-1]
     for p in parts:
-        if p.values.ndim != 2 or p.values.shape[0] != rows:
-            raise ValueError("concat_cols expects 2-D tensors with matching rows")
-    out = Tensor(np.hstack([p.values for p in parts]))
-    offsets = np.cumsum([0] + [p.values.shape[1] for p in parts])
+        if p.values.ndim < 2 or p.values.shape[:-1] != lead:
+            raise ValueError("concat_cols expects tensors with matching leading axes")
+    out = Tensor(np.concatenate([p.values for p in parts], axis=-1))
+    offsets = np.cumsum([0] + [p.values.shape[-1] for p in parts])
 
     def rule(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                p.accumulate_grad(g[:, lo:hi])
+                p.accumulate_grad(g[..., lo:hi])
 
     return _maybe_record(out, rule, *parts)
 
 
 def pairwise_sum(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs row sums: (n, d) x (p, d) -> (n, p, d) with out[i,j] = a[i] + b[j]."""
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.values.shape[1] != b.values.shape[1]:
-        raise ValueError("pairwise_sum expects (n, d) and (p, d) tensors")
-    out = Tensor(a.values[:, None, :] + b.values[None, :, :])
+    """All-pairs row sums: (..., n, d) x (..., p, d) -> (..., n, p, d).
+
+    out[..., i, j, :] = a[..., i, :] + b[..., j, :]
+    """
+    av, bv = a.values, b.values
+    if av.ndim < 2 or av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-1]:
+        raise ValueError("pairwise_sum expects (..., n, d) and (..., p, d) tensors")
+    out = Tensor(av[..., :, None, :] + bv[..., None, :, :])
 
     def rule(g):
         if a.requires_grad:
-            a.accumulate_grad(g.sum(axis=1))
+            a.accumulate_grad(g.sum(axis=-2))
         if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0))
+            b.accumulate_grad(g.sum(axis=-3))
 
     return _maybe_record(out, rule, a, b)
 
 
 def contract_last(t: Tensor, v: Tensor) -> Tensor:
-    """Contract the trailing axis of a 3-D tensor with a vector: (n,p,d)·(d,) -> (n,p)."""
-    if t.values.ndim != 3 or v.values.ndim != 1 or t.values.shape[2] != v.values.shape[0]:
-        raise ValueError("contract_last expects (n, p, d) and (d,) tensors")
+    """Contract the last axis with a vector: (..., n, p, d) . (d,) -> (..., n, p)."""
+    if t.values.ndim < 3 or v.values.ndim != 1 or t.values.shape[-1] != v.values.shape[0]:
+        raise ValueError("contract_last expects (..., n, p, d) and (d,) tensors")
     out = Tensor(t.values @ v.values)
 
     def rule(g):
         if t.requires_grad:
-            t.accumulate_grad(g[:, :, None] * v.values[None, None, :])
+            t.accumulate_grad(g[..., None] * v.values)
         if v.requires_grad:
-            v.accumulate_grad(np.tensordot(g, t.values, axes=([0, 1], [0, 1])))
+            v.accumulate_grad(np.tensordot(g, t.values, axes=g.ndim))
 
     return _maybe_record(out, rule, t, v)
 
@@ -301,18 +328,18 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, max-subtracted for stability."""
-    if x.values.ndim != 2:
-        raise ValueError("softmax_rows expects a 2-D tensor")
-    shifted = x.values - x.values.max(axis=1, keepdims=True)
+    """Softmax over the last axis of a tensor with at least 2 axes, max-subtracted for stability."""
+    if x.values.ndim < 2:
+        raise ValueError("softmax_rows expects at least 2 axes")
+    shifted = x.values - x.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def rule(g):
         if x.requires_grad:
             gy = g * y
-            x.accumulate_grad(gy - y * gy.sum(axis=1, keepdims=True))
+            x.accumulate_grad(gy - y * gy.sum(axis=-1, keepdims=True))
 
     return _maybe_record(out, rule, x)
 
@@ -322,7 +349,8 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 
     Returns ``x`` itself when not training or when rate == 0, so nothing is
     copied or recorded. ``rng`` is required only when a mask is actually drawn,
-    which keeps inference deterministic for free.
+    which keeps inference deterministic for free. One mask covers the whole
+    tensor, batch axes included; the rule keeps it boolean (1 byte an element).
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -333,12 +361,11 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
         raise ValueError("dropout in training mode needs an rng")
     keep = rng.random(x.values.shape) >= rate
     scale = 1.0 / (1.0 - rate)
-    factor = keep * scale
-    out = Tensor(x.values * factor)
+    out = Tensor(x.values * keep * scale)
 
     def rule(g):
         if x.requires_grad:
-            x.accumulate_grad(g * factor)
+            x.accumulate_grad(g * keep * scale)
 
     return _maybe_record(out, rule, x)
 
@@ -350,20 +377,20 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 def causal_dilated_conv1d(x: Tensor, filters: Tensor, dilation: int = 1) -> Tensor:
     """Causal dilated 1-D convolution over time.
 
-    ``x`` is (w, c_in) with time down the rows; ``filters`` is (K, c_in, c_out).
-    The input is left-padded with (K-1)*dilation zeros so the output is again
-    (w, c_out) and out[t] only sees x[t], x[t - dilation], ..., i.e. nothing
-    from the future:
+    ``x`` is (..., w, c_in) with time down the rows; ``filters`` is
+    (K, c_in, c_out). The input is left-padded with (K-1)*dilation zeros so the
+    output is again (..., w, c_out) and out[t] only sees x[t], x[t - dilation],
+    ..., i.e. nothing from the future:
 
         out[t] = sum_k  x[t - (K-1-k)*dilation] @ filters[k]
     """
-    if x.values.ndim != 2:
-        raise ValueError("causal_dilated_conv1d expects x of shape (w, c_in)")
+    if x.values.ndim < 2:
+        raise ValueError("causal_dilated_conv1d expects x of shape (..., w, c_in)")
     if filters.values.ndim != 3:
         raise ValueError("causal_dilated_conv1d expects filters of shape (K, c_in, c_out)")
     if dilation < 1:
         raise ValueError(f"dilation must be >= 1, got {dilation}")
-    w, c_in = x.values.shape
+    *lead, w, c_in = x.values.shape
     k, f_in, c_out = filters.values.shape
     if k < 1:
         raise ValueError("kernel size must be >= 1")
@@ -371,50 +398,53 @@ def causal_dilated_conv1d(x: Tensor, filters: Tensor, dilation: int = 1) -> Tens
         raise ValueError(f"filter channel mismatch: x has {c_in}, filters expect {f_in}")
 
     pad = (k - 1) * dilation
-    padded = np.zeros((pad + w, c_in))
-    padded[pad:] = x.values
-    out_vals = np.zeros((w, c_out))
+    padded = np.zeros((*lead, pad + w, c_in))
+    padded[..., pad:, :] = x.values
+    out_vals = np.zeros((*lead, w, c_out))
     for j in range(k):
-        out_vals += padded[j * dilation : j * dilation + w] @ filters.values[j]
+        out_vals += padded[..., j * dilation : j * dilation + w, :] @ filters.values[j]
     out = Tensor(out_vals)
 
     def rule(g):
         if filters.requires_grad:
+            g2 = g.reshape(-1, c_out)
             gf = np.empty_like(filters.values)
             for j in range(k):
-                gf[j] = padded[j * dilation : j * dilation + w].T @ g
+                tap = padded[..., j * dilation : j * dilation + w, :]
+                gf[j] = tap.reshape(-1, c_in).T @ g2
             filters.accumulate_grad(gf)
         if x.requires_grad:
             gpad = np.zeros_like(padded)
             for j in range(k):
-                gpad[j * dilation : j * dilation + w] += g @ filters.values[j].T
-            x.accumulate_grad(gpad[pad:])
+                gpad[..., j * dilation : j * dilation + w, :] += g @ filters.values[j].T
+            x.accumulate_grad(gpad[..., pad:, :])
 
     return _maybe_record(out, rule, x, filters)
 
 
-def rmse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Root-mean-square error over all elements, as a 0-d tensor.
+def rmse_loss(pred: Tensor, target: Tensor, divisor: float = 1.0) -> Tensor:
+    """Sum over rows of each row's root-mean-square error, divided by ``divisor``.
 
-    The gradient w.r.t. pred is (pred - target) / (n * rmse), taken as 0 when
-    the residual is identically zero.
+    A row is the last axis, so a 1-D pair is one row and the value is its plain
+    RMSE. The trainer passes the minibatch size as ``divisor``: the losses of
+    the chunks of a minibatch then add up to the mean per-window RMSE, and so
+    do their gradients. The gradient w.r.t. a row of pred is
+    (pred - target) / (d * rmse * divisor) for rows of length d, taken as 0
+    for a row whose residual is identically zero.
     """
     if pred.values.shape != target.values.shape:
         raise ValueError(
             f"rmse_loss shape mismatch: {pred.values.shape} vs {target.values.shape}"
         )
     resid = pred.values - target.values
-    n = resid.size
-    if n == 0:
+    if resid.size == 0:
         raise ValueError("rmse_loss on empty tensors")
-    value = float(np.sqrt(np.mean(resid * resid)))
-    out = Tensor(np.float64(value))
+    rows = np.sqrt(np.mean(resid * resid, axis=-1, keepdims=True))
+    out = Tensor(rows.sum() / divisor)
 
     def rule(g):
-        if value == 0.0:
-            gp = np.zeros_like(resid)
-        else:
-            gp = float(g) * resid / (n * value)
+        denom = resid.shape[-1] * rows * divisor
+        gp = np.divide(float(g) * resid, denom, out=np.zeros_like(resid), where=denom != 0)
         if pred.requires_grad:
             pred.accumulate_grad(gp)
         if target.requires_grad:

@@ -378,7 +378,13 @@ def read_scores_csv(path) -> ScoreSequence:
     ts = np.asarray(timesteps)
     if not np.array_equal(ts, np.arange(ts[0], ts[0] + ts.size)):
         raise DataFormatError(f"{path}: timesteps must be contiguous and ascending")
-    return ScoreSequence(scores=np.asarray(scores), first_timestep=int(ts[0]))
+    values = np.asarray(scores)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DataFormatError(
+            f"{path}: non-finite score {values[bad[0]]} at timestep {ts[bad[0]]}"
+        )
+    return ScoreSequence(scores=values, first_timestep=int(ts[0]))
 
 
 def write_labels_csv(path, labels: np.ndarray, first_timestep: int = 0):

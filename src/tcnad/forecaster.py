@@ -168,11 +168,15 @@ def forward(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Predict the next observation from a (window, m) tensor; returns shape (m,)."""
+    """Predict the next observation from a (..., window, m) tensor; returns (..., m).
+
+    Leading axes are a batch of independent windows. In training one dropout
+    mask per op covers the whole batch.
+    """
     cfg = params.config
     w, m = cfg.window, params.n_features
-    if x.values.shape != (w, m):
-        raise ValueError(f"expected window of shape {(w, m)}, got {x.values.shape}")
+    if x.values.shape[-2:] != (w, m):
+        raise ValueError(f"expected windows of shape (..., {w}, {m}), got {x.values.shape}")
 
     h = add(causal_dilated_conv1d(x, params.preconv_filters, 1), params.preconv_bias)
 
@@ -184,7 +188,7 @@ def forward(
     z = concat_cols(parts) if len(parts) > 1 else h
 
     z = tcn_forward(z, params.tcn, training, rng)
-    out = take_row(z, w - 1)                       # (1, tcn_channels)
+    out = take_row(z, w - 1)                       # (..., 1, tcn_channels)
 
     n_layers = len(params.mlp)
     for i, (weight, bias) in enumerate(params.mlp):
@@ -192,7 +196,7 @@ def forward(
         if i < n_layers - 1:
             out = leaky_relu(out, LEAKY_SLOPE)
             out = dropout(out, cfg.dropout, training, rng)
-    return reshape(out, (m,))
+    return reshape(out, x.values.shape[:-2] + (m,))
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,23 @@ class ThresholdResult:
     fit: GpdFit | None = None
 
 
+def _require_finite(values: np.ndarray, name: str):
+    """Raise ValueError naming the first non-finite entry of ``values``."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        index = np.unravel_index(bad[0], values.shape)
+        where = index[0] if len(index) == 1 else tuple(int(i) for i in index)
+        raise ValueError(
+            f"{name} has a non-finite value {float(values[index])} at index {where}"
+        )
+
+
 def anomaly_scores(params: ForecasterParams, series: np.ndarray) -> ScoreSequence:
     """Score every predictable step of an (already normalized) test series."""
     window = params.config.window
-    return ScoreSequence(window_scores(params, build_windows(series, window)), window)
+    windows = build_windows(series, window)
+    _require_finite(np.asarray(series, dtype=np.float64), "series")
+    return ScoreSequence(window_scores(params, windows), window)
 
 
 def apply_threshold(scores: np.ndarray, threshold: float) -> np.ndarray:
@@ -102,6 +115,7 @@ def best_f1_threshold(scores: np.ndarray, labels: np.ndarray) -> ThresholdResult
         raise ValueError(
             f"scores/labels length mismatch: {scores.size} vs {labels.size}"
         )
+    _require_finite(scores, "scores")
     segments = segments_from_labels(labels)
 
     outside_sorted = np.sort(scores[np.asarray(labels) == 0])
@@ -168,6 +182,7 @@ def epsilon_threshold(
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size < 2:
         raise ValueError("epsilon_threshold needs at least two scores")
+    _require_finite(scores, "scores")
     if np.any(scores < 0):
         raise ValueError("epsilon_threshold expects non-negative scores")
     mu = float(scores.mean())
@@ -322,6 +337,7 @@ def pot_threshold(
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("pot_threshold needs at least one score")
+    _require_finite(scores, "scores")
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
     if not 0.0 < init_quantile < 1.0:

@@ -1,4 +1,10 @@
-"""Sliding windows, the Adam training loop, and the one inference loop."""
+"""Sliding windows, the Adam training loop, and the one inference loop.
+
+Both loops push chunks of windows through one batched ``forward``. A chunk is
+sized so its largest intermediate (the attention pair tensor or the TCN
+activations) stays near ``_CHUNK_FLOATS`` floats, which bounds memory whatever
+the batch size.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +16,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .autodiff import Tape, Tensor, backward, rmse_loss
 from .forecaster import ForecasterParams, forward
 from .optim import AdamState, adam_step
+
+# Float budget of a chunk's largest intermediate, about 128 KiB of float64.
+_CHUNK_FLOATS = 2**14
 
 
 class EmptyDatasetError(ValueError):
@@ -48,13 +57,52 @@ def build_windows(series: np.ndarray, window: int) -> np.ndarray:
     return sliding_window_view(series, (window + 1, series.shape[1]))[:, 0]
 
 
+def _chunk_size(params: ForecasterParams) -> int:
+    """Windows per batched ``forward``: w*m*max(w, m, channels) floats each.
+
+    That product covers the temporal pair tensor (w*w*m), the variable one
+    (m*m*w) and the TCN activations (w*channels, times m).
+    """
+    cfg = params.config
+    w, m = cfg.window, params.n_features
+    return max(1, _CHUNK_FLOATS // (w * m * max(w, m, cfg.tcn_channels)))
+
+
 def window_scores(params: ForecasterParams, windows: np.ndarray) -> np.ndarray:
     """Per-window RMSE of the one-step forecast, without any tape or dropout."""
+    size = _chunk_size(params)
     preds = np.empty((len(windows), params.n_features))
-    for i, win in enumerate(windows):
-        preds[i] = forward(Tensor(win[:-1]), params).values
+    for start in range(0, len(windows), size):
+        chunk = windows[start : start + size]
+        preds[start : start + size] = forward(Tensor(chunk[:, :-1]), params).values
     diff = preds - windows[:, -1]
     return np.sqrt(np.mean(diff * diff, axis=1))
+
+
+def accumulate_gradients(
+    params: ForecasterParams,
+    windows: np.ndarray,
+    index: np.ndarray,
+    rng: np.random.Generator | None,
+) -> float:
+    """Add the gradient of the mean RMSE of ``windows[index]`` to every param's ``.grad``.
+
+    The minibatch runs in chunks of at most ``_chunk_size`` windows, one tape
+    each; ``rmse_loss`` divides every chunk's loss by the minibatch size, so
+    the chunk gradients add up to the minibatch mean. The forward runs in
+    training mode with dropout masks drawn from ``rng`` (None is fine at
+    dropout 0). Returns the sum of the per-window RMSEs.
+    """
+    size, n = _chunk_size(params), len(index)
+    total = 0.0
+    for start in range(0, n, size):
+        chunk = windows[index[start : start + size]]
+        with Tape():
+            pred = forward(Tensor(chunk[:, :-1]), params, training=True, rng=rng)
+            loss = rmse_loss(pred, Tensor(chunk[:, -1]), n)
+            backward(loss)
+        total += float(loss.values) * n
+    return total
 
 
 @dataclass
@@ -92,10 +140,11 @@ def train(
 ) -> TrainResult:
     """Minibatch Adam on the ``build_windows`` rows, mutating ``params`` in place.
 
-    Gradients are accumulated one sample at a time on a per-sample tape, then
-    scaled by 1/batch. The epoch loss recorded in ``loss_history`` is the mean
-    per-sample training RMSE seen during that epoch; when ``val_fraction`` > 0
-    the chronological tail is held out and scored after every epoch.
+    Each minibatch's gradient of the mean per-window RMSE is accumulated over
+    memory-bounded chunks (``accumulate_gradients``). The epoch loss recorded
+    in ``loss_history`` is the mean per-window training RMSE seen during that
+    epoch; when ``val_fraction`` > 0 the chronological tail is held out and
+    scored after every epoch.
 
     Per-run randomness (shuffling, dropout masks) comes from two generators
     spawned off ``config.seed``, so identical inputs give identical results.
@@ -125,20 +174,9 @@ def train(
             idx = order[start : start + config.batch_size]
             for t in tensors:
                 t.zero_grad()
-            batch_total = 0.0
-            for i in idx:
-                win = fit_windows[i]
-                with Tape():
-                    pred = forward(Tensor(win[:-1]), params, training=True, rng=dropout_rng)
-                    loss = rmse_loss(pred, Tensor(win[-1]))
-                    backward(loss)
-                batch_total += float(loss.values)
+            batch_total = accumulate_gradients(params, fit_windows, idx, dropout_rng)
             if not np.isfinite(batch_total):
                 raise TrainingDivergedError(epoch, batch_index, batch_total)
-            scale = 1.0 / idx.size
-            for t in tensors:
-                if t.grad is not None:
-                    t.grad *= scale
             adam_step(tensors, adam)
             epoch_total += batch_total
         result.loss_history.append(epoch_total / n)

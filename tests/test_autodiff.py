@@ -44,6 +44,80 @@ class TestTensor:
         assert t.grad is None
 
 
+class TestBatchedOps:
+    """Each op on leading batch axes equals the op applied to every slice.
+
+    Forward values and input grads stack; grads of shared (unbatched) inputs
+    are the sum over slices.
+    """
+
+    CASES = {
+        # name: (op, trailing shapes, which inputs carry the batch axes)
+        "matmul_shared_weight": (matmul, [(4, 3), (3, 5)], (True, False)),
+        "matmul_batched": (matmul, [(4, 3), (3, 5)], (True, True)),
+        "add_bias": (add, [(4, 3), (3,)], (True, False)),
+        "add": (add, [(4, 3), (4, 3)], (True, True)),
+        "transpose": (transpose, [(4, 3)], (True,)),
+        "slice_cols": (lambda x: slice_cols(x, 1, 3), [(4, 3)], (True,)),
+        "take_row": (lambda x: take_row(x, 2), [(4, 3)], (True,)),
+        "concat_cols": (lambda a, b: concat_cols([a, b]), [(4, 2), (4, 3)], (True, True)),
+        "pairwise_sum": (pairwise_sum, [(4, 3), (5, 3)], (True, True)),
+        "contract_last": (contract_last, [(4, 5, 3), (3,)], (True, False)),
+        "softmax_rows": (softmax_rows, [(4, 3)], (True,)),
+        "conv": (lambda x, f: causal_dilated_conv1d(x, f, 2), [(6, 2), (3, 2, 4)], (True, False)),
+    }
+
+    @staticmethod
+    def _run(op, arrays, upstream):
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = op(*inputs)
+            out.grad = upstream
+            tape.replay_backward()
+        return out.values, [t.grad for t in inputs]
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_per_slice(self, name, lead):
+        op, shapes, batched = self.CASES[name]
+        rng = np.random.default_rng(5)
+        arrays = [rng.standard_normal(lead + s if b else s) for s, b in zip(shapes, batched)]
+        out_shape = op(*[Tensor(a) for a in arrays]).values.shape
+        assert out_shape[: len(lead)] == lead
+        upstream = rng.standard_normal(out_shape)
+        out, grads = self._run(op, arrays, upstream)
+
+        ref_grads = [np.zeros_like(a) for a in arrays]
+        for i in np.ndindex(lead):
+            sliced = [a[i] if b else a for a, b in zip(arrays, batched)]
+            o, gs = self._run(op, sliced, upstream[i])
+            np.testing.assert_allclose(out[i], o, rtol=1e-12, atol=1e-12)
+            for ref, g, b in zip(ref_grads, gs, batched):
+                if b:
+                    ref[i] = g
+                else:
+                    ref += g
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12)
+
+    def test_rmse_sums_row_losses_over_divisor(self):
+        rng = np.random.default_rng(0)
+        pred = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        target = rng.standard_normal((2, 3, 4))
+        with Tape():
+            loss = rmse_loss(pred, Tensor(target), divisor=8)
+            backward(loss)
+        rows = [rmse_loss(Tensor(pred.values[i]), Tensor(target[i]))
+                for i in np.ndindex(2, 3)]
+        np.testing.assert_allclose(float(loss.values), sum(float(r.values) for r in rows) / 8,
+                                   rtol=1e-14)
+        for i in np.ndindex(2, 3):
+            p = Tensor(pred.values[i], requires_grad=True)
+            with Tape():
+                backward(rmse_loss(p, Tensor(target[i])))
+            np.testing.assert_allclose(pred.grad[i], p.grad / 8, rtol=1e-14)
+
+
 class TestForwardValues:
     def test_matmul_hand_case(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -259,6 +333,33 @@ class TestBackward:
         num = numeric_grad(f, x.values, range(2))
         for idx, val in num.items():
             assert rel_err(x.grad.ravel()[idx], val) < 1e-6
+
+    def test_fanout_grads_do_not_alias(self):
+        # add hands one upstream array to both inputs; if a leaf stored it
+        # rather than a copy, a's second contribution would land in b's grad
+        a = Tensor([[1.0, 2.0]], requires_grad=True)
+        b = Tensor([[3.0, 4.0]], requires_grad=True)
+        with Tape() as tape:
+            y = add(add(a, b), a)
+            y.grad = np.ones((1, 2))
+            tape.replay_backward()
+        np.testing.assert_array_equal(a.grad, [[2.0, 2.0]])
+        np.testing.assert_array_equal(b.grad, [[1.0, 1.0]])
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_backward_empties_tape_and_frees_intermediate_grads(self):
+        w = Tensor(np.random.default_rng(1).standard_normal((3, 2)), requires_grad=True)
+        x = Tensor(np.ones((4, 3)))
+        with Tape() as tape:
+            h = matmul(x, w)
+            out = sigmoid(h)
+            loss = rmse_loss(out, Tensor(np.zeros((4, 2))))
+            assert len(tape) == 3
+            backward(loss)
+        assert len(tape) == 0
+        assert h.grad is None and out.grad is None and loss.grad is None
+        assert w.grad is not None and w.grad.shape == (3, 2)
+        assert x.grad is None
 
     def test_softmax_sum_has_null_gradient(self):
         x = Tensor(np.random.default_rng(42).standard_normal((1, 5)), requires_grad=True)

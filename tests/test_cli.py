@@ -199,6 +199,14 @@ class TestThresholdCommand:
         assert main(["threshold", "--scores", str(path), "--method", "pot"]) == EXIT_OK
         assert "method=pot" in capsys.readouterr().out
 
+    def test_non_finite_scores_are_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        s = np.abs(np.random.default_rng(0).standard_normal(200))
+        s[40] = np.nan
+        write_scores_csv(path, ScoreSequence(s, 0))
+        assert main(["threshold", "--scores", str(path), "--method", "epsilon"]) == EXIT_DATA
+        assert "non-finite score nan at timestep 40" in capsys.readouterr().err
+
     def test_pot_too_few_points_is_numeric_failure(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
         write_scores_csv(path, ScoreSequence(np.linspace(0, 1, 10), 0))

@@ -390,6 +390,12 @@ class TestSmallCsvs:
         with pytest.raises(DataFormatError, match="contiguous"):
             read_scores_csv(path)
 
+    def test_scores_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("timestep,score\n5,1.0\n6,nan\n7,1.0\n")
+        with pytest.raises(DataFormatError, match="non-finite score nan at timestep 6"):
+            read_scores_csv(path)
+
     def test_labels_roundtrip(self, tmp_path):
         labels = np.array([0, 1, 1, 0])
         path = tmp_path / "l.csv"

@@ -49,6 +49,34 @@ class TestScores:
         assert (seq.scores >= 0).all()
 
 
+class TestNonFiniteInput:
+    """Every entry point names the first non-finite value instead of using it."""
+
+    def test_anomaly_scores_names_the_series_entry(self):
+        params = init_forecaster(2, SMALL, seed=0)
+        series = np.random.default_rng(0).standard_normal((40, 2))
+        series[12, 1] = np.nan
+        with pytest.raises(ValueError, match=r"series .*nan at index \(12, 1\)"):
+            anomaly_scores(params, series)
+
+    def test_best_f1_names_the_score(self):
+        scores = np.array([0.1, 0.9, np.nan, 0.2])
+        with pytest.raises(ValueError, match="scores .*nan at index 2"):
+            best_f1_threshold(scores, np.array([0, 1, 0, 0]))
+
+    def test_epsilon_names_the_score(self):
+        scores = np.abs(np.random.default_rng(0).standard_normal(50))
+        scores[7] = np.inf
+        with pytest.raises(ValueError, match="scores .*inf at index 7"):
+            epsilon_threshold(scores)
+
+    def test_pot_names_the_score(self):
+        scores = np.random.default_rng(0).exponential(1.0, 3000)
+        scores[2999] = np.nan
+        with pytest.raises(ValueError, match="scores .*nan at index 2999"):
+            pot_threshold(scores)
+
+
 class TestApplyThreshold:
     def test_strictly_greater(self):
         preds = apply_threshold(np.array([0.1, 0.5, 0.50001]), 0.5)

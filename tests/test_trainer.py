@@ -1,16 +1,23 @@
-"""Window construction and the training loop."""
+"""Window construction, the training loop, and the chunked batched tape."""
+
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tcnad import trainer
 from tcnad.data import compute_stats, normalize
-from tcnad.autodiff import Tensor
+from tcnad.autodiff import Tape, Tensor, backward, rmse_loss
 from tcnad.forecaster import ModelConfig, forward, init_forecaster
 from tcnad.thresholds import anomaly_scores
 from tcnad.trainer import (
     EmptyDatasetError,
     TrainConfig,
     TrainingDivergedError,
+    accumulate_gradients,
     build_windows,
     train,
     window_scores,
@@ -169,3 +176,152 @@ class TestEvaluateLoss:
         ])
         np.testing.assert_allclose(window_scores(params, windows).mean(), manual,
                                    rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# chunked batched tape vs the per-window reference
+# ---------------------------------------------------------------------------
+
+VARIANTS = {
+    "dynamic": TINY,
+    "static": replace(TINY, attention_mode="static"),
+    "no_temporal": replace(TINY, temporal_attention=False),
+    "no_variable": replace(TINY, variable_attention=False),
+}
+
+
+def _chunk_floats(params, chunk):
+    """The ``_CHUNK_FLOATS`` value that makes ``_chunk_size(params) == chunk``."""
+    cfg, m = params.config, params.n_features
+    return chunk * cfg.window * m * max(cfg.window, m, cfg.tcn_channels)
+
+
+def _per_window_reference(params, windows):
+    """Mean loss and mean gradients of one 2-D forward per window.
+
+    Also returns, per tensor, the largest per-window gradient entry: the mean
+    can cancel to ~0, so agreement is judged relative to what was summed.
+    """
+    tensors = params.tensors()
+    sums = [np.zeros_like(t.values) for t in tensors]
+    scales = [0.0] * len(tensors)
+    losses = []
+    for win in windows:
+        for t in tensors:
+            t.zero_grad()
+        with Tape():
+            loss = rmse_loss(forward(Tensor(win[:-1]), params), Tensor(win[-1]))
+            backward(loss)
+        losses.append(float(loss.values))
+        for i, (acc, t) in enumerate(zip(sums, tensors)):
+            if t.grad is not None:
+                acc += t.grad
+                scales[i] = max(scales[i], float(np.abs(t.grad).max()))
+    return np.mean(losses), [acc / len(windows) for acc in sums], scales
+
+
+def _chunked(params, windows, chunk):
+    for t in params.tensors():
+        t.zero_grad()
+    with mock.patch.object(trainer, "_CHUNK_FLOATS", _chunk_floats(params, chunk)):
+        assert trainer._chunk_size(params) == chunk
+        total = accumulate_gradients(params, windows, np.arange(len(windows)), rng=None)
+    grads = [np.zeros_like(t.values) if t.grad is None else t.grad for t in params.tensors()]
+    return total / len(windows), grads
+
+
+def _assert_close(actual, expected, scale):
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestChunkedTape:
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_gradients_equal_per_window_mean(self, variant, chunk):
+        # 7 windows: chunk 3 leaves a short last chunk, chunk 7 is one tape
+        params = init_forecaster(2, VARIANTS[variant], seed=4)
+        windows = _toy_windows(n=11)
+        assert len(windows) == 7
+        ref_loss, ref_grads, scales = _per_window_reference(params, windows)
+        loss, grads = _chunked(params, windows, chunk)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+        for (name, _), g, ref, scale in zip(params.named_parameters(), grads, ref_grads, scales):
+            assert np.abs(ref).max() > 0, name
+            _assert_close(g, ref, scale)
+
+    @pytest.mark.parametrize("chunk", [1, 4, 13])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_window_scores_equal_per_window_forward(self, variant, chunk):
+        params = init_forecaster(2, VARIANTS[variant], seed=2)
+        windows = _toy_windows(n=17)
+        manual = [
+            np.sqrt(np.mean((forward(Tensor(w[:-1]), params).values - w[-1]) ** 2))
+            for w in windows
+        ]
+        with mock.patch.object(trainer, "_CHUNK_FLOATS", _chunk_floats(params, chunk)):
+            scores = window_scores(params, windows)
+        np.testing.assert_allclose(scores, manual, rtol=1e-12)
+
+    def test_chunk_sizes_of_the_named_configs(self):
+        demo = ModelConfig(window=20, conv_kernel=7, tcn_kernel=4, tcn_channels=16,
+                           dilations=(1, 2), mlp_layers=1, mlp_units=16)
+        small = ModelConfig(window=16, conv_kernel=7, tcn_kernel=4, tcn_channels=8,
+                            dilations=(1, 2), mlp_layers=1, mlp_units=8)
+        assert trainer._chunk_size(init_forecaster(3, demo)) == 13
+        assert trainer._chunk_size(init_forecaster(3, small)) == 21
+        assert trainer._chunk_size(init_forecaster(25, ModelConfig())) == 1
+
+    def test_same_seed_with_dropout_is_identical(self):
+        cfg = replace(TINY, dropout=0.1)
+
+        def run():
+            params = init_forecaster(2, cfg, seed=1)
+            with mock.patch.object(trainer, "_CHUNK_FLOATS", _chunk_floats(params, 3)):
+                return train(params, _toy_windows(), TrainConfig(epochs=3, batch_size=8, seed=5))
+
+        first, second = run(), run()
+        assert first.loss_history == second.loss_history
+        for a, b in zip(first.params.tensors(), second.params.tensors()):
+            np.testing.assert_array_equal(a.values, b.values)
+
+
+# derandomized, so every run checks the same examples and Tier-1 stays stable
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    window=st.integers(1, 6),
+    m=st.integers(1, 3),
+    conv_kernel=st.integers(1, 3),
+    tcn_kernel=st.integers(1, 3),
+    tcn_channels=st.integers(1, 4),
+    dilations=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    mlp_layers=st.integers(0, 2),
+    mode=st.sampled_from(["dynamic", "static"]),
+    activation=st.sampled_from(["sigmoid", "identity"]),
+    temporal=st.booleans(),
+    variable=st.booleans(),
+    n_windows=st.integers(1, 6),
+    chunk=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_chunked_tape_matches_per_window_property(
+    window, m, conv_kernel, tcn_kernel, tcn_channels, dilations, mlp_layers, mode,
+    activation, temporal, variable, n_windows, chunk, seed,
+):
+    cfg = ModelConfig(
+        window=window, conv_kernel=conv_kernel, tcn_kernel=tcn_kernel,
+        tcn_channels=tcn_channels, dilations=tuple(dilations), mlp_layers=mlp_layers,
+        mlp_units=3, dropout=0.0, attention_mode=mode, attention_activation=activation,
+        temporal_attention=temporal, variable_attention=variable,
+    )
+    params = init_forecaster(m, cfg, seed=seed)
+    windows = build_windows(_toy_series(n=window + n_windows, m=m, seed=seed), window)
+    ref_loss, ref_grads, scales = _per_window_reference(params, windows)
+    loss, grads = _chunked(params, windows, chunk)
+    np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+    for g, ref, scale in zip(grads, ref_grads, scales):
+        _assert_close(g, ref, scale)
+    with mock.patch.object(trainer, "_CHUNK_FLOATS", _chunk_floats(params, chunk)):
+        scores = window_scores(params, windows)
+    manual = [np.sqrt(np.mean((forward(Tensor(w[:-1]), params).values - w[-1]) ** 2))
+              for w in windows]
+    np.testing.assert_allclose(scores, manual, rtol=1e-12)
