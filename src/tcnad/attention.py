@@ -31,10 +31,8 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    contract_last,
-    leaky_relu,
     matmul,
-    pairwise_sum,
+    pair_scores,
     reshape,
     sigmoid,
     slice_cols,
@@ -134,8 +132,7 @@ def dynamic_scores(x: Tensor, params: AttentionParams) -> Tensor:
     d = params.d_in
     left = matmul(x, transpose(slice_cols(params.weight, 0, d)))
     right = matmul(x, transpose(slice_cols(params.weight, d, 2 * d)))
-    pairs = leaky_relu(pairwise_sum(left, right), params.slope)
-    return contract_last(pairs, params.score_vec)
+    return pair_scores(left, right, params.score_vec, params.slope)
 
 
 def static_scores(x: Tensor, params: AttentionParams) -> Tensor:
@@ -147,8 +144,7 @@ def static_scores(x: Tensor, params: AttentionParams) -> Tensor:
     a_right = reshape(slice_vec(params.score_vec, d_out, 2 * d_out), (d_out, 1))
     p = matmul(u, a_left)
     q = matmul(u, a_right)
-    n = x.values.shape[-2]
-    return leaky_relu(reshape(pairwise_sum(p, q), x.values.shape[:-2] + (n, n)), params.slope)
+    return pair_scores(p, q, Tensor(np.ones(1)), params.slope)
 
 
 def attend(x: Tensor, params: AttentionParams) -> AttentionOutput:

@@ -196,49 +196,38 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _maybe_record(out, rule, x)
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Columns ``start:stop`` (last axis) of a tensor with at least 2 axes."""
-    if x.values.ndim < 2:
-        raise ValueError("slice_cols expects at least 2 axes")
-    out = Tensor(x.values[..., start:stop])
+def _take(x: Tensor, key) -> Tensor:
+    """``x.values[key]`` for a basic-slicing key; the grad scatters back into zeros."""
+    out = Tensor(x.values[key])
 
     def rule(g):
         if x.requires_grad:
             full = np.zeros_like(x.values)
-            full[..., start:stop] = g
+            full[key] = g
             x.accumulate_grad(full)
 
     return _maybe_record(out, rule, x)
+
+
+def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
+    """Columns ``start:stop`` (last axis) of a tensor with at least 2 axes."""
+    if x.values.ndim < 2:
+        raise ValueError("slice_cols expects at least 2 axes")
+    return _take(x, (..., slice(start, stop)))
 
 
 def slice_vec(x: Tensor, start: int, stop: int) -> Tensor:
     """Elements ``start:stop`` of a 1-D tensor."""
     if x.values.ndim != 1:
         raise ValueError("slice_vec expects a 1-D tensor")
-    out = Tensor(x.values[start:stop])
-
-    def rule(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.values)
-            full[start:stop] = g
-            x.accumulate_grad(full)
-
-    return _maybe_record(out, rule, x)
+    return _take(x, slice(start, stop))
 
 
 def take_row(x: Tensor, index: int) -> Tensor:
     """Row ``index`` (second-to-last axis), kept as an axis: (..., n, d) -> (..., 1, d)."""
     if x.values.ndim < 2:
         raise ValueError("take_row expects at least 2 axes")
-    out = Tensor(x.values[..., index : index + 1, :])
-
-    def rule(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.values)
-            full[..., index : index + 1, :] = g
-            x.accumulate_grad(full)
-
-    return _maybe_record(out, rule, x)
+    return _take(x, (..., slice(index, index + 1), slice(None)))
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
@@ -260,38 +249,47 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _maybe_record(out, rule, *parts)
 
 
-def pairwise_sum(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs row sums: (..., n, d) x (..., p, d) -> (..., n, p, d).
+def pair_scores(left: Tensor, right: Tensor, v: Tensor, slope: float = 0.2) -> Tensor:
+    """GATv2 pair scores: (..., n, d), (..., p, d), (d,) -> (..., n, p).
 
-    out[..., i, j, :] = a[..., i, :] + b[..., j, :]
+    out[..., i, j] = v . leaky_relu(left[..., i, :] + right[..., j, :])
+
+    The (..., n, p, d) pair tensor lives only inside the forward; a taped call
+    keeps just its sign mask pos = pair >= 0 (1 byte an element; derivative 1
+    at 0, as in ``leaky_relu``). As leaky_relu(t) = slope*t + (1-slope)*pos*t,
+    with dl[i] = sum_j g[i, j] * (slope + (1-slope) * pos[i, j]) and dr[j] the
+    same sum over i: d left = dl*v, d right = dr*v and d v = sum(dl*left) +
+    sum(dr*right) over every axis but the last.
     """
-    av, bv = a.values, b.values
-    if av.ndim < 2 or av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-1]:
-        raise ValueError("pairwise_sum expects (..., n, d) and (..., p, d) tensors")
-    out = Tensor(av[..., :, None, :] + bv[..., None, :, :])
+    lv, rv, vv = left.values, right.values, v.values
+    if (lv.ndim < 2 or lv.shape[:-2] != rv.shape[:-2] or vv.ndim != 1
+            or not lv.shape[-1] == rv.shape[-1] == vv.shape[0]):
+        raise ValueError(f"pair_scores expects (..., n, d), (..., p, d) and (d,) tensors, "
+                         f"got {lv.shape}, {rv.shape}, {vv.shape}")
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"pair_scores slope must be in [0, 1], got {slope}")
+    pairs = lv[..., :, None, :] + rv[..., None, :, :]
+    taped = active_tape() is not None and any(t.requires_grad for t in (left, right, v))
+    pos = pairs >= 0 if taped else None  # the rule's only pair-sized state
+    np.maximum(pairs, slope * pairs, out=pairs)  # leaky_relu, exact for 0 <= slope <= 1
+    out = Tensor(pairs @ vv)
 
     def rule(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.sum(axis=-2))
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=-3))
-
-    return _maybe_record(out, rule, a, b)
-
-
-def contract_last(t: Tensor, v: Tensor) -> Tensor:
-    """Contract the last axis with a vector: (..., n, p, d) . (d,) -> (..., n, p)."""
-    if t.values.ndim < 3 or v.values.ndim != 1 or t.values.shape[-1] != v.values.shape[0]:
-        raise ValueError("contract_last expects (..., n, p, d) and (d,) tensors")
-    out = Tensor(t.values @ v.values)
-
-    def rule(g):
-        if t.requires_grad:
-            t.accumulate_grad(g[..., None] * v.values)
+        posf = pos.astype(np.float64)
+        s = (g[..., :, None, :] @ posf)[..., 0, :]
+        t = (np.swapaxes(g, -1, -2)[..., :, None, :] @ np.swapaxes(posf, -3, -2))[..., 0, :]
+        dl = slope * g.sum(axis=-1)[..., None] + (1.0 - slope) * s
+        dr = slope * g.sum(axis=-2)[..., None] + (1.0 - slope) * t
+        if left.requires_grad:
+            left.accumulate_grad(dl * vv)
+        if right.requires_grad:
+            right.accumulate_grad(dr * vv)
         if v.requires_grad:
-            v.accumulate_grad(np.tensordot(g, t.values, axes=g.ndim))
+            d = vv.shape[0]
+            v.accumulate_grad((dl * lv).reshape(-1, d).sum(axis=0)
+                              + (dr * rv).reshape(-1, d).sum(axis=0))
 
-    return _maybe_record(out, rule, t, v)
+    return _maybe_record(out, rule, left, right, v)
 
 
 # ---------------------------------------------------------------------------

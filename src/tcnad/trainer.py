@@ -26,14 +26,18 @@ class EmptyDatasetError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a batch produces a non-finite loss."""
+    """Raised when a batch produces a non-finite loss.
 
-    def __init__(self, epoch: int, batch_index: int, loss: float):
-        super().__init__(
-            f"non-finite loss {loss!r} at epoch {epoch}, batch {batch_index}"
-        )
+    ``parameter`` names the first parameter, in ``named_parameters()`` order,
+    whose gradient holds a non-finite entry; None when every gradient is finite.
+    """
+
+    def __init__(self, epoch: int, batch_index: int, loss: float, parameter: str | None = None):
+        where = f"first non-finite gradient: {parameter}" if parameter else "no non-finite gradient"
+        super().__init__(f"non-finite loss {loss!r} at epoch {epoch}, batch {batch_index}; {where}")
         self.epoch = epoch
         self.batch_index = batch_index
+        self.parameter = parameter
 
 
 def build_windows(series: np.ndarray, window: int) -> np.ndarray:
@@ -176,7 +180,9 @@ def train(
                 t.zero_grad()
             batch_total = accumulate_gradients(params, fit_windows, idx, dropout_rng)
             if not np.isfinite(batch_total):
-                raise TrainingDivergedError(epoch, batch_index, batch_total)
+                bad = next((name for name, t in params.named_parameters()
+                            if t.grad is not None and not np.isfinite(t.grad).all()), None)
+                raise TrainingDivergedError(epoch, batch_index, batch_total, bad)
             adam_step(tensors, adam)
             epoch_total += batch_total
         result.loss_history.append(epoch_total / n)

@@ -25,6 +25,21 @@ def conv_reference(x: np.ndarray, filters: np.ndarray, dilation: int) -> np.ndar
     return out
 
 
+def pair_scores_reference(left, right, v, slope, g):
+    """GATv2 scores ``v . leaky_relu(left_i + right_j)`` and their grads, unfused.
+
+    Builds the explicit (..., n, p, d) pair tensor and pushes the upstream
+    grad ``g`` back through contraction, leaky_relu (derivative 1 at exactly
+    0) and the pairwise sum, one textbook rule each. Returns
+    (scores, d_left, d_right, d_v).
+    """
+    pair = left[..., :, None, :] + right[..., None, :, :]
+    act = np.where(pair > 0, pair, slope * pair)
+    g_pair = g[..., None] * v * np.where(pair >= 0, 1.0, slope)
+    d_v = np.tensordot(g, act, axes=g.ndim)
+    return act @ v, g_pair.sum(axis=-2), g_pair.sum(axis=-3), d_v
+
+
 def point_adjust_reference(pred: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Walk the label runs; promote a run iff any of its points is predicted."""
     adjusted = np.array(pred, dtype=int, copy=True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import conv_reference, numeric_grad, rel_err
+from oracles import conv_reference, numeric_grad, pair_scores_reference, rel_err
 from tcnad.autodiff import (
     Tape,
     Tensor,
@@ -11,12 +11,11 @@ from tcnad.autodiff import (
     backward,
     causal_dilated_conv1d,
     concat_cols,
-    contract_last,
     dropout,
     leaky_relu,
     linear,
     matmul,
-    pairwise_sum,
+    pair_scores,
     reshape,
     rmse_loss,
     sigmoid,
@@ -61,8 +60,11 @@ class TestBatchedOps:
         "slice_cols": (lambda x: slice_cols(x, 1, 3), [(4, 3)], (True,)),
         "take_row": (lambda x: take_row(x, 2), [(4, 3)], (True,)),
         "concat_cols": (lambda a, b: concat_cols([a, b]), [(4, 2), (4, 3)], (True, True)),
-        "pairwise_sum": (pairwise_sum, [(4, 3), (5, 3)], (True, True)),
-        "contract_last": (contract_last, [(4, 5, 3), (3,)], (True, False)),
+        "pair_scores": (lambda l, r, v: pair_scores(l, r, v, 0.2), [(4, 3), (5, 3), (3,)],
+                        (True, True, False)),
+        # the static attention form: one score column per side, a fixed unit vector
+        "pair_scores_static": (lambda p, q: pair_scores(p, q, Tensor(np.ones(1)), 0.2),
+                               [(4, 1), (5, 1)], (True, True)),
         "softmax_rows": (softmax_rows, [(4, 3)], (True,)),
         "conv": (lambda x, f: causal_dilated_conv1d(x, f, 2), [(6, 2), (3, 2, 4)], (True, False)),
     }
@@ -187,16 +189,67 @@ class TestForwardValues:
         assert transpose(x).values.shape == (3, 1)
         assert reshape(x, (3,)).values.shape == (3,)
 
-    def test_pairwise_sum_hand_case(self):
-        a = Tensor([[1.0], [2.0]])
-        b = Tensor([[10.0], [20.0]])
-        out = pairwise_sum(a, b)
-        np.testing.assert_array_equal(out.values[:, :, 0], [[11, 21], [12, 22]])
+    def test_pair_scores_hand_case(self):
+        # pairs [[2, 1], [-1, -2]] (d = 1), then leaky_relu at slope 0.5, then times 2
+        left = Tensor([[1.0], [-2.0]])
+        right = Tensor([[1.0], [0.0]])
+        out = pair_scores(left, right, Tensor([2.0]), 0.5)
+        np.testing.assert_array_equal(out.values, [[4.0, 2.0], [-1.0, -2.0]])
 
-    def test_contract_last(self):
-        t = Tensor(np.arange(12.0).reshape(2, 3, 2))
-        v = Tensor([1.0, -1.0])
-        np.testing.assert_array_equal(contract_last(t, v).values, t.values @ v.values)
+
+class TestPairScores:
+    """The fused op against the explicit pair tensor and the unfused rules."""
+
+    @staticmethod
+    def _run(left, right, v, slope, g):
+        ts = [Tensor(a, requires_grad=True) for a in (left, right, v)]
+        with Tape() as tape:
+            out = pair_scores(*ts, slope)
+            out.grad = g
+            tape.replay_backward()
+        return (out.values, *(t.grad for t in ts))
+
+    @pytest.mark.parametrize("slope", [0.2, 0.0, 1.0])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_matches_reference(self, lead, slope):
+        rng = np.random.default_rng(11)
+        for n, p, d in [(4, 5, 3), (2, 6, 2), (5, 5, 1)]:
+            # small integers put many pair entries at exactly zero, where the
+            # derivative must be 1 as in leaky_relu
+            left = rng.integers(-2, 3, lead + (n, d)).astype(float)
+            right = rng.integers(-2, 3, lead + (p, d)).astype(float)
+            left[..., -1, :] += rng.standard_normal(d)
+            v = rng.standard_normal(d)
+            g = rng.standard_normal(lead + (n, p))
+            assert (left[..., :, None, :] + right[..., None, :, :] == 0).any()
+            got = self._run(left, right, v, slope, g)
+            want = pair_scores_reference(left, right, v, slope, g)
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_tape_keeps_only_a_sign_mask(self):
+        rng = np.random.default_rng(0)
+        left = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+        right = Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
+        with Tape() as tape:
+            pair_scores(left, right, Tensor(rng.standard_normal(3)))
+            (_, rule), = tape._records
+        kept = [c.cell_contents for c in rule.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        pair_sized = [a for a in kept if a.shape == (2, 4, 5, 3)]
+        assert [a.dtype for a in pair_sized] == [np.bool_]
+
+    def test_rejects_bad_arguments(self):
+        a, v = Tensor(np.zeros((4, 3))), Tensor(np.zeros(3))
+        for left, right, vec in [(a, Tensor(np.zeros((4, 2))), v),
+                                 (a, Tensor(np.zeros((2, 4, 3))), v),
+                                 (a, a, Tensor(np.zeros(2))),
+                                 (Tensor(np.zeros(3)), Tensor(np.zeros(3)), v)]:
+            with pytest.raises(ValueError):
+                pair_scores(left, right, vec)
+        for slope in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                pair_scores(a, a, v, slope)
 
 
 class TestConvForward:
@@ -417,7 +470,7 @@ class TestBackward:
         target = rng.standard_normal((3, 4))
 
         def run():
-            scores = contract_last(leaky_relu(pairwise_sum(a, b), 0.2), v)
+            scores = pair_scores(a, b, v, 0.2)
             return rmse_loss(softmax_rows(scores), Tensor(target))
 
         with Tape():

@@ -1,7 +1,12 @@
 """Forecaster wiring: shapes, branch toggles, determinism, checkpoints."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import numeric_grad, rel_err
 from tcnad.autodiff import Tape, Tensor, backward, rmse_loss
@@ -13,6 +18,7 @@ from tcnad.forecaster import (
     load_checkpoint,
     save_checkpoint,
 )
+from tcnad.trainer import build_windows, window_scores
 
 TINY = ModelConfig(window=8, conv_kernel=3, tcn_kernel=2, tcn_channels=4,
                    dilations=(1, 2), mlp_layers=2, mlp_units=4, dropout=0.0)
@@ -258,3 +264,43 @@ class TestCheckpoints:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match="shape"):
             load_checkpoint(path)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 3),
+    window=st.integers(1, 6),
+    conv_kernel=st.integers(1, 3),
+    tcn_kernel=st.integers(1, 3),
+    tcn_channels=st.integers(1, 4),
+    dilations=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    mlp_layers=st.integers(0, 2),
+    mode=st.sampled_from(["dynamic", "static"]),
+    activation=st.sampled_from(["sigmoid", "identity"]),
+    branches=st.sampled_from([(True, True), (True, False), (False, True), (False, False)]),
+    seed=st.integers(0, 2**16),
+)
+def test_checkpoint_roundtrip_property(m, window, conv_kernel, tcn_kernel, tcn_channels,
+                                       dilations, mlp_layers, mode, activation, branches, seed):
+    cfg = ModelConfig(window=window, conv_kernel=conv_kernel, tcn_kernel=tcn_kernel,
+                      tcn_channels=tcn_channels, dilations=tuple(dilations),
+                      mlp_layers=mlp_layers, mlp_units=3, attention_mode=mode,
+                      attention_activation=activation, temporal_attention=branches[0],
+                      variable_attention=branches[1])
+    params = init_forecaster(m, cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, t in params.named_parameters():    # move off the init, biases included
+        t.values = t.values + rng.standard_normal(t.values.shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(path, params)
+        loaded, _ = load_checkpoint(path)
+    assert loaded.config == cfg
+    saved = params.named_parameters()
+    assert [name for name, _ in loaded.named_parameters()] == [name for name, _ in saved]
+    for (_, a), (_, b) in zip(saved, loaded.named_parameters()):
+        assert a.values.shape == b.values.shape
+        assert a.values.tobytes() == b.values.tobytes()
+    windows = build_windows(rng.standard_normal((window + 5, m)), window)
+    assert (window_scores(params, windows).tobytes()
+            == window_scores(loaded, windows).tobytes())

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import best_f1_reference, gpd_quantile_sample
 from tcnad.autodiff import Tensor
@@ -132,6 +134,29 @@ class TestBestF1:
         ref_th, ref_f1 = best_f1_reference(scores, labels)
         assert res.threshold == ref_th
         assert res.diagnostics["f1"] == pytest.approx(ref_f1, abs=1e-12)
+
+
+@st.composite
+def _scores_and_segment_labels(draw):
+    n = draw(st.integers(1, 40))
+    # a handful of levels, so most scores tie with others
+    levels = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=5))
+    scores = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    labels = np.zeros(n, dtype=int)
+    segments = st.tuples(st.integers(0, n - 1), st.integers(1, 8))
+    for start, length in draw(st.lists(segments, max_size=4)):
+        labels[start : start + length] = 1
+    return scores, labels
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_scores_and_segment_labels())
+def test_best_f1_matches_reference_property(case):
+    scores, labels = case
+    res = best_f1_threshold(scores, labels)
+    ref_th, ref_f1 = best_f1_reference(scores, labels)
+    assert res.threshold == ref_th
+    assert res.diagnostics["f1"] == pytest.approx(ref_f1, abs=1e-12)
 
 
 class TestEpsilon:

@@ -118,6 +118,17 @@ class TestTrainLoop:
         # window 20 sits in batch index 2 of the very first epoch
         assert err.value.epoch == 0
         assert err.value.batch_index == 2
+        # the NaN target makes every gradient NaN; the first in parameter order is named
+        assert err.value.parameter == "preconv.filters"
+        assert "first non-finite gradient: preconv.filters" in str(err.value)
+
+    def test_divergence_with_finite_gradients_says_so(self):
+        params = init_forecaster(2, TINY, seed=0)
+        with mock.patch.object(trainer, "accumulate_gradients", return_value=np.inf), \
+                pytest.raises(TrainingDivergedError) as err:
+            train(params, _toy_windows(), TrainConfig(epochs=1, batch_size=8))
+        assert err.value.parameter is None
+        assert "no non-finite gradient" in str(err.value)
 
     def test_validation_split_is_chronological_tail(self):
         series = _toy_series(n=44)  # 40 windows, the last 10 held out
