@@ -36,7 +36,6 @@ from .autodiff import (
     reshape,
     sigmoid,
     slice_cols,
-    slice_vec,
     softmax_rows,
     transpose,
 )
@@ -140,10 +139,8 @@ def static_scores(x: Tensor, params: AttentionParams) -> Tensor:
     _check_nodes(x, params)
     d_out = params.d_out
     u = matmul(x, transpose(params.weight))
-    a_left = reshape(slice_vec(params.score_vec, 0, d_out), (d_out, 1))
-    a_right = reshape(slice_vec(params.score_vec, d_out, 2 * d_out), (d_out, 1))
-    p = matmul(u, a_left)
-    q = matmul(u, a_right)
+    pq = matmul(u, transpose(reshape(params.score_vec, (2, d_out))))   # (..., n, 2)
+    p, q = slice_cols(pq, 0, 1), slice_cols(pq, 1, 2)
     return pair_scores(p, q, Tensor(np.ones(1)), params.slope)
 
 

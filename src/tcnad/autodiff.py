@@ -216,17 +216,12 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _take(x, (..., slice(start, stop)))
 
 
-def slice_vec(x: Tensor, start: int, stop: int) -> Tensor:
-    """Elements ``start:stop`` of a 1-D tensor."""
-    if x.values.ndim != 1:
-        raise ValueError("slice_vec expects a 1-D tensor")
-    return _take(x, slice(start, stop))
-
-
 def take_row(x: Tensor, index: int) -> Tensor:
     """Row ``index`` (second-to-last axis), kept as an axis: (..., n, d) -> (..., 1, d)."""
     if x.values.ndim < 2:
         raise ValueError("take_row expects at least 2 axes")
+    if not 0 <= index < x.values.shape[-2]:
+        raise ValueError(f"take_row index {index} out of range for {x.values.shape[-2]} rows")
     return _take(x, (..., slice(index, index + 1), slice(None)))
 
 

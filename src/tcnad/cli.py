@@ -8,7 +8,6 @@ failure (diverged training, impossible tail fit).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -18,6 +17,7 @@ import numpy as np
 
 from .data import (
     DataFormatError,
+    is_manifest,
     list_channels,
     load_channel,
     normalize,
@@ -30,6 +30,7 @@ from .data import (
     write_loss_csv,
     write_report_csv,
     write_scores_csv,
+    write_sweep_csv,
 )
 from .evaluation import aggregate, point_adjusted_report
 from .forecaster import ModelConfig, load_checkpoint, save_checkpoint
@@ -163,35 +164,19 @@ def _resolve_channels(data_dir, requested: list[str]) -> list[str]:
     return list(dict.fromkeys(requested))
 
 
-def _is_manifest(path) -> bool:
-    """True for a manifest header (has ``chan_id``), False for ``timestep,label``."""
-    with open(path, newline="") as fh:
-        header = [h.strip() for h in next(csv.reader(fh), [])]
-    if "chan_id" in header:
-        return True
-    if header[:2] == ["timestep", "label"]:
-        return False
-    raise DataFormatError(
-        f"{path}: expected a manifest header with a 'chan_id' column "
-        "or a 'timestep,label' header"
-    )
-
-
-def _aligned_labels(labels_path, seq: ScoreSequence, channel: str | None,
-                    fallback_channel: str) -> np.ndarray:
+def _aligned_labels(labels_path, seq: ScoreSequence, channel: str) -> np.ndarray:
     """Labels for exactly the scored timesteps, from either supported format."""
     lo, n = seq.first_timestep, seq.scores.size
-    if _is_manifest(labels_path):
+    if is_manifest(labels_path):
         manifest = read_manifest(labels_path)
-        ch = channel or fallback_channel
-        if ch not in manifest:
-            raise DataFormatError(f"channel {ch!r} not found in {labels_path}")
-        entry = manifest[ch]
+        if channel not in manifest:
+            raise DataFormatError(f"channel {channel!r} not found in {labels_path}")
+        entry = manifest[channel]
         length = entry.num_values if entry.num_values is not None else lo + n
         try:
             return scored_labels(entry.segments, length, seq)
         except ValueError as exc:
-            raise DataFormatError(f"{labels_path}: channel {ch!r}: {exc}") from None
+            raise DataFormatError(f"{labels_path}: channel {channel!r}: {exc}") from None
     labels, first = read_labels_csv(labels_path)
     offset = lo - first
     if offset < 0 or offset + n > labels.size:
@@ -233,8 +218,6 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     params, stats = load_checkpoint(args.checkpoint)
     test = read_matrix(args.test)
-    if not np.all(np.isfinite(test)):
-        raise DataFormatError(f"{args.test}: matrix contains non-finite values")
     if test.shape[1] != params.n_features:
         raise DataFormatError(
             f"{args.test}: checkpoint expects {params.n_features} features, "
@@ -255,9 +238,7 @@ def cmd_threshold(args) -> int:
     if args.method == "grid":
         if not args.labels:
             raise UsageError("--method grid needs --labels")
-        labels = _aligned_labels(
-            args.labels, seq, args.channel, Path(args.scores).stem
-        )
+        labels = _aligned_labels(args.labels, seq, args.channel or Path(args.scores).stem)
         result = best_f1_threshold(seq.scores, labels)
     elif args.method == "epsilon":
         result = epsilon_threshold(seq.scores)
@@ -298,7 +279,7 @@ def cmd_evaluate(args) -> int:
     reports = []
     for path, th, ch in zip(args.scores, thresholds, channels):
         seq = read_scores_csv(path)
-        labels = _aligned_labels(args.labels, seq, ch, Path(path).stem)
+        labels = _aligned_labels(args.labels, seq, ch)
         preds = apply_threshold(seq.scores, th)
         reports.append(point_adjusted_report(preds, labels, channel=ch))
     summary = aggregate(reports, "macro" if args.macro else "micro")
@@ -333,23 +314,17 @@ def cmd_sweep(args) -> int:
                 _progress(channel, train_cfg.epochs, args.quiet),
             )
             per_window.append(evaluate_channel(params, stats, ds.test, ds.segments, channel)[2])
-    rows = []
-    for w, per_window in zip(windows, reports):
-        agg = aggregate(per_window, "micro")
-        rows.append((w, agg.precision, agg.recall, agg.f1))
+    summaries = [(w, aggregate(per_window, "micro")) for w, per_window in zip(windows, reports)]
+    for w, agg in summaries:
         print(f"window={w} precision={agg.precision:.4f} recall={agg.recall:.4f} f1={agg.f1:.4f}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["window", "precision", "recall", "f1"])
-            for w, p, r, f1 in rows:
-                writer.writerow([w, repr(p), repr(r), repr(f1)])
+        write_sweep_csv(args.out, summaries)
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
     seq = read_scores_csv(args.scores)
-    labels = _aligned_labels(args.labels, seq, args.channel, Path(args.scores).stem)
+    labels = _aligned_labels(args.labels, seq, args.channel or Path(args.scores).stem)
     preds = apply_threshold(seq.scores, args.threshold)
     write_curve_csv(args.out, seq, args.threshold, labels, preds)
     print(f"wrote {seq.scores.size} rows to {args.out}")

@@ -64,25 +64,16 @@ def compute_stats(train: np.ndarray, mode: str = "per_feature") -> Normalization
         raise ValueError(f"expected a non-empty (N, m) matrix, got shape {train.shape}")
     if mode == "per_feature":
         mn, mx = train.min(axis=0), train.max(axis=0)
-        flat = np.flatnonzero(mx == mn)
-        if flat.size:
-            warnings.warn(
-                f"features {flat.tolist()} are constant in the training split; "
-                "they normalize to 0",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        constant = (f"features {np.flatnonzero(mx == mn).tolist()} are constant in the "
+                    "training split; they normalize to 0")
     elif mode == "global":
         mn = np.array([train.min()])
         mx = np.array([train.max()])
-        if mn[0] == mx[0]:
-            warnings.warn(
-                "training split is globally constant; everything normalizes to 0",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        constant = "training split is globally constant; everything normalizes to 0"
     else:
         raise ValueError(f"unknown normalization mode {mode!r}")
+    if np.any(mx == mn):
+        warnings.warn(constant, RuntimeWarning, stacklevel=2)
     return NormalizationStats(minimum=mn, maximum=mx, mode=mode)
 
 
@@ -104,22 +95,16 @@ def write_matrix_csv(path, x: np.ndarray, feature_names: list[str] | None = None
     names = feature_names or [f"f{i}" for i in range(x.shape[1])]
     if len(names) != x.shape[1]:
         raise ValueError("feature_names length mismatch")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in x:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(path, names, ([repr(float(v)) for v in row] for row in x))
 
 
 def read_matrix_csv(path) -> np.ndarray:
     rows: list[list[float]] = []
-    width = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError(f"{path}: empty file")
         width = len(header)
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -151,6 +136,8 @@ def read_matrix_binary(path) -> np.ndarray:
         if len(header) < 16 or header[:4] != MATRIX_MAGIC:
             raise DataFormatError(f"{path}: missing {MATRIX_MAGIC!r} header")
         rows, cols = np.frombuffer(header[4:12], dtype="<u4")
+        if rows == 0 or cols == 0:
+            raise DataFormatError(f"{path}: no data rows ({rows} rows, {cols} columns)")
         payload = fh.read()
     expected = int(rows) * int(cols) * 8
     if len(payload) != expected:
@@ -165,12 +152,17 @@ def read_matrix_binary(path) -> np.ndarray:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Sniff binary vs CSV by the magic bytes, then delegate."""
+    """Sniff binary vs CSV by the magic bytes, delegate, and reject non-finite values."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == MATRIX_MAGIC:
-        return read_matrix_binary(path)
-    return read_matrix_csv(path)
+    x = read_matrix_binary(path) if magic == MATRIX_MAGIC else read_matrix_csv(path)
+    finite = np.isfinite(x)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise DataFormatError(
+            f"{path}: matrix contains non-finite value {x[row, col]} at row {row}, column {col}"
+        )
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +187,23 @@ class ChannelDataset:
 
 def read_manifest(path) -> dict[str, ManifestEntry]:
     entries: dict[str, ManifestEntry] = {}
+    seen: dict[str, int] = {}      # chan_id -> line it first appeared on
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
         for required in ("chan_id", "anomaly_sequences"):
             if required not in fields:
                 raise DataFormatError(f"{path}: manifest lacks a {required!r} column")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num          # DictReader skips blank lines
             chan = (row.get("chan_id") or "").strip()
             if not chan:
                 raise DataFormatError(f"{path}:{lineno}: empty chan_id")
+            if chan in seen:
+                raise DataFormatError(
+                    f"{path}:{lineno}: chan_id {chan!r} repeats line {seen[chan]}"
+                )
+            seen[chan] = lineno
             try:
                 seqs = ast.literal_eval(row["anomaly_sequences"])
                 segments = [AnomalySegment(int(s), int(e)) for s, e in seqs]
@@ -213,12 +212,15 @@ def read_manifest(path) -> dict[str, ManifestEntry]:
                     f"{path}:{lineno}: bad anomaly_sequences ({exc})"
                 ) from None
             raw_nv = (row.get("num_values") or "").strip()
-            num_values = int(raw_nv) if raw_nv else None
+            if raw_nv and not raw_nv.isdecimal():
+                raise DataFormatError(
+                    f"{path}:{lineno}: num_values must be a non-negative integer, got {raw_nv!r}"
+                )
             entries[chan] = ManifestEntry(
                 channel=chan,
                 segments=segments,
                 spacecraft=(row.get("spacecraft") or "").strip(),
-                num_values=num_values,
+                num_values=int(raw_nv) if raw_nv else None,
             )
     if not entries:
         raise DataFormatError(f"{path}: manifest has no rows")
@@ -226,12 +228,25 @@ def read_manifest(path) -> dict[str, ManifestEntry]:
 
 
 def write_manifest(path, entries: list[ManifestEntry]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chan_id", "spacecraft", "anomaly_sequences", "num_values"])
-        for e in entries:
-            seqs = str([[s.start, s.end] for s in e.segments])
-            writer.writerow([e.channel, e.spacecraft, seqs, e.num_values or ""])
+    _write_csv(path, ["chan_id", "spacecraft", "anomaly_sequences", "num_values"], (
+        [e.channel, e.spacecraft, str([[s.start, s.end] for s in e.segments]),
+         "" if e.num_values is None else e.num_values]
+        for e in entries
+    ))
+
+
+def is_manifest(path) -> bool:
+    """True for a manifest header (has ``chan_id``), False for ``timestep,label``."""
+    with open(path, newline="") as fh:
+        header = [h.strip() for h in next(csv.reader(fh), [])]
+    if "chan_id" in header:
+        return True
+    if header[:2] == ["timestep", "label"]:
+        return False
+    raise DataFormatError(
+        f"{path}: expected a manifest header with a 'chan_id' column "
+        "or a 'timestep,label' header"
+    )
 
 
 def _find_matrix(directory: Path, channel: str) -> Path:
@@ -255,9 +270,6 @@ def load_channel(data_dir, channel: str) -> ChannelDataset:
     entry = manifest[channel]
     train = read_matrix(_find_matrix(data_dir / "train", channel))
     test = read_matrix(_find_matrix(data_dir / "test", channel))
-    for name, mat in (("train", train), ("test", test)):
-        if not np.all(np.isfinite(mat)):
-            raise DataFormatError(f"{channel} {name} matrix contains non-finite values")
     if train.shape[1] != test.shape[1]:
         raise DataFormatError(
             f"{channel}: train has {train.shape[1]} features, test has {test.shape[1]}"
@@ -349,98 +361,85 @@ def parse_config_file(path) -> tuple[ModelConfig, TrainConfig]:
 # small CSVs
 # ---------------------------------------------------------------------------
 
-def write_scores_csv(path, seq: ScoreSequence):
+def _write_csv(path, header: list[str], rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["timestep", "score"])
-        for t, s in zip(seq.timesteps, seq.scores):
-            writer.writerow([int(t), repr(float(s))])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def read_scores_csv(path) -> ScoreSequence:
+def _read_timestep_csv(path, column: str, parse) -> tuple[np.ndarray, int]:
+    """A ``timestep,<column>`` CSV -> (values, first_timestep); timesteps must be contiguous."""
     timesteps: list[int] = []
-    scores: list[float] = []
+    values: list = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["timestep", "score"]:
-            raise DataFormatError(f"{path}: expected a 'timestep,score' header")
+        if header is None or [h.strip() for h in header[:2]] != ["timestep", column]:
+            raise DataFormatError(f"{path}: expected a 'timestep,{column}' header")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
                 timesteps.append(int(row[0]))
-                scores.append(float(row[1]))
+                values.append(parse(row[1]))
             except (ValueError, IndexError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    if not scores:
-        raise DataFormatError(f"{path}: no score rows")
+    if not values:
+        raise DataFormatError(f"{path}: no {column} rows")
     ts = np.asarray(timesteps)
     if not np.array_equal(ts, np.arange(ts[0], ts[0] + ts.size)):
         raise DataFormatError(f"{path}: timesteps must be contiguous and ascending")
-    values = np.asarray(scores)
-    bad = np.flatnonzero(~np.isfinite(values))
+    return np.asarray(values), int(ts[0])
+
+
+def write_scores_csv(path, seq: ScoreSequence):
+    _write_csv(path, ["timestep", "score"],
+               ([int(t), repr(float(s))] for t, s in zip(seq.timesteps, seq.scores)))
+
+
+def read_scores_csv(path) -> ScoreSequence:
+    scores, first = _read_timestep_csv(path, "score", float)
+    bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         raise DataFormatError(
-            f"{path}: non-finite score {values[bad[0]]} at timestep {ts[bad[0]]}"
+            f"{path}: non-finite score {scores[bad[0]]} at timestep {first + bad[0]}"
         )
-    return ScoreSequence(scores=values, first_timestep=int(ts[0]))
+    return ScoreSequence(scores=scores, first_timestep=first)
 
 
 def write_labels_csv(path, labels: np.ndarray, first_timestep: int = 0):
-    labels = np.asarray(labels)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestep", "label"])
-        for i, v in enumerate(labels):
-            writer.writerow([first_timestep + i, int(v)])
+    _write_csv(path, ["timestep", "label"],
+               ([first_timestep + i, int(v)] for i, v in enumerate(np.asarray(labels))))
 
 
 def read_labels_csv(path) -> tuple[np.ndarray, int]:
     """Aligned labels file -> (labels, first_timestep)."""
-    timesteps: list[int] = []
-    labels: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["timestep", "label"]:
-            raise DataFormatError(f"{path}: expected a 'timestep,label' header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                timesteps.append(int(row[0]))
-                labels.append(int(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    if not labels:
-        raise DataFormatError(f"{path}: no label rows")
-    ts = np.asarray(timesteps)
-    if not np.array_equal(ts, np.arange(ts[0], ts[0] + ts.size)):
-        raise DataFormatError(f"{path}: timesteps must be contiguous and ascending")
-    arr = np.asarray(labels)
-    if not np.isin(arr, (0, 1)).all():
+    labels, first = _read_timestep_csv(path, "label", int)
+    if not np.isin(labels, (0, 1)).all():
         raise DataFormatError(f"{path}: labels must be 0/1")
-    return arr, int(ts[0])
+    return labels, first
 
 
 def write_loss_csv(path, history: list[float]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(history):
-            writer.writerow([epoch, repr(float(loss))])
+    _write_csv(path, ["epoch", "loss"],
+               ([epoch, repr(float(loss))] for epoch, loss in enumerate(history)))
 
 
 def write_report_csv(path, reports: list[EvalReport]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["channel", "tp", "fp", "fn", "precision", "recall", "f1"])
-        for r in reports:
-            writer.writerow(
-                [r.channel, r.tp, r.fp, r.fn,
-                 repr(float(r.precision)), repr(float(r.recall)), repr(float(r.f1))]
-            )
+    _write_csv(path, ["channel", "tp", "fp", "fn", "precision", "recall", "f1"], (
+        [r.channel, r.tp, r.fp, r.fn,
+         repr(float(r.precision)), repr(float(r.recall)), repr(float(r.f1))]
+        for r in reports
+    ))
+
+
+def write_sweep_csv(path, summaries: list[tuple[int, EvalReport]]):
+    """One ``window,precision,recall,f1`` row per (window, aggregated report)."""
+    _write_csv(path, ["window", "precision", "recall", "f1"], (
+        [w, repr(float(r.precision)), repr(float(r.recall)), repr(float(r.f1))]
+        for w, r in summaries
+    ))
 
 
 def write_curve_csv(path, seq: ScoreSequence, threshold: float,
@@ -449,8 +448,7 @@ def write_curve_csv(path, seq: ScoreSequence, threshold: float,
     predictions = np.asarray(predictions)
     if labels.size != seq.scores.size or predictions.size != seq.scores.size:
         raise ValueError("labels/predictions must align with the score sequence")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestep", "score", "threshold", "label", "prediction"])
-        for t, s, l, p in zip(seq.timesteps, seq.scores, labels, predictions):
-            writer.writerow([int(t), repr(float(s)), repr(float(threshold)), int(l), int(p)])
+    _write_csv(path, ["timestep", "score", "threshold", "label", "prediction"], (
+        [int(t), repr(float(s)), repr(float(threshold)), int(l), int(p)]
+        for t, s, l, p in zip(seq.timesteps, seq.scores, labels, predictions)
+    ))

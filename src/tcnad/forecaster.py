@@ -284,6 +284,4 @@ def load_checkpoint(path):
             )
         return params, stats
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, DataFormatError):
-            raise
         raise DataFormatError(f"{path}: malformed checkpoint ({exc})") from None

@@ -234,16 +234,11 @@ def epsilon_threshold(
 
 def gpd_nll(excesses: np.ndarray, gamma: float, beta: float) -> float:
     """Negative log-likelihood of positive excesses under GPD(gamma, beta)."""
-    y = np.asarray(excesses, dtype=np.float64)
-    n = y.size
     if beta <= 0:
         return np.inf
-    if abs(gamma) < 1e-12:
-        return n * np.log(beta) + float(y.sum()) / beta
-    z = gamma * y / beta
-    if z.min() <= -1.0:
-        return np.inf
-    return n * np.log(beta) + (1.0 + 1.0 / gamma) * float(np.log1p(z).sum())
+    y = np.asarray(excesses, dtype=np.float64)
+    return float(_nll_surface(y, np.array([gamma], dtype=np.float64),
+                              np.array([beta], dtype=np.float64))[0, 0])
 
 
 def _nll_surface(y: np.ndarray, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:

@@ -98,6 +98,18 @@ def gpd_quantile_sample(rng: np.random.Generator, gamma: float, beta: float, n: 
     return beta / gamma * ((1.0 - u) ** (-gamma) - 1.0)
 
 
+def gpd_nll_reference(y: np.ndarray, gamma: float, beta: float) -> float:
+    """GPD negative log-likelihood written out for one (gamma, beta) pair."""
+    if beta <= 0:
+        return np.inf
+    if abs(gamma) < 1e-12:
+        return y.size * np.log(beta) + float(y.sum()) / beta
+    z = gamma * y / beta
+    if z.min() <= -1.0:
+        return np.inf
+    return y.size * np.log(beta) + (1.0 + 1.0 / gamma) * float(np.log1p(z).sum())
+
+
 def numeric_grad(fn, arr: np.ndarray, coords, eps: float = 1e-6) -> dict[int, float]:
     """Central differences of scalar fn() w.r.t. flat entries of arr (mutated in place)."""
     flat = arr.ravel()

@@ -13,7 +13,17 @@ from tcnad.attention import (
     temporal_attention,
     variable_attention,
 )
-from tcnad.autodiff import Tape, Tensor, backward, rmse_loss, transpose
+from tcnad.autodiff import (
+    Tape,
+    Tensor,
+    backward,
+    matmul,
+    pair_scores,
+    reshape,
+    rmse_loss,
+    slice_cols,
+    transpose,
+)
 
 
 def _dyn(weight, score_vec, **kw):
@@ -45,6 +55,35 @@ class TestScoreValues:
         params = _sta([[1.0]], [1.0, 1.0])
         e = static_scores(Tensor([[-1.0], [-2.0]]), params).values
         np.testing.assert_allclose(e, 0.2 * np.array([[-2.0, -3.0], [-3.0, -4.0]]))
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_static_matches_split_score_vector(self, lead):
+        # reference: p and q from the two halves of score_vec, each its own (d_out, 1) column
+        rng = np.random.default_rng(4)
+        d_in, d_out = 3, 4
+        params = init_attention(d_in, d_out, mode="static", rng=rng)
+        x = Tensor(rng.standard_normal(lead + (5, d_in)), requires_grad=True)
+        upstream = rng.standard_normal(lead + (5, 5))
+
+        def split_reference():
+            u = matmul(x, transpose(params.weight))
+            a = reshape(params.score_vec, (1, 2 * d_out))
+            p = matmul(u, reshape(slice_cols(a, 0, d_out), (d_out, 1)))
+            q = matmul(u, reshape(slice_cols(a, d_out, 2 * d_out), (d_out, 1)))
+            return pair_scores(p, q, Tensor(np.ones(1)), params.slope)
+
+        results = []
+        for scores_fn in (lambda: static_scores(x, params), split_reference):
+            leaves = (x, params.weight, params.score_vec)
+            for t in leaves:
+                t.grad = None
+            with Tape() as tape:
+                out = scores_fn()
+                out.grad = upstream
+                tape.replay_backward()
+            results.append([out.values] + [t.grad for t in leaves])
+        for new, ref in zip(*results):
+            np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12)
 
     def test_dynamic_witness_per_query_argmax_differs(self):
         # with this W each query prefers the neighbour on its own side

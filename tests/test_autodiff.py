@@ -20,7 +20,6 @@ from tcnad.autodiff import (
     rmse_loss,
     sigmoid,
     slice_cols,
-    slice_vec,
     softmax_rows,
     take_row,
     transpose,
@@ -175,14 +174,15 @@ class TestForwardValues:
         parts = [slice_cols(Tensor(x), 0, 2), slice_cols(Tensor(x), 2, 6)]
         np.testing.assert_array_equal(concat_cols(parts).values, x)
 
-    def test_slice_vec(self):
-        v = slice_vec(Tensor([1.0, 2.0, 3.0, 4.0]), 1, 3)
-        np.testing.assert_array_equal(v.values, [2.0, 3.0])
-
     def test_take_row_keeps_2d(self):
         out = take_row(Tensor([[1.0, 2.0], [3.0, 4.0]]), 1)
         assert out.values.shape == (1, 2)
         np.testing.assert_array_equal(out.values, [[3.0, 4.0]])
+
+    @pytest.mark.parametrize("index", [-1, 3, 5])
+    def test_take_row_rejects_out_of_range(self, index):
+        with pytest.raises(ValueError, match=f"index {index} out of range for 3 rows"):
+            take_row(Tensor(np.zeros((3, 2))), index)
 
     def test_transpose_reshape(self):
         x = Tensor([[1.0, 2.0, 3.0]])

@@ -156,6 +156,31 @@ class TestDataErrors:
         assert "checkpoint expects 3 features, matrix has 4" in capsys.readouterr().err
         assert not (tmp_path / "scores.csv").exists()
 
+    def test_score_non_finite_matrix(self, tmp_path, capsys):
+        ckpt = tmp_path / "m2.ckpt"
+        cfg = ModelConfig(window=8, tcn_channels=4, dilations=(1,), mlp_layers=0)
+        save_checkpoint(ckpt, init_forecaster(2, cfg, seed=0))
+        test = tmp_path / "test.csv"
+        matrix = np.zeros((50, 2))
+        matrix[17, 1] = np.nan
+        write_matrix_csv(test, matrix)
+        code = main(["score", "--checkpoint", str(ckpt), "--test", str(test),
+                     "--out", str(tmp_path / "scores.csv")])
+        assert code == EXIT_DATA
+        assert f"{test}: matrix contains non-finite value nan at row 17, column 1" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "scores.csv").exists()
+
+    def test_train_bad_manifest_num_values(self, tmp_path, capsys):
+        _write_dataset(tmp_path)
+        manifest = tmp_path / "labeled_anomalies.csv"
+        manifest.write_text(manifest.read_text().replace(",120", ",abc"))
+        code = main(["train", "--data", str(tmp_path), "--channel", "C-1",
+                     "--out", str(tmp_path / "run"), "--config", str(_write_config(tmp_path))])
+        assert code == EXIT_DATA
+        assert f"{manifest}:2: num_values must be a non-negative integer, got 'abc'" in (
+            capsys.readouterr().err)
+
     def test_unknown_labels_header(self, four_point, tmp_path, capsys):
         scores, _ = four_point
         labels = tmp_path / "odd.csv"

@@ -1,7 +1,14 @@
 """File formats, normalization, channel loading, and config parsing."""
 
+import re
+import tempfile
+from pathlib import Path
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcnad.data import (
     DataFormatError,
@@ -157,6 +164,13 @@ class TestMatrixBinary:
         with pytest.raises(DataFormatError):
             read_matrix_binary(path)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+    def test_empty_matrix_rejected(self, tmp_path, shape):
+        path = tmp_path / "empty.bin"
+        write_matrix_binary(path, np.zeros(shape))
+        with pytest.raises(DataFormatError, match="empty.bin: no data rows"):
+            read_matrix(path)
+
 
 class TestSniffing:
     def test_dispatch(self, tmp_path):
@@ -165,6 +179,38 @@ class TestSniffing:
         write_matrix_binary(tmp_path / "m.bin", x)
         np.testing.assert_array_equal(read_matrix(tmp_path / "m.csv"), x)
         np.testing.assert_array_equal(read_matrix(tmp_path / "m.bin"), x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_non_finite_rejected(self, tmp_path, suffix, bad):
+        x = np.ones((4, 3))
+        x[2, 1] = x[3, 0] = bad
+        path = tmp_path / f"m{suffix}"
+        (write_matrix_csv if suffix == ".csv" else write_matrix_binary)(path, x)
+        message = f"m{suffix}: matrix contains non-finite value {bad} at row 2, column 1"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            read_matrix(path)
+
+
+# finite doubles, with signed zeros, subnormals and the extremes always in reach
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308]
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                 elements=_FINITE),
+    binary=st.booleans(),
+)
+def test_matrix_roundtrip_is_bit_exact(x, binary):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("m.bin" if binary else "m.csv")
+        (write_matrix_binary if binary else write_matrix_csv)(path, x)
+        back = read_matrix(path)
+    assert back.dtype == np.float64 and back.shape == x.shape
+    assert back.tobytes() == x.tobytes()
 
 
 class TestManifest:
@@ -209,6 +255,51 @@ class TestManifest:
         path.write_text("chan_id,anomaly_sequences\n")
         with pytest.raises(DataFormatError, match="no rows"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("raw", ["abc", "-3", "2.5", "1e3"])
+    def test_bad_num_values(self, tmp_path, raw):
+        path = tmp_path / "m.csv"
+        path.write_text(f"chan_id,anomaly_sequences,num_values\nA,[],10\nB,[],{raw}\n")
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"m.csv:3: num_values must be a non-negative integer, got '{raw}'")):
+            read_manifest(path)
+
+    def test_duplicate_chan_id(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text('chan_id,anomaly_sequences\nA,"[[20, 25]]"\nB,[]\nA,[]\n')
+        with pytest.raises(DataFormatError, match="m.csv:4: chan_id 'A' repeats line 2"):
+            read_manifest(path)
+
+    def test_errors_name_physical_lines_past_blank_ones(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text('chan_id,anomaly_sequences\n\nA,[]\n\nA,[]\n')
+        with pytest.raises(DataFormatError, match="m.csv:5: chan_id 'A' repeats line 3"):
+            read_manifest(path)
+
+
+_NAMES = st.text(alphabet="ABMPST0123456789-_", min_size=1, max_size=6)
+_ENTRIES = st.lists(
+    st.builds(
+        ManifestEntry,
+        channel=_NAMES,
+        segments=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 500)).map(
+            lambda sl: AnomalySegment(sl[0], sl[0] + sl[1])), max_size=4),
+        spacecraft=st.sampled_from(["", "SMAP", "MSL"]),
+        num_values=st.sampled_from([None, 0]) | st.integers(1, 10**7),
+    ),
+    min_size=1, max_size=5, unique_by=lambda e: e.channel,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(entries=_ENTRIES)
+def test_manifest_roundtrip_property(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labeled_anomalies.csv"
+        write_manifest(path, entries)
+        back = read_manifest(path)
+    assert list(back) == [e.channel for e in entries]
+    assert list(back.values()) == entries
 
 
 def _write_channel(tmp_path, channel="C-1", n_train=30, n_test=20, m=2,
@@ -410,6 +501,23 @@ class TestSmallCsvs:
         with pytest.raises(DataFormatError, match="0/1"):
             read_labels_csv(path)
 
+    @pytest.mark.parametrize("reader, column", [(read_scores_csv, "score"),
+                                                (read_labels_csv, "label")])
+    def test_shared_reader_errors(self, tmp_path, reader, column):
+        path = tmp_path / "t.csv"
+        path.write_text(f"timestep,{column}\n")
+        with pytest.raises(DataFormatError, match=f"t.csv: no {column} rows"):
+            reader(path)
+        path.write_text(f"timestep,{column}\n0,1\n1\n")
+        with pytest.raises(DataFormatError, match="t.csv:3: list index out of range"):
+            reader(path)
+        path.write_text(f"timestep,{column}\n0,1\n1,x\n")
+        with pytest.raises(DataFormatError, match="t.csv:3: .*'x'"):
+            reader(path)
+        path.write_text(f"timestep,{column}\n3,1\n2,1\n")
+        with pytest.raises(DataFormatError, match="contiguous"):
+            reader(path)
+
     def test_loss_csv(self, tmp_path):
         path = tmp_path / "loss.csv"
         write_loss_csv(path, [0.5, 0.25])
@@ -437,3 +545,20 @@ class TestSmallCsvs:
         assert lines[2] == "6,0.9,0.5,1,1"
         with pytest.raises(ValueError):
             write_curve_csv(path, seq, 0.5, np.array([0]), np.array([0, 1]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    scores=hnp.arrays(np.float64, st.integers(1, 40), elements=_FINITE),
+    labels=hnp.arrays(np.int64, st.integers(1, 40), elements=st.integers(0, 1)),
+    first=st.integers(0, 10**6),
+)
+def test_timestep_csv_roundtrip_property(scores, labels, first):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_scores_csv(Path(tmp) / "s.csv", ScoreSequence(scores, first))
+        write_labels_csv(Path(tmp) / "l.csv", labels, first_timestep=first)
+        seq = read_scores_csv(Path(tmp) / "s.csv")
+        back, back_first = read_labels_csv(Path(tmp) / "l.csv")
+    assert seq.first_timestep == back_first == first
+    assert seq.scores.dtype == np.float64 and seq.scores.tobytes() == scores.tobytes()
+    np.testing.assert_array_equal(back, labels)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import best_f1_reference, gpd_quantile_sample
+from oracles import best_f1_reference, gpd_nll_reference, gpd_quantile_sample
 from tcnad.autodiff import Tensor
 from tcnad.forecaster import ModelConfig, forward, init_forecaster
 from tcnad.thresholds import (
@@ -237,6 +237,15 @@ class TestGpd:
         for g in np.linspace(-0.4, 1.0, 15):
             for b in y.mean() * np.logspace(-1, 1, 9):
                 assert best <= gpd_nll(y, g, b) + 1e-9
+
+    @pytest.mark.parametrize("gamma, beta", [
+        (0.3, 0.5), (-0.4, 2.0), (0.0, 1.5), (5e-13, 0.7),   # ordinary and exponential
+        (-0.5, 0.1),                                          # z <= -1: outside the support
+        (0.2, 0.0), (0.2, -1.0),                              # non-positive scale
+    ])
+    def test_nll_matches_closed_form(self, gamma, beta):
+        y = gpd_quantile_sample(np.random.default_rng(8), 0.3, 0.5, 200)
+        assert gpd_nll(y, gamma, beta) == gpd_nll_reference(y, gamma, beta)
 
     def test_rejects_nonpositive_excesses(self):
         with pytest.raises(ValueError):
