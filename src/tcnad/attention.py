@@ -20,7 +20,9 @@ which factors into p_i + q_j under a monotone map, so every query ranks
 neighbours identically.
 
 Node features may carry leading batch axes, (..., n, d_in); each batch entry
-is attended independently with the same weights.
+is attended independently with the same weights. Each query is scored on its
+own, so attending from the last q nodes gives the last q rows of the full
+attention.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .autodiff import (
     reshape,
     sigmoid,
     slice_cols,
+    slice_rows,
     softmax_rows,
     transpose,
 )
@@ -87,9 +90,11 @@ class AttentionParams:
 
 @dataclass
 class AttentionOutput:
-    aggregated: Tensor  # (..., n, d_in)
-    weights: Tensor     # (..., n, n), rows sum to 1
-    scores: Tensor      # (..., n, n), pre-softmax
+    """Attention of q query nodes over n nodes, aggregating d_v-wide values."""
+
+    aggregated: Tensor  # (..., q, d_v)
+    weights: Tensor     # (..., q, n), rows sum to 1
+    scores: Tensor      # (..., q, n), pre-softmax
 
 
 def init_attention(
@@ -125,44 +130,70 @@ def _check_nodes(x: Tensor, params: AttentionParams):
         )
 
 
-def dynamic_scores(x: Tensor, params: AttentionParams) -> Tensor:
-    """(..., n, n) score matrix with the nonlinearity inside the score product."""
+def _queries(x: Tensor, queries: int | None) -> Tensor:
+    """The last ``queries`` nodes of x, or all of them when None."""
+    n = x.values.shape[-2]
+    return x if queries is None else slice_rows(x, n - queries, n)
+
+
+def dynamic_scores(x: Tensor, params: AttentionParams, queries: int | None = None) -> Tensor:
+    """(..., q, n) scores of the last q = ``queries`` nodes (default all n) against
+    all n, with the nonlinearity inside the score product."""
     _check_nodes(x, params)
     d = params.d_in
-    left = matmul(x, transpose(slice_cols(params.weight, 0, d)))
+    left = matmul(_queries(x, queries), transpose(slice_cols(params.weight, 0, d)))
     right = matmul(x, transpose(slice_cols(params.weight, d, 2 * d)))
     return pair_scores(left, right, params.score_vec, params.slope)
 
 
-def static_scores(x: Tensor, params: AttentionParams) -> Tensor:
-    """(..., n, n) score matrix where scores decompose as leaky_relu(p_i + q_j)."""
+def static_scores(x: Tensor, params: AttentionParams, queries: int | None = None) -> Tensor:
+    """(..., q, n) scores of the last q = ``queries`` nodes (default all n) against
+    all n, decomposing as leaky_relu(p_i + q_j)."""
     _check_nodes(x, params)
     d_out = params.d_out
     u = matmul(x, transpose(params.weight))
     pq = matmul(u, transpose(reshape(params.score_vec, (2, d_out))))   # (..., n, 2)
-    p, q = slice_cols(pq, 0, 1), slice_cols(pq, 1, 2)
+    p, q = _queries(slice_cols(pq, 0, 1), queries), slice_cols(pq, 1, 2)
     return pair_scores(p, q, Tensor(np.ones(1)), params.slope)
 
 
-def attend(x: Tensor, params: AttentionParams) -> AttentionOutput:
-    """Score, softmax-normalize per query, aggregate, then activate."""
+def attend(
+    x: Tensor,
+    params: AttentionParams,
+    queries: int | None = None,
+    values: Tensor | None = None,
+) -> AttentionOutput:
+    """Score, softmax-normalize per query, aggregate, then activate.
+
+    The last ``queries`` nodes of the (..., n, d_in) features x (all n by
+    default) are scored against all n, and their weights aggregate ``values``,
+    a (..., n, d_v) tensor that defaults to x itself.
+    """
     if params.mode == "dynamic":
-        scores = dynamic_scores(x, params)
+        scores = dynamic_scores(x, params, queries)
     else:
-        scores = static_scores(x, params)
+        scores = static_scores(x, params, queries)
     weights = softmax_rows(scores)
-    agg = matmul(weights, x)
+    agg = matmul(weights, x if values is None else values)
     if params.activation == "sigmoid":
         agg = sigmoid(agg)
     return AttentionOutput(aggregated=agg, weights=weights, scores=scores)
 
 
-def temporal_attention(x: Tensor, params: AttentionParams) -> Tensor:
-    """Attend across the w time-step rows of a (..., w, m) window."""
-    return attend(x, params).aggregated
+def temporal_attention(x: Tensor, params: AttentionParams, rows: int | None = None) -> Tensor:
+    """Attend across the w time-step rows of a (..., w, m) window, querying from
+    the last ``rows`` of them (default all w); returns (..., rows, m)."""
+    return attend(x, params, queries=rows).aggregated
 
 
-def variable_attention(x: Tensor, params: AttentionParams) -> Tensor:
-    """Attend across the m variable columns of a (..., w, m) window."""
-    out = attend(transpose(x), params)
-    return transpose(out.aggregated)
+def variable_attention(x: Tensor, params: AttentionParams, rows: int | None = None) -> Tensor:
+    """Attend across the m variable columns of a (..., w, m) window.
+
+    Variables are scored over their full w-long columns, but the weights
+    aggregate only the last ``rows`` time steps (default all w); returns
+    (..., rows, m).
+    """
+    nodes = transpose(x)
+    w = x.values.shape[-2]
+    values = nodes if rows is None else slice_cols(nodes, w - rows, w)
+    return transpose(attend(nodes, params, values=values).aggregated)

@@ -210,19 +210,31 @@ def _take(x: Tensor, key) -> Tensor:
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Columns ``start:stop`` (last axis) of a tensor with at least 2 axes."""
+    """Columns ``start:stop`` (last axis) of a tensor with at least 2 axes; ``x`` itself
+    when that is every column."""
     if x.values.ndim < 2:
         raise ValueError("slice_cols expects at least 2 axes")
+    if (start, stop) == (0, x.values.shape[-1]):
+        return x
     return _take(x, (..., slice(start, stop)))
+
+
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` (second-to-last axis); ``x`` itself when that is every row."""
+    if x.values.ndim < 2:
+        raise ValueError("slice_rows expects at least 2 axes")
+    if not 0 <= start < stop <= x.values.shape[-2]:
+        raise ValueError(f"slice_rows range {start}:{stop} invalid for {x.values.shape[-2]} rows")
+    if stop - start == x.values.shape[-2]:
+        return x
+    return _take(x, (..., slice(start, stop), slice(None)))
 
 
 def take_row(x: Tensor, index: int) -> Tensor:
     """Row ``index`` (second-to-last axis), kept as an axis: (..., n, d) -> (..., 1, d)."""
-    if x.values.ndim < 2:
-        raise ValueError("take_row expects at least 2 axes")
-    if not 0 <= index < x.values.shape[-2]:
+    if x.values.ndim >= 2 and not 0 <= index < x.values.shape[-2]:
         raise ValueError(f"take_row index {index} out of range for {x.values.shape[-2]} rows")
-    return _take(x, (..., slice(index, index + 1), slice(None)))
+    return slice_rows(x, index, index + 1)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:

@@ -164,27 +164,38 @@ def _resolve_channels(data_dir, requested: list[str]) -> list[str]:
     return list(dict.fromkeys(requested))
 
 
-def _aligned_labels(labels_path, seq: ScoreSequence, channel: str) -> np.ndarray:
-    """Labels for exactly the scored timesteps, from either supported format."""
-    lo, n = seq.first_timestep, seq.scores.size
+def _label_aligner(labels_path):
+    """Parse a labels CSV or manifest once; return ``align(seq, channel)``, which
+    gives the labels of exactly the scored timesteps."""
     if is_manifest(labels_path):
         manifest = read_manifest(labels_path)
-        if channel not in manifest:
-            raise DataFormatError(f"channel {channel!r} not found in {labels_path}")
-        entry = manifest[channel]
-        length = entry.num_values if entry.num_values is not None else lo + n
-        try:
-            return scored_labels(entry.segments, length, seq)
-        except ValueError as exc:
-            raise DataFormatError(f"{labels_path}: channel {channel!r}: {exc}") from None
+
+        def align(seq: ScoreSequence, channel: str) -> np.ndarray:
+            if channel not in manifest:
+                raise DataFormatError(f"channel {channel!r} not found in {labels_path}")
+            entry = manifest[channel]
+            end = seq.first_timestep + seq.scores.size
+            length = entry.num_values if entry.num_values is not None else end
+            try:
+                return scored_labels(entry.segments, length, seq)
+            except ValueError as exc:
+                raise DataFormatError(f"{labels_path}: channel {channel!r}: {exc}") from None
+
+        return align
+
     labels, first = read_labels_csv(labels_path)
-    offset = lo - first
-    if offset < 0 or offset + n > labels.size:
-        raise DataFormatError(
-            f"{labels_path}: labels cover timesteps {first}..{first + labels.size - 1} "
-            f"but scores need {lo}..{lo + n - 1}"
-        )
-    return labels[offset : offset + n]
+
+    def align(seq: ScoreSequence, channel: str) -> np.ndarray:
+        lo, n = seq.first_timestep, seq.scores.size
+        offset = lo - first
+        if offset < 0 or offset + n > labels.size:
+            raise DataFormatError(
+                f"{labels_path}: labels cover timesteps {first}..{first + labels.size - 1} "
+                f"but scores need {lo}..{lo + n - 1}"
+            )
+        return labels[offset : offset + n]
+
+    return align
 
 
 def _progress(channel, epochs, quiet):
@@ -238,7 +249,7 @@ def cmd_threshold(args) -> int:
     if args.method == "grid":
         if not args.labels:
             raise UsageError("--method grid needs --labels")
-        labels = _aligned_labels(args.labels, seq, args.channel or Path(args.scores).stem)
+        labels = _label_aligner(args.labels)(seq, args.channel or Path(args.scores).stem)
         result = best_f1_threshold(seq.scores, labels)
     elif args.method == "epsilon":
         result = epsilon_threshold(seq.scores)
@@ -276,10 +287,11 @@ def cmd_evaluate(args) -> int:
     if len(channels) != n:
         raise UsageError(f"got {len(channels)} channels for {n} score files")
 
+    align = _label_aligner(args.labels)
     reports = []
     for path, th, ch in zip(args.scores, thresholds, channels):
         seq = read_scores_csv(path)
-        labels = _aligned_labels(args.labels, seq, ch)
+        labels = align(seq, ch)
         preds = apply_threshold(seq.scores, th)
         reports.append(point_adjusted_report(preds, labels, channel=ch))
     summary = aggregate(reports, "macro" if args.macro else "micro")
@@ -324,7 +336,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_export(args) -> int:
     seq = read_scores_csv(args.scores)
-    labels = _aligned_labels(args.labels, seq, args.channel or Path(args.scores).stem)
+    labels = _label_aligner(args.labels)(seq, args.channel or Path(args.scores).stem)
     preds = apply_threshold(seq.scores, args.threshold)
     write_curve_csv(args.out, seq, args.threshold, labels, preds)
     print(f"wrote {seq.scores.size} rows to {args.out}")

@@ -4,7 +4,8 @@ Given a window of w rows by m features the model predicts row w (the next
 observation). Pipeline: a linear causal preconvolution smooths the input,
 temporal and variable attention each produce a re-weighted view of it, the
 three are concatenated feature-wise, a dilated TCN stack mixes them over time,
-and an MLP head maps the last time step to the m predicted values.
+and an MLP head maps the last time step to the m predicted values. Past the
+preconvolution only the rows that can reach that time step are computed.
 
 Parameters are plain dataclasses of autodiff tensors; ``save_checkpoint`` /
 ``load_checkpoint`` round-trip them (plus normalization stats) bit-exactly
@@ -36,9 +37,10 @@ from .autodiff import (
     leaky_relu,
     linear,
     reshape,
+    slice_rows,
     take_row,
 )
-from .tcn import TcnStackParams, init_tcn_stack, tcn_forward
+from .tcn import TcnStackParams, init_tcn_stack, receptive_field, tcn_forward
 
 CHECKPOINT_FORMAT = "tcnad-checkpoint-v1"
 LEAKY_SLOPE = 0.2
@@ -170,6 +172,12 @@ def forward(
 ) -> Tensor:
     """Predict the next observation from a (..., window, m) tensor; returns (..., m).
 
+    The prediction reads the last TCN row, which sees only the last
+    r = min(w, receptive_field) rows of the TCN input. The preconv runs over
+    all w rows, since every row is an attention key; temporal attention
+    scores only the last r query rows, variable attention aggregates only the
+    last r time steps, and the TCN runs on those r rows.
+
     Leading axes are a batch of independent windows. In training one dropout
     mask per op covers the whole batch.
     """
@@ -177,18 +185,19 @@ def forward(
     w, m = cfg.window, params.n_features
     if x.values.shape[-2:] != (w, m):
         raise ValueError(f"expected windows of shape (..., {w}, {m}), got {x.values.shape}")
+    r = min(w, receptive_field(params.tcn))
 
     h = add(causal_dilated_conv1d(x, params.preconv_filters, 1), params.preconv_bias)
 
-    parts = [h]
+    parts = [slice_rows(h, w - r, w)]
     if params.temporal is not None:
-        parts.append(temporal_attention(h, params.temporal))
+        parts.append(temporal_attention(h, params.temporal, r))
     if params.variable is not None:
-        parts.append(variable_attention(h, params.variable))
-    z = concat_cols(parts) if len(parts) > 1 else h
+        parts.append(variable_attention(h, params.variable, r))
+    z = concat_cols(parts) if len(parts) > 1 else parts[0]
 
     z = tcn_forward(z, params.tcn, training, rng)
-    out = take_row(z, w - 1)                       # (..., 1, tcn_channels)
+    out = take_row(z, r - 1)                       # (..., 1, tcn_channels)
 
     n_layers = len(params.mlp)
     for i, (weight, bias) in enumerate(params.mlp):

@@ -64,8 +64,9 @@ def build_windows(series: np.ndarray, window: int) -> np.ndarray:
 def _chunk_size(params: ForecasterParams) -> int:
     """Windows per batched ``forward``: w*m*max(w, m, channels) floats each.
 
-    That product covers the temporal pair tensor (w*w*m), the variable one
-    (m*m*w) and the TCN activations (w*channels, times m).
+    That product bounds the temporal pair tensor (r*w*m, with r <= w the
+    rows ``forward`` keeps past the preconv), the variable one (m*m*w) and
+    the TCN activations (r*channels, times m).
     """
     cfg = params.config
     w, m = cfg.window, params.n_features

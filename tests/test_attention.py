@@ -172,6 +172,73 @@ class TestAttend:
         assert out.scores.values.shape == (3, 3)
 
 
+class TestQueryRows:
+    """Each query row is scored on its own, so attending from the last r rows
+    equals the last r rows of the full attention, gradients included."""
+
+    @staticmethod
+    def _run(fn, params, x, upstream):
+        for t in (params.weight, params.score_vec):
+            t.grad = None
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = fn(xt)
+            agg = out.aggregated if hasattr(out, "aggregated") else out
+            agg.grad = upstream
+            tape.replay_backward()
+        return out, [xt.grad, params.weight.grad, params.score_vec.grad]
+
+    @staticmethod
+    def _assert_close(new, ref):
+        assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    def test_attend_last_query_rows(self, mode, lead):
+        rng = np.random.default_rng(7)
+        n, d, r = 9, 3, 4
+        params = init_attention(d, 5, mode=mode, rng=rng)
+        x = rng.standard_normal(lead + (n, d)) * 2
+        upstream = rng.standard_normal(lead + (r, d))
+        padded = np.zeros(lead + (n, d))
+        padded[..., n - r :, :] = upstream
+
+        part, part_grads = self._run(lambda t: attend(t, params, queries=r), params, x, upstream)
+        full, full_grads = self._run(lambda t: attend(t, params), params, x, padded)
+        assert part.weights.values.shape == lead + (r, n)
+        np.testing.assert_allclose(part.weights.values.sum(axis=-1), np.ones(lead + (r,)),
+                                   atol=1e-12)
+        self._assert_close(part.scores.values, full.scores.values[..., n - r :, :])
+        self._assert_close(part.weights.values, full.weights.values[..., n - r :, :])
+        self._assert_close(part.aggregated.values, full.aggregated.values[..., n - r :, :])
+        for new, ref in zip(part_grads, full_grads):
+            self._assert_close(new, ref)
+
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    def test_window_views_last_rows(self, mode):
+        rng = np.random.default_rng(8)
+        w, m, r = 10, 4, 3
+        x = rng.standard_normal((2, w, m))
+        upstream = rng.standard_normal((2, r, m))
+        padded = np.zeros((2, w, m))
+        padded[:, w - r :] = upstream
+        for view, d_in in ((temporal_attention, m), (variable_attention, w)):
+            params = init_attention(d_in, mode=mode, rng=rng)
+            part, part_grads = self._run(lambda t: view(t, params, r), params, x, upstream)
+            full, full_grads = self._run(lambda t: view(t, params), params, x, padded)
+            assert part.values.shape == (2, r, m)
+            self._assert_close(part.values, full.values[:, w - r :])
+            for new, ref in zip(part_grads, full_grads):
+                self._assert_close(new, ref)
+
+    def test_bad_query_count(self):
+        params = init_attention(2, rng=np.random.default_rng(0))
+        x = Tensor(np.zeros((4, 2)))
+        for queries in (0, 5):
+            with pytest.raises(ValueError, match="slice_rows range"):
+                attend(x, params, queries=queries)
+
+
 class TestWindowViews:
     def test_shapes(self):
         rng = np.random.default_rng(42)

@@ -20,6 +20,7 @@ from tcnad.autodiff import (
     rmse_loss,
     sigmoid,
     slice_cols,
+    slice_rows,
     softmax_rows,
     take_row,
     transpose,
@@ -58,6 +59,7 @@ class TestBatchedOps:
         "transpose": (transpose, [(4, 3)], (True,)),
         "slice_cols": (lambda x: slice_cols(x, 1, 3), [(4, 3)], (True,)),
         "take_row": (lambda x: take_row(x, 2), [(4, 3)], (True,)),
+        "slice_rows": (lambda x: slice_rows(x, 1, 3), [(4, 3)], (True,)),
         "concat_cols": (lambda a, b: concat_cols([a, b]), [(4, 2), (4, 3)], (True, True)),
         "pair_scores": (lambda l, r, v: pair_scores(l, r, v, 0.2), [(4, 3), (5, 3), (3,)],
                         (True, True, False)),
@@ -183,6 +185,17 @@ class TestForwardValues:
     def test_take_row_rejects_out_of_range(self, index):
         with pytest.raises(ValueError, match=f"index {index} out of range for 3 rows"):
             take_row(Tensor(np.zeros((3, 2))), index)
+
+    def test_slice_rows(self):
+        x = Tensor(np.arange(12.0).reshape(4, 3))
+        np.testing.assert_array_equal(slice_rows(x, 1, 3).values, x.values[1:3])
+        assert slice_rows(x, 0, 4) is x
+        assert slice_cols(x, 0, 3) is x
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (2, 2), (3, 1), (0, 5)])
+    def test_slice_rows_rejects_bad_range(self, start, stop):
+        with pytest.raises(ValueError, match=f"range {start}:{stop} invalid for 4 rows"):
+            slice_rows(Tensor(np.zeros((4, 3))), start, stop)
 
     def test_transpose_reshape(self):
         x = Tensor([[1.0, 2.0, 3.0]])

@@ -311,6 +311,44 @@ class TestEvaluateCommand:
         assert code == EXIT_OK
         assert "precision=0.5000" in capsys.readouterr().out
 
+    def test_manifest_parsed_once_for_many_scores(self, tmp_path, capsys, monkeypatch):
+        manifest = tmp_path / "labeled_anomalies.csv"
+        write_manifest(manifest, [
+            ManifestEntry("C-1", [AnomalySegment(3, 3)], "X", 6),
+            ManifestEntry("C-2", [AnomalySegment(5, 5)], "X", 6),
+            ManifestEntry("C-3", [AnomalySegment(3, 3), AnomalySegment(5, 5)], "X", None),
+        ])
+        scores = []
+        for ch in ("C-1", "C-2", "C-3"):
+            scores.append(tmp_path / f"{ch}.csv")
+            write_scores_csv(scores[-1], ScoreSequence(np.array([0.1, 0.9, 0.2, 0.8]), 2))
+        calls, real_read = [], tcnad.cli.read_manifest
+
+        def counting_read_manifest(path):
+            calls.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(tcnad.cli, "read_manifest", counting_read_manifest)
+        out = tmp_path / "report.csv"
+        code = main(["evaluate", "--scores", *map(str, scores), "--labels", str(manifest),
+                     "--threshold", "0.5", "--out", str(out)])
+        assert code == EXIT_OK
+        assert calls == [str(manifest)]
+        # predictions at t=3 and t=5: C-1 and C-2 each hit one label and miss one
+        assert capsys.readouterr().out.splitlines() == [
+            "C-1: precision=0.5000 recall=1.0000 f1=0.6667 tp=1 fp=1 fn=0",
+            "C-2: precision=0.5000 recall=1.0000 f1=0.6667 tp=1 fp=1 fn=0",
+            "C-3: precision=1.0000 recall=1.0000 f1=1.0000 tp=2 fp=0 fn=0",
+            "all(micro): precision=0.6667 recall=1.0000 f1=0.8000 tp=4 fp=2 fn=0",
+        ]
+        assert out.read_text().splitlines() == [
+            "channel,tp,fp,fn,precision,recall,f1",
+            "C-1,1,1,0,0.5,1.0,0.6666666666666666",
+            "C-2,1,1,0,0.5,1.0,0.6666666666666666",
+            "C-3,2,0,0,1.0,1.0,1.0",
+            "all(micro),4,2,0,0.6666666666666666,1.0,0.8",
+        ]
+
 
 class TestExportCommand:
     def test_columns(self, four_point, tmp_path, capsys):

@@ -8,17 +8,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tcnad.attention
+import tcnad.trainer
 from oracles import numeric_grad, rel_err
-from tcnad.autodiff import Tape, Tensor, backward, rmse_loss
+from tcnad.attention import attend
+from tcnad.autodiff import (
+    Tape,
+    Tensor,
+    add,
+    backward,
+    causal_dilated_conv1d,
+    concat_cols,
+    leaky_relu,
+    linear,
+    reshape,
+    rmse_loss,
+    take_row,
+    transpose,
+)
 from tcnad.data import DataFormatError, NormalizationStats
 from tcnad.forecaster import (
+    LEAKY_SLOPE,
     ModelConfig,
     forward,
     init_forecaster,
     load_checkpoint,
     save_checkpoint,
 )
-from tcnad.trainer import build_windows, window_scores
+from tcnad.tcn import receptive_field, tcn_forward
+from tcnad.trainer import accumulate_gradients, build_windows, window_scores
 
 TINY = ModelConfig(window=8, conv_kernel=3, tcn_kernel=2, tcn_channels=4,
                    dilations=(1, 2), mlp_layers=2, mlp_units=4, dropout=0.0)
@@ -165,6 +183,83 @@ class TestGradientFlow:
             after = float(rmse_loss(forward(Tensor(x), params), Tensor(y)).values)
             decreases += after < before
         assert decreases >= 15
+
+
+def _unpruned_forward(x, params, training=False, rng=None):
+    """Reference forward in which every layer computes all w rows (dropout 0 only)."""
+    assert params.config.dropout == 0.0
+    w = params.config.window
+    h = add(causal_dilated_conv1d(x, params.preconv_filters, 1), params.preconv_bias)
+    parts = [h]
+    if params.temporal is not None:
+        parts.append(attend(h, params.temporal).aggregated)
+    if params.variable is not None:
+        parts.append(transpose(attend(transpose(h), params.variable).aggregated))
+    z = concat_cols(parts) if len(parts) > 1 else h
+    out = take_row(tcn_forward(z, params.tcn), w - 1)
+    for i, (weight, bias) in enumerate(params.mlp):
+        out = linear(out, weight, bias)
+        if i < len(params.mlp) - 1:
+            out = leaky_relu(out, LEAKY_SLOPE)
+    return reshape(out, x.values.shape[:-2] + (params.n_features,))
+
+
+VARIANTS = {
+    "dynamic": {},
+    "static": {"attention_mode": "static"},
+    "no_temporal": {"temporal_attention": False},
+    "no_variable": {"variable_attention": False},
+}
+
+
+class TestReceptiveFieldPruning:
+    """``forward`` computes only the last r = receptive_field rows past the
+    preconv; the full-window forward above is its reference."""
+
+    # tcn_kernel 2, dilations (1, 2): r = 7, so windows 12, 7 and 5 give
+    # r < w, r == w and r > w (the last two prune nothing)
+    @pytest.mark.parametrize("window", [12, 7, 5])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_matches_unpruned_forward(self, variant, window, monkeypatch):
+        cfg = ModelConfig(window=window, conv_kernel=3, tcn_kernel=2, tcn_channels=4,
+                          dilations=(1, 2), mlp_layers=2, mlp_units=4, dropout=0.0,
+                          **VARIANTS[variant])
+        params = init_forecaster(3, cfg, seed=2)
+        assert receptive_field(params.tcn) == 7
+        windows = build_windows(np.random.default_rng(3).standard_normal((100, 3)), window)
+        index = np.random.default_rng(4).permutation(len(windows))
+
+        def run():
+            for t in params.tensors():
+                t.zero_grad()
+            scores = window_scores(params, windows)
+            total = accumulate_gradients(params, windows, index, None)
+            return scores, total, [t.grad for t in params.tensors()]
+
+        pruned = run()
+        monkeypatch.setattr(tcnad.trainer, "forward", _unpruned_forward)
+        full = run()
+        for new, ref in zip([pruned[0], pruned[1]] + pruned[2], [full[0], full[1]] + full[2]):
+            ref = np.asarray(ref)
+            assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_temporal_scores_have_r_query_rows(self, monkeypatch):
+        params = init_forecaster(3, TINY, seed=0)
+        r = receptive_field(params.tcn)
+        assert r < TINY.window
+        seen, real_attend = {}, tcnad.attention.attend
+
+        def spy(x, attention_params, *args, **kwargs):
+            out = real_attend(x, attention_params, *args, **kwargs)
+            branch = "temporal" if attention_params is params.temporal else "variable"
+            seen[branch] = (out.scores.values.shape, out.aggregated.values.shape)
+            return out
+
+        monkeypatch.setattr(tcnad.attention, "attend", spy)
+        forward(Tensor(np.zeros((5, TINY.window, 3))), params)
+        assert seen["temporal"] == ((5, r, TINY.window), (5, r, 3))
+        # variables are scored over full columns but aggregate only r time steps
+        assert seen["variable"] == ((5, 3, 3), (5, 3, r))
 
 
 class TestCheckpoints:
