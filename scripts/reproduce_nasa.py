@@ -82,10 +82,11 @@ def convert_archive(raw: Path, dataset: Path, spacecrafts: list[str], limit: int
     return picked
 
 
-def run_channel(dataset: Path, work: Path, channel: str, model_cfg: ModelConfig,
-                train_cfg: TrainConfig, resume: bool, quiet: bool):
-    """Train, score, and pick the per-channel grid threshold; returns a report."""
-    ds = load_channel(dataset, channel)
+def run_channel(dataset: Path, manifest: dict, work: Path, channel: str,
+                model_cfg: ModelConfig, train_cfg: TrainConfig, resume: bool, quiet: bool):
+    """Train, score, and pick the per-channel grid threshold; returns a report.
+    ``manifest`` is the dataset's ``labeled_anomalies.csv``, parsed once."""
+    ds = load_channel(dataset, channel, manifest)
     ckpt_path = work / "checkpoints" / f"{channel}.ckpt"
     scores_path = work / "scores" / f"{channel}.csv"
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
@@ -137,6 +138,7 @@ def main(argv=None) -> int:
     spacecrafts = ["SMAP", "MSL"] if args.spacecraft == "both" else [args.spacecraft]
     dataset = args.work / "dataset"
     entries = convert_archive(args.raw, dataset, spacecrafts, args.limit)
+    manifest = read_manifest(dataset / "labeled_anomalies.csv")
 
     model_cfg = ModelConfig(window=args.window)
     train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
@@ -147,7 +149,7 @@ def main(argv=None) -> int:
     for i, entry in enumerate(entries, start=1):
         print(f"[{i}/{len(entries)}] {entry.spacecraft} {entry.channel} "
               f"(elapsed {time.time() - started:.0f}s)", flush=True)
-        report = run_channel(dataset, args.work, entry.channel, model_cfg,
+        report = run_channel(dataset, manifest, args.work, entry.channel, model_cfg,
                              train_cfg, args.resume, args.quiet)
         by_craft[entry.spacecraft].append(report)
         print(f"    precision={report.precision:.4f} recall={report.recall:.4f} "

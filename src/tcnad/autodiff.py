@@ -256,17 +256,35 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _maybe_record(out, rule, *parts)
 
 
+# Floats in a pair block: with its sign mask, under glibc's default 128 KiB mmap threshold.
+_PAIR_BLOCK_FLOATS = 14 * 2**10
+
+
+def _pair_blocks(lead: tuple, n: int, row: int) -> list[tuple]:
+    """Index keys of the blocks of a (*lead, n, p, d) pair tensor, ``row`` = p*d
+    floats a query row: ``(...,)`` if it fits, else runs of whole entries, or of
+    query rows of one entry, of its (entries, n, ...) flattening; ``key[0]`` picks entries."""
+    entries = int(np.prod(lead))
+    if entries * n * row <= _PAIR_BLOCK_FLOATS:
+        return [(...,)]
+    if n * row <= _PAIR_BLOCK_FLOATS:
+        k = _PAIR_BLOCK_FLOATS // (n * row)
+        return [(slice(b, b + k),) for b in range(0, entries, k)]
+    q = _PAIR_BLOCK_FLOATS // row or 1
+    return [(b, slice(i, i + q)) for b in range(entries) for i in range(0, n, q)]
+
+
 def pair_scores(left: Tensor, right: Tensor, v: Tensor, slope: float = 0.2) -> Tensor:
     """GATv2 pair scores: (..., n, d), (..., p, d), (d,) -> (..., n, p).
 
     out[..., i, j] = v . leaky_relu(left[..., i, :] + right[..., j, :])
 
-    The (..., n, p, d) pair tensor lives only inside the forward; a taped call
-    keeps just its sign mask pos = pair >= 0 (1 byte an element; derivative 1
-    at 0, as in ``leaky_relu``). As leaky_relu(t) = slope*t + (1-slope)*pos*t,
-    with dl[i] = sum_j g[i, j] * (slope + (1-slope) * pos[i, j]) and dr[j] the
-    same sum over i: d left = dl*v, d right = dr*v and d v = sum(dl*left) +
-    sum(dr*right) over every axis but the last.
+    The (..., n, p, d) pair tensor lives only in the forward, one of
+    ``_pair_blocks`` at a time; a taped call keeps just its sign mask pos = pair
+    >= 0 (1 byte an element; derivative 1 at 0, as in ``leaky_relu``). As
+    leaky_relu(t) = slope*t + (1-slope)*pos*t, with dl[i] = sum_j g[i, j] *
+    (slope + (1-slope) * pos[i, j]) and dr[j] the same sum over i: d left =
+    dl*v, d right = dr*v and d v = sum(dl*left) + sum(dr*right) over all but last axis.
     """
     lv, rv, vv = left.values, right.values, v.values
     if (lv.ndim < 2 or lv.shape[:-2] != rv.shape[:-2] or vv.ndim != 1
@@ -275,28 +293,37 @@ def pair_scores(left: Tensor, right: Tensor, v: Tensor, slope: float = 0.2) -> T
                          f"got {lv.shape}, {rv.shape}, {vv.shape}")
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"pair_scores slope must be in [0, 1], got {slope}")
-    pairs = lv[..., :, None, :] + rv[..., None, :, :]
+    n, (p, d) = lv.shape[-2], rv.shape[-2:]
+    blocks = _pair_blocks(lv.shape[:-2], n, p * d)
+    lb, rb = (lv, rv) if len(blocks) == 1 else (lv.reshape(-1, n, d), rv.reshape(-1, p, d))
+    out = np.empty(lb.shape[:-1] + (p,))
     taped = active_tape() is not None and any(t.requires_grad for t in (left, right, v))
-    pos = pairs >= 0 if taped else None  # the rule's only pair-sized state
-    np.maximum(pairs, slope * pairs, out=pairs)  # leaky_relu, exact for 0 <= slope <= 1
-    out = Tensor(pairs @ vv)
+    pos = np.empty(out.shape + (d,), dtype=bool) if taped else None  # the only pair-sized state
+    for key in blocks:
+        pairs = lb[key][..., :, None, :] + rb[key[0]][..., None, :, :]
+        if taped:
+            np.greater_equal(pairs, 0, out=pos[key])
+        np.maximum(pairs, slope * pairs, out=pairs)  # leaky_relu, exact for 0 <= slope <= 1
+        np.matmul(pairs, vv, out=out[key])
 
     def rule(g):
-        posf = pos.astype(np.float64)
-        s = (g[..., :, None, :] @ posf)[..., 0, :]
-        t = (np.swapaxes(g, -1, -2)[..., :, None, :] @ np.swapaxes(posf, -3, -2))[..., 0, :]
+        g, s, t = g.reshape(out.shape), np.empty(lb.shape), np.zeros(rb.shape)
+        for key in blocks:
+            posf, gb = pos[key].astype(np.float64), g[key]
+            s[key] = (gb[..., :, None, :] @ posf)[..., 0, :]
+            t[key[0]] += (np.swapaxes(gb, -1, -2)[..., :, None, :]
+                          @ np.swapaxes(posf, -3, -2))[..., 0, :]
         dl = slope * g.sum(axis=-1)[..., None] + (1.0 - slope) * s
         dr = slope * g.sum(axis=-2)[..., None] + (1.0 - slope) * t
         if left.requires_grad:
-            left.accumulate_grad(dl * vv)
+            left.accumulate_grad((dl * vv).reshape(lv.shape))
         if right.requires_grad:
-            right.accumulate_grad(dr * vv)
+            right.accumulate_grad((dr * vv).reshape(rv.shape))
         if v.requires_grad:
-            d = vv.shape[0]
-            v.accumulate_grad((dl * lv).reshape(-1, d).sum(axis=0)
-                              + (dr * rv).reshape(-1, d).sum(axis=0))
+            v.accumulate_grad((dl * lb).reshape(-1, d).sum(axis=0)
+                              + (dr * rb).reshape(-1, d).sum(axis=0))
 
-    return _maybe_record(out, rule, left, right, v)
+    return _maybe_record(Tensor(out.reshape(lv.shape[:-1] + (p,))), rule, left, right, v)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import numpy as np
 from .data import (
     DataFormatError,
     is_manifest,
-    list_channels,
     load_channel,
     normalize,
     parse_config_file,
@@ -158,10 +157,12 @@ def _load_configs(args) -> tuple[ModelConfig, TrainConfig]:
     return model_cfg, train_cfg
 
 
-def _resolve_channels(data_dir, requested: list[str]) -> list[str]:
+def _read_channels(data_dir, requested: list[str]) -> tuple[dict, list[str]]:
+    """The dataset manifest, parsed once a command, and the requested channels."""
+    manifest = read_manifest(Path(data_dir) / "labeled_anomalies.csv")
     if any(ch == "all" for ch in requested):
-        return list_channels(data_dir)
-    return list(dict.fromkeys(requested))
+        return manifest, sorted(manifest)
+    return manifest, list(dict.fromkeys(requested))
 
 
 def _label_aligner(labels_path):
@@ -213,9 +214,10 @@ def cmd_train(args) -> int:
     norm_mode = "global" if args.global_minmax else "per_feature"
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for channel in _resolve_channels(args.data, args.channel):
+    manifest, channels = _read_channels(args.data, args.channel)
+    for channel in channels:
         stats, params, result = fit_channel(
-            load_channel(args.data, channel).train, model_cfg, train_cfg, norm_mode,
+            load_channel(args.data, channel, manifest).train, model_cfg, train_cfg, norm_mode,
             _progress(channel, train_cfg.epochs, args.quiet),
         )
         ckpt = out_dir / f"{channel}.ckpt"
@@ -314,12 +316,12 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--windows must be a comma list of ints, got {args.windows!r}")
     if not windows:
         raise UsageError("--windows is empty")
-    channels = _resolve_channels(args.data, args.channel)
+    manifest, channels = _read_channels(args.data, args.channel)
     norm_mode = "global" if args.global_minmax else "per_feature"
 
     reports = [[] for _ in windows]          # reports[k]: one per channel at windows[k]
     for channel in channels:
-        ds = load_channel(args.data, channel)
+        ds = load_channel(args.data, channel, manifest)
         for w, per_window in zip(windows, reports):
             stats, params, _ = fit_channel(
                 ds.train, replace(model_cfg, window=w), train_cfg, norm_mode,

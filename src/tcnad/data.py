@@ -257,14 +257,16 @@ def _find_matrix(directory: Path, channel: str) -> Path:
     raise DataFormatError(f"no {channel}.csv or {channel}.bin under {directory}")
 
 
-def load_channel(data_dir, channel: str) -> ChannelDataset:
+def load_channel(data_dir, channel: str, manifest: dict | None = None) -> ChannelDataset:
     """Load train/test matrices and label segments for one channel.
 
     Expects ``<data_dir>/train/<ch>.csv|.bin``, ``<data_dir>/test/...`` and
-    ``<data_dir>/labeled_anomalies.csv``.
+    ``<data_dir>/labeled_anomalies.csv``, which is read unless ``manifest``
+    holds it as ``read_manifest`` returns it (callers loading many channels).
     """
     data_dir = Path(data_dir)
-    manifest = read_manifest(data_dir / "labeled_anomalies.csv")
+    if manifest is None:
+        manifest = read_manifest(data_dir / "labeled_anomalies.csv")
     if channel not in manifest:
         raise DataFormatError(f"channel {channel!r} not in {data_dir / 'labeled_anomalies.csv'}")
     entry = manifest[channel]
@@ -288,11 +290,6 @@ def load_channel(data_dir, channel: str) -> ChannelDataset:
     return ChannelDataset(
         channel=channel, train=train, test=test, segments=entry.segments
     )
-
-
-def list_channels(data_dir) -> list[str]:
-    manifest = read_manifest(Path(data_dir) / "labeled_anomalies.csv")
-    return sorted(manifest)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Sliding windows, the Adam training loop, and the one inference loop.
 
 Both loops push chunks of windows through one batched ``forward``. A chunk is
-sized so its largest intermediate (the attention pair tensor or the TCN
-activations) stays near ``_CHUNK_FLOATS`` floats, which bounds memory whatever
-the batch size.
+sized so what its windows keep on the tape stays near ``_CHUNK_BYTES``, which
+bounds memory whatever the batch size.
 """
 
 from __future__ import annotations
@@ -16,9 +15,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .autodiff import Tape, Tensor, backward, rmse_loss
 from .forecaster import ForecasterParams, forward
 from .optim import AdamState, adam_step
+from .tcn import receptive_field
 
-# Float budget of a chunk's largest intermediate, about 128 KiB of float64.
-_CHUNK_FLOATS = 2**14
+# Bytes the windows of one chunk may keep on the tape, 3.75 MiB.
+_CHUNK_BYTES = 15 * 2**18
 
 
 class EmptyDatasetError(ValueError):
@@ -61,16 +61,20 @@ def build_windows(series: np.ndarray, window: int) -> np.ndarray:
     return sliding_window_view(series, (window + 1, series.shape[1]))[:, 0]
 
 
-def _chunk_size(params: ForecasterParams) -> int:
-    """Windows per batched ``forward``: w*m*max(w, m, channels) floats each.
-
-    That product bounds the temporal pair tensor (r*w*m, with r <= w the
-    rows ``forward`` keeps past the preconv), the variable one (m*m*w) and
-    the TCN activations (r*channels, times m).
-    """
+def _window_bytes(params: ForecasterParams) -> int:
+    """About the bytes one window keeps on the tape: with r = min(w, receptive_field),
+    float arrays of 8 (w, m), 3 (r, w) and (m, m), 8 (r, m) and, per TCN block, 13
+    (r, channels) shapes, plus r*w*m and m*m*w bytes of attention sign masks."""
     cfg = params.config
-    w, m = cfg.window, params.n_features
-    return max(1, _CHUNK_FLOATS // (w * m * max(w, m, cfg.tcn_channels)))
+    w, m, c = cfg.window, params.n_features, cfg.tcn_channels
+    r = min(w, receptive_field(params.tcn))
+    floats = 8 * w * m + 3 * (r * w + m * m) + 8 * r * m + 13 * r * c * len(cfg.dilations)
+    return 8 * floats + r * w * m + m * m * w
+
+
+def _chunk_size(params: ForecasterParams) -> int:
+    """Windows per batched ``forward``: 4 at the paper config, 48 at the demo one."""
+    return max(1, _CHUNK_BYTES // _window_bytes(params))
 
 
 def window_scores(params: ForecasterParams, windows: np.ndarray) -> np.ndarray:

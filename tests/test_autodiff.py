@@ -1,9 +1,12 @@
 """Unit tests for the tape, the ops, their gradients, and Adam."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import conv_reference, numeric_grad, pair_scores_reference, rel_err
+from tcnad import autodiff
 from tcnad.autodiff import (
     Tape,
     Tensor,
@@ -225,6 +228,18 @@ class TestPairScores:
     @pytest.mark.parametrize("slope", [0.2, 0.0, 1.0])
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
     def test_matches_reference(self, lead, slope):
+        self._check_reference(lead, slope)
+
+    # per shape below, 100 floats make runs of whole entries, 40 one entry or
+    # runs of query rows, 10 runs of one or two query rows
+    @pytest.mark.parametrize("budget", [100, 40, 10])
+    @pytest.mark.parametrize("slope", [0.2, 0.0, 1.0])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_blocked_matches_reference(self, lead, slope, budget, monkeypatch):
+        monkeypatch.setattr(autodiff, "_PAIR_BLOCK_FLOATS", budget)
+        self._check_reference(lead, slope)
+
+    def _check_reference(self, lead, slope):
         rng = np.random.default_rng(11)
         for n, p, d in [(4, 5, 3), (2, 6, 2), (5, 5, 1)]:
             # small integers put many pair entries at exactly zero, where the
@@ -251,6 +266,37 @@ class TestPairScores:
                 if isinstance(c.cell_contents, np.ndarray)]
         pair_sized = [a for a in kept if a.shape == (2, 4, 5, 3)]
         assert [a.dtype for a in pair_sized] == [np.bool_]
+
+    def test_blocks(self, monkeypatch):
+        monkeypatch.setattr(autodiff, "_PAIR_BLOCK_FLOATS", 40)
+        assert autodiff._pair_blocks((2, 3), 2, 3) == [(...,)]
+        assert autodiff._pair_blocks((3,), 2, 10) == [(slice(0, 2),), (slice(2, 4),)]
+        assert autodiff._pair_blocks((2,), 4, 15) == [(b, slice(i, i + 2))
+                                                      for b in (0, 1) for i in (0, 2)]
+        assert autodiff._pair_blocks((), 3, 50) == [(0, slice(i, i + 1)) for i in range(3)]
+
+    def test_paper_shape_temporaries_stay_under_the_mmap_threshold(self, monkeypatch):
+        # glibc maps fresh pages for every allocation of 128 KiB or more; each
+        # pair block and its slope-scaled copy are alive when np.maximum runs
+        rng = np.random.default_rng(0)
+        left, right, v = (Tensor(rng.standard_normal(s)) for s in [(43, 25), (100, 25), (25,)])
+        numpy_arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        alive, real_maximum = [], np.maximum
+
+        def maximum(*args, **kwargs):
+            alive.append([t.size for t in tracemalloc.take_snapshot().filter_traces(
+                [numpy_arrays]).traces])
+            return real_maximum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "maximum", maximum)
+        tracemalloc.start()
+        try:
+            out = pair_scores(left, right, v)
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (43, 100)
+        assert len(alive) == 9          # blocks of 5 query rows, 100 KB each
+        assert max(map(max, alive)) < 128 * 2**10
 
     def test_rejects_bad_arguments(self):
         a, v = Tensor(np.zeros((4, 3))), Tensor(np.zeros(3))

@@ -15,6 +15,7 @@ from tcnad.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from tcnad.data import (
     ManifestEntry,
     read_labels_csv,
+    read_matrix,
     read_scores_csv,
     write_labels_csv,
     write_manifest,
@@ -410,6 +411,44 @@ class TestPipeline:
         assert (run / "report.csv").exists()
         capsys.readouterr()
 
+    def test_train_all_parses_the_manifest_once(self, tmp_path, capsys, monkeypatch):
+        _write_dataset(tmp_path)
+        train = read_matrix(tmp_path / "train" / "C-1.csv")
+        test = (tmp_path / "test" / "C-1.csv").read_bytes()
+        for ch, rows in (("C-2", train[::-1]), ("C-3", train[:, ::-1])):
+            write_matrix_csv(tmp_path / "train" / f"{ch}.csv", rows)
+            (tmp_path / "test" / f"{ch}.csv").write_bytes(test)
+        manifest = tmp_path / "labeled_anomalies.csv"
+        # out of order: --channel all runs the channels sorted
+        write_manifest(manifest, [ManifestEntry(ch, [AnomalySegment(70, 85)], "X", 120)
+                                  for ch in ("C-2", "C-3", "C-1")])
+        cfg = _write_config(tmp_path)
+        calls, real_read = [], tcnad.data.read_manifest
+
+        def counting_read_manifest(path):
+            calls.append(Path(path))
+            return real_read(path)
+
+        monkeypatch.setattr(tcnad.data, "read_manifest", counting_read_manifest)
+        monkeypatch.setattr(tcnad.cli, "read_manifest", counting_read_manifest)
+        run = tmp_path / "all"
+        assert main(["train", "--data", str(tmp_path), "--channel", "all",
+                     "--config", str(cfg), "--out", str(run), "--quiet"]) == EXIT_OK
+        assert calls == [manifest]
+        # the losses printed before the manifest was shared
+        assert capsys.readouterr().out.splitlines() == [
+            f"C-1: 2 epochs, final loss 0.355411, saved {run / 'C-1.ckpt'}",
+            f"C-2: 2 epochs, final loss 0.353305, saved {run / 'C-2.ckpt'}",
+            f"C-3: 2 epochs, final loss 0.355119, saved {run / 'C-3.ckpt'}",
+        ]
+        for ch in ("C-1", "C-2", "C-3"):
+            alone = tmp_path / ch
+            assert main(["train", "--data", str(tmp_path), "--channel", ch,
+                         "--config", str(cfg), "--out", str(alone), "--quiet"]) == EXIT_OK
+            for name in (f"{ch}.ckpt", f"{ch}.loss.csv"):
+                assert (alone / name).read_bytes() == (run / name).read_bytes()
+        capsys.readouterr()
+
     def test_same_seed_same_checkpoint_bytes(self, tmp_path, capsys):
         _write_dataset(tmp_path)
         cfg = _write_config(tmp_path)
@@ -434,9 +473,9 @@ class TestPipeline:
         ])
         loaded, real_load = [], tcnad.cli.load_channel
 
-        def counting_load_channel(data_dir, channel):
+        def counting_load_channel(data_dir, channel, manifest=None):
             loaded.append(channel)
-            return real_load(data_dir, channel)
+            return real_load(data_dir, channel, manifest)
 
         monkeypatch.setattr(tcnad.cli, "load_channel", counting_load_channel)
         cfg = _write_config(tmp_path)

@@ -15,7 +15,6 @@ from tcnad.data import (
     ManifestEntry,
     NormalizationStats,
     compute_stats,
-    list_channels,
     load_channel,
     normalize,
     parse_config_file,
@@ -352,13 +351,6 @@ class TestLoadChannel:
         _write_channel(tmp_path, test_override=bad)
         with pytest.raises(DataFormatError, match="non-finite"):
             load_channel(tmp_path, "C-1")
-
-    def test_list_channels_sorted(self, tmp_path):
-        (tmp_path / "train").mkdir()
-        (tmp_path / "test").mkdir()
-        entries = [ManifestEntry(c, [], "", None) for c in ("B-2", "A-1", "C-3")]
-        write_manifest(tmp_path / "labeled_anomalies.csv", entries)
-        assert list_channels(tmp_path) == ["A-1", "B-2", "C-3"]
 
 
 class TestConfigFile:

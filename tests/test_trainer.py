@@ -193,18 +193,50 @@ class TestEvaluateLoss:
 # chunked batched tape vs the per-window reference
 # ---------------------------------------------------------------------------
 
-VARIANTS = {
-    "dynamic": TINY,
-    "static": replace(TINY, attention_mode="static"),
-    "no_temporal": replace(TINY, temporal_attention=False),
-    "no_variable": replace(TINY, variable_attention=False),
+def _variants(cfg):
+    return {
+        "dynamic": cfg,
+        "static": replace(cfg, attention_mode="static"),
+        "no_temporal": replace(cfg, temporal_attention=False),
+        "no_variable": replace(cfg, variable_attention=False),
+    }
+
+
+VARIANTS = _variants(TINY)
+
+
+NAMED_CONFIGS = {
+    "demo": (3, ModelConfig(window=20, conv_kernel=7, tcn_kernel=4, tcn_channels=16,
+                            dilations=(1, 2), mlp_layers=1, mlp_units=16)),
+    "small": (3, ModelConfig(window=16, conv_kernel=7, tcn_kernel=4, tcn_channels=8,
+                             dilations=(1, 2), mlp_layers=1, mlp_units=8)),
+    "paper": (25, ModelConfig()),
 }
 
 
-def _chunk_floats(params, chunk):
-    """The ``_CHUNK_FLOATS`` value that makes ``_chunk_size(params) == chunk``."""
-    cfg, m = params.config, params.n_features
-    return chunk * cfg.window * m * max(cfg.window, m, cfg.tcn_channels)
+def _held_bytes(tape, params):
+    """Bytes of the distinct arrays a tape's records reach (their outputs and
+    the arrays and tensors their rules close over), parameters excluded."""
+    seen, total = {id(t.values) for t in params.tensors()}, 0
+    pending = [obj for out, rule in tape._records
+               for obj in [out, *(c.cell_contents for c in rule.__closure__ or ())]]
+    while pending:
+        obj = pending.pop()
+        if isinstance(obj, (list, tuple)):
+            pending.extend(obj)
+        elif isinstance(obj, (np.ndarray, Tensor)):
+            root = obj.values if isinstance(obj, Tensor) else obj
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            if id(root) not in seen:
+                seen.add(id(root))
+                total += root.nbytes
+    return total
+
+
+def _chunk_bytes(params, chunk):
+    """The ``_CHUNK_BYTES`` value that makes ``_chunk_size(params) == chunk``."""
+    return chunk * trainer._window_bytes(params)
 
 
 def _per_window_reference(params, windows):
@@ -234,7 +266,7 @@ def _per_window_reference(params, windows):
 def _chunked(params, windows, chunk):
     for t in params.tensors():
         t.zero_grad()
-    with mock.patch.object(trainer, "_CHUNK_FLOATS", _chunk_floats(params, chunk)):
+    with mock.patch.object(trainer, "_CHUNK_BYTES", _chunk_bytes(params, chunk)):
         assert trainer._chunk_size(params) == chunk
         total = accumulate_gradients(params, windows, np.arange(len(windows)), rng=None)
     grads = [np.zeros_like(t.values) if t.grad is None else t.grad for t in params.tensors()]
@@ -269,25 +301,53 @@ class TestChunkedTape:
             np.sqrt(np.mean((forward(Tensor(w[:-1]), params).values - w[-1]) ** 2))
             for w in windows
         ]
-        with mock.patch.object(trainer, "_CHUNK_FLOATS", _chunk_floats(params, chunk)):
+        with mock.patch.object(trainer, "_CHUNK_BYTES", _chunk_bytes(params, chunk)):
             scores = window_scores(params, windows)
         np.testing.assert_allclose(scores, manual, rtol=1e-12)
 
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_paper_chunks_equal_per_window(self, variant):
+        # paper shapes, so pair_scores runs in blocks of query rows; 6 windows
+        # make one chunk of the default size and a short one
+        params = init_forecaster(25, _variants(ModelConfig(dropout=0.0))[variant], seed=3)
+        chunk = trainer._chunk_size(params)
+        assert chunk >= 4
+        windows = _toy_windows(n=106, m=25, window=100)
+        ref_loss, ref_grads, scales = _per_window_reference(params, windows)
+        loss, grads = _chunked(params, windows, chunk)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+        for g, ref, scale in zip(grads, ref_grads, scales):
+            _assert_close(g, ref, scale)
+        manual = [np.sqrt(np.mean((forward(Tensor(w[:-1]), params).values - w[-1]) ** 2))
+                  for w in windows]
+        np.testing.assert_allclose(window_scores(params, windows), manual, rtol=1e-12)
+
     def test_chunk_sizes_of_the_named_configs(self):
-        demo = ModelConfig(window=20, conv_kernel=7, tcn_kernel=4, tcn_channels=16,
-                           dilations=(1, 2), mlp_layers=1, mlp_units=16)
-        small = ModelConfig(window=16, conv_kernel=7, tcn_kernel=4, tcn_channels=8,
-                            dilations=(1, 2), mlp_layers=1, mlp_units=8)
-        assert trainer._chunk_size(init_forecaster(3, demo)) == 13
-        assert trainer._chunk_size(init_forecaster(3, small)) == 21
-        assert trainer._chunk_size(init_forecaster(25, ModelConfig())) == 1
+        sizes = {name: trainer._chunk_size(init_forecaster(m, cfg))
+                 for name, (m, cfg) in NAMED_CONFIGS.items()}
+        assert sizes == {"demo": 48, "small": 98, "paper": 4}
+
+    @pytest.mark.parametrize("name", sorted(NAMED_CONFIGS))
+    def test_chunk_tape_stays_within_the_budget(self, name):
+        # what one training chunk's tape records hold, parameters aside: the
+        # estimate must bound it without leaving most of the budget unused
+        m, cfg = NAMED_CONFIGS[name]
+        params = init_forecaster(m, cfg)
+        size = trainer._chunk_size(params)
+        chunk = build_windows(_toy_series(n=cfg.window + size, m=m), cfg.window)[np.arange(size)]
+        with Tape() as tape:
+            pred = forward(Tensor(chunk[:, :-1]), params, training=True,
+                           rng=np.random.default_rng(0))
+            rmse_loss(pred, Tensor(chunk[:, -1]), size)
+            held = _held_bytes(tape, params)
+        assert 0.8 * trainer._CHUNK_BYTES <= held <= trainer._CHUNK_BYTES
 
     def test_same_seed_with_dropout_is_identical(self):
         cfg = replace(TINY, dropout=0.1)
 
         def run():
             params = init_forecaster(2, cfg, seed=1)
-            with mock.patch.object(trainer, "_CHUNK_FLOATS", _chunk_floats(params, 3)):
+            with mock.patch.object(trainer, "_CHUNK_BYTES", _chunk_bytes(params, 3)):
                 return train(params, _toy_windows(), TrainConfig(epochs=3, batch_size=8, seed=5))
 
         first, second = run(), run()
@@ -331,7 +391,7 @@ def test_chunked_tape_matches_per_window_property(
     np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
     for g, ref, scale in zip(grads, ref_grads, scales):
         _assert_close(g, ref, scale)
-    with mock.patch.object(trainer, "_CHUNK_FLOATS", _chunk_floats(params, chunk)):
+    with mock.patch.object(trainer, "_CHUNK_BYTES", _chunk_bytes(params, chunk)):
         scores = window_scores(params, windows)
     manual = [np.sqrt(np.mean((forward(Tensor(w[:-1]), params).values - w[-1]) ** 2))
               for w in windows]
