@@ -16,14 +16,13 @@ import numpy as np
 
 from tcnad.attention import (
     AttentionParams,
-    attend,
     dynamic_scores,
     init_attention,
     static_scores,
     temporal_attention,
     variable_attention,
 )
-from tcnad.autodiff import Tensor
+from tcnad.autodiff import Tensor, softmax_rows
 
 rng = np.random.default_rng(7)
 
@@ -35,8 +34,9 @@ window = Tensor(rng.standard_normal((6, 4)))
 temporal_params = init_attention(4, mode="dynamic", rng=rng)
 variable_params = init_attention(6, mode="dynamic", rng=rng)
 
-h_time = temporal_attention(window, temporal_params)
-h_vars = variable_attention(window, variable_params)
+# every time step queries, and the views come back one row per time step
+h_time = temporal_attention(window, window, temporal_params)
+h_vars = variable_attention(window, window, variable_params)
 print("window:", window.values.shape)
 print("temporal view:", h_time.values.shape, " (time steps attend to time steps)")
 print("variable view:", h_vars.values.shape, " (features attend to features)")
@@ -44,16 +44,16 @@ print("variable view:", h_vars.values.shape, " (features attend to features)")
 # ---------------------------------------------------------------------------
 # 2. the weight rows are probability distributions
 # ---------------------------------------------------------------------------
-out = attend(window, temporal_params)
+weights = softmax_rows(dynamic_scores(window, window, temporal_params)).values
 print("\nattention weights, one row per query time step:")
-print(np.round(out.weights.values, 3))
-print("row sums:", out.weights.values.sum(axis=1))
+print(np.round(weights, 3))
+print("row sums:", weights.sum(axis=1))
 
 # ---------------------------------------------------------------------------
 # 3. static scoring collapses to one shared ranking
 # ---------------------------------------------------------------------------
 static_params = init_attention(4, 5, mode="static", rng=rng)
-e_static = static_scores(window, static_params).values
+e_static = static_scores(window, window, static_params).values
 order = np.argsort(-e_static, axis=1)
 print("\nstatic scores: preference order of neighbours, per query")
 for i, row in enumerate(order):
@@ -67,7 +67,7 @@ witness = AttentionParams(
     Tensor([[1.0, 1.0], [-1.0, -1.0]]), Tensor([1.0, 1.0]), mode="dynamic"
 )
 nodes = Tensor([[1.0], [-1.0]])
-e_dyn = dynamic_scores(nodes, witness).values
+e_dyn = dynamic_scores(nodes, nodes, witness).values
 print("\ndynamic witness scores:\n", e_dyn)
 print("query 0 prefers neighbour", int(np.argmax(e_dyn[0])),
       "but query 1 prefers neighbour", int(np.argmax(e_dyn[1])))

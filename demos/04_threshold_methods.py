@@ -65,8 +65,9 @@ print("\ngrid diagnostics: ", {k: round(v, 4) for k, v in results["grid"].diagno
 print("epsilon diagnostics:", {k: round(v, 4) for k, v in results["epsilon"].diagnostics.items()})
 pot = results["pot"]
 print("pot diagnostics:    ", {k: round(v, 4) for k, v in pot.diagnostics.items()})
-print(f"pot tail fit: gamma={pot.fit.gamma:.4f} beta={pot.fit.beta:.4f} "
-      f"({pot.fit.n_exceedances} exceedances above {pot.fit.init_threshold:.4f})")
+fit = pot.diagnostics
+print(f"pot tail fit: gamma={fit['gamma']:.4f} beta={fit['beta']:.4f} "
+      f"({fit['n_exceedances']} exceedances above {fit['init_threshold']:.4f})")
 
 # the label-aware grid is an upper bound for the label-free methods
 grid_f1 = point_adjusted_report(

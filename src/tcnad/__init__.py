@@ -46,7 +46,6 @@ from .pipeline import evaluate_channel, fit_channel
 from .synthetic import SyntheticDataset, sines_with_level_shifts
 from .tcn import TcnBlockParams, TcnStackParams, receptive_field
 from .thresholds import (
-    GpdFit,
     GpdFitError,
     ScoreSequence,
     ThresholdResult,
@@ -76,7 +75,6 @@ __all__ = [
     "EmptyDatasetError",
     "EvalReport",
     "ForecasterParams",
-    "GpdFit",
     "GpdFitError",
     "ManifestEntry",
     "ModelConfig",

@@ -1,28 +1,33 @@
-"""Graph-style attention over fully connected node sets.
+"""Graph-style attention of query nodes over fully connected key nodes.
 
-Two node views of a telemetry window X (w rows of m features):
+``attend(queries, keys, values, params)`` scores each query node against
+every key node, softmax-normalizes each query's row of scores, and uses the
+weights to aggregate the values (one per key). Two node views of a telemetry
+window X (w rows of m features) call it:
 
-* temporal attention treats the w time steps as nodes with m-dim features,
-* variable attention treats the m variables as nodes with w-dim features
-  (it runs on X^T and transposes back).
+* temporal attention treats time steps as nodes with m-dim features: the
+  given rows query all w rows of X, which are keys and values alike;
+* variable attention treats the m variables as nodes with w-dim features: the
+  columns of X are queries and keys, the weights aggregate the given rows'
+  columns, and the result is transposed back.
 
-Scores come in two flavours. The dynamic form applies the score vector after
-the nonlinearity,
+Scores of query i against key j come in two flavours. The dynamic form
+applies the score vector after the nonlinearity,
 
-    e[i, j] = a . leaky_relu(W @ concat(x_i, x_j))
+    e[i, j] = a . leaky_relu(W @ concat(q_i, k_j))
 
 so the attended neighbour can genuinely depend on the query. The static form
 (kept as an ablation) applies it before,
 
-    e[i, j] = leaky_relu(a . concat(W @ x_i, W @ x_j))
+    e[i, j] = leaky_relu(a . concat(W @ q_i, W @ k_j))
 
 which factors into p_i + q_j under a monotone map, so every query ranks
-neighbours identically.
+the keys identically.
 
 Node features may carry leading batch axes, (..., n, d_in); each batch entry
 is attended independently with the same weights. Each query is scored on its
-own, so attending from the last q nodes gives the last q rows of the full
-attention.
+own, so querying from the last r nodes gives the last r rows of querying from
+all of them.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .autodiff import (
     reshape,
     sigmoid,
     slice_cols,
-    slice_rows,
     softmax_rows,
     transpose,
 )
@@ -59,7 +63,6 @@ class AttentionParams:
     score_vec: Tensor
     mode: str = "dynamic"
     activation: str = "sigmoid"
-    slope: float = 0.2
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -88,15 +91,6 @@ class AttentionParams:
         return self.weight.values.shape[0]
 
 
-@dataclass
-class AttentionOutput:
-    """Attention of q query nodes over n nodes, aggregating d_v-wide values."""
-
-    aggregated: Tensor  # (..., q, d_v)
-    weights: Tensor     # (..., q, n), rows sum to 1
-    scores: Tensor      # (..., q, n), pre-softmax
-
-
 def init_attention(
     d_in: int,
     d_out: int | None = None,
@@ -121,79 +115,51 @@ def init_attention(
     return AttentionParams(weight, score_vec, mode=mode, activation=activation)
 
 
-def _check_nodes(x: Tensor, params: AttentionParams):
-    if x.values.ndim < 2:
-        raise ValueError("attention expects node features of shape (..., n, d_in)")
-    if x.values.shape[-1] != params.d_in:
-        raise ValueError(
-            f"node feature dim {x.values.shape[-1]} != params d_in {params.d_in}"
-        )
+def _check_nodes(params: AttentionParams, *nodes: Tensor):
+    for x in nodes:
+        if x.values.ndim < 2 or x.values.shape[-1] != params.d_in:
+            raise ValueError(f"attention expects node features of shape (..., n, "
+                             f"{params.d_in}), got {x.values.shape}")
 
 
-def _queries(x: Tensor, queries: int | None) -> Tensor:
-    """The last ``queries`` nodes of x, or all of them when None."""
-    n = x.values.shape[-2]
-    return x if queries is None else slice_rows(x, n - queries, n)
-
-
-def dynamic_scores(x: Tensor, params: AttentionParams, queries: int | None = None) -> Tensor:
-    """(..., q, n) scores of the last q = ``queries`` nodes (default all n) against
-    all n, with the nonlinearity inside the score product."""
-    _check_nodes(x, params)
+def dynamic_scores(queries: Tensor, keys: Tensor, params: AttentionParams) -> Tensor:
+    """(..., q, n) scores of q query nodes against n key nodes, with the
+    nonlinearity inside the score product."""
+    _check_nodes(params, queries, keys)
     d = params.d_in
-    left = matmul(_queries(x, queries), transpose(slice_cols(params.weight, 0, d)))
-    right = matmul(x, transpose(slice_cols(params.weight, d, 2 * d)))
-    return pair_scores(left, right, params.score_vec, params.slope)
+    left = matmul(queries, transpose(slice_cols(params.weight, 0, d)))
+    right = matmul(keys, transpose(slice_cols(params.weight, d, 2 * d)))
+    return pair_scores(left, right, params.score_vec)
 
 
-def static_scores(x: Tensor, params: AttentionParams, queries: int | None = None) -> Tensor:
-    """(..., q, n) scores of the last q = ``queries`` nodes (default all n) against
-    all n, decomposing as leaky_relu(p_i + q_j)."""
-    _check_nodes(x, params)
-    d_out = params.d_out
-    u = matmul(x, transpose(params.weight))
-    pq = matmul(u, transpose(reshape(params.score_vec, (2, d_out))))   # (..., n, 2)
-    p, q = _queries(slice_cols(pq, 0, 1), queries), slice_cols(pq, 1, 2)
-    return pair_scores(p, q, Tensor(np.ones(1)), params.slope)
+def static_scores(queries: Tensor, keys: Tensor, params: AttentionParams) -> Tensor:
+    """(..., q, n) scores of q query nodes against n key nodes, decomposing as
+    leaky_relu(p_i + q_j)."""
+    _check_nodes(params, queries, keys)
+    a = transpose(reshape(params.score_vec, (2, params.d_out)))         # (d_out, 2)
+    p = slice_cols(matmul(matmul(queries, transpose(params.weight)), a), 0, 1)
+    q = slice_cols(matmul(matmul(keys, transpose(params.weight)), a), 1, 2)
+    return pair_scores(p, q, Tensor(np.ones(1)))
 
 
-def attend(
-    x: Tensor,
-    params: AttentionParams,
-    queries: int | None = None,
-    values: Tensor | None = None,
-) -> AttentionOutput:
-    """Score, softmax-normalize per query, aggregate, then activate.
-
-    The last ``queries`` nodes of the (..., n, d_in) features x (all n by
-    default) are scored against all n, and their weights aggregate ``values``,
-    a (..., n, d_v) tensor that defaults to x itself.
-    """
-    if params.mode == "dynamic":
-        scores = dynamic_scores(x, params, queries)
-    else:
-        scores = static_scores(x, params, queries)
-    weights = softmax_rows(scores)
-    agg = matmul(weights, x if values is None else values)
-    if params.activation == "sigmoid":
-        agg = sigmoid(agg)
-    return AttentionOutput(aggregated=agg, weights=weights, scores=scores)
+def attend(queries: Tensor, keys: Tensor, values: Tensor, params: AttentionParams) -> Tensor:
+    """Score the (..., q, d_in) queries against the (..., n, d_in) keys,
+    softmax-normalize per query, aggregate the (..., n, d_v) values, then
+    activate; returns (..., q, d_v)."""
+    scores = dynamic_scores if params.mode == "dynamic" else static_scores
+    agg = matmul(softmax_rows(scores(queries, keys, params)), values)
+    return sigmoid(agg) if params.activation == "sigmoid" else agg
 
 
-def temporal_attention(x: Tensor, params: AttentionParams, rows: int | None = None) -> Tensor:
-    """Attend across the w time-step rows of a (..., w, m) window, querying from
-    the last ``rows`` of them (default all w); returns (..., rows, m)."""
-    return attend(x, params, queries=rows).aggregated
+def temporal_attention(x: Tensor, rows: Tensor, params: AttentionParams) -> Tensor:
+    """The (..., r, m) ``rows`` of a (..., w, m) window attend across its w time
+    steps; returns (..., r, m)."""
+    return attend(rows, x, x, params)
 
 
-def variable_attention(x: Tensor, params: AttentionParams, rows: int | None = None) -> Tensor:
-    """Attend across the m variable columns of a (..., w, m) window.
-
-    Variables are scored over their full w-long columns, but the weights
-    aggregate only the last ``rows`` time steps (default all w); returns
-    (..., rows, m).
-    """
+def variable_attention(x: Tensor, rows: Tensor, params: AttentionParams) -> Tensor:
+    """The m variables of a (..., w, m) window attend across each other, scored
+    over their full w-long columns, and aggregate the (..., r, m) ``rows``;
+    returns (..., r, m)."""
     nodes = transpose(x)
-    w = x.values.shape[-2]
-    values = nodes if rows is None else slice_cols(nodes, w - rows, w)
-    return transpose(attend(nodes, params, values=values).aggregated)
+    return transpose(attend(nodes, nodes, transpose(rows), params))

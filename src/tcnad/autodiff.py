@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Negative-side slope of every leaky_relu in the model.
+LEAKY_SLOPE = 0.2
+
 
 class Tensor:
     """Dense float64 array plus an optional gradient buffer.
@@ -274,7 +277,7 @@ def _pair_blocks(lead: tuple, n: int, row: int) -> list[tuple]:
     return [(b, slice(i, i + q)) for b in range(entries) for i in range(0, n, q)]
 
 
-def pair_scores(left: Tensor, right: Tensor, v: Tensor, slope: float = 0.2) -> Tensor:
+def pair_scores(left: Tensor, right: Tensor, v: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
     """GATv2 pair scores: (..., n, d), (..., p, d), (d,) -> (..., n, p).
 
     out[..., i, j] = v . leaky_relu(left[..., i, :] + right[..., j, :])
@@ -330,7 +333,7 @@ def pair_scores(left: Tensor, right: Tensor, v: Tensor, slope: float = 0.2) -> T
 # nonlinearities
 # ---------------------------------------------------------------------------
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+def leaky_relu(x: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
     mask = x.values > 0
     out = Tensor(np.where(mask, x.values, slope * x.values))
 

@@ -43,7 +43,6 @@ from .autodiff import (
 from .tcn import TcnStackParams, init_tcn_stack, receptive_field, tcn_forward
 
 CHECKPOINT_FORMAT = "tcnad-checkpoint-v1"
-LEAKY_SLOPE = 0.2
 
 
 @dataclass
@@ -174,9 +173,9 @@ def forward(
 
     The prediction reads the last TCN row, which sees only the last
     r = min(w, receptive_field) rows of the TCN input. The preconv runs over
-    all w rows, since every row is an attention key; temporal attention
-    scores only the last r query rows, variable attention aggregates only the
-    last r time steps, and the TCN runs on those r rows.
+    all w rows, since every row is an attention key; the last r rows, cut
+    once, are the temporal attention queries, the time steps variable
+    attention aggregates, and the first part of the TCN input.
 
     Leading axes are a batch of independent windows. In training one dropout
     mask per op covers the whole batch.
@@ -189,11 +188,12 @@ def forward(
 
     h = add(causal_dilated_conv1d(x, params.preconv_filters, 1), params.preconv_bias)
 
-    parts = [slice_rows(h, w - r, w)]
+    tail = slice_rows(h, w - r, w)
+    parts = [tail]
     if params.temporal is not None:
-        parts.append(temporal_attention(h, params.temporal, r))
+        parts.append(temporal_attention(h, tail, params.temporal))
     if params.variable is not None:
-        parts.append(variable_attention(h, params.variable, r))
+        parts.append(variable_attention(h, tail, params.variable))
     z = concat_cols(parts) if len(parts) > 1 else parts[0]
 
     z = tcn_forward(z, params.tcn, training, rng)
@@ -203,7 +203,7 @@ def forward(
     for i, (weight, bias) in enumerate(params.mlp):
         out = linear(out, weight, bias)
         if i < n_layers - 1:
-            out = leaky_relu(out, LEAKY_SLOPE)
+            out = leaky_relu(out)
             out = dropout(out, cfg.dropout, training, rng)
     return reshape(out, x.values.shape[:-2] + (m,))
 

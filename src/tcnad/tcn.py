@@ -25,7 +25,6 @@ class TcnBlockParams:
     downsample: Tensor | None      # (1, c_in, c_out), only when c_in != c_out
     dilation: int
     dropout_rate: float = 0.0
-    slope: float = 0.2
 
     def __post_init__(self):
         k, c_in, c_out = self.conv1_filters.values.shape
@@ -101,11 +100,11 @@ def tcn_block_forward(
 ) -> Tensor:
     h = causal_dilated_conv1d(x, params.conv1_filters, params.dilation)
     h = add(h, params.conv1_bias)
-    h = leaky_relu(h, params.slope)
+    h = leaky_relu(h)
     h = dropout(h, params.dropout_rate, training, rng)
     h = causal_dilated_conv1d(h, params.conv2_filters, params.dilation)
     h = add(h, params.conv2_bias)
-    h = leaky_relu(h, params.slope)
+    h = leaky_relu(h)
     h = dropout(h, params.dropout_rate, training, rng)
     if params.downsample is None:
         res = x

@@ -52,21 +52,10 @@ class ScoreSequence:
 
 
 @dataclass
-class GpdFit:
-    gamma: float
-    beta: float
-    init_threshold: float
-    n_exceedances: int
-    n_total: int
-    q: float
-
-
-@dataclass
 class ThresholdResult:
     method: str
     threshold: float
     diagnostics: dict = field(default_factory=dict)
-    fit: GpdFit | None = None
 
 
 def _require_finite(values: np.ndarray, name: str):
@@ -348,10 +337,6 @@ def pot_threshold(
         )
     gamma, beta = fit_gpd(excesses)
     threshold = th0 + pot_displacement(gamma, beta, q, n_total, n_exc)
-    fit = GpdFit(
-        gamma=gamma, beta=beta, init_threshold=th0,
-        n_exceedances=n_exc, n_total=n_total, q=q,
-    )
     return ThresholdResult(
         method="pot",
         threshold=float(threshold),
@@ -360,5 +345,4 @@ def pot_threshold(
             "n_exceedances": n_exc, "n_total": n_total, "q": q,
             "nll": float(gpd_nll(excesses, gamma, beta)),
         },
-        fit=fit,
     )

@@ -62,14 +62,24 @@ def build_windows(series: np.ndarray, window: int) -> np.ndarray:
 
 
 def _window_bytes(params: ForecasterParams) -> int:
-    """About the bytes one window keeps on the tape: with r = min(w, receptive_field),
-    float arrays of 8 (w, m), 3 (r, w) and (m, m), 8 (r, m) and, per TCN block, 13
-    (r, channels) shapes, plus r*w*m and m*m*w bytes of attention sign masks."""
+    """About the bytes one window keeps on the tape, with r = min(w, receptive_field):
+    float arrays of 5 (w, m), 2 (r, m) and 13 (r, channels) per TCN block, and per
+    branch the model has (w, m), 3 (r, w) and 3 (r, m) for temporal attention and
+    2 (w, m), 3 (m, m) and 3 (r, m) for variable, each with its 1-byte sign mask:
+    r*w and m*m pairs, times m and w features when dynamic."""
     cfg = params.config
     w, m, c = cfg.window, params.n_features, cfg.tcn_channels
     r = min(w, receptive_field(params.tcn))
-    floats = 8 * w * m + 3 * (r * w + m * m) + 8 * r * m + 13 * r * c * len(cfg.dilations)
-    return 8 * floats + r * w * m + m * m * w
+    dynamic = cfg.attention_mode == "dynamic"
+    floats = 5 * w * m + 2 * r * m + 13 * r * c * len(cfg.dilations)
+    masks = 0
+    if params.temporal is not None:
+        floats += w * m + 3 * r * w + 3 * r * m
+        masks += r * w * (m if dynamic else 1)
+    if params.variable is not None:
+        floats += 2 * w * m + 3 * m * m + 3 * r * m
+        masks += m * m * (w if dynamic else 1)
+    return 8 * floats + masks
 
 
 def _chunk_size(params: ForecasterParams) -> int:

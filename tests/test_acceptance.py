@@ -22,7 +22,6 @@ from oracles import (
 )
 from tcnad.attention import (
     AttentionParams,
-    attend,
     dynamic_scores,
     init_attention,
     static_scores,
@@ -33,6 +32,7 @@ from tcnad.autodiff import (
     backward,
     causal_dilated_conv1d,
     rmse_loss,
+    softmax_rows,
 )
 from tcnad.evaluation import f1_score, point_adjusted_report
 from tcnad.forecaster import ModelConfig, forward, init_forecaster
@@ -199,11 +199,11 @@ def test_criterion_4_attention_properties(capfd):
     with _criterion(capfd, 4, summary) as c:
         rng = np.random.default_rng(3)
         # (a) attention rows sum to one
-        for mode in ("dynamic", "static"):
+        for mode, scores in (("dynamic", dynamic_scores), ("static", static_scores)):
             for _ in range(10):
                 params = init_attention(4, 5, mode=mode, rng=rng)
                 x = Tensor(rng.standard_normal((6, 4)))
-                weights = attend(x, params).weights.values
+                weights = softmax_rows(scores(x, x, params)).values
                 np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
 
         # (b) static scores rank every neighbour identically for all queries
@@ -211,8 +211,8 @@ def test_criterion_4_attention_properties(capfd):
             d_rng = np.random.default_rng(1000 + draw)
             params = init_attention(3, 4, mode="static", rng=d_rng)
             x = Tensor(d_rng.standard_normal((6, 3)))
-            scores = static_scores(x, params).values
-            rankings = np.argsort(scores, axis=1)
+            e = static_scores(x, x, params).values
+            rankings = np.argsort(e, axis=1)
             for row in rankings[1:]:
                 np.testing.assert_array_equal(row, rankings[0])
 
@@ -221,7 +221,8 @@ def test_criterion_4_attention_properties(capfd):
         witness = AttentionParams(
             Tensor([[1.0, 1.0], [-1.0, -1.0]]), Tensor([1.0, 1.0]), mode="dynamic"
         )
-        e = dynamic_scores(Tensor([[1.0], [-1.0]]), witness).values
+        nodes = Tensor([[1.0], [-1.0]])
+        e = dynamic_scores(nodes, nodes, witness).values
         np.testing.assert_allclose(e, [[1.6, 0.0], [0.0, 1.6]])
         assert np.argmax(e[0]) != np.argmax(e[1])
         c.note("100 static draws collapsed; witness argmax differs per query")

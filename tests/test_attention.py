@@ -22,6 +22,8 @@ from tcnad.autodiff import (
     reshape,
     rmse_loss,
     slice_cols,
+    slice_rows,
+    softmax_rows,
     transpose,
 )
 
@@ -34,26 +36,33 @@ def _sta(weight, score_vec, **kw):
     return AttentionParams(Tensor(weight), Tensor(score_vec), mode="static", **kw)
 
 
+def _weights(queries, keys, params):
+    """Softmax-normalized attention weights, one row per query."""
+    scores = dynamic_scores if params.mode == "dynamic" else static_scores
+    return softmax_rows(scores(queries, keys, params))
+
+
 class TestScoreValues:
     def test_dynamic_hand_case(self):
         # identity W splits into per-node taps: e[i,j] = lrelu(x_i) + lrelu(x_j)
         params = _dyn(np.eye(2), [1.0, 1.0])
         x = Tensor([[1.0], [2.0]])
-        e = dynamic_scores(x, params).values
+        e = dynamic_scores(x, x, params).values
         np.testing.assert_allclose(e, [[2.0, 3.0], [3.0, 4.0]])
         assert e[0, 1] == 3.0
 
     def test_static_hand_case(self):
         params = _sta([[1.0]], [1.0, 1.0])
         x = Tensor([[1.0], [2.0]])
-        e = static_scores(x, params).values
+        e = static_scores(x, x, params).values
         # e[i,j] = lrelu(x_i + x_j)
         np.testing.assert_allclose(e, [[2.0, 3.0], [3.0, 4.0]])
         assert e[0, 1] == 3.0
 
     def test_static_negative_branch_uses_slope(self):
         params = _sta([[1.0]], [1.0, 1.0])
-        e = static_scores(Tensor([[-1.0], [-2.0]]), params).values
+        x = Tensor([[-1.0], [-2.0]])
+        e = static_scores(x, x, params).values
         np.testing.assert_allclose(e, 0.2 * np.array([[-2.0, -3.0], [-3.0, -4.0]]))
 
     @pytest.mark.parametrize("lead", [(), (2,)])
@@ -70,10 +79,10 @@ class TestScoreValues:
             a = reshape(params.score_vec, (1, 2 * d_out))
             p = matmul(u, reshape(slice_cols(a, 0, d_out), (d_out, 1)))
             q = matmul(u, reshape(slice_cols(a, d_out, 2 * d_out), (d_out, 1)))
-            return pair_scores(p, q, Tensor(np.ones(1)), params.slope)
+            return pair_scores(p, q, Tensor(np.ones(1)))
 
         results = []
-        for scores_fn in (lambda: static_scores(x, params), split_reference):
+        for scores_fn in (lambda: static_scores(x, x, params), split_reference):
             leaves = (x, params.weight, params.score_vec)
             for t in leaves:
                 t.grad = None
@@ -89,14 +98,17 @@ class TestScoreValues:
         # with this W each query prefers the neighbour on its own side
         params = _dyn([[1.0, 1.0], [-1.0, -1.0]], [1.0, 1.0])
         x = Tensor([[1.0], [-1.0]])
-        e = dynamic_scores(x, params).values
+        e = dynamic_scores(x, x, params).values
         np.testing.assert_allclose(e, [[1.6, 0.0], [0.0, 1.6]])
         assert np.argmax(e[0]) != np.argmax(e[1])
 
     def test_feature_dim_mismatch(self):
-        params = _dyn(np.eye(2), [1.0, 1.0])  # d_in = 1
-        with pytest.raises(ValueError):
-            dynamic_scores(Tensor(np.zeros((3, 2))), params)
+        good, bad = Tensor(np.zeros((3, 1))), Tensor(np.zeros((3, 2)))
+        for mode, scores in (("dynamic", dynamic_scores), ("static", static_scores)):
+            params = init_attention(1, 2, mode=mode, rng=np.random.default_rng(0))
+            for queries, keys in ((bad, good), (good, bad)):
+                with pytest.raises(ValueError, match=r"\(\.\.\., n, 1\), got \(3, 2\)"):
+                    scores(queries, keys, params)
 
 
 class TestStaticCollapse:
@@ -109,14 +121,15 @@ class TestStaticCollapse:
         n, d_in, d_out = 6, 3, 4
         params = init_attention(d_in, d_out, mode="static", rng=rng)
         x = Tensor(rng.standard_normal((n, d_in)))
-        e = static_scores(x, params).values
+        e = static_scores(x, x, params).values
         rankings = np.argsort(e, axis=1)
         for i in range(1, n):
             np.testing.assert_array_equal(rankings[i], rankings[0])
 
     def test_dynamic_does_not_collapse(self):
         params = _dyn([[1.0, 1.0], [-1.0, -1.0]], [1.0, 1.0])
-        e = dynamic_scores(Tensor([[1.0], [-1.0]]), params).values
+        x = Tensor([[1.0], [-1.0]])
+        e = dynamic_scores(x, x, params).values
         assert not np.array_equal(np.argsort(e[0]), np.argsort(e[1]))
 
 
@@ -127,54 +140,69 @@ class TestAttend:
         for _ in range(10):
             params = init_attention(3, mode=mode, rng=rng)
             x = Tensor(rng.standard_normal((7, 3)) * 3)
-            out = attend(x, params)
-            np.testing.assert_allclose(out.weights.values.sum(axis=1), np.ones(7), atol=1e-9)
-            assert (out.weights.values >= 0).all()
+            weights = _weights(x, x, params).values
+            np.testing.assert_allclose(weights.sum(axis=1), np.ones(7), atol=1e-9)
+            assert (weights >= 0).all()
 
     def test_sigmoid_activation_bounds(self):
         rng = np.random.default_rng(0)
         params = init_attention(2, rng=rng)
-        out = attend(Tensor(rng.standard_normal((5, 2))), params)
-        assert ((out.aggregated.values > 0) & (out.aggregated.values < 1)).all()
+        x = Tensor(rng.standard_normal((5, 2)))
+        out = attend(x, x, x, params).values
+        assert ((out > 0) & (out < 1)).all()
 
     def test_identity_activation_returns_convex_combination(self):
         rng = np.random.default_rng(1)
         params = init_attention(2, activation="identity", rng=rng)
         x = rng.standard_normal((6, 2))
-        out = attend(Tensor(x), params)
-        np.testing.assert_allclose(out.aggregated.values, out.weights.values @ x)
+        t = Tensor(x)
+        out = attend(t, t, t, params).values
+        np.testing.assert_allclose(out, _weights(t, t, params).values @ x)
         # convex combinations stay inside the per-feature range of the inputs
-        assert (out.aggregated.values <= x.max(axis=0) + 1e-12).all()
-        assert (out.aggregated.values >= x.min(axis=0) - 1e-12).all()
+        assert (out <= x.max(axis=0) + 1e-12).all()
+        assert (out >= x.min(axis=0) - 1e-12).all()
 
     def test_uniform_rows_aggregate_to_themselves(self):
         rng = np.random.default_rng(2)
         params = init_attention(3, activation="identity", rng=rng)
         row = np.array([0.3, -1.2, 2.0])
         x = np.tile(row, (5, 1))
-        out = attend(Tensor(x), params)
-        np.testing.assert_allclose(out.aggregated.values, x, atol=1e-12)
+        t = Tensor(x)
+        np.testing.assert_allclose(attend(t, t, t, params).values, x, atol=1e-12)
 
     def test_single_node(self):
         rng = np.random.default_rng(3)
         params = init_attention(2, activation="identity", rng=rng)
         x = np.array([[1.5, -0.5]])
-        out = attend(Tensor(x), params)
-        np.testing.assert_allclose(out.weights.values, [[1.0]])
-        np.testing.assert_allclose(out.aggregated.values, x)
+        t = Tensor(x)
+        np.testing.assert_allclose(_weights(t, t, params).values, [[1.0]])
+        np.testing.assert_allclose(attend(t, t, t, params).values, x)
 
     def test_d_out_independent_of_d_in(self):
         rng = np.random.default_rng(4)
         params = init_attention(2, 5, rng=rng)
         assert params.weight.values.shape == (5, 4)
-        out = attend(Tensor(rng.standard_normal((3, 2))), params)
-        assert out.aggregated.values.shape == (3, 2)
-        assert out.scores.values.shape == (3, 3)
+        x = Tensor(rng.standard_normal((3, 2)))
+        assert attend(x, x, x, params).values.shape == (3, 2)
+        assert dynamic_scores(x, x, params).values.shape == (3, 3)
+
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    def test_queries_keys_and_values_are_separate(self, mode):
+        # q queries over n keys aggregate n values of their own width d_v
+        rng = np.random.default_rng(5)
+        q, n, d_in, d_v = 2, 5, 3, 4
+        params = init_attention(d_in, mode=mode, activation="identity", rng=rng)
+        queries = Tensor(rng.standard_normal((q, d_in)))
+        keys = Tensor(rng.standard_normal((n, d_in)))
+        values = rng.standard_normal((n, d_v))
+        out = attend(queries, keys, Tensor(values), params).values
+        assert out.shape == (q, d_v)
+        np.testing.assert_array_equal(out, _weights(queries, keys, params).values @ values)
 
 
 class TestQueryRows:
     """Each query row is scored on its own, so attending from the last r rows
-    equals the last r rows of the full attention, gradients included."""
+    equals the last r rows of attending from all of them, gradients included."""
 
     @staticmethod
     def _run(fn, params, x, upstream):
@@ -183,8 +211,7 @@ class TestQueryRows:
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
             out = fn(xt)
-            agg = out.aggregated if hasattr(out, "aggregated") else out
-            agg.grad = upstream
+            out.grad = upstream
             tape.replay_backward()
         return out, [xt.grad, params.weight.grad, params.score_vec.grad]
 
@@ -203,14 +230,20 @@ class TestQueryRows:
         padded = np.zeros(lead + (n, d))
         padded[..., n - r :, :] = upstream
 
-        part, part_grads = self._run(lambda t: attend(t, params, queries=r), params, x, upstream)
-        full, full_grads = self._run(lambda t: attend(t, params), params, x, padded)
-        assert part.weights.values.shape == lead + (r, n)
-        np.testing.assert_allclose(part.weights.values.sum(axis=-1), np.ones(lead + (r,)),
-                                   atol=1e-12)
-        self._assert_close(part.scores.values, full.scores.values[..., n - r :, :])
-        self._assert_close(part.weights.values, full.weights.values[..., n - r :, :])
-        self._assert_close(part.aggregated.values, full.aggregated.values[..., n - r :, :])
+        def last(t):
+            return slice_rows(t, n - r, n)
+
+        part, part_grads = self._run(lambda t: attend(last(t), t, t, params), params, x, upstream)
+        full, full_grads = self._run(lambda t: attend(t, t, t, params), params, x, padded)
+        scores = dynamic_scores if mode == "dynamic" else static_scores
+        xt = Tensor(x)
+        part_scores = scores(last(xt), xt, params).values
+        assert part_scores.shape == lead + (r, n)
+        self._assert_close(part_scores, scores(xt, xt, params).values[..., n - r :, :])
+        weights = _weights(last(xt), xt, params).values
+        np.testing.assert_allclose(weights.sum(axis=-1), np.ones(lead + (r,)), atol=1e-12)
+        self._assert_close(weights, _weights(xt, xt, params).values[..., n - r :, :])
+        self._assert_close(part.values, full.values[..., n - r :, :])
         for new, ref in zip(part_grads, full_grads):
             self._assert_close(new, ref)
 
@@ -224,19 +257,18 @@ class TestQueryRows:
         padded[:, w - r :] = upstream
         for view, d_in in ((temporal_attention, m), (variable_attention, w)):
             params = init_attention(d_in, mode=mode, rng=rng)
-            part, part_grads = self._run(lambda t: view(t, params, r), params, x, upstream)
-            full, full_grads = self._run(lambda t: view(t, params), params, x, padded)
+            part, part_grads = self._run(lambda t: view(t, slice_rows(t, w - r, w), params),
+                                         params, x, upstream)
+            full, full_grads = self._run(lambda t: view(t, t, params), params, x, padded)
             assert part.values.shape == (2, r, m)
             self._assert_close(part.values, full.values[:, w - r :])
             for new, ref in zip(part_grads, full_grads):
                 self._assert_close(new, ref)
 
-    def test_bad_query_count(self):
-        params = init_attention(2, rng=np.random.default_rng(0))
-        x = Tensor(np.zeros((4, 2)))
-        for queries in (0, 5):
-            with pytest.raises(ValueError, match="slice_rows range"):
-                attend(x, params, queries=queries)
+
+def _variable_view(x, params):
+    t = Tensor(x)
+    return variable_attention(t, t, params).values
 
 
 class TestWindowViews:
@@ -246,16 +278,17 @@ class TestWindowViews:
         x = Tensor(rng.standard_normal((w, m)))
         t_params = init_attention(m, rng=rng)
         v_params = init_attention(w, rng=rng)
-        assert temporal_attention(x, t_params).values.shape == (w, m)
-        assert variable_attention(x, v_params).values.shape == (w, m)
+        assert temporal_attention(x, x, t_params).values.shape == (w, m)
+        assert variable_attention(x, x, v_params).values.shape == (w, m)
 
     def test_variable_attention_is_transposed_temporal(self):
         rng = np.random.default_rng(5)
         w, m = 6, 3
         x = Tensor(rng.standard_normal((w, m)))
         params = init_attention(w, rng=rng)
-        direct = variable_attention(x, params).values
-        via_t = transpose(Tensor(temporal_attention(transpose(x), params).values)).values
+        direct = variable_attention(x, x, params).values
+        nodes = transpose(x)
+        via_t = transpose(Tensor(temporal_attention(nodes, nodes, params).values)).values
         np.testing.assert_array_equal(direct, via_t)
 
     def test_column_permutation_equivariance_two_features(self):
@@ -265,9 +298,9 @@ class TestWindowViews:
         w = 8
         x = rng.standard_normal((w, 2))
         params = init_attention(w, rng=rng)
-        base = variable_attention(Tensor(x), params).values
+        base = _variable_view(x, params)
         perm = np.array([1, 0])
-        permuted = variable_attention(Tensor(x[:, perm]), params).values
+        permuted = _variable_view(x[:, perm], params)
         np.testing.assert_allclose(permuted, base[:, perm], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -277,9 +310,9 @@ class TestWindowViews:
         w, m = 7, 5
         x = rng.standard_normal((w, m))
         params = init_attention(w, rng=rng)
-        base = variable_attention(Tensor(x), params).values
+        base = _variable_view(x, params)
         perm = rng.permutation(m)
-        permuted = variable_attention(Tensor(x[:, perm]), params).values
+        permuted = _variable_view(x[:, perm], params)
         np.testing.assert_allclose(permuted, base[:, perm], rtol=1e-12, atol=1e-12)
 
 
@@ -292,7 +325,8 @@ class TestGradients:
         target = rng.standard_normal((5, 3))
 
         def run():
-            return rmse_loss(attend(Tensor(x), params).aggregated, Tensor(target))
+            t = Tensor(x)
+            return rmse_loss(attend(t, t, t, params), Tensor(target))
 
         with Tape():
             backward(run())

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcnad.attention
+import tcnad.forecaster
 import tcnad.trainer
 from oracles import numeric_grad, rel_err
 from tcnad.attention import attend
@@ -28,7 +29,6 @@ from tcnad.autodiff import (
 )
 from tcnad.data import DataFormatError, NormalizationStats
 from tcnad.forecaster import (
-    LEAKY_SLOPE,
     ModelConfig,
     forward,
     init_forecaster,
@@ -192,15 +192,16 @@ def _unpruned_forward(x, params, training=False, rng=None):
     h = add(causal_dilated_conv1d(x, params.preconv_filters, 1), params.preconv_bias)
     parts = [h]
     if params.temporal is not None:
-        parts.append(attend(h, params.temporal).aggregated)
+        parts.append(attend(h, h, h, params.temporal))
     if params.variable is not None:
-        parts.append(transpose(attend(transpose(h), params.variable).aggregated))
+        nodes = transpose(h)
+        parts.append(transpose(attend(nodes, nodes, nodes, params.variable)))
     z = concat_cols(parts) if len(parts) > 1 else h
     out = take_row(tcn_forward(z, params.tcn), w - 1)
     for i, (weight, bias) in enumerate(params.mlp):
         out = linear(out, weight, bias)
         if i < len(params.mlp) - 1:
-            out = leaky_relu(out, LEAKY_SLOPE)
+            out = leaky_relu(out)
     return reshape(out, x.values.shape[:-2] + (params.n_features,))
 
 
@@ -247,19 +248,46 @@ class TestReceptiveFieldPruning:
         params = init_forecaster(3, TINY, seed=0)
         r = receptive_field(params.tcn)
         assert r < TINY.window
-        seen, real_attend = {}, tcnad.attention.attend
+        w, seen, real_attend = TINY.window, {}, tcnad.attention.attend
 
-        def spy(x, attention_params, *args, **kwargs):
-            out = real_attend(x, attention_params, *args, **kwargs)
+        def spy(queries, keys, values, attention_params):
+            out = real_attend(queries, keys, values, attention_params)
             branch = "temporal" if attention_params is params.temporal else "variable"
-            seen[branch] = (out.scores.values.shape, out.aggregated.values.shape)
+            seen[branch] = [t.values.shape for t in (queries, keys, values, out)]
             return out
 
         monkeypatch.setattr(tcnad.attention, "attend", spy)
-        forward(Tensor(np.zeros((5, TINY.window, 3))), params)
-        assert seen["temporal"] == ((5, r, TINY.window), (5, r, 3))
+        forward(Tensor(np.zeros((5, w, 3))), params)
+        assert seen["temporal"] == [(5, r, 3), (5, w, 3), (5, w, 3), (5, r, 3)]
         # variables are scored over full columns but aggregate only r time steps
-        assert seen["variable"] == ((5, 3, 3), (5, 3, r))
+        assert seen["variable"] == [(5, 3, w), (5, 3, w), (5, 3, r), (5, 3, r)]
+
+    def test_both_views_get_the_tail_that_leads_the_concat(self, monkeypatch):
+        params = init_forecaster(3, TINY, seed=0)
+        r = receptive_field(params.tcn)
+        rows, parts = {}, []
+
+        def spy(view):
+            real = getattr(tcnad.forecaster, view)
+
+            def wrapped(x, tail, attention_params):
+                rows[view] = tail
+                return real(x, tail, attention_params)
+
+            return wrapped
+
+        def concat_spy(tensors):
+            parts.extend(tensors)
+            return concat_cols(tensors)
+
+        for view in ("temporal_attention", "variable_attention"):
+            monkeypatch.setattr(tcnad.forecaster, view, spy(view))
+        monkeypatch.setattr(tcnad.forecaster, "concat_cols", concat_spy)
+        x = np.random.default_rng(1).standard_normal((2, TINY.window, 3))
+        forward(Tensor(x), params)
+        assert rows["temporal_attention"] is rows["variable_attention"] is parts[0]
+        assert parts[0].values.shape == (2, r, 3)
+        assert len(parts) == 3
 
 
 class TestCheckpoints:

@@ -265,10 +265,10 @@ class TestPot:
         scores = rng.lognormal(mean=-2.0, sigma=0.5, size=5000)
         res = pot_threshold(scores, q=1e-3)
         assert res.method == "pot"
-        assert res.threshold > res.fit.init_threshold
-        assert res.fit.n_exceedances >= 32
-        assert res.fit.n_total == 5000
-        assert res.fit.q == 1e-3
+        assert res.threshold > res.diagnostics["init_threshold"]
+        assert res.diagnostics["n_exceedances"] >= 32
+        assert res.diagnostics["n_total"] == 5000
+        assert res.diagnostics["q"] == 1e-3
 
     def test_smaller_q_means_higher_threshold(self):
         rng = np.random.default_rng(1)
