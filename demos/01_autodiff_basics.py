@@ -82,10 +82,10 @@ with Tape():
 print("softmax row-sum gradient is ~0:", np.max(np.abs(z.grad)))
 
 # ---------------------------------------------------------------------------
-# 5. leaky_relu keeps a small slope on the negative side (0.2 by default)
+# 5. leaky_relu keeps a small slope on the negative side (LEAKY_SLOPE = 0.2)
 # ---------------------------------------------------------------------------
 v = Tensor(np.array([[-2.0, 3.0]]), requires_grad=True)
 with Tape():
-    out = leaky_relu(v, 0.2)
+    out = leaky_relu(v)
     backward(rmse_loss(out, Tensor(np.zeros((1, 2)))))
 print("leaky_relu output:", out.values, " grad:", v.grad)

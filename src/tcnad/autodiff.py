@@ -213,12 +213,9 @@ def _take(x: Tensor, key) -> Tensor:
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Columns ``start:stop`` (last axis) of a tensor with at least 2 axes; ``x`` itself
-    when that is every column."""
+    """Columns ``start:stop`` (last axis) of a tensor with at least 2 axes."""
     if x.values.ndim < 2:
         raise ValueError("slice_cols expects at least 2 axes")
-    if (start, stop) == (0, x.values.shape[-1]):
-        return x
     return _take(x, (..., slice(start, stop)))
 
 
@@ -277,7 +274,7 @@ def _pair_blocks(lead: tuple, n: int, row: int) -> list[tuple]:
     return [(b, slice(i, i + q)) for b in range(entries) for i in range(0, n, q)]
 
 
-def pair_scores(left: Tensor, right: Tensor, v: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
+def pair_scores(left: Tensor, right: Tensor, v: Tensor) -> Tensor:
     """GATv2 pair scores: (..., n, d), (..., p, d), (d,) -> (..., n, p).
 
     out[..., i, j] = v . leaky_relu(left[..., i, :] + right[..., j, :])
@@ -285,17 +282,17 @@ def pair_scores(left: Tensor, right: Tensor, v: Tensor, slope: float = LEAKY_SLO
     The (..., n, p, d) pair tensor lives only in the forward, one of
     ``_pair_blocks`` at a time; a taped call keeps just its sign mask pos = pair
     >= 0 (1 byte an element; derivative 1 at 0, as in ``leaky_relu``). As
-    leaky_relu(t) = slope*t + (1-slope)*pos*t, with dl[i] = sum_j g[i, j] *
-    (slope + (1-slope) * pos[i, j]) and dr[j] the same sum over i: d left =
-    dl*v, d right = dr*v and d v = sum(dl*left) + sum(dr*right) over all but last axis.
+    leaky_relu(t) = slope*t + (1-slope)*pos*t (slope = ``LEAKY_SLOPE``), with
+    dl[i] = sum_j g[i, j] * (slope + (1-slope) * pos[i, j]) and dr[j] the same sum
+    over i: d left = dl*v, d right = dr*v and d v = sum(dl*left) + sum(dr*right)
+    over all but the last axis.
     """
     lv, rv, vv = left.values, right.values, v.values
     if (lv.ndim < 2 or lv.shape[:-2] != rv.shape[:-2] or vv.ndim != 1
             or not lv.shape[-1] == rv.shape[-1] == vv.shape[0]):
         raise ValueError(f"pair_scores expects (..., n, d), (..., p, d) and (d,) tensors, "
                          f"got {lv.shape}, {rv.shape}, {vv.shape}")
-    if not 0.0 <= slope <= 1.0:
-        raise ValueError(f"pair_scores slope must be in [0, 1], got {slope}")
+    slope = LEAKY_SLOPE
     n, (p, d) = lv.shape[-2], rv.shape[-2:]
     blocks = _pair_blocks(lv.shape[:-2], n, p * d)
     lb, rb = (lv, rv) if len(blocks) == 1 else (lv.reshape(-1, n, d), rv.reshape(-1, p, d))
@@ -333,14 +330,14 @@ def pair_scores(left: Tensor, right: Tensor, v: Tensor, slope: float = LEAKY_SLO
 # nonlinearities
 # ---------------------------------------------------------------------------
 
-def leaky_relu(x: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
+def leaky_relu(x: Tensor) -> Tensor:
     mask = x.values > 0
-    out = Tensor(np.where(mask, x.values, slope * x.values))
+    out = Tensor(np.where(mask, x.values, LEAKY_SLOPE * x.values))
 
     def rule(g):
         if x.requires_grad:
             # derivative taken as 1 at exactly zero
-            deriv = np.where(x.values >= 0, 1.0, slope)
+            deriv = np.where(x.values >= 0, 1.0, LEAKY_SLOPE)
             x.accumulate_grad(g * deriv)
 
     return _maybe_record(out, rule, x)

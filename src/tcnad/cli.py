@@ -63,6 +63,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _threshold(text: str) -> float:
+    """A float or +-inf; NaN is refused, since no score exceeds it."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if np.isnan(value):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tcnad",
@@ -107,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="point-adjusted precision/recall/F1")
     p.add_argument("--scores", nargs="+", required=True, help="one or more score CSVs")
     p.add_argument("--labels", required=True, help="labels CSV or manifest")
-    p.add_argument("--threshold", nargs="+", required=True, type=float,
+    p.add_argument("--threshold", nargs="+", required=True, type=_threshold,
                    help="one threshold per scores file, or a single shared one")
     p.add_argument("--channel", action="append",
                    help="channel ids matching --scores (default: file stems)")
@@ -131,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-curves", help="per-timestep score/threshold/label/prediction CSV")
     p.add_argument("--scores", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--threshold", required=True, type=float)
+    p.add_argument("--threshold", required=True, type=_threshold)
     p.add_argument("--channel")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)

@@ -206,7 +206,9 @@ def read_manifest(path) -> dict[str, ManifestEntry]:
             seen[chan] = lineno
             try:
                 seqs = ast.literal_eval(row["anomaly_sequences"])
-                segments = [AnomalySegment(int(s), int(e)) for s, e in seqs]
+                if any(type(b) is not int for pair in seqs for b in pair):
+                    raise ValueError(f"segment bounds must be integers, got {seqs}")
+                segments = [AnomalySegment(s, e) for s, e in seqs]
             except (ValueError, SyntaxError, TypeError) as exc:
                 raise DataFormatError(
                     f"{path}:{lineno}: bad anomaly_sequences ({exc})"

@@ -40,7 +40,7 @@ from .autodiff import (
     slice_rows,
     take_row,
 )
-from .tcn import TcnStackParams, init_tcn_stack, receptive_field, tcn_forward
+from .tcn import TcnBlockParams, init_tcn_stack, receptive_field, tcn_forward
 
 CHECKPOINT_FORMAT = "tcnad-checkpoint-v1"
 
@@ -90,7 +90,7 @@ class ForecasterParams:
     preconv_bias: Tensor                    # (m,)
     temporal: AttentionParams | None
     variable: AttentionParams | None
-    tcn: TcnStackParams
+    tcn: list[TcnBlockParams]
     mlp: list[tuple[Tensor, Tensor]] = field(default_factory=list)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
@@ -102,7 +102,7 @@ class ForecasterParams:
         if self.variable is not None:
             out += [("variable.weight", self.variable.weight),
                     ("variable.score_vec", self.variable.score_vec)]
-        for i, b in enumerate(self.tcn.blocks):
+        for i, b in enumerate(self.tcn):
             out += [(f"tcn.{i}.conv1_filters", b.conv1_filters),
                     (f"tcn.{i}.conv1_bias", b.conv1_bias),
                     (f"tcn.{i}.conv2_filters", b.conv2_filters),

@@ -44,11 +44,6 @@ class TcnBlockParams:
         return self.conv1_filters.values.shape[0]
 
 
-@dataclass
-class TcnStackParams:
-    blocks: list[TcnBlockParams]
-
-
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     bound = 1.0 / np.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
@@ -83,13 +78,13 @@ def init_tcn_stack(
     dilations: tuple[int, ...],
     dropout_rate: float,
     rng: np.random.Generator,
-) -> TcnStackParams:
+) -> list[TcnBlockParams]:
     blocks = []
     prev = c_in
     for d in dilations:
         blocks.append(init_tcn_block(prev, channels, kernel, d, dropout_rate, rng))
         prev = channels
-    return TcnStackParams(blocks=blocks)
+    return blocks
 
 
 def tcn_block_forward(
@@ -115,19 +110,19 @@ def tcn_block_forward(
 
 def tcn_forward(
     x: Tensor,
-    params: TcnStackParams,
+    blocks: list[TcnBlockParams],
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     h = x
-    for block in params.blocks:
+    for block in blocks:
         h = tcn_block_forward(h, block, training, rng)
     return h
 
 
-def receptive_field(params: TcnStackParams) -> int:
+def receptive_field(blocks: list[TcnBlockParams]) -> int:
     """Number of trailing input steps that can influence the last output step."""
     rf = 1
-    for b in params.blocks:
+    for b in blocks:
         rf += 2 * (b.kernel_size - 1) * b.dilation
     return rf

@@ -40,7 +40,6 @@ from tcnad.pipeline import evaluate_channel, fit_channel
 from tcnad.synthetic import sines_with_level_shifts
 from tcnad.tcn import (
     TcnBlockParams,
-    TcnStackParams,
     receptive_field,
     tcn_forward,
 )
@@ -168,7 +167,7 @@ def _positive_stack(kernel, dilations):
                 dilation=d,
             )
         )
-    return TcnStackParams(blocks=blocks)
+    return blocks
 
 
 def test_criterion_3_receptive_field(capfd):

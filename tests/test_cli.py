@@ -97,6 +97,23 @@ class TestUsageErrors:
         assert main(["--help"]) == EXIT_OK
         assert "train" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["evaluate", "export-curves"])
+    def test_nan_threshold(self, four_point, tmp_path, command, capsys):
+        # every comparison with NaN is False, so it would flag no timestep
+        scores, labels = four_point
+        out = tmp_path / "out.csv"
+        assert main([command, "--scores", str(scores), "--labels", str(labels),
+                     "--threshold", "nan", "--out", str(out)]) == EXIT_USAGE
+        assert "argument --threshold: not a number: 'nan'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["inf", "-inf"])
+    def test_infinite_threshold_is_valid(self, four_point, threshold, capsys):
+        scores, labels = four_point
+        assert main(["evaluate", "--scores", str(scores), "--labels", str(labels),
+                     f"--threshold={threshold}"]) == EXIT_OK
+        capsys.readouterr()
+
     def test_grid_without_labels(self, four_point, capsys):
         scores, _ = four_point
         assert main(["threshold", "--scores", str(scores), "--method", "grid"]) == EXIT_USAGE
@@ -121,6 +138,18 @@ class TestDataErrors:
         )
         assert code == EXIT_DATA
         assert "unknown key" in capsys.readouterr().err
+
+    def test_non_finite_learning_rate(self, tmp_path, capsys):
+        _write_dataset(tmp_path)
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(CONFIG.replace("learning_rate = 0.01", "learning_rate = nan"))
+        code = main(
+            ["train", "--data", str(tmp_path), "--channel", "C-1",
+             "--out", str(tmp_path / "run"), "--config", str(cfg), "--quiet"]
+        )
+        assert code == EXIT_DATA
+        assert "learning_rate must be finite and > 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "C-1.ckpt").exists()
 
     def test_manifest_missing_channel(self, tmp_path, four_point, capsys):
         scores, _ = four_point

@@ -249,6 +249,14 @@ class TestManifest:
         with pytest.raises(DataFormatError, match="m.csv:2"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("seqs", ["[[10.7, 11.2]]", "[[3, 4], [True, 9]]", "[[2, 4.0]]"])
+    def test_non_integer_bounds(self, tmp_path, seqs):
+        # int() would truncate these to other segments without a word
+        path = tmp_path / "m.csv"
+        path.write_text(f'chan_id,anomaly_sequences\nA,[]\nB,"{seqs}"\n')
+        with pytest.raises(DataFormatError, match="m.csv:3: .*segment bounds must be integers"):
+            read_manifest(path)
+
     def test_no_rows(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("chan_id,anomaly_sequences\n")

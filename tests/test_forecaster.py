@@ -46,7 +46,7 @@ class TestShapes:
     def test_default_config_shapes(self):
         cfg = ModelConfig()
         params = init_forecaster(25, cfg, seed=0)
-        assert params.tcn.blocks[0].conv1_filters.values.shape == (4, 75, 32)
+        assert params.tcn[0].conv1_filters.values.shape == (4, 75, 32)
         assert params.preconv_filters.values.shape == (7, 25, 25)
         assert params.temporal.weight.values.shape == (25, 50)
         assert params.variable.weight.values.shape == (100, 200)
@@ -63,7 +63,7 @@ class TestShapes:
             params = init_forecaster(m, cfg, seed=0)
             assert (params.temporal is None) == (not temporal)
             assert (params.variable is None) == (not variable)
-            assert params.tcn.blocks[0].conv1_filters.values.shape[1] == width
+            assert params.tcn[0].conv1_filters.values.shape[1] == width
             x = np.random.default_rng(0).standard_normal((8, m))
             assert forward(Tensor(x), params).values.shape == (m,)
 

@@ -7,7 +7,6 @@ from oracles import numeric_grad, rel_err
 from tcnad.autodiff import Tape, Tensor, backward, rmse_loss
 from tcnad.tcn import (
     TcnBlockParams,
-    TcnStackParams,
     init_tcn_stack,
     receptive_field,
     tcn_block_forward,
@@ -31,10 +30,7 @@ def _scalar_block(f1, f2, dilation=1, dropout=0.0):
 
 def _const_stack(kernel, dilations, value=0.1):
     """Single-channel stack with every tap equal; monotone by construction."""
-    blocks = []
-    for d in dilations:
-        blocks.append(_scalar_block([value] * kernel, [value] * kernel, dilation=d))
-    return TcnStackParams(blocks=blocks)
+    return [_scalar_block([value] * kernel, [value] * kernel, dilation=d) for d in dilations]
 
 
 class TestBlockForward:
@@ -72,7 +68,7 @@ class TestBlockForward:
         stack = init_tcn_stack(2, 2, 3, (1, 2), 0.0, rng)
         x = Tensor(rng.standard_normal((9, 2)))
         whole = tcn_forward(x, stack).values
-        step = tcn_block_forward(tcn_block_forward(x, stack.blocks[0]), stack.blocks[1]).values
+        step = tcn_block_forward(tcn_block_forward(x, stack[0]), stack[1]).values
         np.testing.assert_array_equal(whole, step)
 
     def test_length_preserved(self):
@@ -176,10 +172,10 @@ class TestTraining:
         with Tape():
             backward(run())
         check_rng = np.random.default_rng(0)
-        tensors = [t for b in stack.blocks
+        tensors = [t for b in stack
                    for t in (b.conv1_filters, b.conv1_bias, b.conv2_filters, b.conv2_bias,
                              b.downsample) if t is not None]
-        assert any(b.downsample is not None for b in stack.blocks)
+        assert any(b.downsample is not None for b in stack)
         for t in tensors:
             coords = check_rng.choice(t.values.size, size=min(6, t.values.size), replace=False)
             num = numeric_grad(lambda: float(run().values), t.values, coords)
