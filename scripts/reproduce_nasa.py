@@ -13,11 +13,13 @@ and we treat a run whose micro-averaged F1 lands within +-0.05 of the
 reference F1 as a successful reproduction. The script prints a per-channel
 table, writes a report CSV, and states the verdict per spacecraft.
 
-Expected raw layout (the archive's own layout)::
+Expected raw layout (the archive's own layout, read in place)::
 
     <raw>/train/<chan>.npy            float array, shape (n_train, 25)
     <raw>/test/<chan>.npy             float array, shape (n_test, 25)
     <raw>/labeled_anomalies.csv       chan_id,spacecraft,anomaly_sequences,...
+
+``--work`` receives ``checkpoints/``, ``scores/`` and ``report.csv``.
 
 Usage::
 
@@ -34,16 +36,7 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
-from tcnad.data import (
-    load_channel,
-    read_manifest,
-    write_manifest,
-    write_matrix_binary,
-    write_report_csv,
-    write_scores_csv,
-)
+from tcnad.data import load_channel, read_manifest, write_report_csv, write_scores_csv
 from tcnad.evaluation import aggregate
 from tcnad.forecaster import ModelConfig, load_checkpoint, save_checkpoint
 from tcnad.pipeline import evaluate_channel, fit_channel
@@ -56,37 +49,11 @@ REFERENCE = {
 TOLERANCE = 0.05
 
 
-def convert_archive(raw: Path, dataset: Path, spacecrafts: list[str], limit: int | None):
-    """Convert .npy channel files into this package's binary matrix format."""
-    manifest = read_manifest(raw / "labeled_anomalies.csv")
-    picked = [
-        e for e in manifest.values()
-        if not spacecrafts or e.spacecraft in spacecrafts
-    ]
-    picked.sort(key=lambda e: e.channel)
-    if limit:
-        picked = picked[:limit]
-    if not picked:
-        raise SystemExit(f"no channels for spacecraft {spacecrafts} in {raw}")
-
-    (dataset / "train").mkdir(parents=True, exist_ok=True)
-    (dataset / "test").mkdir(parents=True, exist_ok=True)
-    for entry in picked:
-        for split in ("train", "test"):
-            src = raw / split / f"{entry.channel}.npy"
-            dst = dataset / split / f"{entry.channel}.bin"
-            if dst.exists():
-                continue
-            write_matrix_binary(dst, np.load(src).astype(np.float64))
-    write_manifest(dataset / "labeled_anomalies.csv", picked)
-    return picked
-
-
-def run_channel(dataset: Path, manifest: dict, work: Path, channel: str,
+def run_channel(raw: Path, manifest: dict, work: Path, channel: str,
                 model_cfg: ModelConfig, train_cfg: TrainConfig, resume: bool, quiet: bool):
     """Train, score, and pick the per-channel grid threshold; returns a report.
-    ``manifest`` is the dataset's ``labeled_anomalies.csv``, parsed once."""
-    ds = load_channel(dataset, channel, manifest)
+    ``manifest`` is the archive's ``labeled_anomalies.csv``, parsed once."""
+    ds = load_channel(raw, channel, manifest)
     ckpt_path = work / "checkpoints" / f"{channel}.ckpt"
     scores_path = work / "scores" / f"{channel}.csv"
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
@@ -119,7 +86,7 @@ def main(argv=None) -> int:
     parser.add_argument("--raw", required=True, type=Path,
                         help="archive dir with train/, test/, labeled_anomalies.csv")
     parser.add_argument("--work", required=True, type=Path,
-                        help="working dir for converted data, checkpoints, scores")
+                        help="working dir for checkpoints, scores and the report")
     parser.add_argument("--spacecraft", choices=("SMAP", "MSL", "both"),
                         default="both")
     parser.add_argument("--window", type=int, default=100)
@@ -136,9 +103,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spacecrafts = ["SMAP", "MSL"] if args.spacecraft == "both" else [args.spacecraft]
-    dataset = args.work / "dataset"
-    entries = convert_archive(args.raw, dataset, spacecrafts, args.limit)
-    manifest = read_manifest(dataset / "labeled_anomalies.csv")
+    manifest = read_manifest(args.raw / "labeled_anomalies.csv")
+    entries = sorted((e for e in manifest.values() if e.spacecraft in spacecrafts),
+                     key=lambda e: e.channel)[:args.limit or None]
+    if not entries:
+        raise SystemExit(f"no channels for spacecraft {spacecrafts} in {args.raw}")
 
     model_cfg = ModelConfig(window=args.window)
     train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
@@ -149,7 +118,7 @@ def main(argv=None) -> int:
     for i, entry in enumerate(entries, start=1):
         print(f"[{i}/{len(entries)}] {entry.spacecraft} {entry.channel} "
               f"(elapsed {time.time() - started:.0f}s)", flush=True)
-        report = run_channel(dataset, manifest, args.work, entry.channel, model_cfg,
+        report = run_channel(args.raw, manifest, args.work, entry.channel, model_cfg,
                              train_cfg, args.resume, args.quiet)
         by_craft[entry.spacecraft].append(report)
         print(f"    precision={report.precision:.4f} recall={report.recall:.4f} "

@@ -262,13 +262,11 @@ _PAIR_BLOCK_FLOATS = 14 * 2**10
 
 def _pair_blocks(lead: tuple, n: int, row: int) -> list[tuple]:
     """Index keys of the blocks of a (*lead, n, p, d) pair tensor, ``row`` = p*d
-    floats a query row: ``(...,)`` if it fits, else runs of whole entries, or of
-    query rows of one entry, of its (entries, n, ...) flattening; ``key[0]`` picks entries."""
+    floats a query row: runs of whole entries, or of query rows of one entry, of
+    its (entries, n, ...) flattening; ``key[0]`` picks entries."""
     entries = int(np.prod(lead))
-    if entries * n * row <= _PAIR_BLOCK_FLOATS:
-        return [(...,)]
     if n * row <= _PAIR_BLOCK_FLOATS:
-        k = _PAIR_BLOCK_FLOATS // (n * row)
+        k = _PAIR_BLOCK_FLOATS // (n * row or 1)
         return [(slice(b, b + k),) for b in range(0, entries, k)]
     q = _PAIR_BLOCK_FLOATS // row or 1
     return [(b, slice(i, i + q)) for b in range(entries) for i in range(0, n, q)]
@@ -293,9 +291,10 @@ def pair_scores(left: Tensor, right: Tensor, v: Tensor) -> Tensor:
         raise ValueError(f"pair_scores expects (..., n, d), (..., p, d) and (d,) tensors, "
                          f"got {lv.shape}, {rv.shape}, {vv.shape}")
     slope = LEAKY_SLOPE
-    n, (p, d) = lv.shape[-2], rv.shape[-2:]
-    blocks = _pair_blocks(lv.shape[:-2], n, p * d)
-    lb, rb = (lv, rv) if len(blocks) == 1 else (lv.reshape(-1, n, d), rv.reshape(-1, p, d))
+    n, (p, d), lead = lv.shape[-2], rv.shape[-2:], lv.shape[:-2]
+    blocks = _pair_blocks(lead, n, p * d)
+    entries = int(np.prod(lead))
+    lb, rb = lv.reshape(entries, n, d), rv.reshape(entries, p, d)
     out = np.empty(lb.shape[:-1] + (p,))
     taped = active_tape() is not None and any(t.requires_grad for t in (left, right, v))
     pos = np.empty(out.shape + (d,), dtype=bool) if taped else None  # the only pair-sized state

@@ -62,6 +62,15 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    # argparse takes "-inf" and "-1e-3" for flags (it knows only "-1" and
+    # "-.5" as numbers); no option here looks like a number, so any is a value
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _threshold(text: str) -> float:
     """A float or +-inf; NaN is refused, since no score exceeds it."""
@@ -98,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="score a test series with a trained checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--test", required=True, help="test matrix (.csv or .bin)")
+    p.add_argument("--test", required=True, help="test matrix (.csv or .npy)")
     p.add_argument("--out", required=True, help="output scores CSV")
     p.set_defaults(func=cmd_score)
 

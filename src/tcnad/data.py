@@ -2,9 +2,9 @@
 
 Formats understood here:
 
-* matrices -- CSV with a header row, or a small binary container (16-byte
-  header ``TMX1`` + uint32 rows + uint32 cols + 4 reserved bytes, then
-  row-major little-endian float64). ``read_matrix`` sniffs which one it got.
+* matrices -- CSV with a header row, or a 2-D numeric ``.npy`` array (the
+  format of the public spacecraft archive). ``read_matrix`` sniffs which one
+  it got and returns float64.
 * manifest -- ``chan_id,spacecraft,anomaly_sequences,num_values`` CSV where
   anomaly_sequences is a bracketed list of [start, end] pairs (the layout of
   the public spacecraft datasets; extra columns are ignored).
@@ -29,8 +29,6 @@ from .evaluation import AnomalySegment, EvalReport
 from .forecaster import ModelConfig
 from .thresholds import ScoreSequence
 from .trainer import TrainConfig
-
-MATRIX_MAGIC = b"TMX1"
 
 
 class DataFormatError(Exception):
@@ -122,40 +120,26 @@ def read_matrix_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def write_matrix_binary(path, x: np.ndarray):
-    x = np.atleast_2d(np.ascontiguousarray(x, dtype="<f8"))
-    header = MATRIX_MAGIC + np.array(x.shape, dtype="<u4").tobytes() + b"\x00" * 4
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(x.tobytes())
-
-
-def read_matrix_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16 or header[:4] != MATRIX_MAGIC:
-            raise DataFormatError(f"{path}: missing {MATRIX_MAGIC!r} header")
-        rows, cols = np.frombuffer(header[4:12], dtype="<u4")
-        if rows == 0 or cols == 0:
-            raise DataFormatError(f"{path}: no data rows ({rows} rows, {cols} columns)")
-        payload = fh.read()
-    expected = int(rows) * int(cols) * 8
-    if len(payload) != expected:
-        raise DataFormatError(
-            f"{path}: payload is {len(payload)} bytes, header promises {expected}"
-        )
-    return (
-        np.frombuffer(payload, dtype="<f8")
-        .reshape(int(rows), int(cols))
-        .astype(np.float64)
-    )
+def _read_npy(path) -> np.ndarray:
+    try:
+        x = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:     # bad header, truncated, pickled objects
+        raise DataFormatError(f"{path}: unreadable .npy file ({exc})") from None
+    if x.ndim != 2:
+        raise DataFormatError(f"{path}: expected a 2-D matrix, got shape {x.shape}")
+    if x.dtype.kind not in "iuf":
+        raise DataFormatError(f"{path}: expected numbers, got dtype {x.dtype}")
+    if x.size == 0:
+        raise DataFormatError(f"{path}: no data rows ({x.shape[0]} rows, {x.shape[1]} columns)")
+    return np.ascontiguousarray(x, dtype=np.float64)
 
 
 def read_matrix(path) -> np.ndarray:
-    """Sniff binary vs CSV by the magic bytes, delegate, and reject non-finite values."""
+    """Sniff ``.npy`` vs CSV by numpy's magic bytes, delegate, and reject non-finite values."""
+    magic = np.lib.format.MAGIC_PREFIX
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-    x = read_matrix_binary(path) if magic == MATRIX_MAGIC else read_matrix_csv(path)
+        npy = fh.read(len(magic)) == magic
+    x = _read_npy(path) if npy else read_matrix_csv(path)
     finite = np.isfinite(x)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -252,19 +236,20 @@ def is_manifest(path) -> bool:
 
 
 def _find_matrix(directory: Path, channel: str) -> Path:
-    for suffix in (".csv", ".bin"):
+    for suffix in (".csv", ".npy"):
         candidate = directory / f"{channel}{suffix}"
         if candidate.exists():
             return candidate
-    raise DataFormatError(f"no {channel}.csv or {channel}.bin under {directory}")
+    raise DataFormatError(f"no {channel}.csv or {channel}.npy under {directory}")
 
 
 def load_channel(data_dir, channel: str, manifest: dict | None = None) -> ChannelDataset:
     """Load train/test matrices and label segments for one channel.
 
-    Expects ``<data_dir>/train/<ch>.csv|.bin``, ``<data_dir>/test/...`` and
+    Expects ``<data_dir>/train/<ch>.csv|.npy``, ``<data_dir>/test/...`` and
     ``<data_dir>/labeled_anomalies.csv``, which is read unless ``manifest``
     holds it as ``read_manifest`` returns it (callers loading many channels).
+    The public SMAP/MSL archive has this layout, so it is read in place.
     """
     data_dir = Path(data_dir)
     if manifest is None:

@@ -291,6 +291,10 @@ def load_checkpoint(path):
                 maximum=_decode_array(nd["maximum"]),
                 mode=nd["mode"],
             )
+            shape = (params.n_features,) if stats.mode == "per_feature" else (1,)
+            if stats.minimum.shape != shape:
+                raise DataFormatError(f"{path}: {stats.mode} normalization has shape "
+                                      f"{stats.minimum.shape}, expected {shape}")
         return params, stats
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint ({exc})") from None

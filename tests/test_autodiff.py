@@ -269,7 +269,7 @@ class TestPairScores:
 
     def test_blocks(self, monkeypatch):
         monkeypatch.setattr(autodiff, "_PAIR_BLOCK_FLOATS", 40)
-        assert autodiff._pair_blocks((2, 3), 2, 3) == [(...,)]
+        assert autodiff._pair_blocks((2, 3), 2, 3) == [(slice(0, 6),)]
         assert autodiff._pair_blocks((3,), 2, 10) == [(slice(0, 2),), (slice(2, 4),)]
         assert autodiff._pair_blocks((2,), 4, 15) == [(b, slice(i, i + 2))
                                                       for b in (0, 1) for i in (0, 2)]

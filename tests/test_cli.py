@@ -14,6 +14,7 @@ import tcnad.cli
 from tcnad.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from tcnad.data import (
     ManifestEntry,
+    NormalizationStats,
     read_labels_csv,
     read_matrix,
     read_scores_csv,
@@ -114,6 +115,26 @@ class TestUsageErrors:
                      f"--threshold={threshold}"]) == EXIT_OK
         capsys.readouterr()
 
+    @pytest.mark.parametrize("threshold", ["-inf", "-1e-3"])
+    def test_negative_threshold_as_separate_argument(self, four_point, tmp_path, threshold,
+                                                     capsys):
+        # argparse alone reads "-inf" and "-1e-3" as unknown flags
+        scores, labels = four_point
+        curve = tmp_path / "curve.csv"
+        assert main(["export-curves", "--scores", str(scores), "--labels", str(labels),
+                     "--threshold", threshold, "--out", str(curve)]) == EXIT_OK
+        rows = curve.read_text().splitlines()[1:]
+        assert {row.split(",")[2] for row in rows} == {repr(float(threshold))}
+        assert all(row.endswith(",1") for row in rows)       # every score is above it
+        other = tmp_path / "C-2.csv"
+        other.write_bytes(scores.read_bytes())
+        report = tmp_path / "report.csv"
+        assert main(["evaluate", "--scores", str(scores), str(other), "--labels", str(labels),
+                     "--threshold", "0.5", threshold, "--out", str(report)]) == EXIT_OK
+        lines = report.read_text().splitlines()
+        assert lines[1].startswith("C-1,2,0,0,") and lines[2].startswith("C-2,2,2,0,")
+        capsys.readouterr()
+
     def test_grid_without_labels(self, four_point, capsys):
         scores, _ = four_point
         assert main(["threshold", "--scores", str(scores), "--method", "grid"]) == EXIT_USAGE
@@ -199,6 +220,44 @@ class TestDataErrors:
         assert code == EXIT_DATA
         assert f"{test}: matrix contains non-finite value nan at row 17, column 1" in (
             capsys.readouterr().err)
+        assert not (tmp_path / "scores.csv").exists()
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda p: np.save(p, np.zeros(5)), "expected a 2-D matrix, got shape (5,)"),
+        (lambda p: np.save(p, np.zeros((4, 2, 2))), "expected a 2-D matrix, got shape (4, 2, 2)"),
+        (lambda p: np.save(p, np.zeros((0, 2))), "no data rows (0 rows, 2 columns)"),
+        (lambda p: np.save(p, np.zeros((4, 0))), "no data rows (4 rows, 0 columns)"),
+        (lambda p: np.save(p, np.zeros((0, 0))), "no data rows (0 rows, 0 columns)"),
+        (lambda p: np.save(p, np.array([[1.0, None]])), "unreadable .npy file"),
+        (lambda p: np.save(p, np.array([["a", "b"]])), "expected numbers, got dtype <U1"),
+        (lambda p: (np.save(p, np.zeros((3, 2))), p.write_bytes(p.read_bytes()[:-8])),
+         "unreadable .npy file"),
+    ], ids=["1d", "3d", "no-rows", "no-columns", "0x0", "pickled", "unicode", "truncated"])
+    def test_score_rejects_bad_npy(self, tmp_path, capsys, write, message):
+        ckpt = tmp_path / "m2.ckpt"
+        cfg = ModelConfig(window=8, tcn_channels=4, dilations=(1,), mlp_layers=0)
+        save_checkpoint(ckpt, init_forecaster(2, cfg, seed=0))
+        test = tmp_path / "test.npy"
+        write(test)
+        code = main(["score", "--checkpoint", str(ckpt), "--test", str(test),
+                     "--out", str(tmp_path / "scores.csv")])
+        assert code == EXIT_DATA
+        assert f"{test}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_score_checkpoint_normalization_shape(self, tmp_path, capsys, size):
+        ckpt = tmp_path / "m3.ckpt"
+        cfg = ModelConfig(window=8, tcn_channels=4, dilations=(1,), mlp_layers=0)
+        stats = NormalizationStats(np.zeros(size), np.ones(size))
+        save_checkpoint(ckpt, init_forecaster(3, cfg, seed=0), stats)
+        test = tmp_path / "test.csv"
+        write_matrix_csv(test, np.zeros((50, 3)))
+        code = main(["score", "--checkpoint", str(ckpt), "--test", str(test),
+                     "--out", str(tmp_path / "scores.csv")])
+        assert code == EXIT_DATA
+        assert (f"{ckpt}: per_feature normalization has shape ({size},), expected (3,)"
+                in capsys.readouterr().err)
         assert not (tmp_path / "scores.csv").exists()
 
     def test_train_bad_manifest_num_values(self, tmp_path, capsys):
@@ -476,6 +535,27 @@ class TestPipeline:
                          "--config", str(cfg), "--out", str(alone), "--quiet"]) == EXIT_OK
             for name in (f"{ch}.ckpt", f"{ch}.loss.csv"):
                 assert (alone / name).read_bytes() == (run / name).read_bytes()
+        capsys.readouterr()
+
+    def test_npy_dataset_trains_and_scores_like_csv(self, tmp_path, capsys):
+        # the layout of the public archive: .npy matrices beside the manifest
+        csv_data, npy_data = tmp_path / "csv", tmp_path / "npy"
+        csv_data.mkdir()
+        _write_dataset(csv_data)
+        for split in ("train", "test"):
+            (npy_data / split).mkdir(parents=True)
+            np.save(npy_data / split / "C-1.npy", read_matrix(csv_data / split / "C-1.csv"))
+        (npy_data / "labeled_anomalies.csv").write_bytes(
+            (csv_data / "labeled_anomalies.csv").read_bytes())
+        cfg = _write_config(tmp_path)
+        for data, suffix in ((csv_data, ".csv"), (npy_data, ".npy")):
+            assert main(["train", "--data", str(data), "--channel", "C-1",
+                         "--out", str(data / "run"), "--config", str(cfg), "--quiet"]) == EXIT_OK
+            assert main(["score", "--checkpoint", str(data / "run" / "C-1.ckpt"),
+                         "--test", str(data / "test" / f"C-1{suffix}"),
+                         "--out", str(data / "run" / "C-1.csv")]) == EXIT_OK
+        for name in ("C-1.ckpt", "C-1.loss.csv", "C-1.csv"):
+            assert (npy_data / "run" / name).read_bytes() == (csv_data / "run" / name).read_bytes()
         capsys.readouterr()
 
     def test_same_seed_same_checkpoint_bytes(self, tmp_path, capsys):

@@ -21,14 +21,12 @@ from tcnad.data import (
     read_labels_csv,
     read_manifest,
     read_matrix,
-    read_matrix_binary,
     read_matrix_csv,
     read_scores_csv,
     write_curve_csv,
     write_labels_csv,
     write_loss_csv,
     write_manifest,
-    write_matrix_binary,
     write_matrix_csv,
     write_report_csv,
     write_scores_csv,
@@ -126,48 +124,74 @@ class TestMatrixCsv:
 
 
 class TestMatrixBinary:
+    """``.npy`` matrices, written here with ``np.save``."""
+
     def test_roundtrip_bitwise(self, tmp_path):
         x = np.random.default_rng(1).normal(size=(5, 4))
-        path = tmp_path / "m.bin"
-        write_matrix_binary(path, x)
-        back = read_matrix_binary(path)
+        x[0, :2] = -0.0, 5e-324
+        path = tmp_path / "m.npy"
+        np.save(path, x)
+        back = read_matrix(path)
         assert back.dtype == np.float64
         assert np.array_equal(
             back.view(np.uint64), x.view(np.uint64)
-        ), "binary container must be bit-exact"
+        ), ".npy matrices must be read bit-exact"
 
-    def test_header_layout(self, tmp_path):
-        path = tmp_path / "m.bin"
-        write_matrix_binary(path, np.zeros((3, 2)))
-        raw = path.read_bytes()
-        assert raw[:4] == b"TMX1"
-        assert np.frombuffer(raw[4:12], dtype="<u4").tolist() == [3, 2]
-        assert len(raw) == 16 + 3 * 2 * 8
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(2).normal(size=(4, 3)).astype(np.float32),
+        np.array([[-(2**53), 0, 7], [1, 2**53, -3]], dtype=np.int64),
+    ], ids=["float32", "int64"])
+    def test_other_numeric_dtypes_read_as_float64(self, tmp_path, x):
+        np.save(tmp_path / "m.npy", x)
+        back = read_matrix(tmp_path / "m.npy")
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+        assert back.tobytes() == x.astype(np.float64).tobytes()
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(DataFormatError, match="header"):
-            read_matrix_binary(path)
+        path = tmp_path / "bad.npy"
+        np.save(path, np.zeros((3, 2)))
+        path.write_bytes(b"\x93NUMPY\x09\x00" + path.read_bytes()[8:])  # format version 9.0
+        with pytest.raises(DataFormatError, match="bad.npy: unreadable .npy file"):
+            read_matrix(path)
 
     def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "trunc.bin"
-        write_matrix_binary(path, np.zeros((3, 2)))
+        path = tmp_path / "trunc.npy"
+        np.save(path, np.zeros((3, 2)))
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(DataFormatError, match="payload"):
-            read_matrix_binary(path)
+        with pytest.raises(DataFormatError, match="trunc.npy: unreadable .npy file"):
+            read_matrix(path)
 
     def test_short_file(self, tmp_path):
-        path = tmp_path / "short.bin"
-        path.write_bytes(b"TMX1\x01")
-        with pytest.raises(DataFormatError):
-            read_matrix_binary(path)
+        path = tmp_path / "short.npy"
+        path.write_bytes(b"\x93NUMPY\x01")
+        with pytest.raises(DataFormatError, match="short.npy: unreadable .npy file"):
+            read_matrix(path)
 
     @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
     def test_empty_matrix_rejected(self, tmp_path, shape):
-        path = tmp_path / "empty.bin"
-        write_matrix_binary(path, np.zeros(shape))
-        with pytest.raises(DataFormatError, match="empty.bin: no data rows"):
+        path = tmp_path / "empty.npy"
+        np.save(path, np.zeros(shape))
+        with pytest.raises(DataFormatError, match="empty.npy: no data rows"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)], ids=["1d", "3d"])
+    def test_not_2d_rejected(self, tmp_path, shape):
+        path = tmp_path / "m.npy"
+        np.save(path, np.zeros(shape))
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"m.npy: expected a 2-D matrix, got shape {shape}")):
+            read_matrix(path)
+
+    def test_pickled_object_array_rejected(self, tmp_path):
+        path = tmp_path / "m.npy"
+        np.save(path, np.array([[1.0, "a"]], dtype=object))   # needs pickle to read back
+        with pytest.raises(DataFormatError, match="m.npy: unreadable .npy file .*allow_pickle"):
+            read_matrix(path)
+
+    def test_unicode_array_rejected(self, tmp_path):
+        path = tmp_path / "m.npy"
+        np.save(path, np.array([["1.0", "2.0"]]))
+        with pytest.raises(DataFormatError, match="m.npy: expected numbers, got dtype <U3"):
             read_matrix(path)
 
 
@@ -175,17 +199,17 @@ class TestSniffing:
     def test_dispatch(self, tmp_path):
         x = np.arange(6.0).reshape(3, 2)
         write_matrix_csv(tmp_path / "m.csv", x)
-        write_matrix_binary(tmp_path / "m.bin", x)
+        np.save(tmp_path / "m.npy", x)
         np.testing.assert_array_equal(read_matrix(tmp_path / "m.csv"), x)
-        np.testing.assert_array_equal(read_matrix(tmp_path / "m.bin"), x)
+        np.testing.assert_array_equal(read_matrix(tmp_path / "m.npy"), x)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    @pytest.mark.parametrize("suffix", [".csv", ".npy"])
     def test_non_finite_rejected(self, tmp_path, suffix, bad):
         x = np.ones((4, 3))
         x[2, 1] = x[3, 0] = bad
         path = tmp_path / f"m{suffix}"
-        (write_matrix_csv if suffix == ".csv" else write_matrix_binary)(path, x)
+        (write_matrix_csv if suffix == ".csv" else np.save)(path, x)
         message = f"m{suffix}: matrix contains non-finite value {bad} at row 2, column 1"
         with pytest.raises(DataFormatError, match=re.escape(message)):
             read_matrix(path)
@@ -201,12 +225,12 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 @given(
     x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
                  elements=_FINITE),
-    binary=st.booleans(),
+    npy=st.booleans(),
 )
-def test_matrix_roundtrip_is_bit_exact(x, binary):
+def test_matrix_roundtrip_is_bit_exact(x, npy):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / ("m.bin" if binary else "m.csv")
-        (write_matrix_binary if binary else write_matrix_csv)(path, x)
+        path = Path(tmp) / ("m.npy" if npy else "m.csv")
+        (np.save if npy else write_matrix_csv)(path, x)
         back = read_matrix(path)
     assert back.dtype == np.float64 and back.shape == x.shape
     assert back.tobytes() == x.tobytes()
@@ -317,7 +341,7 @@ def _write_channel(tmp_path, channel="C-1", n_train=30, n_test=20, m=2,
     train = rng.normal(size=(n_train, m))
     test = test_override if test_override is not None else rng.normal(size=(n_test, m))
     write_matrix_csv(tmp_path / "train" / f"{channel}.csv", train)
-    write_matrix_binary(tmp_path / "test" / f"{channel}.bin", test)
+    np.save(tmp_path / "test" / f"{channel}.npy", test)
     entry = ManifestEntry(
         channel, [AnomalySegment(s, e) for s, e in segments], "X", num_values
     )

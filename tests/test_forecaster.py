@@ -1,5 +1,6 @@
 """Forecaster wiring: shapes, branch toggles, determinism, checkpoints."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -387,6 +388,22 @@ class TestCheckpoints:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match="shape"):
             load_checkpoint(path)
+
+
+    @pytest.mark.parametrize("mode, size", [("per_feature", 2), ("per_feature", 1),
+                                            ("per_feature", 4), ("global", 3)])
+    def test_rejects_normalization_shape_mismatch(self, tmp_path, mode, size):
+        # one minimum per feature, or one shared; anything else broadcasts wrongly
+        path = tmp_path / "m.ckpt"
+        params = init_forecaster(3, TINY, seed=0)
+        save_checkpoint(path, params, NormalizationStats(np.zeros(size), np.ones(size), mode))
+        expected = (3,) if mode == "per_feature" else (1,)
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"m.ckpt: {mode} normalization has shape ({size},), expected {expected}")):
+            load_checkpoint(path)
+        save_checkpoint(path, params, NormalizationStats(np.zeros(expected), np.ones(expected),
+                                                         mode))
+        assert load_checkpoint(path)[1].minimum.shape == expected
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -43,6 +43,8 @@ def test_train_then_resume_rescores_without_training(tmp_path, monkeypatch, caps
             "--limit", "1", "--quiet"]
 
     assert script.main(argv) == 0
+    # the archive is read in place: no converted copy of it under --work
+    assert sorted(p.name for p in work.iterdir()) == ["checkpoints", "report.csv", "scores"]
     scores = work / "scores" / "A-1.csv"
     report = (work / "report.csv").read_text().splitlines()
     assert report[0] == "channel,tp,fp,fn,precision,recall,f1"
