@@ -18,7 +18,9 @@ Normalization is min-max with statistics from the training split only.
 from __future__ import annotations
 
 import ast
+import contextlib
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -33,6 +35,14 @@ from .trainer import TrainConfig
 
 class DataFormatError(Exception):
     """A file does not match the format it is supposed to have."""
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of ``path``; undecodable bytes raise ``DataFormatError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -97,27 +107,7 @@ def write_matrix_csv(path, x: np.ndarray, feature_names: list[str] | None = None
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    return _read_numeric_csv(path, np.dtype(np.float64))
 
 
 def _read_npy(path) -> np.ndarray:
@@ -172,42 +162,37 @@ class ChannelDataset:
 def read_manifest(path) -> dict[str, ManifestEntry]:
     entries: dict[str, ManifestEntry] = {}
     seen: dict[str, int] = {}      # chan_id -> line it first appeared on
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        for required in ("chan_id", "anomaly_sequences"):
-            if required not in fields:
-                raise DataFormatError(f"{path}: manifest lacks a {required!r} column")
-        for row in reader:
-            lineno = reader.line_num          # DictReader skips blank lines
-            chan = (row.get("chan_id") or "").strip()
-            if not chan:
-                raise DataFormatError(f"{path}:{lineno}: empty chan_id")
-            if chan in seen:
-                raise DataFormatError(
-                    f"{path}:{lineno}: chan_id {chan!r} repeats line {seen[chan]}"
-                )
-            seen[chan] = lineno
-            try:
-                seqs = ast.literal_eval(row["anomaly_sequences"])
-                if any(type(b) is not int for pair in seqs for b in pair):
-                    raise ValueError(f"segment bounds must be integers, got {seqs}")
-                segments = [AnomalySegment(s, e) for s, e in seqs]
-            except (ValueError, SyntaxError, TypeError) as exc:
-                raise DataFormatError(
-                    f"{path}:{lineno}: bad anomaly_sequences ({exc})"
-                ) from None
-            raw_nv = (row.get("num_values") or "").strip()
-            if raw_nv and not raw_nv.isdecimal():
-                raise DataFormatError(
-                    f"{path}:{lineno}: num_values must be a non-negative integer, got {raw_nv!r}"
-                )
-            entries[chan] = ManifestEntry(
-                channel=chan,
-                segments=segments,
-                spacecraft=(row.get("spacecraft") or "").strip(),
-                num_values=int(raw_nv) if raw_nv else None,
+    reader = csv.DictReader(io.StringIO(_read_text(path)))
+    fields = reader.fieldnames or []
+    for required in ("chan_id", "anomaly_sequences"):
+        if required not in fields:
+            raise DataFormatError(f"{path}: manifest lacks a {required!r} column")
+    for row in reader:
+        lineno = reader.line_num          # DictReader skips blank lines
+        chan = (row.get("chan_id") or "").strip()
+        if not chan:
+            raise DataFormatError(f"{path}:{lineno}: empty chan_id")
+        if chan in seen:
+            raise DataFormatError(f"{path}:{lineno}: chan_id {chan!r} repeats line {seen[chan]}")
+        seen[chan] = lineno
+        try:
+            seqs = ast.literal_eval(row["anomaly_sequences"])
+            if any(type(b) is not int for pair in seqs for b in pair):
+                raise ValueError(f"segment bounds must be integers, got {seqs}")
+            segments = [AnomalySegment(s, e) for s, e in seqs]
+        except (ValueError, SyntaxError, TypeError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad anomaly_sequences ({exc})") from None
+        raw_nv = (row.get("num_values") or "").strip()
+        if raw_nv and not raw_nv.isdecimal():
+            raise DataFormatError(
+                f"{path}:{lineno}: num_values must be a non-negative integer, got {raw_nv!r}"
             )
+        entries[chan] = ManifestEntry(
+            channel=chan,
+            segments=segments,
+            spacecraft=(row.get("spacecraft") or "").strip(),
+            num_values=int(raw_nv) if raw_nv else None,
+        )
     if not entries:
         raise DataFormatError(f"{path}: manifest has no rows")
     return entries
@@ -223,8 +208,7 @@ def write_manifest(path, entries: list[ManifestEntry]):
 
 def is_manifest(path) -> bool:
     """True for a manifest header (has ``chan_id``), False for ``timestep,label``."""
-    with open(path, newline="") as fh:
-        header = [h.strip() for h in next(csv.reader(fh), [])]
+    header = [h.strip() for h in next(csv.reader(io.StringIO(_read_text(path))), [])]
     if "chan_id" in header:
         return True
     if header[:2] == ["timestep", "label"]:
@@ -265,18 +249,14 @@ def load_channel(data_dir, channel: str, manifest: dict | None = None) -> Channe
         )
     if entry.num_values is not None and entry.num_values != test.shape[0]:
         raise DataFormatError(
-            f"{channel}: manifest num_values={entry.num_values} but test has "
-            f"{test.shape[0]} rows"
+            f"{channel}: manifest num_values={entry.num_values} but test has {test.shape[0]} rows"
         )
     for seg in entry.segments:
         if seg.end >= test.shape[0]:
             raise DataFormatError(
-                f"{channel}: segment [{seg.start}, {seg.end}] exceeds test length "
-                f"{test.shape[0]}"
+                f"{channel}: segment [{seg.start}, {seg.end}] exceeds test length {test.shape[0]}"
             )
-    return ChannelDataset(
-        channel=channel, train=train, test=test, segments=entry.segments
-    )
+    return ChannelDataset(channel=channel, train=train, test=test, segments=entry.segments)
 
 
 # ---------------------------------------------------------------------------
@@ -312,29 +292,27 @@ def parse_config_file(path) -> tuple[ModelConfig, TrainConfig]:
     """Flat key=value config; unknown keys and malformed values are errors."""
     model_kwargs: dict = {}
     train_kwargs: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            where = f"{path}:{lineno}"
-            if key in model_kwargs or key in train_kwargs:
-                raise DataFormatError(f"{where}: duplicate key {key!r}")
-            if key in _MODEL_FIELDS:
-                model_kwargs[key] = _parse_value(_MODEL_FIELDS[key], raw, where)
-            elif key in _TRAIN_FIELDS:
-                train_kwargs[key] = _parse_value(_TRAIN_FIELDS[key], raw, where)
-            elif key in _FIXED_FIELDS:
-                if raw.lower() != _FIXED_FIELDS[key]:
-                    raise DataFormatError(
-                        f"{where}: only {key} = {_FIXED_FIELDS[key]} is supported, "
-                        f"got {raw!r}"
-                    )
-            else:
-                raise DataFormatError(f"{where}: unknown key {key!r}")
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        where = f"{path}:{lineno}"
+        if key in model_kwargs or key in train_kwargs:
+            raise DataFormatError(f"{where}: duplicate key {key!r}")
+        if key in _MODEL_FIELDS:
+            model_kwargs[key] = _parse_value(_MODEL_FIELDS[key], raw, where)
+        elif key in _TRAIN_FIELDS:
+            train_kwargs[key] = _parse_value(_TRAIN_FIELDS[key], raw, where)
+        elif key in _FIXED_FIELDS:
+            if raw.lower() != _FIXED_FIELDS[key]:
+                raise DataFormatError(
+                    f"{where}: only {key} = {_FIXED_FIELDS[key]} is supported, got {raw!r}"
+                )
+        else:
+            raise DataFormatError(f"{where}: unknown key {key!r}")
     try:
         return ModelConfig(**model_kwargs), TrainConfig(**train_kwargs)
     except ValueError as exc:
@@ -346,35 +324,57 @@ def parse_config_file(path) -> tuple[ModelConfig, TrainConfig]:
 # ---------------------------------------------------------------------------
 
 def _write_csv(path, header: list[str], rows):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _read_timestep_csv(path, column: str, parse) -> tuple[np.ndarray, int]:
+def _read_numeric_csv(path, dtype: np.dtype) -> np.ndarray:
+    """Rows of a numeric CSV by numpy's C reader; blank lines are skipped, ``#`` starts
+    no comment, and errors name ``path:line``. A structured ``dtype`` pins the first
+    header cells to its field names and reads only their columns; a plain one wants
+    one cell per header cell."""
+    text = io.StringIO(_read_text(path))
+    reader = csv.reader(text)
+    header = next(reader, None)
+    lines = text.read().split("\n")
+    names = dtype.names
+    if names and (header is None or [h.strip() for h in header[:len(names)]] != list(names)):
+        raise DataFormatError(f"{path}: expected a '{','.join(names)}' header")
+    if header is None:
+        raise DataFormatError(f"{path}: empty file")
+    if not any(lines):
+        raise DataFormatError(f"{path}: no {names[-1] if names else 'data'} rows")
+    width = len(names or header)
+    kw = dict(dtype=dtype, delimiter=",", quotechar='"', comments=None,
+              usecols=range(width) if names else None, ndmin=1 if names else 2)
+    with contextlib.suppress(ValueError):   # else parse line by line to name the bad one
+        rows = np.loadtxt(lines, **kw)
+        if names or rows.shape[1] == width:
+            return rows
+    for lineno, line in enumerate(lines, start=reader.line_num + 1):
+        cells = next(csv.reader([line]), [])
+        if not cells:
+            continue
+        if len(cells) < width or (not names and len(cells) > width):
+            raise DataFormatError(f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
+        try:
+            np.loadtxt([line], **kw)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {width} numbers, got {cells[:width]}"
+            ) from None
+    raise DataFormatError(f"{path}: unreadable rows")
+
+
+def _read_timestep_csv(path, column: str, kind) -> tuple[np.ndarray, int]:
     """A ``timestep,<column>`` CSV -> (values, first_timestep); timesteps must be contiguous."""
-    timesteps: list[int] = []
-    values: list = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["timestep", column]:
-            raise DataFormatError(f"{path}: expected a 'timestep,{column}' header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                timesteps.append(int(row[0]))
-                values.append(parse(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    if not values:
-        raise DataFormatError(f"{path}: no {column} rows")
-    ts = np.asarray(timesteps)
+    rows = _read_numeric_csv(path, np.dtype([("timestep", np.int64), (column, kind)]))
+    ts = rows["timestep"]
     if not np.array_equal(ts, np.arange(ts[0], ts[0] + ts.size)):
         raise DataFormatError(f"{path}: timesteps must be contiguous and ascending")
-    return np.asarray(values), int(ts[0])
+    return np.ascontiguousarray(rows[column]), int(ts[0])
 
 
 def write_scores_csv(path, seq: ScoreSequence):
@@ -383,7 +383,7 @@ def write_scores_csv(path, seq: ScoreSequence):
 
 
 def read_scores_csv(path) -> ScoreSequence:
-    scores, first = _read_timestep_csv(path, "score", float)
+    scores, first = _read_timestep_csv(path, "score", np.float64)
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         raise DataFormatError(
@@ -399,7 +399,7 @@ def write_labels_csv(path, labels: np.ndarray, first_timestep: int = 0):
 
 def read_labels_csv(path) -> tuple[np.ndarray, int]:
     """Aligned labels file -> (labels, first_timestep)."""
-    labels, first = _read_timestep_csv(path, "label", int)
+    labels, first = _read_timestep_csv(path, "label", np.int64)
     if not np.isin(labels, (0, 1)).all():
         raise DataFormatError(f"{path}: labels must be 0/1")
     return labels, first

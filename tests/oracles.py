@@ -6,6 +6,8 @@ code with the package so that agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 
@@ -127,3 +129,53 @@ def numeric_grad(fn, arr: np.ndarray, coords, eps: float = 1e-6) -> dict[int, fl
 
 def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def read_matrix_csv_reference(path) -> np.ndarray:
+    """Matrix CSV by ``csv.reader`` and ``float()`` per cell; errors are ValueErrors naming
+    ``path:line`` (a record's line, past blank ones)."""
+    rows: list[list[float]] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        width = len(header)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def read_timestep_csv_reference(path, column: str, parse) -> tuple[np.ndarray, int]:
+    """``timestep,<column>`` CSV -> (values, first_timestep) by ``int()``/``parse`` per row;
+    columns past the second are ignored. Errors as in ``read_matrix_csv_reference``."""
+    timesteps: list[int] = []
+    values: list = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:2]] != ["timestep", column]:
+            raise ValueError(f"{path}: expected a 'timestep,{column}' header")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                timesteps.append(int(row[0]))
+                values.append(parse(row[1]))
+            except (ValueError, IndexError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not values:
+        raise ValueError(f"{path}: no {column} rows")
+    ts = np.asarray(timesteps)
+    if not np.array_equal(ts, np.arange(ts[0], ts[0] + ts.size)):
+        raise ValueError(f"{path}: timesteps must be contiguous and ascending")
+    return np.asarray(values), int(ts[0])

@@ -533,7 +533,7 @@ class TestSmallCsvs:
         with pytest.raises(DataFormatError, match=f"t.csv: no {column} rows"):
             reader(path)
         path.write_text(f"timestep,{column}\n0,1\n1\n")
-        with pytest.raises(DataFormatError, match="t.csv:3: list index out of range"):
+        with pytest.raises(DataFormatError, match="t.csv:3: expected 2 columns, got 1"):
             reader(path)
         path.write_text(f"timestep,{column}\n0,1\n1,x\n")
         with pytest.raises(DataFormatError, match="t.csv:3: .*'x'"):
