@@ -8,6 +8,7 @@ failure (diverged training, impossible tail fit).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -31,9 +32,9 @@ from .data import (
     write_scores_csv,
     write_sweep_csv,
 )
-from .evaluation import aggregate, point_adjusted_report
+from .evaluation import aggregate, labels_from_segments, point_adjusted_report
 from .forecaster import ModelConfig, load_checkpoint, save_checkpoint
-from .pipeline import evaluate_channel, fit_channel, scored_labels
+from .pipeline import evaluate_channel, fit_channel
 from .thresholds import (
     GpdFitError,
     ScoreSequence,
@@ -83,6 +84,7 @@ def _threshold(text: str) -> float:
     return value
 
 
+@functools.cache  # built once a process; parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tcnad",
@@ -91,18 +93,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("train", help="train one forecaster per channel")
-    p.add_argument("--data", required=True, help="dataset dir with train/, test/, labeled_anomalies.csv")
-    p.add_argument("--channel", action="append", required=True,
-                   help="channel id (repeatable); 'all' selects every manifest channel")
+    fit = argparse.ArgumentParser(add_help=False)  # options train and sweep-window share
+    fit.add_argument("--data", required=True, help="dataset dir with train/, test/, labeled_anomalies.csv")
+    fit.add_argument("--channel", action="append", required=True,
+                     help="channel id (repeatable); 'all' selects every manifest channel")
+    fit.add_argument("--config", help="key = value config file")
+    fit.add_argument("--seed", type=int, help="override the config seed")
+    fit.add_argument("--epochs", type=int, help="override the config epoch count")
+    fit.add_argument("--global-minmax", action="store_true",
+                     help="normalize with one global min/max instead of per-feature")
+    fit.add_argument("--quiet", action="store_true", help="suppress per-epoch progress")
+
+    p = sub.add_parser("train", parents=[fit], help="train one forecaster per channel")
     p.add_argument("--out", required=True, help="output dir for checkpoints and loss curves")
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--epochs", type=int, help="override the config epoch count")
     p.add_argument("--window", type=int, help="override the config window length")
-    p.add_argument("--global-minmax", action="store_true",
-                   help="normalize with one global min/max instead of per-feature")
-    p.add_argument("--quiet", action="store_true", help="suppress per-epoch progress")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="score a test series with a trained checkpoint")
@@ -136,16 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional report CSV")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep-window", help="train/evaluate across window lengths")
-    p.add_argument("--data", required=True)
-    p.add_argument("--channel", action="append", required=True)
+    p = sub.add_parser("sweep-window", parents=[fit], help="train/evaluate across window lengths")
     p.add_argument("--windows", required=True, help="comma list, e.g. 20,40,60,80,100")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--global-minmax", action="store_true")
     p.add_argument("--out", help="optional CSV of window,precision,recall,f1")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-curves", help="per-timestep score/threshold/label/prediction CSV")
@@ -163,18 +160,18 @@ def build_parser() -> argparse.ArgumentParser:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _load_configs(args) -> tuple[ModelConfig, TrainConfig]:
-    if getattr(args, "config", None):
+def _load_configs(args) -> tuple[ModelConfig, TrainConfig, str]:
+    if args.config:
         model_cfg, train_cfg = parse_config_file(args.config)
     else:
         model_cfg, train_cfg = ModelConfig(), TrainConfig()
-    if getattr(args, "window", None) is not None:
+    if getattr(args, "window", None) is not None:  # train only; sweep-window sets its own
         model_cfg = replace(model_cfg, window=args.window)
-    if getattr(args, "epochs", None) is not None:
+    if args.epochs is not None:
         train_cfg = replace(train_cfg, epochs=args.epochs)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
-    return model_cfg, train_cfg
+    return model_cfg, train_cfg, "global" if args.global_minmax else "per_feature"  # norm mode
 
 
 def _read_channels(data_dir, requested: list[str]) -> tuple[dict, list[str]]:
@@ -188,30 +185,27 @@ def _read_channels(data_dir, requested: list[str]) -> tuple[dict, list[str]]:
 def _label_aligner(labels_path):
     """Parse a labels CSV or manifest once; return ``align(seq, channel)``, which
     gives the labels of exactly the scored timesteps."""
-    if is_manifest(labels_path):
-        manifest = read_manifest(labels_path)
-
-        def align(seq: ScoreSequence, channel: str) -> np.ndarray:
-            if channel not in manifest:
-                raise DataFormatError(f"channel {channel!r} not found in {labels_path}")
-            entry = manifest[channel]
-            end = seq.first_timestep + seq.scores.size
-            length = entry.num_values if entry.num_values is not None else end
-            try:
-                return scored_labels(entry.segments, length, seq)
-            except ValueError as exc:
-                raise DataFormatError(f"{labels_path}: channel {channel!r}: {exc}") from None
-
-        return align
-
-    labels, first = read_labels_csv(labels_path)
+    manifest = read_manifest(labels_path) if is_manifest(labels_path) else None
+    from_csv = read_labels_csv(labels_path) if manifest is None else None
 
     def align(seq: ScoreSequence, channel: str) -> np.ndarray:
         lo, n = seq.first_timestep, seq.scores.size
+        if manifest is None:
+            (labels, first), where = from_csv, labels_path
+        elif channel not in manifest:
+            raise DataFormatError(f"channel {channel!r} not found in {labels_path}")
+        else:
+            # a channel's labels start at timestep 0 and without num_values end with the scores
+            entry, where = manifest[channel], f"{labels_path}: channel {channel!r}"
+            length = entry.num_values if entry.num_values is not None else lo + n
+            try:
+                labels, first = labels_from_segments(entry.segments, length), 0
+            except ValueError as exc:
+                raise DataFormatError(f"{where}: {exc}") from None
         offset = lo - first
         if offset < 0 or offset + n > labels.size:
             raise DataFormatError(
-                f"{labels_path}: labels cover timesteps {first}..{first + labels.size - 1} "
+                f"{where}: labels cover timesteps {first}..{first + labels.size - 1} "
                 f"but scores need {lo}..{lo + n - 1}"
             )
         return labels[offset : offset + n]
@@ -230,8 +224,7 @@ def _progress(channel, epochs, quiet):
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    model_cfg, train_cfg = _load_configs(args)
-    norm_mode = "global" if args.global_minmax else "per_feature"
+    model_cfg, train_cfg, norm_mode = _load_configs(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest, channels = _read_channels(args.data, args.channel)
@@ -329,7 +322,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    model_cfg, train_cfg = _load_configs(args)
+    model_cfg, train_cfg, norm_mode = _load_configs(args)
     try:
         windows = [int(w) for w in args.windows.replace(" ", "").split(",") if w]
     except ValueError:
@@ -337,7 +330,6 @@ def cmd_sweep(args) -> int:
     if not windows:
         raise UsageError("--windows is empty")
     manifest, channels = _read_channels(args.data, args.channel)
-    norm_mode = "global" if args.global_minmax else "per_feature"
 
     reports = [[] for _ in windows]          # reports[k]: one per channel at windows[k]
     for channel in channels:
@@ -370,9 +362,8 @@ def cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # raised by --help (0) and usage errors (1)
         return int(exc.code or 0)
     try:

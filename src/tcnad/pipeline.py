@@ -28,20 +28,13 @@ def fit_channel(train_matrix: np.ndarray, model_cfg: ModelConfig, train_cfg: Tra
     return stats, params, train(params, windows, train_cfg, progress=progress)
 
 
-def scored_labels(segments: list[AnomalySegment], length: int, seq: ScoreSequence) -> np.ndarray:
-    """Labels of a ``length``-step series cut to exactly the timesteps ``seq`` scores."""
-    lo, hi = seq.first_timestep, seq.first_timestep + seq.scores.size
-    if length < hi:
-        raise ValueError(f"labels cover {length} steps but the scores reach timestep {hi - 1}")
-    return labels_from_segments(segments, length)[lo:hi]
-
-
 def evaluate_channel(params: ForecasterParams, stats: NormalizationStats, test_matrix: np.ndarray,
                      segments: list[AnomalySegment], channel: str = ""
                      ) -> tuple[ScoreSequence, ThresholdResult, EvalReport]:
     """Score the test split, pick the best-F1 threshold and evaluate it point-adjusted."""
     seq = anomaly_scores(params, normalize(test_matrix, stats))
-    labels = scored_labels(segments, test_matrix.shape[0], seq)
+    # anomaly_scores scores through the last row: the scored labels are the tail
+    labels = labels_from_segments(segments, test_matrix.shape[0])[seq.first_timestep:]
     chosen = best_f1_threshold(seq.scores, labels)
     preds = apply_threshold(seq.scores, chosen.threshold)
     return seq, chosen, point_adjusted_report(preds, labels, channel=channel)

@@ -135,6 +135,40 @@ class TestUsageErrors:
         assert lines[1].startswith("C-1,2,0,0,") and lines[2].startswith("C-2,2,2,0,")
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["train", "sweep-window"])
+    def test_negative_seed_flag(self, tmp_path, command, capsys):
+        _write_dataset(tmp_path)
+        extra = ["--out", str(tmp_path / "run")] if command == "train" else ["--windows", "8"]
+        code = main([command, "--data", str(tmp_path), "--channel", "C-1", "--seed", "-1",
+                     "--config", str(_write_config(tmp_path)), "--quiet", *extra])
+        assert code == EXIT_USAGE
+        assert f"tcnad {command}: error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_fitting_commands_share_option_help(self, capsys):
+        def option_help(command):
+            assert main([command, "--help"]) == EXIT_OK
+            blocks = {}
+            for line in capsys.readouterr().out.split("options:\n", 1)[1].splitlines():
+                if line.startswith("  -"):
+                    words = blocks.setdefault(line.split()[0], [])
+                words += line.split()
+            return blocks
+
+        train, sweep = option_help("train"), option_help("sweep-window")
+        for option in ("--data", "--channel", "--config", "--seed", "--epochs",
+                       "--global-minmax", "--quiet"):
+            assert len(train[option]) > 2 and sweep[option] == train[option], option
+
+    def test_calls_share_the_parser_but_no_arguments(self, four_point, capsys):
+        scores, labels = four_point
+        argv = ["evaluate", "--scores", str(scores), "--labels", str(labels), "--threshold", "0.5"]
+        assert main([*argv, "--channel", "A"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("A: ")
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("C-1: ")  # the file stem again
+        assert tcnad.cli.build_parser() is tcnad.cli.build_parser()
+
     def test_grid_without_labels(self, four_point, capsys):
         scores, _ = four_point
         assert main(["threshold", "--scores", str(scores), "--method", "grid"]) == EXIT_USAGE
@@ -193,7 +227,46 @@ class TestDataErrors:
              "--labels", str(manifest)]
         )
         assert code == EXIT_DATA
-        assert "reach timestep 3" in capsys.readouterr().err
+        assert "labels cover timesteps 0..2 but scores need 0..3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["manifest", "csv"])
+    def test_both_label_sources_report_short_labels_alike(self, tmp_path, four_point, source,
+                                                         capsys):
+        scores, _ = four_point  # timesteps 0..3
+        if source == "manifest":
+            labels = tmp_path / "labeled_anomalies.csv"
+            write_manifest(labels, [ManifestEntry("C-1", [AnomalySegment(1, 1)], "X", 3)])
+            where = f"{labels}: channel 'C-1'"
+        else:
+            labels = tmp_path / "short.csv"
+            write_labels_csv(labels, np.array([0, 1, 0]))
+            where = str(labels)
+        for argv in (["threshold", "--method", "grid"], ["evaluate", "--threshold", "0.5"],
+                     ["export-curves", "--threshold", "0.5", "--out", str(tmp_path / "c.csv")]):
+            assert main([*argv, "--scores", str(scores), "--labels", str(labels)]) == EXIT_DATA
+            assert (f"data error: {where}: labels cover timesteps 0..2 but scores need 0..3"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_manifest_segment_past_its_labels(self, tmp_path, four_point, capsys):
+        scores, _ = four_point  # timesteps 0..3
+        manifest = tmp_path / "labeled_anomalies.csv"
+        write_manifest(manifest, [ManifestEntry("C-1", [AnomalySegment(3, 5)], "X", None)])
+        code = main(["threshold", "--scores", str(scores), "--method", "grid",
+                     "--labels", str(manifest)])
+        assert code == EXIT_DATA
+        assert f"{manifest}: channel 'C-1': segment [3, 5] exceeds length 4" in (
+            capsys.readouterr().err)
+
+    def test_negative_seed_in_config(self, tmp_path, capsys):
+        _write_dataset(tmp_path)
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(CONFIG.replace("seed = 1", "seed = -1"))
+        code = main(["train", "--data", str(tmp_path), "--channel", "C-1",
+                     "--out", str(tmp_path / "run"), "--config", str(cfg), "--quiet"])
+        assert code == EXIT_DATA
+        assert f"{cfg}: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "C-1.ckpt").exists()
 
     def test_score_feature_count_mismatch(self, tmp_path, capsys):
         ckpt = tmp_path / "m3.ckpt"
@@ -320,6 +393,17 @@ class TestThresholdCommand:
         write_scores_csv(path, ScoreSequence(s, 0))
         assert main(["threshold", "--scores", str(path), "--method", "epsilon"]) == EXIT_DATA
         assert "non-finite score nan at timestep 40" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_pot_min_exceedances_below_one(self, tmp_path, value, capsys):
+        path = tmp_path / "s.csv"
+        write_scores_csv(path, ScoreSequence(np.r_[np.linspace(0, 1, 58), 1.0, 5.0], 0))
+        code = main(["threshold", "--scores", str(path), "--method", "pot",
+                     "--min-exceedances", value])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"min_exceedances must be >= 1, got {value}" in captured.err
+        assert "threshold=" not in captured.out
 
     def test_pot_too_few_points_is_numeric_failure(self, tmp_path, capsys):
         path = tmp_path / "s.csv"

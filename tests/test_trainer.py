@@ -60,7 +60,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"epochs": -1}, {"batch_size": 0}, {"learning_rate": 0.0},
         {"val_fraction": 1.0}, {"val_fraction": -0.1},
-        {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+        {"learning_rate": float("nan")}, {"learning_rate": float("inf")}, {"seed": -1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
