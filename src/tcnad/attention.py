@@ -35,9 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .autodiff import (
     Tensor,
+    active_tape,
     matmul,
     pair_scores,
     reshape,
@@ -142,19 +144,82 @@ def static_scores(queries: Tensor, keys: Tensor, params: AttentionParams) -> Ten
     return pair_scores(p, q, Tensor(np.ones(1)))
 
 
+def _scores(queries: Tensor, keys: Tensor, params: AttentionParams) -> Tensor:
+    scores = dynamic_scores if params.mode == "dynamic" else static_scores
+    return scores(queries, keys, params)
+
+
+def _aggregate(scores: Tensor, values: Tensor, params: AttentionParams) -> Tensor:
+    """Softmax the (..., q, n) scores per query, aggregate the (..., n, d_v)
+    values, then activate; returns (..., q, d_v)."""
+    agg = matmul(softmax_rows(scores), values)
+    return sigmoid(agg) if params.activation == "sigmoid" else agg
+
+
 def attend(queries: Tensor, keys: Tensor, values: Tensor, params: AttentionParams) -> Tensor:
     """Score the (..., q, d_in) queries against the (..., n, d_in) keys,
     softmax-normalize per query, aggregate the (..., n, d_v) values, then
     activate; returns (..., q, d_v)."""
-    scores = dynamic_scores if params.mode == "dynamic" else static_scores
-    agg = matmul(softmax_rows(scores(queries, keys, params)), values)
-    return sigmoid(agg) if params.activation == "sigmoid" else agg
+    return _aggregate(_scores(queries, keys, params), values, params)
 
 
-def temporal_attention(x: Tensor, rows: Tensor, params: AttentionParams) -> Tensor:
+def _shared_scores(x: Tensor, rows: Tensor, params: AttentionParams, edge: int) -> Tensor:
+    """The (n, r, w) scores of the last r rows of n consecutive (w, m) windows
+    against all their rows, each pair whose rows both sit at or past ``edge``
+    scored once per group of about sqrt(r * w) windows.
+
+    Row t >= edge of window i is row t - 1 of window i + 1, so a group of g
+    windows holds g + w - edge - 1 distinct such rows, and window u of the
+    group reads its scores from row and column u of the group's block: a
+    strided view whose window step is one row plus one column. Keys before
+    ``edge``, and queries before it (when r > w - edge), are scored per window.
+    """
+    xv = x.values
+    n, w, m = xv.shape
+    q0 = w - rows.values.shape[-2]                   # first query row of a window
+    s0 = max(q0, edge)                               # first shared query row
+    nq, nk = w - s0, w - edge                        # shared queries and keys a window
+    groups = int(np.ceil(n / max(1.0, np.sqrt((nq - 1) * (nk - 1)))))
+    g = -(-n // groups)                              # windows a group
+    # window 0's rows from edge on, then each later window's last row; zero rows fill the last group
+    shared = np.concatenate([xv[0, edge:], xv[1:, -1], np.zeros((groups * g - n, m))])
+    keys = sliding_window_view(shared, (g + nk - 1, m))[::g, 0]
+    block = _scores(Tensor(keys[:, nk - nq :]), Tensor(keys), params).values
+    step_g, step_q, step_k = block.strides
+    out = np.empty((groups * g, w - q0, w))
+    out.reshape(groups, g, w - q0, w)[:, :, s0 - q0 :, edge:] = as_strided(
+        block, (groups, g, nq, nk), (step_g, step_q + step_k, step_q, step_k), writeable=False)
+    out = out[:n]
+    if edge:
+        out[:, :, :edge] = _scores(rows, Tensor(xv[:, :edge]), params).values
+    if s0 > q0:
+        out[:, : s0 - q0, edge:] = _scores(Tensor(xv[:, q0:s0]), Tensor(xv[:, edge:]),
+                                           params).values
+    return Tensor(out)
+
+
+def temporal_attention(
+    x: Tensor, rows: Tensor, params: AttentionParams, shared_from: int | None = None
+) -> Tensor:
     """The (..., r, m) ``rows`` of a (..., w, m) window attend across its w time
-    steps; returns (..., r, m)."""
-    return attend(rows, x, x, params)
+    steps; returns (..., r, m).
+
+    With ``shared_from`` set, ``x`` is (B, w, m): B consecutive windows of one
+    series (window i + 1 is window i moved on one row, as ``build_windows``
+    gives them) in which every row from ``shared_from`` on is the same in each
+    window that holds it, and ``rows`` are their last r rows. The scores
+    between such rows are then computed once for all B windows. This is an
+    inference path: it records no gradient, so it refuses to run under a tape.
+    """
+    if shared_from is not None:
+        if active_tape() is not None:
+            raise RuntimeError("shared temporal-attention scores are not taped; "
+                               "compute them outside any Tape")
+        if x.values.ndim != 3:
+            raise ValueError(f"shared scores need a (B, w, m) chunk, got {x.values.shape}")
+    if shared_from is None or shared_from >= x.values.shape[-2]:
+        return attend(rows, x, x, params)
+    return _aggregate(_shared_scores(x, rows, params, shared_from), x, params)
 
 
 def variable_attention(x: Tensor, rows: Tensor, params: AttentionParams) -> Tensor:

@@ -362,9 +362,9 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis of a tensor with at least 2 axes, max-subtracted for stability."""
     if x.values.ndim < 2:
         raise ValueError("softmax_rows expects at least 2 axes")
-    shifted = x.values - x.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.values - x.values.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def rule(g):

@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-quantile", type=float, default=0.98,
                    help="initial quantile for pot (default 0.98)")
     p.add_argument("--min-exceedances", type=int, default=32,
-                   help="minimum tail points for pot (default 32)")
+                   help="minimum tail points for pot, at least 2 (default 32)")
     p.add_argument("--out", help="optional JSON result file")
     p.set_defaults(func=cmd_threshold)
 

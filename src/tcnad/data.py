@@ -17,12 +17,13 @@ Normalization is min-max with statistics from the training split only.
 
 from __future__ import annotations
 
-import ast
 import contextlib
 import csv
 import io
+import json
 import warnings
 from dataclasses import dataclass, field, fields
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +104,7 @@ def write_matrix_csv(path, x: np.ndarray, feature_names: list[str] | None = None
     names = feature_names or [f"f{i}" for i in range(x.shape[1])]
     if len(names) != x.shape[1]:
         raise ValueError("feature_names length mismatch")
-    _write_csv(path, names, ([repr(float(v)) for v in row] for row in x))
+    _write_number_csv(path, names, ",".join(["{!r}"] * x.shape[1]), list(x.T))
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -175,13 +176,17 @@ def read_manifest(path) -> dict[str, ManifestEntry]:
         if chan in seen:
             raise DataFormatError(f"{path}:{lineno}: chan_id {chan!r} repeats line {seen[chan]}")
         seen[chan] = lineno
+        raw = row["anomaly_sequences"]
         try:
-            seqs = ast.literal_eval(row["anomaly_sequences"])
+            seqs = json.loads(raw)
             if any(type(b) is not int for pair in seqs for b in pair):
-                raise ValueError(f"segment bounds must be integers, got {seqs}")
+                raise ValueError(f"got {seqs}")
             segments = [AnomalySegment(s, e) for s, e in seqs]
-        except (ValueError, SyntaxError, TypeError) as exc:
-            raise DataFormatError(f"{path}:{lineno}: bad anomaly_sequences ({exc})") from None
+        except (ValueError, TypeError) as exc:
+            raise DataFormatError(
+                f"{path}:{lineno}: bad anomaly_sequences {raw!r}, want a JSON list of [start, "
+                f"end] pairs, segment bounds must be integers with 0 <= start <= end: {exc}"
+            ) from None
         raw_nv = (row.get("num_values") or "").strip()
         if raw_nv and not raw_nv.isdecimal():
             raise DataFormatError(
@@ -330,6 +335,23 @@ def _write_csv(path, header: list[str], rows):
         writer.writerows(rows)
 
 
+# Cells ``_write_number_csv`` turns into Python numbers at a time.
+_CELLS = 2**12
+
+
+def _write_number_csv(path, header: list[str], fmt: str, columns: list[np.ndarray]):
+    """``header``, then one line per row of the equal-length ``columns``, formatted by the
+    ``str.format`` pattern ``fmt``: the bytes ``_write_csv`` writes for plain numbers
+    (CRLF line ends, ``repr`` floats) at well under its cost a row. The columns become
+    Python numbers a block of rows at a time, so memory does not grow with the file."""
+    line = (fmt + "\r\n").format
+    step = max(1, _CELLS // len(columns))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(columns[0]), step):
+            fh.writelines(starmap(line, zip(*(c[start : start + step].tolist() for c in columns))))
+
+
 def _read_numeric_csv(path, dtype: np.dtype) -> np.ndarray:
     """Rows of a numeric CSV by numpy's C reader; blank lines are skipped, ``#`` starts
     no comment, and errors name ``path:line``. A structured ``dtype`` pins the first
@@ -378,8 +400,7 @@ def _read_timestep_csv(path, column: str, kind) -> tuple[np.ndarray, int]:
 
 
 def write_scores_csv(path, seq: ScoreSequence):
-    _write_csv(path, ["timestep", "score"],
-               ([int(t), repr(float(s))] for t, s in zip(seq.timesteps, seq.scores)))
+    _write_number_csv(path, ["timestep", "score"], "{},{!r}", [seq.timesteps, seq.scores])
 
 
 def read_scores_csv(path) -> ScoreSequence:
@@ -393,8 +414,9 @@ def read_scores_csv(path) -> ScoreSequence:
 
 
 def write_labels_csv(path, labels: np.ndarray, first_timestep: int = 0):
-    _write_csv(path, ["timestep", "label"],
-               ([first_timestep + i, int(v)] for i, v in enumerate(np.asarray(labels))))
+    labels = np.asarray(labels).astype(np.int64)
+    _write_number_csv(path, ["timestep", "label"], "{},{}",
+                      [np.arange(first_timestep, first_timestep + labels.size), labels])
 
 
 def read_labels_csv(path) -> tuple[np.ndarray, int]:
@@ -432,7 +454,7 @@ def write_curve_csv(path, seq: ScoreSequence, threshold: float,
     predictions = np.asarray(predictions)
     if labels.size != seq.scores.size or predictions.size != seq.scores.size:
         raise ValueError("labels/predictions must align with the score sequence")
-    _write_csv(path, ["timestep", "score", "threshold", "label", "prediction"], (
-        [int(t), repr(float(s)), repr(float(threshold)), int(l), int(p)]
-        for t, s, l, p in zip(seq.timesteps, seq.scores, labels, predictions)
-    ))
+    _write_number_csv(path, ["timestep", "score", "threshold", "label", "prediction"],
+                      f"{{}},{{!r}},{float(threshold)!r},{{}},{{}}",
+                      [seq.timesteps, seq.scores, labels.astype(np.int64),
+                       predictions.astype(np.int64)])

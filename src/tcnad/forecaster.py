@@ -168,6 +168,7 @@ def forward(
     params: ForecasterParams,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    consecutive: bool = False,
 ) -> Tensor:
     """Predict the next observation from a (..., window, m) tensor; returns (..., m).
 
@@ -178,7 +179,10 @@ def forward(
     attention aggregates, and the first part of the TCN input.
 
     Leading axes are a batch of independent windows. In training one dropout
-    mask per op covers the whole batch.
+    mask per op covers the whole batch. ``consecutive`` says the (B, w, m)
+    batch is B consecutive windows of one series, as ``build_windows`` gives
+    them; temporal attention then scores the preconv rows the zero padding
+    does not reach once for the whole batch (untaped inference only).
     """
     cfg = params.config
     w, m = cfg.window, params.n_features
@@ -191,7 +195,10 @@ def forward(
     tail = slice_rows(h, w - r, w)
     parts = [tail]
     if params.temporal is not None:
-        parts.append(temporal_attention(h, tail, params.temporal))
+        if consecutive:
+            parts.append(temporal_attention(h, tail, params.temporal, cfg.conv_kernel - 1))
+        else:
+            parts.append(temporal_attention(h, tail, params.temporal))
     if params.variable is not None:
         parts.append(variable_attention(h, tail, params.variable))
     z = concat_cols(parts) if len(parts) > 1 else parts[0]

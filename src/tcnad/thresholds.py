@@ -326,8 +326,8 @@ def pot_threshold(
         raise ValueError(f"q must be in (0, 1), got {q}")
     if not 0.0 < init_quantile < 1.0:
         raise ValueError(f"init_quantile must be in (0, 1), got {init_quantile}")
-    if min_exceedances < 1:
-        raise ValueError(f"min_exceedances must be >= 1, got {min_exceedances}")
+    if min_exceedances < 2:   # a one-point fit sits at the grid edge and looks confident
+        raise ValueError(f"min_exceedances must be >= 2, got {min_exceedances}")
     n_total = scores.size
     th0 = float(np.quantile(scores, init_quantile))
     excesses = scores[scores > th0] - th0

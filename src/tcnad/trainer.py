@@ -1,8 +1,9 @@
 """Sliding windows, the Adam training loop, and the one inference loop.
 
-Both loops push chunks of windows through one batched ``forward``. A chunk is
-sized so what its windows keep on the tape stays near ``_CHUNK_BYTES``, which
-bounds memory whatever the batch size.
+Both loops push chunks of windows through one batched ``forward``. A training
+chunk is sized so what its windows keep on the tape stays near
+``_CHUNK_BYTES``, an inference chunk so what its untaped forward holds at once
+stays near ``_SCORE_BYTES``; either bounds memory whatever the batch size.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from .tcn import receptive_field
 
 # Bytes the windows of one chunk may keep on the tape, 3.75 MiB.
 _CHUNK_BYTES = 15 * 2**18
+# Bytes one untaped scoring chunk may hold at once, 2.25 MiB. Longer chunks
+# share more attention scores, but at the paper config chunks of 24 or more
+# windows grew the heap past training's high-water mark (peak RSS +1 MB).
+_SCORE_BYTES = 9 * 2**18
 
 
 class EmptyDatasetError(ValueError):
@@ -83,17 +88,46 @@ def _window_bytes(params: ForecasterParams) -> int:
 
 
 def _chunk_size(params: ForecasterParams) -> int:
-    """Windows per batched ``forward``: 4 at the paper config, 48 at the demo one."""
+    """Windows per taped ``forward``: 4 at the paper config, 48 at the demo one."""
     return max(1, _CHUNK_BYTES // _window_bytes(params))
 
 
+def _score_window_bytes(params: ForecasterParams) -> int:
+    """About the most one window holds at once in an untaped ``forward``, in the
+    larger of two stretches: temporal attention, with the (w, m) preconv output
+    and two (r, w) float arrays (the scores, or a window's share of the shared
+    ones, and their softmax); and the TCN, with the (w, m) preconv output, the
+    (r, m) branch outputs, the (r, branches*m) TCN input, the widest block
+    conv's padded input and five (r, channels) arrays."""
+    cfg = params.config
+    w, m, c = cfg.window, params.n_features, cfg.tcn_channels
+    r = min(w, receptive_field(params.tcn))
+    branches = 1 + (params.temporal is not None) + (params.variable is not None)
+    padded = max((r + (b.kernel_size - 1) * b.dilation) * b.conv1_filters.values.shape[1]
+                 for b in params.tcn)
+    floats = w * m + (2 * branches - 1) * r * m + padded + 5 * r * c
+    if params.temporal is not None:
+        floats = max(floats, w * m + 2 * r * w)
+    return 8 * floats
+
+
+def _score_chunk_size(params: ForecasterParams) -> int:
+    """Windows per untaped ``forward``: 16 at the paper config, 130 at the demo one."""
+    return max(1, _SCORE_BYTES // _score_window_bytes(params))
+
+
 def window_scores(params: ForecasterParams, windows: np.ndarray) -> np.ndarray:
-    """Per-window RMSE of the one-step forecast, without any tape or dropout."""
-    size = _chunk_size(params)
+    """Per-window RMSE of the one-step forecast, without any tape or dropout.
+
+    A chunk of consecutive windows, as ``build_windows`` returns them, shares
+    its temporal-attention scores across its windows.
+    """
+    size = _score_chunk_size(params)
     preds = np.empty((len(windows), params.n_features))
     for start in range(0, len(windows), size):
-        chunk = windows[start : start + size]
-        preds[start : start + size] = forward(Tensor(chunk[:, :-1]), params).values
+        x = windows[start : start + size, :-1]
+        consecutive = bool(np.array_equal(x[1:, :-1], x[:-1, 1:]))
+        preds[start : start + size] = forward(Tensor(x), params, consecutive=consecutive).values
     diff = preds - windows[:, -1]
     return np.sqrt(np.mean(diff * diff, axis=1))
 

@@ -179,3 +179,32 @@ def read_timestep_csv_reference(path, column: str, parse) -> tuple[np.ndarray, i
     if not np.array_equal(ts, np.arange(ts[0], ts[0] + ts.size)):
         raise ValueError(f"{path}: timesteps must be contiguous and ascending")
     return np.asarray(values), int(ts[0])
+
+
+def write_csv_reference(path, header: list[str], rows):
+    """``csv.writer`` one row at a time, every float cell as ``repr(float(v))``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_scores_csv_reference(path, timesteps, scores):
+    write_csv_reference(path, ["timestep", "score"],
+                        ([int(t), repr(float(s))] for t, s in zip(timesteps, scores)))
+
+
+def write_labels_csv_reference(path, labels, first_timestep: int = 0):
+    write_csv_reference(path, ["timestep", "label"],
+                        ([first_timestep + i, int(v)] for i, v in enumerate(labels)))
+
+
+def write_matrix_csv_reference(path, x, names: list[str]):
+    write_csv_reference(path, names, ([repr(float(v)) for v in row] for row in x))
+
+
+def write_curve_csv_reference(path, timesteps, scores, threshold, labels, predictions):
+    write_csv_reference(
+        path, ["timestep", "score", "threshold", "label", "prediction"],
+        ([int(t), repr(float(s)), repr(float(threshold)), int(l), int(p)]
+         for t, s, l, p in zip(timesteps, scores, labels, predictions)))

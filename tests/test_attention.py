@@ -266,6 +266,41 @@ class TestQueryRows:
                 self._assert_close(new, ref)
 
 
+def _overlapping_windows(rng, n, w, m, edge):
+    """n windows of one series of rows, each moved on one row from the last,
+    whose first ``edge`` rows are each window's own (as a zero-padded conv leaves them)."""
+    series = rng.standard_normal((n + w - 1, m))
+    x = np.stack([series[i : i + w] for i in range(n)])
+    x[:, :edge] = rng.standard_normal((n, edge, m))
+    return x
+
+
+class TestSharedScores:
+    # r = 3 shares every query row; r = 8 > w - edge also has edge queries;
+    # 23 windows make several groups, the last one filled with zero rows
+    @pytest.mark.parametrize("n", [1, 2, 23])
+    @pytest.mark.parametrize("r", [3, 8])
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    def test_equals_per_window_attention(self, mode, r, n):
+        rng = np.random.default_rng(11)
+        w, m, edge = 10, 4, 3
+        x = Tensor(_overlapping_windows(rng, n, w, m, edge))
+        rows = slice_rows(x, w - r, w)
+        params = init_attention(m, mode=mode, rng=rng)
+        shared = temporal_attention(x, rows, params, shared_from=edge).values
+        np.testing.assert_allclose(shared, temporal_attention(x, rows, params).values,
+                                   rtol=1e-14, atol=1e-15)
+
+    def test_refuses_a_tape_and_unbatched_windows(self):
+        rng = np.random.default_rng(12)
+        x = Tensor(_overlapping_windows(rng, 4, 6, 2, 1))
+        params = init_attention(2, rng=rng)
+        with Tape(), pytest.raises(RuntimeError, match="not taped"):
+            temporal_attention(x, x, params, shared_from=1)
+        with pytest.raises(ValueError, match=r"\(B, w, m\) chunk"):
+            temporal_attention(Tensor(x.values[0]), Tensor(x.values[0]), params, shared_from=1)
+
+
 def _variable_view(x, params):
     t = Tensor(x)
     return variable_attention(t, t, params).values

@@ -394,15 +394,16 @@ class TestThresholdCommand:
         assert main(["threshold", "--scores", str(path), "--method", "epsilon"]) == EXIT_DATA
         assert "non-finite score nan at timestep 40" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "-4"])
-    def test_pot_min_exceedances_below_one(self, tmp_path, value, capsys):
+    @pytest.mark.parametrize("value", ["1", "0", "-4"])
+    def test_pot_min_exceedances_below_two(self, tmp_path, value, capsys):
+        # one point above the 0.98 quantile: a one-point GPD fit would give 7.04
         path = tmp_path / "s.csv"
         write_scores_csv(path, ScoreSequence(np.r_[np.linspace(0, 1, 58), 1.0, 5.0], 0))
         code = main(["threshold", "--scores", str(path), "--method", "pot",
                      "--min-exceedances", value])
         assert code == EXIT_USAGE
         captured = capsys.readouterr()
-        assert f"min_exceedances must be >= 1, got {value}" in captured.err
+        assert f"min_exceedances must be >= 2, got {value}" in captured.err
         assert "threshold=" not in captured.out
 
     def test_pot_too_few_points_is_numeric_failure(self, tmp_path, capsys):

@@ -10,6 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    write_curve_csv_reference,
+    write_labels_csv_reference,
+    write_matrix_csv_reference,
+    write_scores_csv_reference,
+)
 from tcnad.data import (
     DataFormatError,
     ManifestEntry,
@@ -273,7 +279,16 @@ class TestManifest:
         with pytest.raises(DataFormatError, match="m.csv:2"):
             read_manifest(path)
 
-    @pytest.mark.parametrize("seqs", ["[[10.7, 11.2]]", "[[3, 4], [True, 9]]", "[[2, 4.0]]"])
+    @pytest.mark.parametrize("seqs", ["((5, 8),)", "[(5, 8)]", "[[5, 8],]", "[[0x5, 8]]", ""])
+    def test_sequences_must_be_json(self, tmp_path, seqs):
+        # Python literals that are not JSON are refused, naming the line
+        path = tmp_path / "m.csv"
+        path.write_text(f'chan_id,anomaly_sequences\nA,[]\nB,"{seqs}"\n')
+        with pytest.raises(DataFormatError, match="m.csv:3: bad anomaly_sequences"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("seqs", ["[[10.7, 11.2]]", "[[3, 4], [True, 9]]", "[[2, 4.0]]",
+                                      "[[3, 4], [true, 9]]"])
     def test_non_integer_bounds(self, tmp_path, seqs):
         # int() would truncate these to other segments without a word
         path = tmp_path / "m.csv"
@@ -586,3 +601,53 @@ def test_timestep_csv_roundtrip_property(scores, labels, first):
     assert seq.first_timestep == back_first == first
     assert seq.scores.dtype == np.float64 and seq.scores.tobytes() == scores.tobytes()
     np.testing.assert_array_equal(back, labels)
+
+
+# the values a float CSV must carry over exactly: signed zero, subnormals,
+# the largest finite double, and the exponent switches of repr
+_EDGE_FLOATS = np.array([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                         1e16, 9999999999999998.0, 1e-5, 0.0001, 1e-4 * 0.9,
+                         -1.7976931348623157e308, 0.1, 1 / 3, 123456.789])
+
+
+class TestCsvWritersMatchCsvModule:
+    """The numeric writers format rows themselves; the bytes must be those of
+    ``csv.writer`` with ``repr`` floats (``tests/oracles.py``)."""
+
+    def _floats(self, n, seed=0):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, size=n)
+        return np.concatenate([_EDGE_FLOATS, values])
+
+    def test_scores(self, tmp_path):
+        seq = ScoreSequence(self._floats(5000), 37)      # several blocks of rows
+        write_scores_csv(tmp_path / "a.csv", seq)
+        write_scores_csv_reference(tmp_path / "b.csv", seq.timesteps, seq.scores)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert b"\r\n37,0.0\r\n38,-0.0\r\n39,5e-324\r\n" in (tmp_path / "a.csv").read_bytes()
+
+    @pytest.mark.parametrize("labels", [np.arange(5000) % 3 == 0, np.array([True, False, True]),
+                                        np.array([1.0, 0.0])])
+    def test_labels(self, tmp_path, labels):
+        write_labels_csv(tmp_path / "a.csv", labels, 5)
+        write_labels_csv_reference(tmp_path / "b.csv", labels, 5)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("names", [None, ["a", "b,c", 'd"e']])
+    def test_matrix(self, tmp_path, names):
+        x = self._floats(4501, seed=1).reshape(-1, 3)
+        write_matrix_csv(tmp_path / "a.csv", x, names)
+        write_matrix_csv_reference(tmp_path / "b.csv", x, names or ["f0", "f1", "f2"])
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        np.testing.assert_array_equal(read_matrix_csv(tmp_path / "a.csv"), x)
+
+    @pytest.mark.parametrize("threshold", [0.25, -0.0, 1e16, 1e-5, 5e-324, np.float64(1 / 3)])
+    def test_curve(self, tmp_path, threshold):
+        scores = self._floats(40, seed=2)
+        seq = ScoreSequence(scores, 100)
+        labels = np.arange(scores.size) % 3 == 0
+        predictions = (np.arange(scores.size) % 2).astype(np.int32)
+        write_curve_csv(tmp_path / "a.csv", seq, threshold, labels, predictions)
+        write_curve_csv_reference(tmp_path / "b.csv", seq.timesteps, scores, threshold,
+                                  labels, predictions)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -186,8 +186,9 @@ class TestGradientFlow:
         assert decreases >= 15
 
 
-def _unpruned_forward(x, params, training=False, rng=None):
-    """Reference forward in which every layer computes all w rows (dropout 0 only)."""
+def _unpruned_forward(x, params, training=False, rng=None, consecutive=False):
+    """Reference forward in which every layer computes all w rows (dropout 0 only);
+    it scores every window on its own, so ``consecutive`` changes nothing."""
     assert params.config.dropout == 0.0
     w = params.config.window
     h = add(causal_dilated_conv1d(x, params.preconv_filters, 1), params.preconv_bias)

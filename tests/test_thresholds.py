@@ -283,8 +283,10 @@ class TestPot:
             pot_threshold(scores, q=0.0)
         with pytest.raises(ValueError):
             pot_threshold(scores, init_quantile=1.5)
-        with pytest.raises(ValueError, match="min_exceedances must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="min_exceedances must be >= 2, got 0"):
             pot_threshold(scores, min_exceedances=0)  # 0 would switch the tail-size guard off
+        with pytest.raises(ValueError, match="min_exceedances must be >= 2, got 1"):
+            pot_threshold(scores, min_exceedances=1)  # a one-point fit is no fit
         with pytest.raises(ValueError):
             pot_threshold(np.array([]))
 

@@ -1,5 +1,6 @@
 """Window construction, the training loop, and the chunked batched tape."""
 
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -240,6 +241,11 @@ def _chunk_bytes(params, chunk):
     return chunk * trainer._window_bytes(params)
 
 
+def _score_chunk_bytes(params, chunk):
+    """The ``_SCORE_BYTES`` value that makes ``_score_chunk_size(params) == chunk``."""
+    return chunk * trainer._score_window_bytes(params)
+
+
 def _per_window_reference(params, windows):
     """Mean loss and mean gradients of one 2-D forward per window.
 
@@ -302,7 +308,8 @@ class TestChunkedTape:
             np.sqrt(np.mean((forward(Tensor(w[:-1]), params).values - w[-1]) ** 2))
             for w in windows
         ]
-        with mock.patch.object(trainer, "_CHUNK_BYTES", _chunk_bytes(params, chunk)):
+        with mock.patch.object(trainer, "_SCORE_BYTES", _score_chunk_bytes(params, chunk)):
+            assert trainer._score_chunk_size(params) == chunk
             scores = window_scores(params, windows)
         np.testing.assert_allclose(scores, manual, rtol=1e-12)
 
@@ -327,6 +334,9 @@ class TestChunkedTape:
         sizes = {name: trainer._chunk_size(init_forecaster(m, cfg))
                  for name, (m, cfg) in NAMED_CONFIGS.items()}
         assert sizes == {"demo": 48, "small": 98, "paper": 4}
+        sizes = {name: trainer._score_chunk_size(init_forecaster(m, cfg))
+                 for name, (m, cfg) in NAMED_CONFIGS.items()}
+        assert sizes == {"demo": 130, "small": 267, "paper": 16}
 
     @pytest.mark.parametrize("name, variant", [
         pytest.param(name, variant, id=name if variant == "dynamic" else f"{name}-{variant}")
@@ -397,8 +407,117 @@ def test_chunked_tape_matches_per_window_property(
     np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
     for g, ref, scale in zip(grads, ref_grads, scales):
         _assert_close(g, ref, scale)
-    with mock.patch.object(trainer, "_CHUNK_BYTES", _chunk_bytes(params, chunk)):
+    with mock.patch.object(trainer, "_SCORE_BYTES", _score_chunk_bytes(params, chunk)):
         scores = window_scores(params, windows)
     manual = [np.sqrt(np.mean((forward(Tensor(w[:-1]), params).values - w[-1]) ** 2))
               for w in windows]
     np.testing.assert_allclose(scores, manual, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# shared temporal-attention scores in window_scores vs per-window forward
+# ---------------------------------------------------------------------------
+
+def _score_variants(cfg):
+    return _variants(cfg) | {
+        "dynamic-identity": replace(cfg, attention_activation="identity"),
+        "static-identity": replace(cfg, attention_mode="static",
+                                   attention_activation="identity"),
+    }
+
+
+def _per_window_scores(params, windows):
+    return np.array([np.sqrt(np.mean((forward(Tensor(w[:-1]), params).values - w[-1]) ** 2))
+                     for w in windows])
+
+
+def _assert_scores_match(scores, ref):
+    # the shared block reassociates nothing, but its matmuls may round like
+    # other rows of a larger product: agreement to 1e-14 relative
+    assert scores.shape == ref.shape
+    assert np.abs(scores - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+class TestSharedScores:
+    @pytest.mark.parametrize("name", ["demo", "paper"])
+    @pytest.mark.parametrize("variant", sorted(_score_variants(TINY)))
+    def test_named_configs_equal_per_window_forward(self, name, variant):
+        # one full chunk of the default size and a 1-window partial last chunk
+        m, cfg = NAMED_CONFIGS[name]
+        params = init_forecaster(m, _score_variants(replace(cfg, dropout=0.0))[variant], seed=3)
+        size = trainer._score_chunk_size(params)
+        windows = build_windows(_toy_series(n=cfg.window + size + 1, m=m), cfg.window)
+        assert len(windows) == size + 1
+        _assert_scores_match(window_scores(params, windows),
+                             _per_window_scores(params, windows))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 16])
+    @pytest.mark.parametrize("variant", sorted(_score_variants(TINY)))
+    def test_forced_chunk_sizes(self, variant, chunk):
+        # demo shapes (r > w - conv_kernel + 1, so some queries are edge rows);
+        # 23 windows leave a partial last chunk for every size but 1
+        m, cfg = NAMED_CONFIGS["demo"]
+        params = init_forecaster(m, _score_variants(cfg)[variant], seed=5)
+        windows = build_windows(_toy_series(n=cfg.window + 23, m=m, seed=1), cfg.window)
+        with mock.patch.object(trainer, "_SCORE_BYTES", _score_chunk_bytes(params, chunk)):
+            assert trainer._score_chunk_size(params) == chunk
+            scores = window_scores(params, windows)
+        _assert_scores_match(scores, _per_window_scores(params, windows))
+
+    @pytest.mark.parametrize("window, conv_kernel", [(3, 5), (5, 5), (6, 5), (9, 1)])
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    def test_windows_near_the_conv_kernel(self, window, conv_kernel, mode):
+        # window < conv_kernel shares nothing; window == conv_kernel shares one
+        # row a window; conv_kernel 1 leaves no edge rows at all
+        cfg = replace(TINY, window=window, conv_kernel=conv_kernel, attention_mode=mode)
+        params = init_forecaster(2, cfg, seed=7)
+        windows = _toy_windows(n=window + 30, window=window)
+        with mock.patch.object(trainer, "_SCORE_BYTES", _score_chunk_bytes(params, 12)):
+            scores = window_scores(params, windows)
+        _assert_scores_match(scores, _per_window_scores(params, windows))
+
+    def test_window_scores_share_consecutive_chunks_only(self, monkeypatch):
+        import tcnad.attention
+
+        calls, real = [], tcnad.attention._shared_scores
+        monkeypatch.setattr(tcnad.attention, "_shared_scores",
+                            lambda *args: calls.append(args[0].values.shape) or real(*args))
+        m, cfg = NAMED_CONFIGS["demo"]
+        params = init_forecaster(m, cfg, seed=0)
+        windows = build_windows(_toy_series(n=cfg.window + 40, m=m), cfg.window)
+        window_scores(params, windows)
+        assert calls == [(40, cfg.window, m)]
+        # shuffled windows are not consecutive: every window is scored on its own
+        calls.clear()
+        order = np.random.default_rng(0).permutation(len(windows))
+        scores = window_scores(params, windows[order])
+        assert calls == []
+        _assert_scores_match(scores, _per_window_scores(params, windows[order]))
+
+    def test_sharing_refuses_a_tape(self):
+        m, cfg = NAMED_CONFIGS["demo"]
+        params = init_forecaster(m, cfg, seed=0)
+        x = Tensor(build_windows(_toy_series(n=cfg.window + 4, m=m), cfg.window)[:, :-1])
+        with Tape(), pytest.raises(RuntimeError, match="not taped"):
+            forward(x, params, consecutive=True)
+
+    @pytest.mark.parametrize("name, variant", [
+        pytest.param(name, variant, id=f"{name}-{variant}")
+        for name in sorted(NAMED_CONFIGS) for variant in sorted(VARIANTS)
+    ])
+    def test_inference_chunk_stays_within_the_budget(self, name, variant):
+        # the traced peak of one untaped chunk, windows aside: the estimate
+        # must bound it without leaving much of the budget unused, a budget
+        # under the tape's
+        m, cfg = NAMED_CONFIGS[name]
+        params = init_forecaster(m, _variants(cfg)[variant])
+        size = trainer._score_chunk_size(params)
+        x = Tensor(build_windows(_toy_series(n=cfg.window + size, m=m), cfg.window)[:, :-1])
+        forward(x, params, consecutive=True)
+        tracemalloc.start()
+        try:
+            forward(x, params, consecutive=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.75 * trainer._SCORE_BYTES <= peak <= trainer._SCORE_BYTES < trainer._CHUNK_BYTES
