@@ -39,9 +39,9 @@ class DataFormatError(Exception):
 
 
 def _read_text(path) -> str:
-    """The UTF-8 text of ``path``; undecodable bytes raise ``DataFormatError``."""
+    """The UTF-8 text of ``path``, less a leading BOM; bad bytes raise ``DataFormatError``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
@@ -99,12 +99,10 @@ def normalize(x: np.ndarray, stats: NormalizationStats) -> np.ndarray:
 # matrix files
 # ---------------------------------------------------------------------------
 
-def write_matrix_csv(path, x: np.ndarray, feature_names: list[str] | None = None):
+def write_matrix_csv(path, x: np.ndarray):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    names = feature_names or [f"f{i}" for i in range(x.shape[1])]
-    if len(names) != x.shape[1]:
-        raise ValueError("feature_names length mismatch")
-    _write_number_csv(path, names, ",".join(["{!r}"] * x.shape[1]), list(x.T))
+    _write_number_csv(path, [f"f{i}" for i in range(x.shape[1])],
+                      ",".join(["{!r}"] * x.shape[1]), list(x.T))
 
 
 def read_matrix_csv(path) -> np.ndarray:

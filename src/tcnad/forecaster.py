@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .attention import (
 )
 from .autodiff import (
     Tensor,
+    active_tape,
     add,
     causal_dilated_conv1d,
     concat_cols,
@@ -168,7 +171,6 @@ def forward(
     params: ForecasterParams,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    consecutive: bool = False,
 ) -> Tensor:
     """Predict the next observation from a (..., window, m) tensor; returns (..., m).
 
@@ -179,10 +181,9 @@ def forward(
     attention aggregates, and the first part of the TCN input.
 
     Leading axes are a batch of independent windows. In training one dropout
-    mask per op covers the whole batch. ``consecutive`` says the (B, w, m)
-    batch is B consecutive windows of one series, as ``build_windows`` gives
-    them; temporal attention then scores the preconv rows the zero padding
-    does not reach once for the whole batch (untaped inference only).
+    mask per op covers the whole batch. Untaped, a (B, w, m) batch whose
+    windows each move on one row, as ``build_windows`` gives them, has its
+    preconv rows past the zero padding scored by temporal attention once.
     """
     cfg = params.config
     w, m = cfg.window, params.n_features
@@ -195,10 +196,11 @@ def forward(
     tail = slice_rows(h, w - r, w)
     parts = [tail]
     if params.temporal is not None:
-        if consecutive:
-            parts.append(temporal_attention(h, tail, params.temporal, cfg.conv_kernel - 1))
-        else:
-            parts.append(temporal_attention(h, tail, params.temporal))
+        xv = x.values
+        shared = (active_tape() is None and xv.ndim == 3
+                  and np.array_equal(xv[1:, :-1], xv[:-1, 1:]))
+        parts.append(temporal_attention(h, tail, params.temporal,
+                                        cfg.conv_kernel - 1 if shared else None))
     if params.variable is not None:
         parts.append(variable_attention(h, tail, params.variable))
     z = concat_cols(parts) if len(parts) > 1 else parts[0]
@@ -234,7 +236,8 @@ def save_checkpoint(path, params: ForecasterParams, stats=None):
     """Write params (and optional normalization stats) as one JSON document.
 
     float64 payloads go through base64 so reloading is bit-exact; keys are
-    sorted so identical params produce identical bytes.
+    sorted so identical params produce identical bytes. Written to ``<path>.tmp``
+    and renamed over ``path``, so a failed write leaves an earlier file whole.
     """
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -250,9 +253,15 @@ def save_checkpoint(path, params: ForecasterParams, stats=None):
             "minimum": _encode_array(stats.minimum),
             "maximum": _encode_array(stats.maximum),
         }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

@@ -157,10 +157,8 @@ def _count_runs(mask: np.ndarray) -> int:
     return int(mask[0]) + int(np.sum(mask[1:] & ~mask[:-1]))
 
 
-def epsilon_threshold(
-    scores: np.ndarray, z_grid: tuple[float, ...] = DEFAULT_Z_GRID
-) -> ThresholdResult:
-    """Label-free threshold mu + z*sigma with z chosen from a grid.
+def epsilon_threshold(scores: np.ndarray) -> ThresholdResult:
+    """Label-free threshold mu + z*sigma with z chosen from ``DEFAULT_Z_GRID``.
 
     Each candidate epsilon is scored by the relative drop in mean and std
     after pruning the points below it, divided by the count of points above
@@ -180,7 +178,7 @@ def epsilon_threshold(
     best_score = -np.inf
     best: dict | None = None
     if sigma > 0.0:
-        for z in z_grid:
+        for z in DEFAULT_Z_GRID:
             eps = mu + z * sigma
             above = scores > eps
             n_above = int(above.sum())

@@ -117,17 +117,12 @@ def _score_chunk_size(params: ForecasterParams) -> int:
 
 
 def window_scores(params: ForecasterParams, windows: np.ndarray) -> np.ndarray:
-    """Per-window RMSE of the one-step forecast, without any tape or dropout.
-
-    A chunk of consecutive windows, as ``build_windows`` returns them, shares
-    its temporal-attention scores across its windows.
-    """
+    """Per-window RMSE of the one-step forecast, without any tape or dropout."""
     size = _score_chunk_size(params)
     preds = np.empty((len(windows), params.n_features))
     for start in range(0, len(windows), size):
-        x = windows[start : start + size, :-1]
-        consecutive = bool(np.array_equal(x[1:, :-1], x[:-1, 1:]))
-        preds[start : start + size] = forward(Tensor(x), params, consecutive=consecutive).values
+        preds[start : start + size] = forward(Tensor(windows[start : start + size, :-1]),
+                                              params).values
     diff = preds - windows[:, -1]
     return np.sqrt(np.mean(diff * diff, axis=1))
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import read_matrix_csv_reference, read_timestep_csv_reference
-from tcnad.cli import EXIT_DATA, main
+from tcnad.cli import EXIT_DATA, EXIT_OK, main
 from tcnad.data import (
     DataFormatError,
     is_manifest,
@@ -265,6 +265,37 @@ def test_non_utf8_text_names_the_file(tmp_path, read, raw):
     path.write_bytes(raw)
     with pytest.raises(DataFormatError, match=re.escape(f"{path}: not UTF-8 text")):
         read(path)
+
+
+# ---------------------------------------------------------------------------
+# a leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write it
+# ---------------------------------------------------------------------------
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("read, text", [
+    (read_manifest, 'chan_id,spacecraft,anomaly_sequences\nA-1,SMAP,"[[1, 2]]"\n'),
+    (is_manifest, 'chan_id,anomaly_sequences\nA-1,"[[1, 2]]"\n'),
+    (is_manifest, "timestep,label\n0,1\n"),
+    (read_labels_csv, "timestep,label\n3,0\n4,1\n"),
+    (read_scores_csv, "timestep,score\n3,0.25\n4,1.5\n"),
+    (read_matrix_csv, "f0,f1\n1.0,2.0\n3.0,4.0\n"),
+    (parse_config_file, "epochs = 2\nwindow = 8\n"),
+], ids=["manifest", "is_manifest", "is_labels", "labels", "scores", "matrix", "config"])
+def test_byte_order_mark_is_skipped(tmp_path, read, text):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    assert repr(read(marked)) == repr(read(plain))
+
+
+def test_scores_with_a_byte_order_mark_exit_0(tmp_path):
+    path = tmp_path / "s.csv"
+    write_scores_csv(path, ScoreSequence(np.array([0.0, 1.0] * 8), 0))
+    path.write_bytes(BOM + path.read_bytes())
+    with pytest.warns(RuntimeWarning, match="falling back"):
+        assert main(["threshold", "--scores", str(path), "--method", "epsilon"]) == EXIT_OK
 
 
 def test_non_utf8_labels_exit_2(tmp_path, capsys):

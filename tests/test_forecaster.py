@@ -186,9 +186,9 @@ class TestGradientFlow:
         assert decreases >= 15
 
 
-def _unpruned_forward(x, params, training=False, rng=None, consecutive=False):
-    """Reference forward in which every layer computes all w rows (dropout 0 only);
-    it scores every window on its own, so ``consecutive`` changes nothing."""
+def _unpruned_forward(x, params, training=False, rng=None):
+    """Reference forward in which every layer computes all w rows (dropout 0 only)
+    and every window is scored on its own."""
     assert params.config.dropout == 0.0
     w = params.config.window
     h = add(causal_dilated_conv1d(x, params.preconv_filters, 1), params.preconv_bias)
@@ -259,7 +259,8 @@ class TestReceptiveFieldPruning:
             return out
 
         monkeypatch.setattr(tcnad.attention, "attend", spy)
-        forward(Tensor(np.zeros((5, w, 3))), params)
+        # random windows do not overlap, so temporal attention is not shared
+        forward(Tensor(np.random.default_rng(0).standard_normal((5, w, 3))), params)
         assert seen["temporal"] == [(5, r, 3), (5, w, 3), (5, w, 3), (5, r, 3)]
         # variables are scored over full columns but aggregate only r time steps
         assert seen["variable"] == [(5, 3, w), (5, 3, w), (5, 3, r), (5, 3, r)]
@@ -272,9 +273,9 @@ class TestReceptiveFieldPruning:
         def spy(view):
             real = getattr(tcnad.forecaster, view)
 
-            def wrapped(x, tail, attention_params):
+            def wrapped(x, tail, attention_params, *shared_from):
                 rows[view] = tail
-                return real(x, tail, attention_params)
+                return real(x, tail, attention_params, *shared_from)
 
             return wrapped
 
@@ -340,6 +341,25 @@ class TestCheckpoints:
         save_checkpoint(a, params)
         save_checkpoint(b, params)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_interrupted_save_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        import json
+
+        path = tmp_path / "m.ckpt"
+        old = init_forecaster(2, TINY, seed=1)
+        save_checkpoint(path, old)
+
+        def dump_then_fail(doc, fh, **kwargs):
+            fh.write(json.dumps(doc, **kwargs)[:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tcnad.forecaster.json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, init_forecaster(2, TINY, seed=2))
+        loaded, _ = load_checkpoint(path)
+        for (_, a), (_, b) in zip(old.named_parameters(), loaded.named_parameters()):
+            assert a.values.tobytes() == b.values.tobytes()
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -164,13 +164,20 @@ class TestEpsilon:
         np.testing.assert_allclose(DEFAULT_Z_GRID, np.arange(2.0, 10.5, 0.5))
 
     def test_hand_case(self):
-        scores = np.array([1.0, 1.0, 1.0, 10.0])
-        res = epsilon_threshold(scores, z_grid=(1.0, 2.0))
-        mu, sigma = 3.25, np.sqrt(15.1875)
-        np.testing.assert_allclose(res.threshold, mu + sigma)
-        assert res.diagnostics["z"] == 1.0
-        # z=2 puts epsilon above max(S), leaving nothing -> skipped
-        np.testing.assert_allclose(res.diagnostics["score"], (2.25 / 3.25 + 1.0) / 2.0)
+        # 38 zeros, a 6 and a 12: mu = 0.45, sigma = sqrt(4.2975), so the 6
+        # sits 2.68 sigma up and the 12 at 5.57
+        scores = np.zeros(40)
+        scores[5], scores[20] = 6.0, 12.0
+        res = epsilon_threshold(scores)
+        mu, sigma = 0.45, np.sqrt(4.2975)
+        # z = 2 and 2.5 keep both points, two runs: (1 + 1) / (2 + 2**2) = 1/3;
+        # z = 3 to 5.5 keep the 12 alone and prune down to 38 zeros and the 6
+        below_mu, below_sigma = 6 / 39, np.sqrt(36 / 39 - (6 / 39) ** 2)
+        best = ((mu - below_mu) / mu + (sigma - below_sigma) / sigma) / 2
+        assert best > 1 / 3
+        assert res.diagnostics["z"] == 3.0     # the first z of the tie
+        np.testing.assert_allclose(res.threshold, mu + 3 * sigma)
+        np.testing.assert_allclose(res.diagnostics["score"], best)
         assert res.diagnostics["n_above"] == 1
         assert res.diagnostics["n_runs"] == 1
 
@@ -182,10 +189,12 @@ class TestEpsilon:
         np.testing.assert_array_equal(apply_threshold(np.full(10, 2.5), res.threshold), 0)
 
     def test_unreachable_grid_falls_back(self):
-        scores = np.array([1.0, 1.1, 0.9, 1.05, 0.95])
+        # alternating 0/1: mu + 2 sigma = 1.5 is above every score
+        scores = np.tile([0.0, 1.0], 8)
         with pytest.warns(RuntimeWarning):
-            res = epsilon_threshold(scores, z_grid=(50.0,))
+            res = epsilon_threshold(scores)
         assert res.threshold == scores.max()
+        assert res.diagnostics["fallback"] == "max"
 
     def test_separates_obvious_spikes(self):
         rng = np.random.default_rng(42)

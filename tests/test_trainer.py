@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tcnad import trainer
 from tcnad.data import compute_stats, normalize
 from tcnad.autodiff import Tape, Tensor, backward, rmse_loss
+from tcnad.attention import temporal_attention
 from tcnad.forecaster import ModelConfig, forward, init_forecaster
 from tcnad.thresholds import anomaly_scores
 from tcnad.trainer import (
@@ -477,16 +478,10 @@ class TestSharedScores:
         _assert_scores_match(scores, _per_window_scores(params, windows))
 
     def test_window_scores_share_consecutive_chunks_only(self, monkeypatch):
-        import tcnad.attention
-
-        calls, real = [], tcnad.attention._shared_scores
-        monkeypatch.setattr(tcnad.attention, "_shared_scores",
-                            lambda *args: calls.append(args[0].values.shape) or real(*args))
-        m, cfg = NAMED_CONFIGS["demo"]
-        params = init_forecaster(m, cfg, seed=0)
-        windows = build_windows(_toy_series(n=cfg.window + 40, m=m), cfg.window)
+        calls = self._spy_shared(monkeypatch)
+        params, windows = self._demo_windows(40)
         window_scores(params, windows)
-        assert calls == [(40, cfg.window, m)]
+        assert calls == [windows[:, :-1].shape]
         # shuffled windows are not consecutive: every window is scored on its own
         calls.clear()
         order = np.random.default_rng(0).permutation(len(windows))
@@ -494,12 +489,49 @@ class TestSharedScores:
         assert calls == []
         _assert_scores_match(scores, _per_window_scores(params, windows[order]))
 
-    def test_sharing_refuses_a_tape(self):
+    @staticmethod
+    def _spy_shared(monkeypatch):
+        import tcnad.attention
+
+        calls, real = [], tcnad.attention._shared_scores
+        monkeypatch.setattr(tcnad.attention, "_shared_scores",
+                            lambda *args: calls.append(args[0].values.shape) or real(*args))
+        return calls
+
+    @staticmethod
+    def _demo_windows(n):
         m, cfg = NAMED_CONFIGS["demo"]
         params = init_forecaster(m, cfg, seed=0)
-        x = Tensor(build_windows(_toy_series(n=cfg.window + 4, m=m), cfg.window)[:, :-1])
+        return params, build_windows(_toy_series(n=cfg.window + n, m=m), cfg.window)
+
+    def test_forward_shares_nothing_on_a_shuffled_batch(self, monkeypatch):
+        # the same rows in another order move on by other than one row
+        calls = self._spy_shared(monkeypatch)
+        params, windows = self._demo_windows(12)
+        windows = windows[np.random.default_rng(0).permutation(len(windows))]
+        pred = forward(Tensor(windows[:, :-1]), params).values
+        ref = np.stack([forward(Tensor(w[:-1]), params).values for w in windows])
+        assert calls == []
+        assert np.abs(pred - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_forward_shares_a_consecutive_batch_once(self, monkeypatch):
+        calls = self._spy_shared(monkeypatch)
+        params, windows = self._demo_windows(12)
+        forward(Tensor(windows[:, :-1]), params)
+        assert calls == [windows[:, :-1].shape]
+
+    def test_sharing_refuses_a_tape(self, monkeypatch):
+        # taped, forward scores a consecutive batch per window; asked to share
+        # under a tape, temporal attention raises
+        calls = self._spy_shared(monkeypatch)
+        params, windows = self._demo_windows(12)
+        x = Tensor(windows[:, :-1])
+        with Tape():
+            pred = forward(x, params).values
+        assert calls == []
+        _assert_scores_match(pred, forward(x, params).values)
         with Tape(), pytest.raises(RuntimeError, match="not taped"):
-            forward(x, params, consecutive=True)
+            temporal_attention(x, x, params.temporal, shared_from=1)
 
     @pytest.mark.parametrize("name, variant", [
         pytest.param(name, variant, id=f"{name}-{variant}")
@@ -513,10 +545,10 @@ class TestSharedScores:
         params = init_forecaster(m, _variants(cfg)[variant])
         size = trainer._score_chunk_size(params)
         x = Tensor(build_windows(_toy_series(n=cfg.window + size, m=m), cfg.window)[:, :-1])
-        forward(x, params, consecutive=True)
+        forward(x, params)
         tracemalloc.start()
         try:
-            forward(x, params, consecutive=True)
+            forward(x, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
