@@ -405,15 +405,17 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 # causal convolution and loss
 # ---------------------------------------------------------------------------
 
-def causal_dilated_conv1d(x: Tensor, filters: Tensor, dilation: int = 1) -> Tensor:
+def causal_dilated_conv1d(x: Tensor, filters: Tensor, dilation: int = 1, rows: int | None = None) -> Tensor:
     """Causal dilated 1-D convolution over time.
 
     ``x`` is (..., w, c_in) with time down the rows; ``filters`` is
-    (K, c_in, c_out). The input is left-padded with (K-1)*dilation zeros so the
-    output is again (..., w, c_out) and out[t] only sees x[t], x[t - dilation],
-    ..., i.e. nothing from the future:
+    (K, c_in, c_out). Rows before the first count as zeros, so the output is
+    again (..., w, c_out) and out[t] only sees x[t], x[t - dilation], ...,
+    i.e. nothing from the future:
 
         out[t] = sum_k  x[t - (K-1-k)*dilation] @ filters[k]
+
+    ``rows`` computes only the last ``rows`` outputs. Nothing is ever padded or copied.
     """
     if x.values.ndim < 2:
         raise ValueError("causal_dilated_conv1d expects x of shape (..., w, c_in)")
@@ -427,28 +429,28 @@ def causal_dilated_conv1d(x: Tensor, filters: Tensor, dilation: int = 1) -> Tens
         raise ValueError("kernel size must be >= 1")
     if f_in != c_in:
         raise ValueError(f"filter channel mismatch: x has {c_in}, filters expect {f_in}")
-
-    pad = (k - 1) * dilation
-    padded = np.zeros((*lead, pad + w, c_in))
-    padded[..., pad:, :] = x.values
-    out_vals = np.zeros((*lead, w, c_out))
-    for j in range(k):
-        out_vals += padded[..., j * dilation : j * dilation + w, :] @ filters.values[j]
+    n = w if rows is None else rows
+    if not 1 <= n <= w:
+        raise ValueError(f"rows must be in [1, {w}], got {rows}")
+    # tap j adds x[t - s] @ filters[j], s = (K-1-j)*dilation, to outputs t >= s: rows i to o
+    taps = [(j, slice(max(0, w - n - s), w - s), slice(max(0, s - w + n), n))
+            for j, s in enumerate(range((k - 1) * dilation, -1, -dilation)) if s < w]
+    out_vals = np.zeros((*lead, n, c_out))
+    for j, i, o in taps:
+        out_vals[..., o, :] += x.values[..., i, :] @ filters.values[j]
     out = Tensor(out_vals)
 
     def rule(g):
         if filters.requires_grad:
-            g2 = g.reshape(-1, c_out)
-            gf = np.empty_like(filters.values)
-            for j in range(k):
-                tap = padded[..., j * dilation : j * dilation + w, :]
-                gf[j] = tap.reshape(-1, c_in).T @ g2
+            gf = np.zeros_like(filters.values)
+            for j, i, o in taps:
+                gf[j] = x.values[..., i, :].reshape(-1, c_in).T @ g[..., o, :].reshape(-1, c_out)
             filters.accumulate_grad(gf)
         if x.requires_grad:
-            gpad = np.zeros_like(padded)
-            for j in range(k):
-                gpad[..., j * dilation : j * dilation + w, :] += g @ filters.values[j].T
-            x.accumulate_grad(gpad[..., pad:, :])
+            gx = np.zeros_like(x.values)
+            for j, i, o in taps:
+                gx[..., i, :] += g[..., o, :] @ filters.values[j].T
+            x.accumulate_grad(gx)
 
     return _maybe_record(out, rule, x, filters)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import base64
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -48,6 +49,16 @@ from .tcn import TcnBlockParams, init_tcn_stack, receptive_field, tcn_forward
 CHECKPOINT_FORMAT = "tcnad-checkpoint-v1"
 
 
+def int_field(name: str, value, low: int) -> int:
+    """``value`` as an int, refusing a bool, a non-integer or one below ``low``;
+    numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 @dataclass
 class ModelConfig:
     window: int = 100
@@ -64,16 +75,12 @@ class ModelConfig:
     variable_attention: bool = True
 
     def __post_init__(self):
-        self.dilations = tuple(int(d) for d in self.dilations)
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        for name in ("conv_kernel", "tcn_kernel", "tcn_channels", "mlp_units"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.mlp_layers < 0:
-            raise ValueError(f"mlp_layers must be >= 0, got {self.mlp_layers}")
-        if not self.dilations or any(d < 1 for d in self.dilations):
-            raise ValueError(f"dilations must be positive, got {self.dilations}")
+        for name, low in (("window", 1), ("conv_kernel", 1), ("tcn_kernel", 1),
+                          ("tcn_channels", 1), ("mlp_layers", 0), ("mlp_units", 1)):
+            setattr(self, name, int_field(name, getattr(self, name), low))
+        self.dilations = tuple(int_field("dilations", d, 1) for d in self.dilations)
+        if not self.dilations:
+            raise ValueError("dilations must not be empty")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.attention_mode not in MODES:
@@ -178,7 +185,8 @@ def forward(
     r = min(w, receptive_field) rows of the TCN input. The preconv runs over
     all w rows, since every row is an attention key; the last r rows, cut
     once, are the temporal attention queries, the time steps variable
-    attention aggregates, and the first part of the TCN input.
+    attention aggregates, and the first part of the TCN input, whose convs
+    compute only the rows that reach that last row.
 
     Leading axes are a batch of independent windows. In training one dropout
     mask per op covers the whole batch. Untaped, a (B, w, m) batch whose
@@ -204,9 +212,10 @@ def forward(
     if params.variable is not None:
         parts.append(variable_attention(h, tail, params.variable))
     z = concat_cols(parts) if len(parts) > 1 else parts[0]
+    del h, tail, parts                             # untaped, freed before the TCN runs
 
-    z = tcn_forward(z, params.tcn, training, rng)
-    out = take_row(z, r - 1)                       # (..., 1, tcn_channels)
+    z = tcn_forward(z, params.tcn, training, rng, rows=1)
+    out = take_row(z, 0)                           # (..., 1, tcn_channels)
 
     n_layers = len(params.mlp)
     for i, (weight, bias) in enumerate(params.mlp):

@@ -5,6 +5,8 @@ a residual path (identity when channel counts match, otherwise a 1x1 conv).
 The stack doubles the dilation per block so the receptive field grows as
 
     rf = 1 + sum_blocks 2 * (K - 1) * dilation_b
+
+and, asked for the stack's last ``rows``, each conv computes only the rows that reach them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, causal_dilated_conv1d, dropout, leaky_relu
+from .autodiff import Tensor, add, causal_dilated_conv1d, dropout, leaky_relu, slice_rows
 
 
 @dataclass
@@ -92,20 +94,32 @@ def tcn_block_forward(
     params: TcnBlockParams,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    rows: int | None = None,
 ) -> Tensor:
-    h = causal_dilated_conv1d(x, params.conv1_filters, params.dilation)
+    w = x.values.shape[-2]
+    n = w if rows is None else rows
+    h = causal_dilated_conv1d(x, params.conv1_filters, params.dilation,
+                              min(w, n + (params.kernel_size - 1) * params.dilation))
     h = add(h, params.conv1_bias)
     h = leaky_relu(h)
     h = dropout(h, params.dropout_rate, training, rng)
-    h = causal_dilated_conv1d(h, params.conv2_filters, params.dilation)
+    h = causal_dilated_conv1d(h, params.conv2_filters, params.dilation, n)
     h = add(h, params.conv2_bias)
     h = leaky_relu(h)
     h = dropout(h, params.dropout_rate, training, rng)
     if params.downsample is None:
-        res = x
+        res = slice_rows(x, w - n, w)
     else:
-        res = causal_dilated_conv1d(x, params.downsample, 1)
+        res = causal_dilated_conv1d(x, params.downsample, 1, n)
     return add(h, res)
+
+
+def block_rows(blocks: list[TcnBlockParams], w: int, rows: int | None) -> list[int]:
+    """Rows each block outputs for the stack's last ``rows`` (None: all w)."""
+    out = [w if rows is None else rows]
+    for b in reversed(blocks[1:]):
+        out.insert(0, min(w, out[0] + 2 * (b.kernel_size - 1) * b.dilation))
+    return out
 
 
 def tcn_forward(
@@ -113,11 +127,11 @@ def tcn_forward(
     blocks: list[TcnBlockParams],
     training: bool = False,
     rng: np.random.Generator | None = None,
+    rows: int | None = None,
 ) -> Tensor:
-    h = x
-    for block in blocks:
-        h = tcn_block_forward(h, block, training, rng)
-    return h
+    for block, n in zip(blocks, block_rows(blocks, x.values.shape[-2], rows)):
+        x = tcn_block_forward(x, block, training, rng, n)
+    return x
 
 
 def receptive_field(blocks: list[TcnBlockParams]) -> int:

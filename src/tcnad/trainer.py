@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import Tape, Tensor, backward, rmse_loss
-from .forecaster import ForecasterParams, forward
+from .autodiff import _PAIR_BLOCK_FLOATS, Tape, Tensor, backward, rmse_loss
+from .forecaster import ForecasterParams, forward, int_field
 from .optim import AdamState, adam_step
-from .tcn import receptive_field
+from .tcn import block_rows, receptive_field
 
 # Bytes the windows of one chunk may keep on the tape, 3.75 MiB.
 _CHUNK_BYTES = 15 * 2**18
@@ -24,6 +24,8 @@ _CHUNK_BYTES = 15 * 2**18
 # share more attention scores, but at the paper config chunks of 24 or more
 # windows grew the heap past training's high-water mark (peak RSS +1 MB).
 _SCORE_BYTES = 9 * 2**18
+# Of those, room for the pair blocks ``pair_scores`` holds at any chunk length.
+_PAIR_BYTES = 4 * 8 * _PAIR_BLOCK_FLOATS
 
 
 class EmptyDatasetError(ValueError):
@@ -67,53 +69,59 @@ def build_windows(series: np.ndarray, window: int) -> np.ndarray:
 
 
 def _window_bytes(params: ForecasterParams) -> int:
-    """About the bytes one window keeps on the tape, with r = min(w, receptive_field):
-    float arrays of 5 (w, m), 2 (r, m) and 13 (r, channels) per TCN block, and per
-    branch the model has (w, m), 3 (r, w) and 3 (r, m) for temporal attention and
-    2 (w, m), 3 (m, m) and 3 (r, m) for variable, each with its 1-byte sign mask:
-    r*w and m*m pairs, times m and w features when dynamic."""
+    """About the bytes one window keeps on the tape, r = min(w, receptive_field):
+    the float arrays and 1-byte dropout and sign masks each layer's records
+    hold, a TCN block of n rows out computing n1 = min(r, n + (K-1)*dilation)
+    rows in conv1 (dynamic attention keeps a mask of every pair's features)."""
     cfg = params.config
-    w, m, c = cfg.window, params.n_features, cfg.tcn_channels
+    w, m, c, u = cfg.window, params.n_features, cfg.tcn_channels, cfg.mlp_units
     r = min(w, receptive_field(params.tcn))
-    dynamic = cfg.attention_mode == "dynamic"
-    floats = 5 * w * m + 2 * r * m + 13 * r * c * len(cfg.dilations)
-    masks = 0
+    static = cfg.attention_mode == "static"
+    branches = 1 + (params.temporal is not None) + (params.variable is not None)
+    floats = (3 * w + 4) * m + 2 + r * branches * m + 4 * u * cfg.mlp_layers
+    masks = u * cfg.mlp_layers
+    for b, n in zip(params.tcn, block_rows(params.tcn, r, 1)):
+        n1 = min(r, n + (b.kernel_size - 1) * b.dilation)
+        floats += c * (4 * n1 + (5 + (b.downsample is not None)) * n)
+        masks += c * (n1 + n)
     if params.temporal is not None:
-        floats += w * m + 3 * r * w + 3 * r * m
-        masks += r * w * (m if dynamic else 1)
+        floats += w * m + 2 * r * w + 3 * r * m + static * 2 * (r + w)
+        masks += r * w * (1 if static else m)
     if params.variable is not None:
-        floats += 2 * w * m + 3 * m * m + 3 * r * m
-        masks += m * m * (w if dynamic else 1)
+        floats += 2 * w * m + 2 * m * m + 2 * r * m + static * 4 * m
+        masks += m * m * (1 if static else w)
     return 8 * floats + masks
 
 
 def _chunk_size(params: ForecasterParams) -> int:
-    """Windows per taped ``forward``: 4 at the paper config, 48 at the demo one."""
+    """Windows per taped ``forward``: 6 at the paper config, 104 at the demo one."""
     return max(1, _CHUNK_BYTES // _window_bytes(params))
 
 
 def _score_window_bytes(params: ForecasterParams) -> int:
-    """About the most one window holds at once in an untaped ``forward``, in the
-    larger of two stretches: temporal attention, with the (w, m) preconv output
-    and two (r, w) float arrays (the scores, or a window's share of the shared
-    ones, and their softmax); and the TCN, with the (w, m) preconv output, the
-    (r, m) branch outputs, the (r, branches*m) TCN input, the widest block
-    conv's padded input and five (r, channels) arrays."""
+    """About the most one window holds at once in an untaped ``forward``: in
+    temporal attention the (w, m) preconv output, two (r, w) score arrays (or a
+    window's share of shared ones) and the (r, m) aggregate; in variable
+    attention the preconv and temporal outputs, two (m, w) projections and the
+    (m, m) scores; in the TCN, freed of those, its (r, branches*m) input and
+    the 3 (n1, channels) floats and mask of block 0's first leaky_relu."""
     cfg = params.config
     w, m, c = cfg.window, params.n_features, cfg.tcn_channels
     r = min(w, receptive_field(params.tcn))
     branches = 1 + (params.temporal is not None) + (params.variable is not None)
-    padded = max((r + (b.kernel_size - 1) * b.dilation) * b.conv1_filters.values.shape[1]
-                 for b in params.tcn)
-    floats = w * m + (2 * branches - 1) * r * m + padded + 5 * r * c
+    first = params.tcn[0]
+    n1 = min(r, block_rows(params.tcn, r, 1)[0] + (first.kernel_size - 1) * first.dilation)
+    stretches = [8 * (r * branches * m + 3 * n1 * c) + n1 * c]
     if params.temporal is not None:
-        floats = max(floats, w * m + 2 * r * w)
-    return 8 * floats
+        stretches.append(8 * (w * m + 2 * r * w + r * m))
+    if params.variable is not None:
+        stretches.append(8 * (w * m + (params.temporal is not None) * r * m + 2 * m * w + m * m))
+    return max(stretches)
 
 
 def _score_chunk_size(params: ForecasterParams) -> int:
-    """Windows per untaped ``forward``: 16 at the paper config, 130 at the demo one."""
-    return max(1, _SCORE_BYTES // _score_window_bytes(params))
+    """Windows per untaped ``forward``: 19 at the paper config, 244 at the demo one."""
+    return max(1, (_SCORE_BYTES - _PAIR_BYTES) // _score_window_bytes(params))
 
 
 def window_scores(params: ForecasterParams, windows: np.ndarray) -> np.ndarray:
@@ -163,10 +171,8 @@ class TrainConfig:
     val_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        self.epochs = int_field("epochs", self.epochs, 0)
+        self.batch_size = int_field("batch_size", self.batch_size, 1)
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.seed < 0:

@@ -70,6 +70,11 @@ class TestBatchedOps:
                                [(4, 1), (5, 1)], (True, True)),
         "softmax_rows": (softmax_rows, [(4, 3)], (True,)),
         "conv": (lambda x, f: causal_dilated_conv1d(x, f, 2), [(6, 2), (3, 2, 4)], (True, False)),
+        # the last 3 rows read 7 input rows of 6 (one before row 0), the last 2 read 6
+        "conv_rows_padded": (lambda x, f: causal_dilated_conv1d(x, f, 2, 3),
+                             [(6, 2), (3, 2, 4)], (True, False)),
+        "conv_rows_view": (lambda x, f: causal_dilated_conv1d(x, f, 2, 2),
+                           [(6, 2), (3, 2, 4)], (True, False)),
     }
 
     @staticmethod
@@ -355,6 +360,63 @@ class TestConvForward:
             causal_dilated_conv1d(x, f, dilation=0)
         with pytest.raises(ValueError):
             causal_dilated_conv1d(Tensor(np.zeros((5, 4))), f, dilation=1)
+
+
+class TestConvRows:
+    """``rows`` keeps the last rows of the full conv, in values and gradients.
+
+    w = 6, K = 3, dilation 2: the last n rows read n + 4 input rows, fewer
+    than w for n = 1, exactly w for n = 2 and more (some before row 0) for n >= 3.
+    """
+
+    @staticmethod
+    def _loss(x, f, rows, y, pruned):
+        out = (causal_dilated_conv1d(x, f, 2, rows) if pruned
+               else slice_rows(causal_dilated_conv1d(x, f, 2), 6 - rows, 6))
+        return rmse_loss(out, Tensor(y))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 6])
+    def test_matches_the_trailing_rows_of_the_full_conv(self, rows):
+        rng = np.random.default_rng(rows)
+        x = Tensor(rng.standard_normal((6, 2)), requires_grad=True)
+        f = Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
+        y = rng.standard_normal((rows, 4))
+        out = causal_dilated_conv1d(x, f, 2, rows).values
+        np.testing.assert_allclose(out, causal_dilated_conv1d(x, f, 2).values[-rows:],
+                                   rtol=1e-14, atol=1e-14)
+        grads = {}
+        for pruned in (True, False):
+            x.zero_grad()
+            f.zero_grad()
+            with Tape():
+                backward(self._loss(x, f, rows, y, pruned))
+            grads[pruned] = [x.grad, f.grad]
+        for g, ref in zip(grads[True], grads[False]):
+            np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-14)
+        for p, g in zip((x, f), grads[True]):
+            num = numeric_grad(lambda: float(self._loss(x, f, rows, y, True).values),
+                               p.values, range(p.values.size))
+            for idx, val in num.items():
+                assert rel_err(g.ravel()[idx], val) < 1e-5
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 6])
+    def test_record_holds_no_new_array(self, rows):
+        # nothing is padded, whether the rows read fall inside x or not: the
+        # rule reaches x and the filters, and no array of its own
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 6, 2)), requires_grad=True)
+        f = Tensor(np.ones((3, 2, 4)), requires_grad=True)
+        with Tape() as tape:
+            causal_dilated_conv1d(x, f, 2, rows)
+        cells = [c.cell_contents for c in tape._records[-1][1].__closure__]
+        held = [c.values if isinstance(c, Tensor) else c for c in cells
+                if isinstance(c, (Tensor, np.ndarray))]
+        assert any(np.shares_memory(a, x.values) for a in held)
+        assert all(np.shares_memory(a, x.values) or np.shares_memory(a, f.values) for a in held)
+
+    @pytest.mark.parametrize("rows", [0, 7])
+    def test_rejects_rows_outside_the_input(self, rows):
+        with pytest.raises(ValueError, match="rows must be in"):
+            causal_dilated_conv1d(Tensor(np.zeros((6, 2))), Tensor(np.zeros((3, 2, 4))), 2, rows)
 
 
 class TestRmse:

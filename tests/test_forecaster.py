@@ -107,6 +107,34 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ModelConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("window", 20.7),
+        ("window", 20.0),
+        ("window", True),
+        ("conv_kernel", 3.0),
+        ("tcn_kernel", "4"),
+        ("tcn_channels", 16.5),
+        ("mlp_layers", False),
+        ("mlp_units", np.float64(8.0)),
+        ("dilations", (1, 2.5)),
+        ("dilations", (1, True)),
+        ("dilations", (1, np.bool_(True))),
+    ])
+    def test_non_integer_sizes_rejected(self, field, value):
+        # before, dilations (1, 2.5) became (1, 2) and (1, True) became (1, 1)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ModelConfig(**{field: value})
+
+    def test_numpy_integers_become_ints(self, tmp_path):
+        cfg = ModelConfig(window=np.int64(8), conv_kernel=np.int32(3), tcn_kernel=np.int64(2),
+                          tcn_channels=np.int64(4), dilations=np.array([1, 2]),
+                          mlp_layers=np.int64(1), mlp_units=np.uint8(4))
+        assert cfg == ModelConfig(window=8, conv_kernel=3, tcn_kernel=2, tcn_channels=4,
+                                  dilations=(1, 2), mlp_layers=1, mlp_units=4)
+        assert all(type(v) is int for v in (cfg.window, cfg.mlp_units, *cfg.dilations))
+        save_checkpoint(tmp_path / "c.json", init_forecaster(2, cfg))
+        assert load_checkpoint(tmp_path / "c.json")[0].config == cfg
+
 
 class TestDeterminism:
     def test_init_is_seeded(self):

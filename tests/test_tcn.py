@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import tcnad.tcn
 from oracles import numeric_grad, rel_err
-from tcnad.autodiff import Tape, Tensor, backward, rmse_loss
+from tcnad.autodiff import Tape, Tensor, backward, rmse_loss, slice_rows
 from tcnad.tcn import (
     TcnBlockParams,
+    block_rows,
     init_tcn_stack,
     receptive_field,
     tcn_block_forward,
@@ -121,6 +123,60 @@ class TestReceptiveField:
                 assert out == base, f"lag {lag} outside field {rf} leaked"
 
 
+class TestTrapezoid:
+    """``tcn_forward(..., rows=n)`` computes only what reaches its last n rows;
+    it must equal those rows of the full stack, in values and gradients."""
+
+    # K = 3, dilations (1, 2): rf = 13, so w = 20 has w >= rf and w = 9 w < rf;
+    # 2 input channels into 3 take a downsample conv in block 0, 3 into 3 none
+    @pytest.mark.parametrize("c_in", [2, 3])
+    @pytest.mark.parametrize("w, rows", [(20, 1), (20, 4), (9, 1), (9, 3), (9, 9)])
+    def test_matches_the_last_rows_of_the_full_stack(self, w, rows, c_in):
+        rng = np.random.default_rng(w * rows)
+        stack = init_tcn_stack(c_in, 3, 3, (1, 2), 0.0, rng)
+        assert receptive_field(stack) == 13
+        assert (stack[0].downsample is not None) == (c_in != 3)
+        x = Tensor(rng.standard_normal((2, w, c_in)))
+        y = rng.standard_normal((2, rows, 3))
+
+        def grads(pruned):
+            for b in stack:
+                for t in _tensors(b):
+                    t.zero_grad()
+            with Tape():
+                out = (tcn_forward(x, stack, rows=rows) if pruned
+                       else slice_rows(tcn_forward(x, stack), w - rows, w))
+                backward(rmse_loss(out, Tensor(y)))
+            return out.values, [t.grad for b in stack for t in _tensors(b)]
+
+        (out, got), (ref, expected) = grads(True), grads(False)
+        assert out.shape == (2, rows, 3)
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-15)
+        for g, e in zip(got, expected):
+            np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-12 * np.abs(e).max())
+
+    def test_paper_stack_convs_compute_the_rows_that_are_read(self, monkeypatch):
+        # the paper config's TCN: 75 input channels, r = 43 rows, one row read
+        stack = init_tcn_stack(75, 32, 4, (1, 2, 4), 0.0, np.random.default_rng(0))
+        assert block_rows(stack, 43, 1) == [37, 25, 1]
+        rows, real = [], tcnad.tcn.causal_dilated_conv1d
+
+        def spy(x, filters, dilation=1, n=None):
+            out = real(x, filters, dilation, n)
+            rows.append(out.values.shape[-2])
+            return out
+
+        monkeypatch.setattr(tcnad.tcn, "causal_dilated_conv1d", spy)
+        tcn_forward(Tensor(np.zeros((43, 75))), stack, rows=1)
+        # conv1 and conv2 of each block, block 0's downsample conv after its conv2
+        assert rows == [40, 37, 37, 31, 25, 13, 1]
+
+
+def _tensors(block):
+    return [t for t in (block.conv1_filters, block.conv1_bias, block.conv2_filters,
+                        block.conv2_bias, block.downsample) if t is not None]
+
+
 class TestValidation:
     def test_conv2_shape(self):
         with pytest.raises(ValueError):
@@ -172,9 +228,7 @@ class TestTraining:
         with Tape():
             backward(run())
         check_rng = np.random.default_rng(0)
-        tensors = [t for b in stack
-                   for t in (b.conv1_filters, b.conv1_bias, b.conv2_filters, b.conv2_bias,
-                             b.downsample) if t is not None]
+        tensors = [t for b in stack for t in _tensors(b)]
         assert any(b.downsample is not None for b in stack)
         for t in tensors:
             coords = check_rng.choice(t.values.size, size=min(6, t.values.size), replace=False)

@@ -68,6 +68,19 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.0), ("epochs", 2.5), ("epochs", True),
+        ("batch_size", 16.0), ("batch_size", True), ("batch_size", "16"),
+    ])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(16))
+        assert (cfg.epochs, cfg.batch_size) == (3, 16)
+        assert type(cfg.epochs) is int and type(cfg.batch_size) is int
+
 
 def _toy_series(n=40, m=2, seed=0):
     return np.random.default_rng(seed).standard_normal((n, m)) * 0.1
@@ -244,7 +257,7 @@ def _chunk_bytes(params, chunk):
 
 def _score_chunk_bytes(params, chunk):
     """The ``_SCORE_BYTES`` value that makes ``_score_chunk_size(params) == chunk``."""
-    return chunk * trainer._score_window_bytes(params)
+    return trainer._PAIR_BYTES + chunk * trainer._score_window_bytes(params)
 
 
 def _per_window_reference(params, windows):
@@ -316,12 +329,12 @@ class TestChunkedTape:
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_paper_chunks_equal_per_window(self, variant):
-        # paper shapes, so pair_scores runs in blocks of query rows; 6 windows
-        # make one chunk of the default size and a short one
+        # paper shapes, so pair_scores runs in blocks of query rows; chunk + 1
+        # windows make one chunk of the default size and a short one
         params = init_forecaster(25, _variants(ModelConfig(dropout=0.0))[variant], seed=3)
         chunk = trainer._chunk_size(params)
         assert chunk >= 4
-        windows = _toy_windows(n=106, m=25, window=100)
+        windows = _toy_windows(n=101 + chunk, m=25, window=100)
         ref_loss, ref_grads, scales = _per_window_reference(params, windows)
         loss, grads = _chunked(params, windows, chunk)
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
@@ -334,10 +347,10 @@ class TestChunkedTape:
     def test_chunk_sizes_of_the_named_configs(self):
         sizes = {name: trainer._chunk_size(init_forecaster(m, cfg))
                  for name, (m, cfg) in NAMED_CONFIGS.items()}
-        assert sizes == {"demo": 48, "small": 98, "paper": 4}
+        assert sizes == {"demo": 104, "small": 175, "paper": 6}
         sizes = {name: trainer._score_chunk_size(init_forecaster(m, cfg))
                  for name, (m, cfg) in NAMED_CONFIGS.items()}
-        assert sizes == {"demo": 130, "small": 267, "paper": 16}
+        assert sizes == {"demo": 244, "small": 390, "paper": 19}
 
     @pytest.mark.parametrize("name, variant", [
         pytest.param(name, variant, id=name if variant == "dynamic" else f"{name}-{variant}")
