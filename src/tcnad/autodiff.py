@@ -3,7 +3,9 @@
 Everything the forecaster needs is built from the ops in this module. Each op
 computes its result eagerly with numpy and, when a tape is active and any input
 requires gradients, records a closure that knows how to push the output
-gradient back onto the inputs. ``backward`` replays the records in reverse.
+gradient back onto the inputs. The closure holds the inputs' and the output's
+``GradNode``s and only the arrays it reads, which the op declares to the tape
+(``Tape.save``). ``backward`` replays the records in reverse.
 
 Every op accepts any number of leading batch axes and acts on the trailing one
 or two; a 2-D weight or a 1-D bias is shared across the batch, so its gradient
@@ -20,19 +22,39 @@ import numpy as np
 LEAKY_SLOPE = 0.2
 
 
+class GradNode:
+    """A tensor's gradient slot, apart from its values.
+
+    Tape records and backward rules hold nodes, never tensors, so a record
+    keeps an op's output values, or an input's, only where its rule reads them.
+    """
+
+    __slots__ = ("grad", "requires_grad")
+
+    def __init__(self, requires_grad: bool):
+        self.grad = None
+        self.requires_grad = requires_grad
+
+    def accumulate_grad(self, g: np.ndarray):
+        if self.grad is None:
+            # a copy, since rules may hand one array to several inputs (add does)
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
+
+
 class Tensor:
-    """Dense float64 array plus an optional gradient buffer.
+    """Dense float64 array plus its ``GradNode``.
 
     ``requires_grad`` marks leaves the optimizer updates; outputs of taped ops
     have it set automatically so gradients can flow through them.
     """
 
-    __slots__ = ("values", "grad", "requires_grad")
+    __slots__ = ("values", "node")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
+        self.node = GradNode(bool(requires_grad))
 
     @property
     def shape(self):
@@ -42,15 +64,23 @@ class Tensor:
     def size(self) -> int:
         return self.values.size
 
+    @property
+    def requires_grad(self) -> bool:
+        return self.node.requires_grad
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.node.grad = g
+
     def zero_grad(self):
-        self.grad = None
+        self.node.grad = None
 
     def accumulate_grad(self, g: np.ndarray):
-        if self.grad is None:
-            # a copy, since rules may hand one array to several inputs (add does)
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
+        self.node.accumulate_grad(g)
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -65,10 +95,15 @@ class Tape:
     Entering pushes the tape on a module-level stack; ops consult the top of
     the stack. Tapes may nest (inner tape records, outer does not see those
     ops), though the forecaster only ever uses one at a time.
+
+    ``saved_bytes`` is what the records keep for their rules: the bytes of
+    each distinct buffer under the arrays passed to ``save``.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, object]] = []
+        self._records: list[tuple[GradNode, object]] = []
+        self._saved: set[int] = set()   # ids of the buffers counted in saved_bytes
+        self.saved_bytes = 0
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -82,16 +117,25 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def record(self, out: Tensor, rule):
+    def record(self, out: GradNode, rule):
         self._records.append((out, rule))
+
+    def save(self, *arrays: np.ndarray):
+        """Count the buffers under ``arrays`` in ``saved_bytes``, each once."""
+        for a in arrays:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            if id(a) not in self._saved:
+                self._saved.add(id(a))
+                self.saved_bytes += a.nbytes
 
     def replay_backward(self):
         """Run the rules newest first, releasing each record and its output grad.
 
         Records are in topological order, so once a rule has run no later rule
-        reads its output's grad; dropping it (and the closure holding the
-        forward intermediates) bounds memory by the live part of the graph.
-        Leaves are never outputs, so they keep their grads.
+        reads its output's grad; dropping it (and the arrays the rule saved)
+        bounds memory by the live part of the graph. Leaves are never
+        outputs, so they keep their grads. The emptied tape keeps nothing.
         """
         records = self._records
         while records:
@@ -99,6 +143,8 @@ class Tape:
             if out.grad is not None:
                 rule(out.grad)
                 out.grad = None
+        self._saved.clear()
+        self.saved_bytes = 0
 
 
 def active_tape() -> Tape | None:
@@ -122,11 +168,19 @@ def backward(loss: Tensor):
     tape.replay_backward()
 
 
-def _maybe_record(out: Tensor, rule, *inputs: Tensor) -> Tensor:
-    tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        tape.record(out, rule)
+def _taped(inputs) -> bool:
+    """Whether an op on ``inputs`` is recorded: a tape is active and an input needs a grad."""
+    return bool(_TAPE_STACK) and any(t.node.requires_grad for t in inputs)
+
+
+def _maybe_record(out: Tensor, rule, inputs, saved=()) -> Tensor:
+    """Record ``rule`` for ``out`` when ``_taped(inputs)``; ``saved`` lists the
+    arrays the rule holds besides the inputs' and the output's nodes."""
+    if _taped(inputs):
+        out.node.requires_grad = True
+        tape = _TAPE_STACK[-1]
+        tape.save(*saved)
+        tape.record(out.node, rule)
     return out
 
 
@@ -143,19 +197,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     if av.shape[-1] != bv.shape[-2] or (bv.ndim > 2 and av.shape[:-2] != bv.shape[:-2]):
         raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-    out = Tensor(av @ bv)
+    an, bn = a.node, b.node
 
     def rule(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ np.swapaxes(bv, -1, -2))
-        if b.requires_grad:
+        if an.requires_grad:
+            an.accumulate_grad(g @ np.swapaxes(bv, -1, -2))
+        if bn.requires_grad:
             if bv.ndim == 2:
                 # one 2-D matmul sums the shared weight's grad over the batch
-                b.accumulate_grad(av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+                bn.accumulate_grad(av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
             else:
-                b.accumulate_grad(np.swapaxes(av, -1, -2) @ g)
+                bn.accumulate_grad(np.swapaxes(av, -1, -2) @ g)
 
-    return _maybe_record(out, rule, a, b)
+    return _maybe_record(Tensor(av @ bv), rule, (a, b), (av, bv))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -165,51 +219,48 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
     if not bias_broadcast and a.values.shape != b.values.shape:
         raise ValueError(f"add shape mismatch: {a.values.shape} + {b.values.shape}")
-    out = Tensor(a.values + b.values)
+    an, bn = a.node, b.node
 
     def rule(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g.reshape(-1, g.shape[-1]).sum(axis=0) if bias_broadcast else g)
+        if an.requires_grad:
+            an.accumulate_grad(g)
+        if bn.requires_grad:
+            bn.accumulate_grad(g.reshape(-1, g.shape[-1]).sum(axis=0) if bias_broadcast else g)
 
-    return _maybe_record(out, rule, a, b)
+    return _maybe_record(Tensor(a.values + b.values), rule, (a, b))
 
 
 def transpose(x: Tensor) -> Tensor:
     """Swap the last two axes."""
     if x.values.ndim < 2:
         raise ValueError("transpose expects at least 2 axes")
-    out = Tensor(np.swapaxes(x.values, -1, -2))
+    xn = x.node
 
     def rule(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.swapaxes(g, -1, -2))
+        xn.accumulate_grad(np.swapaxes(g, -1, -2))
 
-    return _maybe_record(out, rule, x)
+    return _maybe_record(Tensor(np.swapaxes(x.values, -1, -2)), rule, (x,))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = Tensor(x.values.reshape(shape))
+    xn, in_shape = x.node, x.values.shape
 
     def rule(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(x.values.shape))
+        xn.accumulate_grad(g.reshape(in_shape))
 
-    return _maybe_record(out, rule, x)
+    return _maybe_record(Tensor(x.values.reshape(shape)), rule, (x,))
 
 
 def _take(x: Tensor, key) -> Tensor:
     """``x.values[key]`` for a basic-slicing key; the grad scatters back into zeros."""
-    out = Tensor(x.values[key])
+    xn, in_shape = x.node, x.values.shape
 
     def rule(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.values)
-            full[key] = g
-            x.accumulate_grad(full)
+        full = np.zeros(in_shape)
+        full[key] = g
+        xn.accumulate_grad(full)
 
-    return _maybe_record(out, rule, x)
+    return _maybe_record(Tensor(x.values[key]), rule, (x,))
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -245,15 +296,15 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     for p in parts:
         if p.values.ndim < 2 or p.values.shape[:-1] != lead:
             raise ValueError("concat_cols expects tensors with matching leading axes")
-    out = Tensor(np.concatenate([p.values for p in parts], axis=-1))
-    offsets = np.cumsum([0] + [p.values.shape[-1] for p in parts])
+    nodes = [p.node for p in parts]
+    offsets = np.cumsum([0] + [p.values.shape[-1] for p in parts]).tolist()
 
     def rule(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p.accumulate_grad(g[..., lo:hi])
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if node.requires_grad:
+                node.accumulate_grad(g[..., lo:hi])
 
-    return _maybe_record(out, rule, *parts)
+    return _maybe_record(Tensor(np.concatenate([p.values for p in parts], axis=-1)), rule, parts)
 
 
 # Floats in a pair block: with its sign mask, under glibc's default 128 KiB mmap threshold.
@@ -295,18 +346,20 @@ def pair_scores(left: Tensor, right: Tensor, v: Tensor) -> Tensor:
     blocks = _pair_blocks(lead, n, p * d)
     entries = int(np.prod(lead))
     lb, rb = lv.reshape(entries, n, d), rv.reshape(entries, p, d)
-    out = np.empty(lb.shape[:-1] + (p,))
-    taped = active_tape() is not None and any(t.requires_grad for t in (left, right, v))
-    pos = np.empty(out.shape + (d,), dtype=bool) if taped else None  # the only pair-sized state
+    scores = np.empty(lb.shape[:-1] + (p,))
+    taped = _taped((left, right, v))
+    pos = np.empty(scores.shape + (d,), dtype=bool) if taped else None  # the only pair-sized state
     for key in blocks:
         pairs = lb[key][..., :, None, :] + rb[key[0]][..., None, :, :]
         if taped:
             np.greater_equal(pairs, 0, out=pos[key])
         np.maximum(pairs, slope * pairs, out=pairs)  # leaky_relu, exact for 0 <= slope <= 1
-        np.matmul(pairs, vv, out=out[key])
+        np.matmul(pairs, vv, out=scores[key])
+    ln, rn, vn = left.node, right.node, v.node
+    shape, l_shape, r_shape = scores.shape, lv.shape, rv.shape
 
     def rule(g):
-        g, s, t = g.reshape(out.shape), np.empty(lb.shape), np.zeros(rb.shape)
+        g, s, t = g.reshape(shape), np.empty(lb.shape), np.zeros(rb.shape)
         for key in blocks:
             posf, gb = pos[key].astype(np.float64), g[key]
             s[key] = (gb[..., :, None, :] @ posf)[..., 0, :]
@@ -314,15 +367,16 @@ def pair_scores(left: Tensor, right: Tensor, v: Tensor) -> Tensor:
                           @ np.swapaxes(posf, -3, -2))[..., 0, :]
         dl = slope * g.sum(axis=-1)[..., None] + (1.0 - slope) * s
         dr = slope * g.sum(axis=-2)[..., None] + (1.0 - slope) * t
-        if left.requires_grad:
-            left.accumulate_grad((dl * vv).reshape(lv.shape))
-        if right.requires_grad:
-            right.accumulate_grad((dr * vv).reshape(rv.shape))
-        if v.requires_grad:
-            v.accumulate_grad((dl * lb).reshape(-1, d).sum(axis=0)
-                              + (dr * rb).reshape(-1, d).sum(axis=0))
+        if ln.requires_grad:
+            ln.accumulate_grad((dl * vv).reshape(l_shape))
+        if rn.requires_grad:
+            rn.accumulate_grad((dr * vv).reshape(r_shape))
+        if vn.requires_grad:
+            vn.accumulate_grad((dl * lb).reshape(-1, d).sum(axis=0)
+                               + (dr * rb).reshape(-1, d).sum(axis=0))
 
-    return _maybe_record(Tensor(out.reshape(lv.shape[:-1] + (p,))), rule, left, right, v)
+    return _maybe_record(Tensor(scores.reshape(lv.shape[:-1] + (p,))), rule, (left, right, v),
+                         (lb, rb, vv, pos))
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +384,18 @@ def pair_scores(left: Tensor, right: Tensor, v: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def leaky_relu(x: Tensor) -> Tensor:
-    mask = x.values > 0
-    out = Tensor(np.where(mask, x.values, LEAKY_SLOPE * x.values))
+    """max(x, slope*x), exact for 0 <= slope <= 1; a taped call keeps only the
+    sign mask x >= 0 (derivative taken as 1 at exactly zero)."""
+    xv = x.values
+    out = Tensor(np.maximum(xv, LEAKY_SLOPE * xv))
+    if not _taped((x,)):
+        return out
+    pos, xn = xv >= 0, x.node
 
     def rule(g):
-        if x.requires_grad:
-            # derivative taken as 1 at exactly zero
-            deriv = np.where(x.values >= 0, 1.0, LEAKY_SLOPE)
-            x.accumulate_grad(g * deriv)
+        xn.accumulate_grad(g * np.where(pos, 1.0, LEAKY_SLOPE))
 
-    return _maybe_record(out, rule, x)
+    return _maybe_record(out, rule, (x,), (pos,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -349,13 +405,12 @@ def sigmoid(x: Tensor) -> Tensor:
     y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
     ev = np.exp(v[~pos])
     y[~pos] = ev / (1.0 + ev)
-    out = Tensor(y)
+    xn = x.node
 
     def rule(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * y * (1.0 - y))
+        xn.accumulate_grad(g * y * (1.0 - y))
 
-    return _maybe_record(out, rule, x)
+    return _maybe_record(Tensor(y), rule, (x,), (y,))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -365,14 +420,13 @@ def softmax_rows(x: Tensor) -> Tensor:
     y = x.values - x.values.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
+    xn = x.node
 
     def rule(g):
-        if x.requires_grad:
-            gy = g * y
-            x.accumulate_grad(gy - y * gy.sum(axis=-1, keepdims=True))
+        gy = g * y
+        xn.accumulate_grad(gy - y * gy.sum(axis=-1, keepdims=True))
 
-    return _maybe_record(out, rule, x)
+    return _maybe_record(Tensor(y), rule, (x,), (y,))
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -392,13 +446,12 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
         raise ValueError("dropout in training mode needs an rng")
     keep = rng.random(x.values.shape) >= rate
     scale = 1.0 / (1.0 - rate)
-    out = Tensor(x.values * keep * scale)
+    xn = x.node
 
     def rule(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * keep * scale)
+        xn.accumulate_grad(g * keep * scale)
 
-    return _maybe_record(out, rule, x)
+    return _maybe_record(Tensor(x.values * keep * scale), rule, (x,), (keep,))
 
 
 # ---------------------------------------------------------------------------
@@ -435,24 +488,29 @@ def causal_dilated_conv1d(x: Tensor, filters: Tensor, dilation: int = 1, rows: i
     # tap j adds x[t - s] @ filters[j], s = (K-1-j)*dilation, to outputs t >= s: rows i to o
     taps = [(j, slice(max(0, w - n - s), w - s), slice(max(0, s - w + n), n))
             for j, s in enumerate(range((k - 1) * dilation, -1, -dilation)) if s < w]
-    out_vals = np.zeros((*lead, n, c_out))
+    xv, fv = x.values, filters.values
+    out = np.zeros((*lead, n, c_out))
     for j, i, o in taps:
-        out_vals[..., o, :] += x.values[..., i, :] @ filters.values[j]
-    out = Tensor(out_vals)
+        out[..., o, :] += xv[..., i, :] @ fv[j]
+    xn, fn = x.node, filters.node
 
     def rule(g):
-        if filters.requires_grad:
-            gf = np.zeros_like(filters.values)
+        if fn.requires_grad:
+            gf = np.zeros_like(fv)
             for j, i, o in taps:
-                gf[j] = x.values[..., i, :].reshape(-1, c_in).T @ g[..., o, :].reshape(-1, c_out)
-            filters.accumulate_grad(gf)
-        if x.requires_grad:
-            gx = np.zeros_like(x.values)
+                gf[j] = xv[..., i, :].reshape(-1, c_in).T @ g[..., o, :].reshape(-1, c_out)
+            fn.accumulate_grad(gf)
+        if xn.requires_grad:
+            gx = np.zeros_like(xv)
             for j, i, o in taps:
-                gx[..., i, :] += g[..., o, :] @ filters.values[j].T
-            x.accumulate_grad(gx)
+                gx[..., i, :] += g[..., o, :] @ fv[j].T
+            xn.accumulate_grad(gx)
 
-    return _maybe_record(out, rule, x, filters)
+    return _maybe_record(Tensor(out), rule, (x, filters), (xv, fv))
+
+
+def _row_rmse(resid: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.mean(resid * resid, axis=-1, keepdims=True))
 
 
 def rmse_loss(pred: Tensor, target: Tensor, divisor: float = 1.0) -> Tensor:
@@ -463,7 +521,8 @@ def rmse_loss(pred: Tensor, target: Tensor, divisor: float = 1.0) -> Tensor:
     the chunks of a minibatch then add up to the mean per-window RMSE, and so
     do their gradients. The gradient w.r.t. a row of pred is
     (pred - target) / (d * rmse * divisor) for rows of length d, taken as 0
-    for a row whose residual is identically zero.
+    for a row whose residual is identically zero; a taped call keeps only the
+    residual.
     """
     if pred.values.shape != target.values.shape:
         raise ValueError(
@@ -472,18 +531,17 @@ def rmse_loss(pred: Tensor, target: Tensor, divisor: float = 1.0) -> Tensor:
     resid = pred.values - target.values
     if resid.size == 0:
         raise ValueError("rmse_loss on empty tensors")
-    rows = np.sqrt(np.mean(resid * resid, axis=-1, keepdims=True))
-    out = Tensor(rows.sum() / divisor)
+    pn, tn = pred.node, target.node
 
     def rule(g):
-        denom = resid.shape[-1] * rows * divisor
+        denom = resid.shape[-1] * _row_rmse(resid) * divisor
         gp = np.divide(float(g) * resid, denom, out=np.zeros_like(resid), where=denom != 0)
-        if pred.requires_grad:
-            pred.accumulate_grad(gp)
-        if target.requires_grad:
-            target.accumulate_grad(-gp)
+        if pn.requires_grad:
+            pn.accumulate_grad(gp)
+        if tn.requires_grad:
+            tn.accumulate_grad(-gp)
 
-    return _maybe_record(out, rule, pred, target)
+    return _maybe_record(Tensor(_row_rmse(resid).sum() / divisor), rule, (pred, target), (resid,))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -131,6 +131,7 @@ def init_forecaster(n_features: int, config: ModelConfig, seed: int = 0) -> Fore
     """Fan-in scaled uniform weights, zero biases, all drawn from one seeded rng."""
     if n_features < 1:
         raise ValueError(f"n_features must be >= 1, got {n_features}")
+    seed = int_field("seed", seed, 0)
     rng = np.random.default_rng(seed)
     m, k = n_features, config.conv_kernel
 

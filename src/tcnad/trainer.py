@@ -2,8 +2,9 @@
 
 Both loops push chunks of windows through one batched ``forward``. A training
 chunk is sized so what its windows keep on the tape stays near
-``_CHUNK_BYTES``, an inference chunk so what its untaped forward holds at once
-stays near ``_SCORE_BYTES``; either bounds memory whatever the batch size.
+``_CHUNK_BYTES``, as the tape itself counts it for one probe window; an
+inference chunk so what its untaped forward holds at once stays near
+``_SCORE_BYTES``. Either bounds memory whatever the batch size.
 """
 
 from __future__ import annotations
@@ -68,34 +69,23 @@ def build_windows(series: np.ndarray, window: int) -> np.ndarray:
     return sliding_window_view(series, (window + 1, series.shape[1]))[:, 0]
 
 
-def _window_bytes(params: ForecasterParams) -> int:
-    """About the bytes one window keeps on the tape, r = min(w, receptive_field):
-    the float arrays and 1-byte dropout and sign masks each layer's records
-    hold, a TCN block of n rows out computing n1 = min(r, n + (K-1)*dilation)
-    rows in conv1 (dynamic attention keeps a mask of every pair's features)."""
-    cfg = params.config
-    w, m, c, u = cfg.window, params.n_features, cfg.tcn_channels, cfg.mlp_units
-    r = min(w, receptive_field(params.tcn))
-    static = cfg.attention_mode == "static"
-    branches = 1 + (params.temporal is not None) + (params.variable is not None)
-    floats = (3 * w + 4) * m + 2 + r * branches * m + 4 * u * cfg.mlp_layers
-    masks = u * cfg.mlp_layers
-    for b, n in zip(params.tcn, block_rows(params.tcn, r, 1)):
-        n1 = min(r, n + (b.kernel_size - 1) * b.dilation)
-        floats += c * (4 * n1 + (5 + (b.downsample is not None)) * n)
-        masks += c * (n1 + n)
-    if params.temporal is not None:
-        floats += w * m + 2 * r * w + 3 * r * m + static * 2 * (r + w)
-        masks += r * w * (1 if static else m)
-    if params.variable is not None:
-        floats += 2 * w * m + 2 * m * m + 2 * r * m + static * 4 * m
-        masks += m * m * (1 if static else w)
-    return 8 * floats + masks
+def _window_tape_bytes(params: ForecasterParams) -> int:
+    """Bytes one window keeps on the tape, parameters aside, as the tape counts
+    them for a training-mode forward and loss on a zero window; the probe's
+    dropout masks come from an rng of its own."""
+    window = np.zeros((1, params.config.window + 1, params.n_features))
+    with Tape() as tape:
+        tape.save(*(t.values for t in params.tensors()))
+        fixed = tape.saved_bytes
+        pred = forward(Tensor(window[:, :-1]), params, training=True, rng=np.random.default_rng(0))
+        rmse_loss(pred, Tensor(window[:, -1]))
+        return tape.saved_bytes - fixed
 
 
 def _chunk_size(params: ForecasterParams) -> int:
-    """Windows per taped ``forward``: 6 at the paper config, 104 at the demo one."""
-    return max(1, _CHUNK_BYTES // _window_bytes(params))
+    """Windows per taped ``forward``, from one probe window: 9 at the paper
+    config, 250 at the demo one."""
+    return max(1, _CHUNK_BYTES // _window_tape_bytes(params))
 
 
 def _score_window_bytes(params: ForecasterParams) -> int:
@@ -140,17 +130,17 @@ def accumulate_gradients(
     windows: np.ndarray,
     index: np.ndarray,
     rng: np.random.Generator | None,
+    size: int,
 ) -> float:
     """Add the gradient of the mean RMSE of ``windows[index]`` to every param's ``.grad``.
 
-    The minibatch runs in chunks of at most ``_chunk_size`` windows, one tape
-    each; ``rmse_loss`` divides every chunk's loss by the minibatch size, so
-    the chunk gradients add up to the minibatch mean. The forward runs in
-    training mode with dropout masks drawn from ``rng`` (None is fine at
-    dropout 0). Returns the sum of the per-window RMSEs.
+    The minibatch runs in chunks of at most ``size`` windows, one tape each
+    (``train`` passes ``_chunk_size``); ``rmse_loss`` divides every chunk's
+    loss by the minibatch size, so the chunk gradients add up to the minibatch
+    mean. The forward runs in training mode with dropout masks drawn from
+    ``rng`` (None is fine at dropout 0). Returns the sum of the per-window RMSEs.
     """
-    size, n = _chunk_size(params), len(index)
-    total = 0.0
+    n, total = len(index), 0.0
     for start in range(0, n, size):
         chunk = windows[index[start : start + size]]
         with Tape():
@@ -175,8 +165,7 @@ class TrainConfig:
         self.batch_size = int_field("batch_size", self.batch_size, 1)
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.seed = int_field("seed", self.seed, 0)
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
@@ -218,6 +207,7 @@ def train(
     dropout_rng = np.random.default_rng(dropout_seq)
 
     tensors = params.tensors()
+    size = _chunk_size(params)
     adam = AdamState(learning_rate=config.learning_rate)
     result = TrainResult(params=params)
 
@@ -230,7 +220,7 @@ def train(
             idx = order[start : start + config.batch_size]
             for t in tensors:
                 t.zero_grad()
-            batch_total = accumulate_gradients(params, fit_windows, idx, dropout_rng)
+            batch_total = accumulate_gradients(params, fit_windows, idx, dropout_rng, size)
             if not np.isfinite(batch_total):
                 bad = next((name for name, t in params.named_parameters()
                             if t.grad is not None and not np.isfinite(t.grad).all()), None)

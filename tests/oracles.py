@@ -112,6 +112,23 @@ def gpd_nll_reference(y: np.ndarray, gamma: float, beta: float) -> float:
     return y.size * np.log(beta) + (1.0 + 1.0 / gamma) * float(np.log1p(z).sum())
 
 
+def record_arrays(records) -> list[np.ndarray]:
+    """The arrays tape records reach, found by walking them by hand: each
+    record's output and what its rule closes over, through lists, tuples and
+    anything holding array ``values`` (a tensor). Each array object once."""
+    found, pending = {}, [obj for out, rule in records
+                          for obj in [out, *(c.cell_contents for c in rule.__closure__ or ())]]
+    while pending:
+        obj = pending.pop()
+        if isinstance(obj, (list, tuple)):
+            pending.extend(obj)
+        elif isinstance(obj, np.ndarray):
+            found[id(obj)] = obj
+        elif isinstance(getattr(obj, "values", None), np.ndarray):
+            found[id(obj.values)] = obj.values
+    return list(found.values())
+
+
 def numeric_grad(fn, arr: np.ndarray, coords, eps: float = 1e-6) -> dict[int, float]:
     """Central differences of scalar fn() w.r.t. flat entries of arr (mutated in place)."""
     flat = arr.ravel()

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import conv_reference, numeric_grad, pair_scores_reference, rel_err
+from oracles import conv_reference, numeric_grad, pair_scores_reference, record_arrays, rel_err
 from tcnad import autodiff
 from tcnad.autodiff import (
     Tape,
@@ -126,6 +126,67 @@ class TestBatchedOps:
             with Tape():
                 backward(rmse_loss(p, Tensor(target[i])))
             np.testing.assert_allclose(pred.grad[i], p.grad / 8, rtol=1e-14)
+
+
+class TestRecords:
+    """A record reaches the nodes of its output and inputs and exactly the
+    arrays its op declared to the tape, and the tape counts their buffers."""
+
+    CASES = {
+        # name: (op, input shapes); every input requires a grad
+        "matmul_shared_weight": (matmul, [(2, 4, 3), (3, 5)]),
+        "matmul_batched": (matmul, [(2, 4, 3), (2, 3, 5)]),
+        "add": (add, [(2, 4, 3), (2, 4, 3)]),
+        "add_bias": (add, [(2, 4, 3), (3,)]),
+        "transpose": (transpose, [(2, 4, 3)]),
+        "reshape": (lambda x: reshape(x, (8, 3)), [(2, 4, 3)]),
+        "slice_cols": (lambda x: slice_cols(x, 1, 3), [(2, 4, 3)]),
+        "slice_rows": (lambda x: slice_rows(x, 1, 3), [(2, 4, 3)]),
+        "take_row": (lambda x: take_row(x, 2), [(2, 4, 3)]),
+        "concat_cols": (lambda a, b: concat_cols([a, b]), [(2, 4, 2), (2, 4, 3)]),
+        "dropout": (lambda x: dropout(x, 0.5, True, np.random.default_rng(0)), [(2, 4, 3)]),
+        "leaky_relu": (leaky_relu, [(2, 4, 3)]),
+        "sigmoid": (sigmoid, [(2, 4, 3)]),
+        "softmax_rows": (softmax_rows, [(2, 4, 3)]),
+        "pair_scores": (pair_scores, [(2, 4, 3), (2, 5, 3), (3,)]),
+        "conv": (lambda x, f: causal_dilated_conv1d(x, f, 2, 3), [(2, 6, 2), (3, 2, 4)]),
+        "rmse_loss": (lambda p, t: rmse_loss(p, t, 2.0), [(2, 3), (2, 3)]),
+    }
+    # ops whose rules read no values at all, at most a dropout mask
+    SHAPES_ONLY = {"add", "add_bias", "transpose", "reshape", "slice_cols", "slice_rows",
+                   "take_row", "concat_cols", "dropout"}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_record_reaches_exactly_its_saved_arrays(self, name, monkeypatch):
+        op, shapes = self.CASES[name]
+        rng = np.random.default_rng(0)
+        inputs = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        saved, save = [], Tape.save
+        monkeypatch.setattr(Tape, "save", lambda tape, *arrays: saved.extend(arrays)
+                            or save(tape, *arrays))
+        with Tape() as tape:
+            op(*inputs)
+        assert len(tape) == 1
+        reached = record_arrays(tape._records)
+        assert {id(a) for a in reached} == {id(a) for a in saved}
+        roots = {}
+        for a in reached:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            roots[id(a)] = a.nbytes
+        assert tape.saved_bytes == sum(roots.values())
+        if name in self.SHAPES_ONLY:
+            assert [a for a in reached if a.dtype != np.bool_] == []
+        if name in ("dropout", "leaky_relu"):
+            assert [(a.dtype, a.shape) for a in reached] == [(np.bool_, shapes[0])]
+
+    def test_backward_empties_the_count(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            loss = rmse_loss(sigmoid(x), Tensor(np.zeros((2, 3))))
+            assert tape.saved_bytes == 2 * x.values.nbytes
+            backward(loss)
+        assert len(tape) == 0 and tape.saved_bytes == 0
 
 
 class TestForwardValues:
@@ -266,10 +327,8 @@ class TestPairScores:
         right = Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
         with Tape() as tape:
             pair_scores(left, right, Tensor(rng.standard_normal(3)))
-            (_, rule), = tape._records
-        kept = [c.cell_contents for c in rule.__closure__
-                if isinstance(c.cell_contents, np.ndarray)]
-        pair_sized = [a for a in kept if a.shape == (2, 4, 5, 3)]
+        assert len(tape) == 1
+        pair_sized = [a for a in record_arrays(tape._records) if a.shape == (2, 4, 5, 3)]
         assert [a.dtype for a in pair_sized] == [np.bool_]
 
     def test_blocks(self, monkeypatch):
@@ -407,9 +466,7 @@ class TestConvRows:
         f = Tensor(np.ones((3, 2, 4)), requires_grad=True)
         with Tape() as tape:
             causal_dilated_conv1d(x, f, 2, rows)
-        cells = [c.cell_contents for c in tape._records[-1][1].__closure__]
-        held = [c.values if isinstance(c, Tensor) else c for c in cells
-                if isinstance(c, (Tensor, np.ndarray))]
+        held = record_arrays(tape._records)
         assert any(np.shares_memory(a, x.values) for a in held)
         assert all(np.shares_memory(a, x.values) or np.shares_memory(a, f.values) for a in held)
 

@@ -137,6 +137,12 @@ class TestConfigValidation:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("seed", [1.5, True, "3", -1])
+    def test_init_rejects_a_seed_that_is_no_count(self, seed):
+        # before, 1.5 and "3" died inside numpy naming no field, True seeded as 1
+        with pytest.raises(ValueError, match="^seed must be"):
+            init_forecaster(3, TINY, seed=seed)
+
     def test_init_is_seeded(self):
         a = init_forecaster(3, TINY, seed=7)
         b = init_forecaster(3, TINY, seed=7)
@@ -259,12 +265,13 @@ class TestReceptiveFieldPruning:
         assert receptive_field(params.tcn) == 7
         windows = build_windows(np.random.default_rng(3).standard_normal((100, 3)), window)
         index = np.random.default_rng(4).permutation(len(windows))
+        size = tcnad.trainer._chunk_size(params)
 
         def run():
             for t in params.tensors():
                 t.zero_grad()
             scores = window_scores(params, windows)
-            total = accumulate_gradients(params, windows, index, None)
+            total = accumulate_gradients(params, windows, index, None, size)
             return scores, total, [t.grad for t in params.tensors()]
 
         pruned = run()

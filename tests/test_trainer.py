@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import record_arrays
 from tcnad import trainer
 from tcnad.data import compute_stats, normalize
 from tcnad.autodiff import Tape, Tensor, backward, rmse_loss
@@ -71,15 +72,18 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 2.0), ("epochs", 2.5), ("epochs", True),
         ("batch_size", 16.0), ("batch_size", True), ("batch_size", "16"),
+        # before, train died in np.random.SeedSequence on 1.5 and True, and "3"
+        # failed a comparison; none of the errors named the field
+        ("seed", 1.5), ("seed", True), ("seed", "3"),
     ])
     def test_non_integer_counts_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             TrainConfig(**{field: value})
 
     def test_numpy_integers_become_ints(self):
-        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(16))
-        assert (cfg.epochs, cfg.batch_size) == (3, 16)
-        assert type(cfg.epochs) is int and type(cfg.batch_size) is int
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(16), seed=np.uint8(5))
+        assert (cfg.epochs, cfg.batch_size, cfg.seed) == (3, 16, 5)
+        assert all(type(v) is int for v in (cfg.epochs, cfg.batch_size, cfg.seed))
 
 
 def _toy_series(n=40, m=2, seed=0):
@@ -231,28 +235,21 @@ NAMED_CONFIGS = {
 
 
 def _held_bytes(tape, params):
-    """Bytes of the distinct arrays a tape's records reach (their outputs and
-    the arrays and tensors their rules close over), parameters excluded."""
+    """Bytes of the distinct buffers under the arrays a tape's records reach,
+    parameters excluded."""
     seen, total = {id(t.values) for t in params.tensors()}, 0
-    pending = [obj for out, rule in tape._records
-               for obj in [out, *(c.cell_contents for c in rule.__closure__ or ())]]
-    while pending:
-        obj = pending.pop()
-        if isinstance(obj, (list, tuple)):
-            pending.extend(obj)
-        elif isinstance(obj, (np.ndarray, Tensor)):
-            root = obj.values if isinstance(obj, Tensor) else obj
-            while isinstance(root.base, np.ndarray):
-                root = root.base
-            if id(root) not in seen:
-                seen.add(id(root))
-                total += root.nbytes
+    for root in record_arrays(tape._records):
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        if id(root) not in seen:
+            seen.add(id(root))
+            total += root.nbytes
     return total
 
 
 def _chunk_bytes(params, chunk):
     """The ``_CHUNK_BYTES`` value that makes ``_chunk_size(params) == chunk``."""
-    return chunk * trainer._window_bytes(params)
+    return chunk * trainer._window_tape_bytes(params)
 
 
 def _score_chunk_bytes(params, chunk):
@@ -287,9 +284,7 @@ def _per_window_reference(params, windows):
 def _chunked(params, windows, chunk):
     for t in params.tensors():
         t.zero_grad()
-    with mock.patch.object(trainer, "_CHUNK_BYTES", _chunk_bytes(params, chunk)):
-        assert trainer._chunk_size(params) == chunk
-        total = accumulate_gradients(params, windows, np.arange(len(windows)), rng=None)
+    total = accumulate_gradients(params, windows, np.arange(len(windows)), None, chunk)
     grads = [np.zeros_like(t.values) if t.grad is None else t.grad for t in params.tensors()]
     return total / len(windows), grads
 
@@ -347,7 +342,7 @@ class TestChunkedTape:
     def test_chunk_sizes_of_the_named_configs(self):
         sizes = {name: trainer._chunk_size(init_forecaster(m, cfg))
                  for name, (m, cfg) in NAMED_CONFIGS.items()}
-        assert sizes == {"demo": 104, "small": 175, "paper": 6}
+        assert sizes == {"demo": 250, "small": 380, "paper": 9}
         sizes = {name: trainer._score_chunk_size(init_forecaster(m, cfg))
                  for name, (m, cfg) in NAMED_CONFIGS.items()}
         assert sizes == {"demo": 244, "small": 390, "paper": 19}
@@ -371,6 +366,44 @@ class TestChunkedTape:
             held = _held_bytes(tape, params)
         floor = 0.8 if variant == "dynamic" else 0.75
         assert floor * trainer._CHUNK_BYTES <= held <= trainer._CHUNK_BYTES
+
+    @pytest.mark.parametrize("name, variant", [
+        pytest.param(name, variant, id=f"{name}-{variant}")
+        for name in sorted(NAMED_CONFIGS) for variant in sorted(VARIANTS)
+    ])
+    def test_probe_counts_what_a_window_tape_holds(self, name, variant):
+        # the tape's own count for one probe window equals what a hand walk
+        # of a one-window training tape finds, parameters aside
+        m, cfg = NAMED_CONFIGS[name]
+        params = init_forecaster(m, _variants(cfg)[variant])
+        window = build_windows(_toy_series(n=cfg.window + 1, m=m), cfg.window)[[0]]
+        with Tape() as tape:
+            pred = forward(Tensor(window[:, :-1]), params, training=True,
+                           rng=np.random.default_rng(1))
+            rmse_loss(pred, Tensor(window[:, -1]))
+            assert trainer._window_tape_bytes(params) == _held_bytes(tape, params)
+
+    def test_probe_changes_no_grad_and_no_training_run(self):
+        # the probe runs no backward and draws its dropout masks from an rng
+        # of its own: a run probing its chunk size equals one told the size
+        cfg = replace(TINY, dropout=0.1)
+        params = init_forecaster(2, cfg, seed=1)
+        grads = [np.full(t.shape, 0.5) for t in params.tensors()]
+        for t, g in zip(params.tensors(), grads):
+            t.grad = g
+        size = trainer._chunk_size(params)
+        assert all(t.grad is g and (g == 0.5).all() for t, g in zip(params.tensors(), grads))
+
+        def run(chunk_size):
+            with mock.patch.object(trainer, "_chunk_size", chunk_size):
+                result = train(init_forecaster(2, cfg, seed=1), _toy_windows(),
+                               TrainConfig(epochs=2, batch_size=8, seed=5))
+            return result.loss_history, [t.values for t in result.params.tensors()]
+
+        probed, told = run(trainer._chunk_size), run(lambda params: size)
+        assert probed[0] == told[0]
+        for a, b in zip(probed[1], told[1]):
+            np.testing.assert_array_equal(a, b)
 
     def test_same_seed_with_dropout_is_identical(self):
         cfg = replace(TINY, dropout=0.1)
