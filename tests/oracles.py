@@ -112,6 +112,27 @@ def gpd_nll_reference(y: np.ndarray, gamma: float, beta: float) -> float:
     return y.size * np.log(beta) + (1.0 + 1.0 / gamma) * float(np.log1p(z).sum())
 
 
+def gpd_fit_reference(y: np.ndarray) -> tuple[float, float, float]:
+    """Brute-force constrained GPD fit: the least negative log-likelihood, with
+    its (gamma, beta), over a dense grid of gamma in [-0.5, 1] (step 0.0125)
+    times beta log-spaced 100 a decade over mean(y) * [1e-4, 10**0.5]. No
+    refinement, so the minimum is an upper bound on the constrained MLE's."""
+    betas = y.mean() * np.logspace(-4.0, 0.5, 451)
+    best = (np.inf, np.nan, np.nan)
+    for gamma in np.linspace(-0.5, 1.0, 121):
+        with np.errstate(all="ignore"):
+            if abs(gamma) < 1e-12:
+                nll = y.size * np.log(betas) + float(y.sum()) / betas
+            else:   # one row of gpd_nll_reference, outside the support -> inf
+                z = np.multiply.outer(gamma / betas, y)
+                nll = np.where(z.min(axis=1) > -1.0, y.size * np.log(betas)
+                               + (1.0 + 1.0 / gamma) * np.log1p(z).sum(axis=1), np.inf)
+        j = int(np.argmin(nll))
+        if nll[j] < best[0]:
+            best = (float(nll[j]), float(gamma), float(betas[j]))
+    return best
+
+
 def record_arrays(records) -> list[np.ndarray]:
     """The arrays tape records reach, found by walking them by hand: each
     record's output and what its rule closes over, through lists, tuples and

@@ -406,6 +406,16 @@ class TestThresholdCommand:
         assert f"min_exceedances must be >= 2, got {value}" in captured.err
         assert "threshold=" not in captured.out
 
+    def test_pot_q_not_below_the_tail_fraction(self, tmp_path, capsys):
+        # q = 0.5 over a 2% tail would extrapolate below the initial threshold
+        path = tmp_path / "s.csv"
+        write_scores_csv(path, ScoreSequence(np.random.default_rng(1).exponential(1.0, 3000), 0))
+        code = main(["threshold", "--scores", str(path), "--method", "pot", "--q", "0.5"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "q=0.5 must be below the tail fraction 60/3000" in captured.err
+        assert "threshold=" not in captured.out
+
     def test_pot_too_few_points_is_numeric_failure(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
         write_scores_csv(path, ScoreSequence(np.linspace(0, 1, 10), 0))

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import best_f1_reference, gpd_nll_reference, gpd_quantile_sample
+from oracles import (
+    best_f1_reference,
+    gpd_fit_reference,
+    gpd_nll_reference,
+    gpd_quantile_sample,
+)
 from tcnad.autodiff import Tensor
 from tcnad.forecaster import ModelConfig, forward, init_forecaster
 from tcnad.thresholds import (
@@ -247,6 +252,22 @@ class TestGpd:
             for b in y.mean() * np.logspace(-1, 1, 9):
                 assert best <= gpd_nll(y, g, b) + 1e-9
 
+    @pytest.mark.parametrize("gamma", [-0.8, -0.4, 0.0, 0.3, 1.0, 1.5])
+    @pytest.mark.parametrize("n", [2, 32, 400])
+    def test_fit_reaches_the_dense_grid_minimum(self, gamma, n):
+        # true shapes either side of the [-0.5, 1] clip; n = 2 is the smallest tail
+        # POT fits (min_exceedances >= 2) and must still give a finite scale
+        seed = 100 * n + int(10 * gamma)
+        y = gpd_quantile_sample(np.random.default_rng(seed), gamma, 1.0, n)
+        g, b = fit_gpd(y)
+        assert -0.5 <= g <= 1.0 and np.isfinite(b) and b > 0
+        assert gpd_nll(y, g, b) <= gpd_fit_reference(y)[0] + 1e-9
+
+    @pytest.mark.parametrize("gamma, clipped", [(1.5, 1.0), (-0.8, -0.5)])
+    def test_shape_is_clipped_exactly(self, gamma, clipped):
+        y = gpd_quantile_sample(np.random.default_rng(5), gamma, 1.0, 400)
+        assert fit_gpd(y)[0] == clipped
+
     @pytest.mark.parametrize("gamma, beta", [
         (0.3, 0.5), (-0.4, 2.0), (0.0, 1.5), (5e-13, 0.7),   # ordinary and exponential
         (-0.5, 0.1),                                          # z <= -1: outside the support
@@ -298,6 +319,12 @@ class TestPot:
             pot_threshold(scores, min_exceedances=1)  # a one-point fit is no fit
         with pytest.raises(ValueError):
             pot_threshold(np.array([]))
+        # 100 of 5000 points lie above the 0.98 quantile, so q >= 0.02 would put the
+        # threshold at or below the initial one (q = 0.5 flagged every point)
+        lognormal = np.random.default_rng(42).lognormal(mean=-2.0, sigma=0.5, size=5000)
+        for q in (0.5, 0.05, 0.02):
+            with pytest.raises(ValueError, match=f"q={q:g} must be below the tail fraction 100/5000"):
+                pot_threshold(lognormal, q=q)
 
 
 class TestScoreSequence:
