@@ -1,9 +1,11 @@
 """Point-adjusted precision/recall/F1 for segment-labelled anomalies.
 
 Ground truth arrives as whole anomalous segments. Under point adjustment a
-segment counts as found if any single point inside it is flagged, so before
-counting we promote every point of each detected segment to 1. Counts are then
-plain pointwise TP/FP/FN on the adjusted predictions.
+segment counts as found if any single point inside it is flagged, so a found
+segment adds its whole length to the true positives and a missed one adds it
+to the false negatives. False positives are the flagged points outside every
+segment. ``point_adjusted_counts`` counts this way at any number of
+thresholds at once; a binary prediction is the same count at threshold 0.
 """
 
 from __future__ import annotations
@@ -40,18 +42,26 @@ class EvalReport:
     channel: str = ""
 
 
-def f1_score(precision: float, recall: float) -> float:
-    """Harmonic mean 2PR/(P+R), defined as 0 when both rates are 0."""
-    if precision + recall == 0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+def f1_score(precision, recall):
+    """Harmonic mean 2PR/(P+R) elementwise, defined as 0 where both rates are 0."""
+    p, r = np.asarray(precision, dtype=np.float64), np.asarray(recall, dtype=np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(p + r > 0, 2 * p * r / (p + r), 0.0)
 
 
-def f1_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
-    """(precision, recall, f1) with every 0/0 mapped to 0."""
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+def f1_from_counts(tp, fp, fn):
+    """(precision, recall, f1) elementwise, with every 0/0 mapped to 0."""
+    tp, fp, fn = (np.asarray(c, dtype=np.float64) for c in (tp, fp, fn))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+        recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
     return precision, recall, f1_score(precision, recall)
+
+
+def _report(tp: int, fp: int, fn: int, channel: str) -> EvalReport:
+    precision, recall, f1 = f1_from_counts(tp, fp, fn)
+    return EvalReport(int(tp), int(fp), int(fn), float(precision), float(recall), float(f1),
+                      channel=channel)
 
 
 def _check_binary(arr: np.ndarray, name: str) -> np.ndarray:
@@ -63,14 +73,16 @@ def _check_binary(arr: np.ndarray, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and (exclusive) stops of the runs of 1s in a binary vector."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], labels, [0]])))
+    return edges[::2], edges[1::2]
+
+
 def segments_from_labels(labels: np.ndarray) -> list[AnomalySegment]:
     """Maximal runs of 1s in a binary label vector."""
-    labels = _check_binary(labels, "labels")
-    padded = np.concatenate([[0], labels, [0]])
-    d = np.diff(padded)
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1) - 1
-    return [AnomalySegment(int(s), int(e)) for s, e in zip(starts, ends)]
+    starts, stops = _runs(_check_binary(labels, "labels"))
+    return [AnomalySegment(int(s), int(e) - 1) for s, e in zip(starts, stops)]
 
 
 def labels_from_segments(segments: list[AnomalySegment], length: int) -> np.ndarray:
@@ -82,45 +94,35 @@ def labels_from_segments(segments: list[AnomalySegment], length: int) -> np.ndar
     return labels
 
 
-def point_adjust(predictions: np.ndarray, segments: list[AnomalySegment]) -> np.ndarray:
-    """Promote every point of each hit segment to 1; returns a new array."""
-    predictions = _check_binary(predictions, "predictions")
-    adjusted = predictions.copy()
-    for seg in segments:
-        if seg.end >= predictions.size:
-            raise ValueError(
-                f"segment [{seg.start}, {seg.end}] exceeds prediction length "
-                f"{predictions.size}"
-            )
-        if predictions[seg.start : seg.end + 1].any():
-            adjusted[seg.start : seg.end + 1] = 1
-    return adjusted
+def point_adjusted_counts(scores: np.ndarray, labels: np.ndarray, thresholds):
+    """Point-adjusted (tp, fp, fn) at each threshold, shaped like ``thresholds``.
 
-
-def evaluate_predictions(
-    predictions: np.ndarray, labels: np.ndarray, channel: str = ""
-) -> EvalReport:
-    """Pointwise counts of already-adjusted predictions against labels."""
-    predictions = _check_binary(predictions, "predictions")
+    A labelled segment counts whole as true positives iff its largest score is
+    above the threshold; false positives are the 0-labelled scores above it.
+    Sorting the segment maxima and the outside scores once makes every
+    threshold one ``searchsorted``, O((n + t) log n) in all.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
     labels = _check_binary(labels, "labels")
-    if predictions.shape != labels.shape:
-        raise ValueError(
-            f"predictions/labels length mismatch: {predictions.size} vs {labels.size}"
-        )
-    tp = int(np.sum((predictions == 1) & (labels == 1)))
-    fp = int(np.sum((predictions == 1) & (labels == 0)))
-    fn = int(np.sum((predictions == 0) & (labels == 1)))
-    precision, recall, f1 = f1_from_counts(tp, fp, fn)
-    return EvalReport(tp, fp, fn, precision, recall, f1, channel=channel)
+    if scores.shape != labels.shape:
+        raise ValueError(f"length mismatch: {scores.size} values vs {labels.size} labels")
+    starts, stops = _runs(labels)
+    seg_max = np.array([scores[s:e].max() for s, e in zip(starts, stops)])
+    order = np.argsort(seg_max)
+    # suffix_len[k] = total length of the segments whose max ranks >= k
+    suffix_len = np.concatenate([np.cumsum((stops - starts)[order][::-1])[::-1], [0]])
+    outside = np.sort(scores[labels == 0])
+    tp = suffix_len[np.searchsorted(seg_max[order], thresholds, side="right")]
+    fp = outside.size - np.searchsorted(outside, thresholds, side="right")
+    return tp, fp, suffix_len[0] - tp
 
 
 def point_adjusted_report(
     predictions: np.ndarray, labels: np.ndarray, channel: str = ""
 ) -> EvalReport:
-    """Adjust raw predictions against the label segments, then count."""
-    segments = segments_from_labels(labels)
-    adjusted = point_adjust(predictions, segments)
-    return evaluate_predictions(adjusted, labels, channel=channel)
+    """Point-adjusted counts and rates of binary predictions against labels."""
+    predictions = _check_binary(predictions, "predictions")
+    return _report(*point_adjusted_counts(predictions, labels, 0.0), channel)
 
 
 def aggregate(reports: list[EvalReport], method: str = "micro") -> EvalReport:
@@ -136,11 +138,10 @@ def aggregate(reports: list[EvalReport], method: str = "micro") -> EvalReport:
     fp = sum(r.fp for r in reports)
     fn = sum(r.fn for r in reports)
     if method == "micro":
-        precision, recall, f1 = f1_from_counts(tp, fp, fn)
-    elif method == "macro":
-        precision = float(np.mean([r.precision for r in reports]))
-        recall = float(np.mean([r.recall for r in reports]))
-        f1 = float(np.mean([r.f1 for r in reports]))
-    else:
+        return _report(tp, fp, fn, channel=f"all({method})")
+    if method != "macro":
         raise ValueError(f"unknown aggregation method {method!r}")
+    precision = float(np.mean([r.precision for r in reports]))
+    recall = float(np.mean([r.recall for r in reports]))
+    f1 = float(np.mean([r.f1 for r in reports]))
     return EvalReport(tp, fp, fn, precision, recall, f1, channel=f"all({method})")

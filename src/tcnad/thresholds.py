@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluation import segments_from_labels
+from .evaluation import f1_from_counts, point_adjusted_counts
 from .forecaster import ForecasterParams
 from .trainer import build_windows, window_scores
 
@@ -92,45 +92,16 @@ def best_f1_threshold(scores: np.ndarray, labels: np.ndarray) -> ThresholdResult
     """Threshold with the best point-adjusted F1 over all distinct scores.
 
     Candidates are the unique scores plus +inf (predict nothing); ties on F1
-    go to the larger threshold. Uses the structure of point adjustment to
-    evaluate all candidates in O(n log n): a segment is fully credited iff its
-    max score clears the threshold, false positives live entirely outside
-    segments.
+    go to the larger threshold. ``point_adjusted_counts`` counts every
+    candidate at once.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
     if scores.size == 0:
         raise ValueError("best_f1_threshold needs at least one score")
-    if scores.shape != labels.shape:
-        raise ValueError(
-            f"scores/labels length mismatch: {scores.size} vs {labels.size}"
-        )
     _require_finite(scores, "scores")
-    segments = segments_from_labels(labels)
-
-    outside_sorted = np.sort(scores[np.asarray(labels) == 0])
-    seg_max = np.array([scores[s.start : s.end + 1].max() for s in segments])
-    seg_len = np.array([s.length for s in segments], dtype=np.int64)
-    order = np.argsort(seg_max)
-    sorted_max = seg_max[order]
-    lens_by_max = seg_len[order]
-    # suffix_len[k] = total length of segments whose max ranks >= k
-    suffix_len = np.concatenate([np.cumsum(lens_by_max[::-1])[::-1], [0]])
-    total_anomalous = int(seg_len.sum())
-
     candidates = np.concatenate([np.unique(scores), [np.inf]])
-    k = np.searchsorted(sorted_max, candidates, side="right")
-    tp = suffix_len[k].astype(np.float64)
-    fp = outside_sorted.size - np.searchsorted(outside_sorted, candidates, side="right")
-    fn = total_anomalous - tp
-    with np.errstate(invalid="ignore", divide="ignore"):
-        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
-        recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
-        f1 = np.where(
-            precision + recall > 0,
-            2 * precision * recall / (precision + recall),
-            0.0,
-        )
+    tp, fp, fn = point_adjusted_counts(scores, labels, candidates)
+    precision, recall, f1 = f1_from_counts(tp, fp, fn)
     # argmax of the reversed array -> last (largest-threshold) maximizer
     best = f1.size - 1 - int(np.argmax(f1[::-1]))
     return ThresholdResult(

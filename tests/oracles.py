@@ -65,7 +65,8 @@ def point_adjust_reference(pred: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return adjusted
 
 
-def prf_reference(pred: np.ndarray, labels: np.ndarray) -> tuple[float, float, float]:
+def counts_reference(pred: np.ndarray, labels: np.ndarray) -> tuple[int, int, int]:
+    """Pointwise (tp, fp, fn), one point at a time."""
     tp = fp = fn = 0
     for p, y in zip(pred, labels):
         if p == 1 and y == 1:
@@ -74,6 +75,11 @@ def prf_reference(pred: np.ndarray, labels: np.ndarray) -> tuple[float, float, f
             fp += 1
         elif p == 0 and y == 1:
             fn += 1
+    return tp, fp, fn
+
+
+def prf_reference(pred: np.ndarray, labels: np.ndarray) -> tuple[float, float, float]:
+    tp, fp, fn = counts_reference(pred, labels)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

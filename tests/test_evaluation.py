@@ -3,18 +3,27 @@
 import numpy as np
 import pytest
 
-from oracles import point_adjust_reference, prf_reference
+from oracles import counts_reference, point_adjust_reference, prf_reference
 from tcnad.evaluation import (
     AnomalySegment,
     EvalReport,
     aggregate,
-    evaluate_predictions,
+    f1_from_counts,
     f1_score,
     labels_from_segments,
-    point_adjust,
+    point_adjusted_counts,
     point_adjusted_report,
     segments_from_labels,
 )
+
+
+def _counts(report):
+    return report.tp, report.fp, report.fn
+
+
+def _adjusted_counts(pred, labels):
+    """(tp, fp, fn) of the reference walk's adjusted predictions."""
+    return counts_reference(point_adjust_reference(pred, labels), labels)
 
 
 class TestSegments:
@@ -49,30 +58,34 @@ class TestSegments:
 class TestPointAdjust:
     def test_one_hit_fills_the_segment(self):
         pred = np.array([0, 0, 1, 0, 0])
-        segs = [AnomalySegment(1, 3)]
-        np.testing.assert_array_equal(point_adjust(pred, segs), [0, 1, 1, 1, 0])
+        labels = np.array([0, 1, 1, 1, 0])
+        assert _counts(point_adjusted_report(pred, labels)) == (3, 0, 0)
 
     def test_miss_leaves_zeros(self):
         pred = np.array([1, 0, 0, 0, 0])
-        segs = [AnomalySegment(1, 3)]
-        np.testing.assert_array_equal(point_adjust(pred, segs), pred)
+        labels = np.array([0, 1, 1, 1, 0])
+        assert _counts(point_adjusted_report(pred, labels)) == (0, 1, 3)
 
     def test_idempotent(self):
+        # counting the reference's adjusted predictions changes nothing
         rng = np.random.default_rng(0)
         pred = (rng.random(40) < 0.2).astype(int)
         labels = (rng.random(40) < 0.25).astype(int)
-        segs = segments_from_labels(labels)
-        once = point_adjust(pred, segs)
-        np.testing.assert_array_equal(point_adjust(once, segs), once)
+        once = point_adjusted_report(pred, labels)
+        again = point_adjusted_report(point_adjust_reference(pred, labels), labels)
+        assert again == once
 
     def test_does_not_mutate_input(self):
-        pred = np.array([0, 1, 0])
-        point_adjust(pred, [AnomalySegment(0, 2)])
+        pred, labels = np.array([0, 1, 0]), np.array([1, 1, 1])
+        point_adjusted_report(pred, labels)
+        point_adjusted_counts(pred, labels, np.array([-1.0, 0.0]))
         np.testing.assert_array_equal(pred, [0, 1, 0])
+        np.testing.assert_array_equal(labels, [1, 1, 1])
 
     def test_out_of_range_segment(self):
+        # a label segment that runs past the last prediction
         with pytest.raises(ValueError):
-            point_adjust(np.zeros(3, dtype=int), [AnomalySegment(1, 5)])
+            point_adjusted_report(np.zeros(3, dtype=int), np.array([0, 1, 1, 1, 1, 1]))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_reference_walk(self, seed):
@@ -80,27 +93,33 @@ class TestPointAdjust:
         n = int(rng.integers(5, 50))
         labels = (rng.random(n) < rng.uniform(0.1, 0.5)).astype(int)
         pred = (rng.random(n) < rng.uniform(0.1, 0.5)).astype(int)
-        ours = point_adjust(pred, segments_from_labels(labels))
-        np.testing.assert_array_equal(ours, point_adjust_reference(pred, labels))
+        expected = _adjusted_counts(pred, labels)
+        assert _counts(point_adjusted_report(pred, labels)) == expected
+        assert tuple(point_adjusted_counts(pred, labels, 0.0)) == expected
 
 
 class TestMetrics:
     def test_hand_counts(self):
+        # one-point segments, so adjusting changes nothing
         pred = np.array([1, 1, 0, 0, 1])
         labels = np.array([1, 0, 1, 0, 1])
-        rep = evaluate_predictions(pred, labels)
+        rep = point_adjusted_report(pred, labels)
         assert (rep.tp, rep.fp, rep.fn) == (2, 1, 1)
         assert rep.precision == pytest.approx(2 / 3)
         assert rep.recall == pytest.approx(2 / 3)
         assert rep.f1 == pytest.approx(2 / 3)
 
     def test_zero_conventions(self):
-        rep = evaluate_predictions(np.zeros(4, dtype=int), np.zeros(4, dtype=int))
+        rep = point_adjusted_report(np.zeros(4, dtype=int), np.zeros(4, dtype=int))
         assert rep.precision == 0.0 and rep.recall == 0.0 and rep.f1 == 0.0
+        assert f1_from_counts(0, 0, 0) == (0.0, 0.0, 0.0)
+        assert f1_score(0.0, 0.0) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            evaluate_predictions(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
+            point_adjusted_report(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
+        with pytest.raises(ValueError):
+            point_adjusted_counts(np.zeros(4), np.zeros(3, dtype=int), 0.0)
 
     def test_f1_reference_pairs(self):
         # harmonic mean reproduces the published-style summary numbers
@@ -110,14 +129,20 @@ class TestMetrics:
     def test_f1_symmetry(self):
         assert f1_score(0.3, 0.8) == f1_score(0.8, 0.3)
 
+    def test_rates_are_elementwise(self):
+        tp, fp, fn = np.array([0, 2, 5, 0]), np.array([0, 1, 0, 3]), np.array([0, 1, 0, 4])
+        rates = np.stack(f1_from_counts(tp, fp, fn), axis=1)
+        for row, counts in zip(rates, zip(tp, fp, fn)):
+            assert tuple(row) == tuple(float(r) for r in f1_from_counts(*counts))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_counts_match_loop_reference(self, seed):
         rng = np.random.default_rng(seed)
         n = 40
         pred = (rng.random(n) < 0.3).astype(int)
         labels = (rng.random(n) < 0.3).astype(int)
-        rep = evaluate_predictions(pred, labels)
-        p, r, f1 = prf_reference(pred, labels)
+        rep = point_adjusted_report(pred, labels)
+        p, r, f1 = prf_reference(point_adjust_reference(pred, labels), labels)
         assert rep.precision == pytest.approx(p)
         assert rep.recall == pytest.approx(r)
         assert rep.f1 == pytest.approx(f1)

@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     best_f1_reference,
+    counts_reference,
     gpd_fit_reference,
     gpd_nll_reference,
     gpd_quantile_sample,
+    point_adjust_reference,
 )
 from tcnad.autodiff import Tensor
+from tcnad.evaluation import point_adjusted_counts, point_adjusted_report
 from tcnad.forecaster import ModelConfig, forward, init_forecaster
 from tcnad.thresholds import (
     DEFAULT_Z_GRID,
@@ -162,6 +165,57 @@ def test_best_f1_matches_reference_property(case):
     ref_th, ref_f1 = best_f1_reference(scores, labels)
     assert res.threshold == ref_th
     assert res.diagnostics["f1"] == pytest.approx(ref_f1, abs=1e-12)
+
+
+@st.composite
+def _cases_with_end_segments(draw):
+    """Tied scores and segment labels, often with a segment at either end."""
+    scores, labels = draw(_scores_and_segment_labels())
+    if draw(st.booleans()):
+        labels[0] = 1
+    if draw(st.booleans()):
+        labels[-1] = 1
+    return scores, labels
+
+
+_EDGE_CASES = [
+    (np.full(6, 0.5), np.zeros(6, dtype=int)),                        # all tied, no anomaly
+    (np.array([0.9, 0.1, 0.1, 0.1, 0.8]), np.array([1, 0, 0, 0, 1])),  # one-point segments at both ends
+    (np.array([0.2, 0.2, 0.2]), np.array([0, 1, 0])),                  # tied scores, one-point segment
+    (np.array([0.3]), np.array([1])),
+]
+
+
+def _with_edge_cases(test):
+    for case in _EDGE_CASES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_cases_with_end_segments())
+@_with_edge_cases
+def test_grid_search_agrees_with_report(case):
+    # pipeline.evaluate_channel reports the grid threshold through point_adjusted_report
+    scores, labels = case
+    res = best_f1_threshold(scores, labels)
+    rep = point_adjusted_report(apply_threshold(scores, res.threshold), labels)
+    d = res.diagnostics
+    assert (d["tp"], d["fp"], d["fn"]) == (rep.tp, rep.fp, rep.fn)
+    assert (d["precision"], d["recall"], d["f1"]) == (rep.precision, rep.recall, rep.f1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_cases_with_end_segments())
+@_with_edge_cases
+def test_point_adjusted_counts_match_reference_walk(case):
+    scores, labels = case
+    # every distinct prediction the strict rule can make, thresholds equal to scores included
+    ths = np.concatenate([[-np.inf], np.unique(scores), [np.inf]])
+    tp, fp, fn = point_adjusted_counts(scores, labels, ths)
+    for i, th in enumerate(ths):
+        adjusted = point_adjust_reference((scores > th).astype(int), labels)
+        assert (tp[i], fp[i], fn[i]) == counts_reference(adjusted, labels), th
 
 
 class TestEpsilon:
