@@ -64,7 +64,7 @@ print("every query agrees on the ranking ->", bool((order == order[0]).all()))
 # 4. a two-node dynamic witness where the queries disagree
 # ---------------------------------------------------------------------------
 witness = AttentionParams(
-    Tensor([[1.0, 1.0], [-1.0, -1.0]]), Tensor([1.0, 1.0]), mode="dynamic"
+    Tensor([[1.0, 1.0], [-1.0, -1.0]]), Tensor([1.0, 1.0])
 )
 nodes = Tensor([[1.0], [-1.0]])
 e_dyn = dynamic_scores(nodes, nodes, witness).values

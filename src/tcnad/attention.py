@@ -55,7 +55,7 @@ ACTIVATIONS = ("sigmoid", "identity")
 
 @dataclass
 class AttentionParams:
-    """Weights for one attention head.
+    """Weights for one attention head; their shapes set the mode.
 
     dynamic mode: weight is (d_out, 2*d_in), score_vec is (d_out,).
     static mode:  weight is (d_out, d_in),   score_vec is (2*d_out,).
@@ -63,25 +63,21 @@ class AttentionParams:
 
     weight: Tensor
     score_vec: Tensor
-    mode: str = "dynamic"
     activation: str = "sigmoid"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown attention mode {self.mode!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown attention activation {self.activation!r}")
-        if self.weight.values.ndim != 2 or self.score_vec.values.ndim != 1:
-            raise ValueError("attention weight must be 2-D and score_vec 1-D")
-        d_out = self.weight.values.shape[0]
-        if self.mode == "dynamic":
-            if self.weight.values.shape[1] % 2 != 0:
-                raise ValueError("dynamic attention weight needs 2*d_in columns")
-            if self.score_vec.values.shape[0] != d_out:
-                raise ValueError("dynamic score_vec length must equal d_out")
-        else:
-            if self.score_vec.values.shape[0] != 2 * d_out:
-                raise ValueError("static score_vec length must equal 2*d_out")
+        w, a = self.weight.values.shape, self.score_vec.values.shape
+        if not (len(w) == 2 and min(w) > 0
+                and (a == (2 * w[0],) or (a == (w[0],) and w[1] % 2 == 0))):
+            raise ValueError(f"attention weight {w} and score_vec {a} fit neither mode: "
+                             f"dynamic takes (d_out, 2*d_in) and (d_out,), "
+                             f"static (d_out, d_in) and (2*d_out,)")
+
+    @property
+    def mode(self) -> str:
+        return "dynamic" if self.score_vec.values.shape[0] == self.d_out else "static"
 
     @property
     def d_in(self) -> int:
@@ -114,7 +110,7 @@ def init_attention(
     ab = 1.0 / np.sqrt(a_len)
     weight = Tensor(rng.uniform(-wb, wb, size=w_shape), requires_grad=True)
     score_vec = Tensor(rng.uniform(-ab, ab, size=a_len), requires_grad=True)
-    return AttentionParams(weight, score_vec, mode=mode, activation=activation)
+    return AttentionParams(weight, score_vec, activation=activation)
 
 
 def _check_nodes(params: AttentionParams, *nodes: Tensor):

@@ -57,14 +57,6 @@ class Tensor:
         self.node = GradNode(bool(requires_grad))
 
     @property
-    def shape(self):
-        return self.values.shape
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    @property
     def requires_grad(self) -> bool:
         return self.node.requires_grad
 
@@ -78,9 +70,6 @@ class Tensor:
 
     def zero_grad(self):
         self.node.grad = None
-
-    def accumulate_grad(self, g: np.ndarray):
-        self.node.accumulate_grad(g)
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -96,11 +85,15 @@ class Tape:
     the stack. Tapes may nest (inner tape records, outer does not see those
     ops), though the forecaster only ever uses one at a time.
 
+    A tape is the training context: ``dropout`` draws its masks only under a
+    tape, from the tape's ``rng``, so untaped inference never drops anything.
+
     ``saved_bytes`` is what the records keep for their rules: the bytes of
     each distinct buffer under the arrays passed to ``save``.
     """
 
-    def __init__(self):
+    def __init__(self, rng: np.random.Generator | None = None):
+        self.rng = rng
         self._records: list[tuple[GradNode, object]] = []
         self._saved: set[int] = set()   # ids of the buffers counted in saved_bytes
         self.saved_bytes = 0
@@ -429,22 +422,24 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _maybe_record(Tensor(y), rule, (x,), (y,))
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
+def dropout(x: Tensor, rate: float) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors by 1/(1-rate).
 
-    Returns ``x`` itself when not training or when rate == 0, so nothing is
-    copied or recorded. ``rng`` is required only when a mask is actually drawn,
-    which keeps inference deterministic for free. One mask covers the whole
-    tensor, batch axes included; the rule keeps it boolean (1 byte an element).
+    Returns ``x`` itself when no tape is active or when rate == 0, so nothing
+    is copied or recorded and inference is deterministic. Otherwise the mask
+    comes from the active tape's ``rng``, which must then be set. One mask
+    covers the whole tensor, batch axes included; the rule keeps it boolean
+    (1 byte an element).
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    tape = active_tape()
+    if tape is None or rate == 0.0:
         return x
 
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
-    keep = rng.random(x.values.shape) >= rate
+    if tape.rng is None:
+        raise ValueError("dropout under a tape needs the tape's rng: open Tape(rng)")
+    keep = tape.rng.random(x.values.shape) >= rate
     scale = 1.0 / (1.0 - rate)
     xn = x.node
 

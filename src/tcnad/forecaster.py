@@ -174,12 +174,7 @@ def init_forecaster(n_features: int, config: ModelConfig, seed: int = 0) -> Fore
     )
 
 
-def forward(
-    x: Tensor,
-    params: ForecasterParams,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
+def forward(x: Tensor, params: ForecasterParams) -> Tensor:
     """Predict the next observation from a (..., window, m) tensor; returns (..., m).
 
     The prediction reads the last TCN row, which sees only the last
@@ -189,10 +184,11 @@ def forward(
     attention aggregates, and the first part of the TCN input, whose convs
     compute only the rows that reach that last row.
 
-    Leading axes are a batch of independent windows. In training one dropout
-    mask per op covers the whole batch. Untaped, a (B, w, m) batch whose
-    windows each move on one row, as ``build_windows`` gives them, has its
-    preconv rows past the zero padding scored by temporal attention once.
+    Leading axes are a batch of independent windows. Under a tape (training)
+    one dropout mask per op, drawn from the tape's rng, covers the whole
+    batch. Untaped, dropout is off, and a (B, w, m) batch whose windows each
+    move on one row, as ``build_windows`` gives them, has its preconv rows
+    past the zero padding scored by temporal attention once.
     """
     cfg = params.config
     w, m = cfg.window, params.n_features
@@ -215,7 +211,7 @@ def forward(
     z = concat_cols(parts) if len(parts) > 1 else parts[0]
     del h, tail, parts                             # untaped, freed before the TCN runs
 
-    z = tcn_forward(z, params.tcn, training, rng, rows=1)
+    z = tcn_forward(z, params.tcn, rows=1)
     out = take_row(z, 0)                           # (..., 1, tcn_channels)
 
     n_layers = len(params.mlp)
@@ -223,7 +219,7 @@ def forward(
         out = linear(out, weight, bias)
         if i < n_layers - 1:
             out = leaky_relu(out)
-            out = dropout(out, cfg.dropout, training, rng)
+            out = dropout(out, cfg.dropout)
     return reshape(out, x.values.shape[:-2] + (m,))
 
 

@@ -89,24 +89,18 @@ def init_tcn_stack(
     return blocks
 
 
-def tcn_block_forward(
-    x: Tensor,
-    params: TcnBlockParams,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-    rows: int | None = None,
-) -> Tensor:
+def tcn_block_forward(x: Tensor, params: TcnBlockParams, rows: int | None = None) -> Tensor:
     w = x.values.shape[-2]
     n = w if rows is None else rows
     h = causal_dilated_conv1d(x, params.conv1_filters, params.dilation,
                               min(w, n + (params.kernel_size - 1) * params.dilation))
     h = add(h, params.conv1_bias)
     h = leaky_relu(h)
-    h = dropout(h, params.dropout_rate, training, rng)
+    h = dropout(h, params.dropout_rate)
     h = causal_dilated_conv1d(h, params.conv2_filters, params.dilation, n)
     h = add(h, params.conv2_bias)
     h = leaky_relu(h)
-    h = dropout(h, params.dropout_rate, training, rng)
+    h = dropout(h, params.dropout_rate)
     if params.downsample is None:
         res = slice_rows(x, w - n, w)
     else:
@@ -122,15 +116,9 @@ def block_rows(blocks: list[TcnBlockParams], w: int, rows: int | None) -> list[i
     return out
 
 
-def tcn_forward(
-    x: Tensor,
-    blocks: list[TcnBlockParams],
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-    rows: int | None = None,
-) -> Tensor:
+def tcn_forward(x: Tensor, blocks: list[TcnBlockParams], rows: int | None = None) -> Tensor:
     for block, n in zip(blocks, block_rows(blocks, x.values.shape[-2], rows)):
-        x = tcn_block_forward(x, block, training, rng, n)
+        x = tcn_block_forward(x, block, n)
     return x
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluation import f1_from_counts, point_adjusted_counts
+from .evaluation import _runs, f1_from_counts, point_adjusted_counts
 from .forecaster import ForecasterParams
 from .trainer import build_windows, window_scores
 
@@ -123,12 +123,6 @@ def best_f1_threshold(scores: np.ndarray, labels: np.ndarray) -> ThresholdResult
 # epsilon method
 # ---------------------------------------------------------------------------
 
-def _count_runs(mask: np.ndarray) -> int:
-    if mask.size == 0:
-        return 0
-    return int(mask[0]) + int(np.sum(mask[1:] & ~mask[:-1]))
-
-
 def epsilon_threshold(scores: np.ndarray) -> ThresholdResult:
     """Label-free threshold mu + z*sigma with z chosen from ``DEFAULT_Z_GRID``.
 
@@ -159,7 +153,7 @@ def epsilon_threshold(scores: np.ndarray) -> ThresholdResult:
             below = scores[scores < eps]
             delta_mu = mu - float(below.mean())
             delta_sigma = sigma - float(below.std())
-            runs = _count_runs(above)
+            runs = len(_runs(above)[0])
             value = (delta_mu / mu + delta_sigma / sigma) / (n_above + runs**2)
             if value > best_score:
                 best_score = value

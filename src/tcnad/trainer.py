@@ -71,13 +71,13 @@ def build_windows(series: np.ndarray, window: int) -> np.ndarray:
 
 def _window_tape_bytes(params: ForecasterParams) -> int:
     """Bytes one window keeps on the tape, parameters aside, as the tape counts
-    them for a training-mode forward and loss on a zero window; the probe's
-    dropout masks come from an rng of its own."""
+    them for a taped forward and loss on a zero window; the probe's dropout
+    masks come from an rng of its own."""
     window = np.zeros((1, params.config.window + 1, params.n_features))
-    with Tape() as tape:
+    with Tape(np.random.default_rng(0)) as tape:
         tape.save(*(t.values for t in params.tensors()))
         fixed = tape.saved_bytes
-        pred = forward(Tensor(window[:, :-1]), params, training=True, rng=np.random.default_rng(0))
+        pred = forward(Tensor(window[:, :-1]), params)
         rmse_loss(pred, Tensor(window[:, -1]))
         return tape.saved_bytes - fixed
 
@@ -137,14 +137,14 @@ def accumulate_gradients(
     The minibatch runs in chunks of at most ``size`` windows, one tape each
     (``train`` passes ``_chunk_size``); ``rmse_loss`` divides every chunk's
     loss by the minibatch size, so the chunk gradients add up to the minibatch
-    mean. The forward runs in training mode with dropout masks drawn from
-    ``rng`` (None is fine at dropout 0). Returns the sum of the per-window RMSEs.
+    mean. Each tape carries ``rng``, so the forward draws its dropout masks
+    from it (None is fine at dropout 0). Returns the sum of the per-window RMSEs.
     """
     n, total = len(index), 0.0
     for start in range(0, n, size):
         chunk = windows[index[start : start + size]]
-        with Tape():
-            pred = forward(Tensor(chunk[:, :-1]), params, training=True, rng=rng)
+        with Tape(rng):
+            pred = forward(Tensor(chunk[:, :-1]), params)
             loss = rmse_loss(pred, Tensor(chunk[:, -1]), n)
             backward(loss)
         total += float(loss.values) * n

@@ -218,7 +218,7 @@ def test_criterion_4_attention_properties(capfd):
         # (c) a constructed dynamic case where each query prefers a different
         # neighbour, which the static form above can never produce
         witness = AttentionParams(
-            Tensor([[1.0, 1.0], [-1.0, -1.0]]), Tensor([1.0, 1.0]), mode="dynamic"
+            Tensor([[1.0, 1.0], [-1.0, -1.0]]), Tensor([1.0, 1.0])
         )
         nodes = Tensor([[1.0], [-1.0]])
         e = dynamic_scores(nodes, nodes, witness).values

@@ -29,11 +29,15 @@ from tcnad.autodiff import (
 
 
 def _dyn(weight, score_vec, **kw):
-    return AttentionParams(Tensor(weight), Tensor(score_vec), mode="dynamic", **kw)
+    params = AttentionParams(Tensor(weight), Tensor(score_vec), **kw)
+    assert params.mode == "dynamic"
+    return params
 
 
 def _sta(weight, score_vec, **kw):
-    return AttentionParams(Tensor(weight), Tensor(score_vec), mode="static", **kw)
+    params = AttentionParams(Tensor(weight), Tensor(score_vec), **kw)
+    assert params.mode == "static"
+    return params
 
 
 def _weights(queries, keys, params):
@@ -373,8 +377,11 @@ class TestGradients:
 
 class TestValidation:
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            AttentionParams(Tensor(np.eye(2)), Tensor(np.ones(2)), mode="other")
+        # shapes that fit neither mode are refused, naming both shapes
+        with pytest.raises(ValueError, match=r"weight \(2, 2\) and score_vec \(3,\) fit neither"):
+            AttentionParams(Tensor(np.eye(2)), Tensor(np.ones(3)))
+        with pytest.raises(ValueError, match="unknown attention mode 'other'"):
+            init_attention(2, mode="other", rng=np.random.default_rng(0))
 
     def test_dynamic_needs_even_columns(self):
         with pytest.raises(ValueError):
@@ -387,6 +394,12 @@ class TestValidation:
     def test_static_score_vec_length(self):
         with pytest.raises(ValueError):
             _sta(np.zeros((2, 3)), np.ones(2))
+
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    @pytest.mark.parametrize("d_in, d_out", [(3, 3), (2, 5), (5, 2)])
+    def test_init_reports_its_mode(self, mode, d_in, d_out):
+        params = init_attention(d_in, d_out, mode=mode, rng=np.random.default_rng(0))
+        assert (params.mode, params.d_in, params.d_out) == (mode, d_in, d_out)
 
     def test_init_shapes(self):
         rng = np.random.default_rng(0)

@@ -39,8 +39,8 @@ class TestTensor:
 
     def test_grad_accumulates(self):
         t = Tensor(np.zeros(3), requires_grad=True)
-        t.accumulate_grad(np.ones(3))
-        t.accumulate_grad(np.ones(3))
+        t.node.accumulate_grad(np.ones(3))
+        t.node.accumulate_grad(np.ones(3))
         np.testing.assert_array_equal(t.grad, 2 * np.ones(3))
         t.zero_grad()
         assert t.grad is None
@@ -144,7 +144,7 @@ class TestRecords:
         "slice_rows": (lambda x: slice_rows(x, 1, 3), [(2, 4, 3)]),
         "take_row": (lambda x: take_row(x, 2), [(2, 4, 3)]),
         "concat_cols": (lambda a, b: concat_cols([a, b]), [(2, 4, 2), (2, 4, 3)]),
-        "dropout": (lambda x: dropout(x, 0.5, True, np.random.default_rng(0)), [(2, 4, 3)]),
+        "dropout": (lambda x: dropout(x, 0.5), [(2, 4, 3)]),
         "leaky_relu": (leaky_relu, [(2, 4, 3)]),
         "sigmoid": (sigmoid, [(2, 4, 3)]),
         "softmax_rows": (softmax_rows, [(2, 4, 3)]),
@@ -164,7 +164,7 @@ class TestRecords:
         saved, save = [], Tape.save
         monkeypatch.setattr(Tape, "save", lambda tape, *arrays: saved.extend(arrays)
                             or save(tape, *arrays))
-        with Tape() as tape:
+        with Tape(np.random.default_rng(0)) as tape:   # the rng draws dropout's mask
             op(*inputs)
         assert len(tape) == 1
         reached = record_arrays(tape._records)
@@ -358,7 +358,7 @@ class TestPairScores:
             out = pair_scores(left, right, v)
         finally:
             tracemalloc.stop()
-        assert out.shape == (43, 100)
+        assert out.values.shape == (43, 100)
         assert len(alive) == 9          # blocks of 5 query rows, 100 KB each
         assert max(map(max, alive)) < 128 * 2**10
 
@@ -497,35 +497,36 @@ class TestRmse:
 
 class TestDropout:
     def test_identity_when_not_training(self):
+        # no tape is active, so there is no rng to draw from and nothing is dropped
         x = Tensor(np.ones((4, 4)), requires_grad=True)
-        with Tape() as tape:
-            out = dropout(x, 0.5, training=False)
+        out = dropout(x, 0.5)
         assert out is x
-        assert len(tape) == 0
 
     def test_identity_at_rate_zero(self):
         x = Tensor(np.ones((4, 4)), requires_grad=True)
-        with Tape() as tape:
-            out = dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
+        with Tape(np.random.default_rng(0)) as tape:
+            out = dropout(x, 0.0)
         assert out is x
         assert len(tape) == 0
 
     def test_mask_fraction_and_scaling(self):
         rng = np.random.default_rng(42)
         x = Tensor(np.ones(200_000))
-        out = dropout(x, 0.3, training=True, rng=rng).values
+        with Tape(rng):
+            out = dropout(x, 0.3).values
         kept = out != 0
         # binomial: expect 0.7 +- ~4 sigma
-        assert abs(kept.mean() - 0.7) < 4 * np.sqrt(0.3 * 0.7 / x.size)
+        assert abs(kept.mean() - 0.7) < 4 * np.sqrt(0.3 * 0.7 / x.values.size)
         np.testing.assert_allclose(out[kept], 1.0 / 0.7)
 
     def test_requires_rng_when_training(self):
-        with pytest.raises(ValueError):
-            dropout(Tensor(np.ones(3)), 0.5, training=True)
+        # a tape without an rng refuses dropout > 0
+        with Tape(), pytest.raises(ValueError, match=r"Tape\(rng\)"):
+            dropout(Tensor(np.ones(3)), 0.5)
 
     def test_rejects_rate_one(self):
         with pytest.raises(ValueError):
-            dropout(Tensor(np.ones(3)), 1.0, training=False)
+            dropout(Tensor(np.ones(3)), 1.0)
 
 
 class TestBackward:
@@ -657,8 +658,8 @@ class TestBackward:
 
     def test_dropout_backward_uses_same_mask(self):
         x = Tensor(np.ones((50, 4)), requires_grad=True)
-        with Tape():
-            out = dropout(x, 0.4, training=True, rng=np.random.default_rng(3))
+        with Tape(np.random.default_rng(3)):
+            out = dropout(x, 0.4)
             backward(rmse_loss(out, Tensor(np.zeros((50, 4)))))
         # gradient must vanish exactly where the mask dropped the input
         dropped = out.values == 0
@@ -708,8 +709,8 @@ def test_repeated_run_is_bit_identical():
         w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         x = Tensor(rng.standard_normal((6, 4)))
         y = Tensor(rng.standard_normal((6, 4)))
-        with Tape():
-            out = sigmoid(matmul(dropout(x, 0.2, True, np.random.default_rng(9)), w))
+        with Tape(np.random.default_rng(9)):
+            out = sigmoid(matmul(dropout(x, 0.2), w))
             backward(rmse_loss(out, y))
         return w.values.copy(), w.grad.copy()
 

@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -162,12 +163,35 @@ class TestDeterminism:
             forward(Tensor(x), params).values, forward(Tensor(x), params).values
         )
 
+    def test_untaped_forward_ignores_dropout(self):
+        # only a tape switches dropout on: untaped, a dropout-0.3 model is its
+        # dropout-0 twin bit for bit, and no rng exists to draw from
+        x = Tensor(np.random.default_rng(1).standard_normal((5, 8, 3)))
+        cfg = ModelConfig(window=8, tcn_channels=4, mlp_units=4, dropout=0.3)
+        dropped = init_forecaster(3, cfg, seed=0)
+        plain = init_forecaster(3, replace(cfg, dropout=0.0), seed=0)
+        for a, b in zip(dropped.tensors(), plain.tensors()):
+            np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(forward(x, dropped).values, forward(x, plain).values)
+
+    def test_taped_forward_is_fixed_by_the_tape_rng(self):
+        cfg = ModelConfig(window=8, tcn_channels=4, mlp_units=4, dropout=0.3)
+        params = init_forecaster(3, cfg, seed=0)
+        x = Tensor(np.random.default_rng(1).standard_normal((5, 8, 3)))
+        runs = []
+        for _ in range(2):
+            with Tape(np.random.default_rng(7)):
+                runs.append(forward(x, params).values)
+        np.testing.assert_array_equal(runs[0], runs[1])
+        assert not np.array_equal(runs[0], forward(x, params).values)
+
     def test_training_mode_needs_rng_when_dropout_active(self):
         cfg = ModelConfig(window=8, tcn_channels=4, mlp_units=4, dropout=0.2)
         params = init_forecaster(3, cfg, seed=0)
         x = Tensor(np.zeros((8, 3)))
-        with pytest.raises(ValueError):
-            forward(x, params, training=True)
+        # a tape without an rng refuses dropout > 0
+        with Tape(), pytest.raises(ValueError, match=r"Tape\(rng\)"):
+            forward(x, params)
 
 
 class TestGradientFlow:
@@ -220,7 +244,7 @@ class TestGradientFlow:
         assert decreases >= 15
 
 
-def _unpruned_forward(x, params, training=False, rng=None):
+def _unpruned_forward(x, params):
     """Reference forward in which every layer computes all w rows (dropout 0 only)
     and every window is scored on its own."""
     assert params.config.dropout == 0.0

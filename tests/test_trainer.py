@@ -359,9 +359,8 @@ class TestChunkedTape:
         params = init_forecaster(m, _variants(cfg)[variant])
         size = trainer._chunk_size(params)
         chunk = build_windows(_toy_series(n=cfg.window + size, m=m), cfg.window)[np.arange(size)]
-        with Tape() as tape:
-            pred = forward(Tensor(chunk[:, :-1]), params, training=True,
-                           rng=np.random.default_rng(0))
+        with Tape(np.random.default_rng(0)) as tape:
+            pred = forward(Tensor(chunk[:, :-1]), params)
             rmse_loss(pred, Tensor(chunk[:, -1]), size)
             held = _held_bytes(tape, params)
         floor = 0.8 if variant == "dynamic" else 0.75
@@ -377,9 +376,8 @@ class TestChunkedTape:
         m, cfg = NAMED_CONFIGS[name]
         params = init_forecaster(m, _variants(cfg)[variant])
         window = build_windows(_toy_series(n=cfg.window + 1, m=m), cfg.window)[[0]]
-        with Tape() as tape:
-            pred = forward(Tensor(window[:, :-1]), params, training=True,
-                           rng=np.random.default_rng(1))
+        with Tape(np.random.default_rng(1)) as tape:
+            pred = forward(Tensor(window[:, :-1]), params)
             rmse_loss(pred, Tensor(window[:, -1]))
             assert trainer._window_tape_bytes(params) == _held_bytes(tape, params)
 
@@ -388,7 +386,7 @@ class TestChunkedTape:
         # of its own: a run probing its chunk size equals one told the size
         cfg = replace(TINY, dropout=0.1)
         params = init_forecaster(2, cfg, seed=1)
-        grads = [np.full(t.shape, 0.5) for t in params.tensors()]
+        grads = [np.full(t.values.shape, 0.5) for t in params.tensors()]
         for t, g in zip(params.tensors(), grads):
             t.grad = g
         size = trainer._chunk_size(params)
@@ -568,15 +566,17 @@ class TestSharedScores:
 
     def test_sharing_refuses_a_tape(self, monkeypatch):
         # taped, forward scores a consecutive batch per window; asked to share
-        # under a tape, temporal attention raises
+        # under a tape, temporal attention raises. At dropout 0 the training
+        # tape's rng draws nothing, so the taped and untaped scores agree.
         calls = self._spy_shared(monkeypatch)
         params, windows = self._demo_windows(12)
+        params = init_forecaster(params.n_features, replace(params.config, dropout=0.0))
         x = Tensor(windows[:, :-1])
-        with Tape():
+        with Tape(np.random.default_rng(0)):
             pred = forward(x, params).values
         assert calls == []
         _assert_scores_match(pred, forward(x, params).values)
-        with Tape(), pytest.raises(RuntimeError, match="not taped"):
+        with Tape(np.random.default_rng(0)), pytest.raises(RuntimeError, match="not taped"):
             temporal_attention(x, x, params.temporal, shared_from=1)
 
     @pytest.mark.parametrize("name, variant", [
