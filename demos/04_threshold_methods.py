@@ -64,10 +64,14 @@ for name, result in results.items():
 print("\ngrid diagnostics: ", {k: round(v, 4) for k, v in results["grid"].diagnostics.items()})
 print("epsilon diagnostics:", {k: round(v, 4) for k, v in results["epsilon"].diagnostics.items()})
 pot = results["pot"]
-print("pot diagnostics:    ", {k: round(v, 4) for k, v in pot.diagnostics.items()})
+# gamma_on_clip says whether gamma sits on its bound -0.5 or 1, where the fit
+# extrapolates the clip rather than the tail (pot_threshold warns then too)
+print("pot diagnostics:    ", {k: v if isinstance(v, bool) else round(v, 4)
+                               for k, v in pot.diagnostics.items()})
 fit = pot.diagnostics
 print(f"pot tail fit: gamma={fit['gamma']:.4f} beta={fit['beta']:.4f} "
-      f"({fit['n_exceedances']} exceedances above {fit['init_threshold']:.4f})")
+      f"({fit['n_exceedances']} exceedances above {fit['init_threshold']:.4f}, "
+      f"on the clip: {fit['gamma_on_clip']})")
 
 # the label-aware grid is an upper bound for the label-free methods
 grid_f1 = point_adjusted_report(

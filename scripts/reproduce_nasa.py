@@ -101,11 +101,13 @@ def main(argv=None) -> int:
                         "if one was trained with other model flags or seed")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
+    if args.limit is not None and args.limit < 1:
+        parser.error(f"--limit must be >= 1, got {args.limit}")
 
     spacecrafts = ["SMAP", "MSL"] if args.spacecraft == "both" else [args.spacecraft]
     manifest = read_manifest(args.raw / "labeled_anomalies.csv")
     entries = sorted((e for e in manifest.values() if e.spacecraft in spacecrafts),
-                     key=lambda e: e.channel)[:args.limit or None]
+                     key=lambda e: e.channel)[:args.limit]
     if not entries:
         raise SystemExit(f"no channels for spacecraft {spacecrafts} in {args.raw}")
 

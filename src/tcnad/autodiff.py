@@ -89,14 +89,15 @@ class Tape:
     tape, from the tape's ``rng``, so untaped inference never drops anything.
 
     ``saved_bytes`` is what the records keep for their rules: the bytes of
-    each distinct buffer under the arrays passed to ``save``.
+    each distinct buffer under the arrays passed to ``save``; ``float_bytes``
+    is the floating-point part of it, the masks left out.
     """
 
     def __init__(self, rng: np.random.Generator | None = None):
         self.rng = rng
         self._records: list[tuple[GradNode, object]] = []
         self._saved: set[int] = set()   # ids of the buffers counted in saved_bytes
-        self.saved_bytes = 0
+        self.saved_bytes = self.float_bytes = 0
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -114,13 +115,16 @@ class Tape:
         self._records.append((out, rule))
 
     def save(self, *arrays: np.ndarray):
-        """Count the buffers under ``arrays`` in ``saved_bytes``, each once."""
+        """Count the buffers under ``arrays`` in ``saved_bytes``, each once,
+        and the floating-point ones also in ``float_bytes``."""
         for a in arrays:
             while isinstance(a.base, np.ndarray):
                 a = a.base
             if id(a) not in self._saved:
                 self._saved.add(id(a))
                 self.saved_bytes += a.nbytes
+                if a.dtype.kind == "f":
+                    self.float_bytes += a.nbytes
 
     def replay_backward(self):
         """Run the rules newest first, releasing each record and its output grad.
@@ -137,7 +141,7 @@ class Tape:
                 rule(out.grad)
                 out.grad = None
         self._saved.clear()
-        self.saved_bytes = 0
+        self.saved_bytes = self.float_bytes = 0
 
 
 def active_tape() -> Tape | None:
@@ -380,7 +384,8 @@ def leaky_relu(x: Tensor) -> Tensor:
     """max(x, slope*x), exact for 0 <= slope <= 1; a taped call keeps only the
     sign mask x >= 0 (derivative taken as 1 at exactly zero)."""
     xv = x.values
-    out = Tensor(np.maximum(xv, LEAKY_SLOPE * xv))
+    scaled = LEAKY_SLOPE * xv
+    out = Tensor(np.maximum(xv, scaled, out=scaled))
     if not _taped((x,)):
         return out
     pos, xn = xv >= 0, x.node

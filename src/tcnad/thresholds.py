@@ -268,7 +268,8 @@ def pot_threshold(
     falling back to the exponential form beta * ln(N_th / (q*N)) when gamma is
     numerically zero. Raises GpdFitError when fewer than ``min_exceedances``
     points sit above th0, and ValueError unless q is below the tail fraction
-    N_th/N (else the threshold would not sit above th0).
+    N_th/N (else the threshold would not sit above th0). Warns, and sets
+    ``gamma_on_clip`` in the diagnostics, when gamma is exactly -0.5 or 1.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
@@ -293,12 +294,17 @@ def pot_threshold(
         raise ValueError(f"q={q:g} must be below the tail fraction {n_exc}/{n_total} "
                          f"= {n_exc / n_total:g} above the {init_quantile:g} quantile")
     gamma, beta = fit_gpd(excesses)
+    on_clip = gamma in (-0.5, 1.0)
+    if on_clip:
+        warnings.warn(f"pot: the shape fitted to {n_exc} exceedances sits on its clip, "
+                      f"gamma = {gamma:g}; the threshold extrapolates the bound, not the tail",
+                      RuntimeWarning, stacklevel=2)
     threshold = th0 + pot_displacement(gamma, beta, q, n_total, n_exc)
     return ThresholdResult(
         method="pot",
         threshold=float(threshold),
         diagnostics={
-            "gamma": gamma, "beta": beta, "init_threshold": th0,
+            "gamma": gamma, "gamma_on_clip": on_clip, "beta": beta, "init_threshold": th0,
             "n_exceedances": n_exc, "n_total": n_total, "q": q,
             "nll": float(gpd_nll(excesses, gamma, beta)),
         },

@@ -1,10 +1,10 @@
 """Sliding windows, the Adam training loop, and the one inference loop.
 
-Both loops push chunks of windows through one batched ``forward``. A training
-chunk is sized so what its windows keep on the tape stays near
-``_CHUNK_BYTES``, as the tape itself counts it for one probe window; an
-inference chunk so what its untaped forward holds at once stays near
-``_SCORE_BYTES``. Either bounds memory whatever the batch size.
+Both loops push chunks of windows through one batched ``forward``, sized
+against one budget, ``_CHUNK_BYTES``, from what the tape counts for one probe
+window: a training chunk by all its windows keep on the tape, an inference
+chunk by the float arrays among them, which an untaped forward computes too.
+Either bounds memory whatever the batch size.
 """
 
 from __future__ import annotations
@@ -14,19 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import _PAIR_BLOCK_FLOATS, Tape, Tensor, backward, rmse_loss
+from .autodiff import Tape, Tensor, backward, rmse_loss
 from .forecaster import ForecasterParams, forward, int_field
 from .optim import AdamState, adam_step
-from .tcn import block_rows, receptive_field
 
-# Bytes the windows of one chunk may keep on the tape, 3.75 MiB.
+# The one chunk budget, 3.75 MiB: what a training chunk's windows keep on the
+# tape, or the float part of that for a scoring chunk.
 _CHUNK_BYTES = 15 * 2**18
-# Bytes one untaped scoring chunk may hold at once, 2.25 MiB. Longer chunks
-# share more attention scores, but at the paper config chunks of 24 or more
-# windows grew the heap past training's high-water mark (peak RSS +1 MB).
-_SCORE_BYTES = 9 * 2**18
-# Of those, room for the pair blocks ``pair_scores`` holds at any chunk length.
-_PAIR_BYTES = 4 * 8 * _PAIR_BLOCK_FLOATS
 
 
 class EmptyDatasetError(ValueError):
@@ -69,49 +63,30 @@ def build_windows(series: np.ndarray, window: int) -> np.ndarray:
     return sliding_window_view(series, (window + 1, series.shape[1]))[:, 0]
 
 
-def _window_tape_bytes(params: ForecasterParams) -> int:
+def _window_tape_bytes(params: ForecasterParams) -> tuple[int, int]:
     """Bytes one window keeps on the tape, parameters aside, as the tape counts
-    them for a taped forward and loss on a zero window; the probe's dropout
-    masks come from an rng of its own."""
+    them for a taped forward and loss on a zero window: all of them, and the
+    floating-point part. The probe's dropout masks come from an rng of its own."""
     window = np.zeros((1, params.config.window + 1, params.n_features))
     with Tape(np.random.default_rng(0)) as tape:
         tape.save(*(t.values for t in params.tensors()))
-        fixed = tape.saved_bytes
+        fixed, fixed_floats = tape.saved_bytes, tape.float_bytes
         pred = forward(Tensor(window[:, :-1]), params)
         rmse_loss(pred, Tensor(window[:, -1]))
-        return tape.saved_bytes - fixed
+        return tape.saved_bytes - fixed, tape.float_bytes - fixed_floats
 
 
 def _chunk_size(params: ForecasterParams) -> int:
-    """Windows per taped ``forward``, from one probe window: 9 at the paper
-    config, 250 at the demo one."""
-    return max(1, _CHUNK_BYTES // _window_tape_bytes(params))
-
-
-def _score_window_bytes(params: ForecasterParams) -> int:
-    """About the most one window holds at once in an untaped ``forward``: in
-    temporal attention the (w, m) preconv output, two (r, w) score arrays (or a
-    window's share of shared ones) and the (r, m) aggregate; in variable
-    attention the preconv and temporal outputs, two (m, w) projections and the
-    (m, m) scores; in the TCN, freed of those, its (r, branches*m) input and
-    the 3 (n1, channels) floats and mask of block 0's first leaky_relu."""
-    cfg = params.config
-    w, m, c = cfg.window, params.n_features, cfg.tcn_channels
-    r = min(w, receptive_field(params.tcn))
-    branches = 1 + (params.temporal is not None) + (params.variable is not None)
-    first = params.tcn[0]
-    n1 = min(r, block_rows(params.tcn, r, 1)[0] + (first.kernel_size - 1) * first.dilation)
-    stretches = [8 * (r * branches * m + 3 * n1 * c) + n1 * c]
-    if params.temporal is not None:
-        stretches.append(8 * (w * m + 2 * r * w + r * m))
-    if params.variable is not None:
-        stretches.append(8 * (w * m + (params.temporal is not None) * r * m + 2 * m * w + m * m))
-    return max(stretches)
+    """Windows per taped ``forward``, from all a probe window keeps: 9 at the
+    paper config, 250 at the demo one."""
+    return max(1, _CHUNK_BYTES // _window_tape_bytes(params)[0])
 
 
 def _score_chunk_size(params: ForecasterParams) -> int:
-    """Windows per untaped ``forward``: 19 at the paper config, 244 at the demo one."""
-    return max(1, (_SCORE_BYTES - _PAIR_BYTES) // _score_window_bytes(params))
+    """Windows per untaped ``forward``, from the float arrays a probe window
+    keeps, which an untaped forward computes too; the 1-byte masks only
+    backward reads are left out. 17 at the paper config, 298 at the demo one."""
+    return max(1, _CHUNK_BYTES // _window_tape_bytes(params)[1])
 
 
 def window_scores(params: ForecasterParams, windows: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Unit tests for the tape, the ops, their gradients, and Adam."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -173,8 +174,9 @@ class TestRecords:
         for a in reached:
             while isinstance(a.base, np.ndarray):
                 a = a.base
-            roots[id(a)] = a.nbytes
-        assert tape.saved_bytes == sum(roots.values())
+            roots[id(a)] = a.nbytes, a.dtype.kind
+        assert tape.saved_bytes == sum(nbytes for nbytes, _ in roots.values())
+        assert tape.float_bytes == sum(nbytes for nbytes, kind in roots.values() if kind == "f")
         if name in self.SHAPES_ONLY:
             assert [a for a in reached if a.dtype != np.bool_] == []
         if name in ("dropout", "leaky_relu"):
@@ -184,9 +186,9 @@ class TestRecords:
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         with Tape() as tape:
             loss = rmse_loss(sigmoid(x), Tensor(np.zeros((2, 3))))
-            assert tape.saved_bytes == 2 * x.values.nbytes
+            assert tape.saved_bytes == tape.float_bytes == 2 * x.values.nbytes
             backward(loss)
-        assert len(tape) == 0 and tape.saved_bytes == 0
+        assert len(tape) == 0 and tape.saved_bytes == tape.float_bytes == 0
 
 
 class TestForwardValues:
@@ -215,6 +217,15 @@ class TestForwardValues:
     def test_leaky_relu_slope(self):
         out = leaky_relu(Tensor([-2.0, 0.0, 3.0]))
         np.testing.assert_allclose(out.values, [-0.4, 0.0, 3.0])
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_leaky_relu_is_bit_identical_to_maximum(self, taped):
+        # the maximum is written into the slope product in place
+        x = np.random.default_rng(3).standard_normal((2, 5, 7))
+        x.flat[:6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310]
+        with Tape() if taped else contextlib.nullcontext():
+            out = leaky_relu(Tensor(x, requires_grad=taped)).values
+        assert out.tobytes() == np.maximum(x, autodiff.LEAKY_SLOPE * x).tobytes()
 
     def test_sigmoid_midpoint_and_extremes(self):
         out = sigmoid(Tensor([0.0, 50.0, -50.0, -1000.0]))

@@ -80,3 +80,21 @@ def test_resume_with_changed_model_flags_stops(tmp_path, capsys):
     assert "dropout" not in message
     assert scores.read_bytes() == first
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_limit_below_one_is_a_usage_error(tmp_path, capsys, limit, monkeypatch):
+    # --limit 0 used to run every channel and --limit -2 to drop the last two
+    raw, work = tmp_path / "raw", tmp_path / "work"
+    _write_archive(raw)
+    script = _load_script()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a channel ran under an invalid --limit")
+
+    monkeypatch.setattr(script, "fit_channel", fail)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--raw", str(raw), "--work", str(work), "--limit", limit])
+    assert exc.value.code == 2
+    assert f"--limit must be >= 1, got {limit}" in capsys.readouterr().err
+    assert not work.exists()

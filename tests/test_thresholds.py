@@ -1,5 +1,7 @@
 """Score computation and the three threshold selectors."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -379,6 +381,25 @@ class TestPot:
         for q in (0.5, 0.05, 0.02):
             with pytest.raises(ValueError, match=f"q={q:g} must be below the tail fraction 100/5000"):
                 pot_threshold(lognormal, q=q)
+
+    def test_warns_when_the_shape_sits_on_the_clip(self):
+        # two exponential exceedances fit gamma = -0.5, the lower clip: the
+        # threshold then extrapolates the bound, whatever the scores
+        scores = np.random.default_rng(0).exponential(size=100)
+        with pytest.warns(RuntimeWarning, match="2 exceedances sits on its clip"):
+            res = pot_threshold(scores, min_exceedances=2)
+        assert res.diagnostics["gamma"] == -0.5
+        assert res.diagnostics["gamma_on_clip"] is True
+
+    def test_a_fitted_shape_is_not_on_the_clip(self):
+        # GPD tails are threshold-stable: 400 exceedances of a GPD(0.2) sample
+        scores = gpd_quantile_sample(np.random.default_rng(0), 0.2, 1.0, 20000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = pot_threshold(scores)
+        assert res.diagnostics["n_exceedances"] == 400
+        assert -0.5 < res.diagnostics["gamma"] < 1.0
+        assert res.diagnostics["gamma_on_clip"] is False
 
 
 class TestScoreSequence:
