@@ -30,7 +30,7 @@ import numpy as np
 
 from .evaluation import AnomalySegment, EvalReport
 from .forecaster import ModelConfig
-from .thresholds import ScoreSequence
+from .thresholds import ScoreSequence, _require_finite
 from .trainer import TrainConfig
 
 
@@ -71,6 +71,7 @@ def compute_stats(train: np.ndarray, mode: str = "per_feature") -> Normalization
     train = np.asarray(train, dtype=np.float64)
     if train.ndim != 2 or train.size == 0:
         raise ValueError(f"expected a non-empty (N, m) matrix, got shape {train.shape}")
+    _require_finite(train, "train")
     if mode == "per_feature":
         mn, mx = train.min(axis=0), train.max(axis=0)
         constant = (f"features {np.flatnonzero(mx == mn).tolist()} are constant in the "

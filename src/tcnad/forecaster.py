@@ -81,7 +81,7 @@ class ModelConfig:
         self.dilations = tuple(int_field("dilations", d, 1) for d in self.dilations)
         if not self.dilations:
             raise ValueError("dilations must not be empty")
-        if not 0.0 <= self.dropout < 1.0:
+        if isinstance(self.dropout, bool) or not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.attention_mode not in MODES:
             raise ValueError(f"unknown attention_mode {self.attention_mode!r}")

@@ -185,19 +185,6 @@ def epsilon_threshold(scores: np.ndarray) -> ThresholdResult:
 # peaks over threshold
 # ---------------------------------------------------------------------------
 
-def gpd_nll(excesses: np.ndarray, gamma: float, beta: float) -> float:
-    """Negative log-likelihood of positive excesses under GPD(gamma, beta)."""
-    if beta <= 0:
-        return np.inf
-    y = np.asarray(excesses, dtype=np.float64)
-    if abs(gamma) < 1e-12:
-        return float(y.size * np.log(beta) + float(y.sum()) / beta)
-    z = gamma * y / beta
-    if z.min() <= -1.0:
-        return np.inf
-    return float(y.size * np.log(beta) + (1.0 + 1.0 / gamma) * float(np.log1p(z).sum()))
-
-
 def _profile(y: np.ndarray, theta: np.ndarray):
     """(nll, gamma, beta) at each theta = gamma/beta, with the best gamma in [-0.5, 1].
 
@@ -306,6 +293,6 @@ def pot_threshold(
         diagnostics={
             "gamma": gamma, "gamma_on_clip": on_clip, "beta": beta, "init_threshold": th0,
             "n_exceedances": n_exc, "n_total": n_total, "q": q,
-            "nll": float(gpd_nll(excesses, gamma, beta)),
+            "nll": float(_profile(excesses, np.array([gamma / beta]))[0][0]),
         },
     )

@@ -76,28 +76,27 @@ def _window_tape_bytes(params: ForecasterParams) -> tuple[int, int]:
         return tape.saved_bytes - fixed, tape.float_bytes - fixed_floats
 
 
-def _chunk_size(params: ForecasterParams) -> int:
-    """Windows per taped ``forward``, from all a probe window keeps: 9 at the
-    paper config, 250 at the demo one."""
-    return max(1, _CHUNK_BYTES // _window_tape_bytes(params)[0])
+def _chunk_sizes(params: ForecasterParams) -> tuple[int, int]:
+    """Windows per taped and per untaped ``forward``, from all one probe window
+    keeps and from its float arrays, which an untaped forward computes too:
+    (9, 17) at the paper config, (250, 298) at the demo one."""
+    taped, floats = _window_tape_bytes(params)
+    return max(1, _CHUNK_BYTES // taped), max(1, _CHUNK_BYTES // floats)
 
 
-def _score_chunk_size(params: ForecasterParams) -> int:
-    """Windows per untaped ``forward``, from the float arrays a probe window
-    keeps, which an untaped forward computes too; the 1-byte masks only
-    backward reads are left out. 17 at the paper config, 298 at the demo one."""
-    return max(1, _CHUNK_BYTES // _window_tape_bytes(params)[1])
-
-
-def window_scores(params: ForecasterParams, windows: np.ndarray) -> np.ndarray:
-    """Per-window RMSE of the one-step forecast, without any tape or dropout."""
-    size = _score_chunk_size(params)
+def _scores(params: ForecasterParams, windows: np.ndarray, size: int) -> np.ndarray:
+    """Per-window RMSE of the one-step forecast, ``size`` windows per untaped forward."""
     preds = np.empty((len(windows), params.n_features))
     for start in range(0, len(windows), size):
         preds[start : start + size] = forward(Tensor(windows[start : start + size, :-1]),
                                               params).values
     diff = preds - windows[:, -1]
     return np.sqrt(np.mean(diff * diff, axis=1))
+
+
+def window_scores(params: ForecasterParams, windows: np.ndarray) -> np.ndarray:
+    """Per-window RMSE of the one-step forecast, without any tape or dropout."""
+    return _scores(params, windows, _chunk_sizes(params)[1])
 
 
 def accumulate_gradients(
@@ -110,9 +109,9 @@ def accumulate_gradients(
     """Add the gradient of the mean RMSE of ``windows[index]`` to every param's ``.grad``.
 
     The minibatch runs in chunks of at most ``size`` windows, one tape each
-    (``train`` passes ``_chunk_size``); ``rmse_loss`` divides every chunk's
-    loss by the minibatch size, so the chunk gradients add up to the minibatch
-    mean. Each tape carries ``rng``, so the forward draws its dropout masks
+    (``train`` passes the taped one of ``_chunk_sizes``); ``rmse_loss``
+    divides every chunk's loss by the minibatch size, so the chunk gradients
+    add up to the minibatch mean. Each tape carries ``rng``, so the forward draws its dropout masks
     from it (None is fine at dropout 0). Returns the sum of the per-window RMSEs.
     """
     n, total = len(index), 0.0
@@ -138,10 +137,10 @@ class TrainConfig:
     def __post_init__(self):
         self.epochs = int_field("epochs", self.epochs, 0)
         self.batch_size = int_field("batch_size", self.batch_size, 1)
-        if not 0 < self.learning_rate < np.inf:
+        if isinstance(self.learning_rate, bool) or not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         self.seed = int_field("seed", self.seed, 0)
-        if not 0.0 <= self.val_fraction < 1.0:
+        if isinstance(self.val_fraction, bool) or not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
@@ -182,7 +181,7 @@ def train(
     dropout_rng = np.random.default_rng(dropout_seq)
 
     tensors = params.tensors()
-    size = _chunk_size(params)
+    size, score_size = _chunk_sizes(params)
     adam = AdamState(learning_rate=config.learning_rate)
     result = TrainResult(params=params)
 
@@ -204,7 +203,7 @@ def train(
             epoch_total += batch_total
         result.loss_history.append(epoch_total / n)
         if len(val_windows):
-            result.val_history.append(float(window_scores(params, val_windows).mean()))
+            result.val_history.append(float(_scores(params, val_windows, score_size).mean()))
         if progress is not None:
             progress(epoch, result.loss_history[-1])
     return result

@@ -38,7 +38,10 @@ from tcnad.data import (
     write_scores_csv,
 )
 from tcnad.evaluation import AnomalySegment, EvalReport
+from tcnad.forecaster import ModelConfig
+from tcnad.pipeline import fit_channel
 from tcnad.thresholds import ScoreSequence
+from tcnad.trainer import TrainConfig
 
 
 class TestNormalization:
@@ -80,6 +83,25 @@ class TestNormalization:
             compute_stats(np.ones((2, 2)), mode="zscore")
         with pytest.raises(ValueError):
             NormalizationStats(np.zeros(2), np.ones(2), mode="robust")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", ["per_feature", "global"])
+    def test_non_finite_train_names_its_index(self, bad, mode):
+        # else a NaN or inf surfaces later as a diverged loss that names a gradient
+        train = np.random.default_rng(0).random((80, 3))
+        train[50, 1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"train has a non-finite value {bad} "
+                                                       "at index (50, 1)")):
+            compute_stats(train, mode)
+
+    def test_fit_channel_refuses_an_inf_before_training(self):
+        # refused before training, not as a TrainingDivergedError at some batch
+        train = np.random.default_rng(0).random((80, 3))
+        train[50, 1] = np.inf
+        cfg = ModelConfig(window=8, conv_kernel=3, tcn_kernel=2, tcn_channels=4,
+                          dilations=(1,), mlp_layers=1, mlp_units=4)
+        with pytest.raises(ValueError, match="non-finite value inf at index"):
+            fit_channel(train, cfg, TrainConfig(epochs=1))
 
     def test_shape_checks(self):
         with pytest.raises(ValueError):

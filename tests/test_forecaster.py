@@ -103,9 +103,12 @@ class TestConfigValidation:
         {"attention_mode": "both"},
         {"attention_activation": "relu"},
         {"mlp_layers": -1},
+        {"dropout": False},   # a bool compares as 0 or 1 but is no rate
+        {"dropout": True},
     ])
     def test_bad_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             ModelConfig(**kwargs)
 
     @pytest.mark.parametrize("field, value", [
@@ -289,7 +292,7 @@ class TestReceptiveFieldPruning:
         assert receptive_field(params.tcn) == 7
         windows = build_windows(np.random.default_rng(3).standard_normal((100, 3)), window)
         index = np.random.default_rng(4).permutation(len(windows))
-        size = tcnad.trainer._chunk_size(params)
+        size = tcnad.trainer._chunk_sizes(params)[0]
 
         def run():
             for t in params.tensors():

@@ -27,7 +27,6 @@ from tcnad.thresholds import (
     best_f1_threshold,
     epsilon_threshold,
     fit_gpd,
-    gpd_nll,
     pot_displacement,
     pot_threshold,
 )
@@ -303,10 +302,10 @@ class TestGpd:
         rng = np.random.default_rng(3)
         y = gpd_quantile_sample(rng, 0.3, 0.5, 2000)
         gamma, beta = fit_gpd(y)
-        best = gpd_nll(y, gamma, beta)
+        best = gpd_nll_reference(y, gamma, beta)
         for g in np.linspace(-0.4, 1.0, 15):
             for b in y.mean() * np.logspace(-1, 1, 9):
-                assert best <= gpd_nll(y, g, b) + 1e-9
+                assert best <= gpd_nll_reference(y, g, b) + 1e-9
 
     @pytest.mark.parametrize("gamma", [-0.8, -0.4, 0.0, 0.3, 1.0, 1.5])
     @pytest.mark.parametrize("n", [2, 32, 400])
@@ -317,7 +316,7 @@ class TestGpd:
         y = gpd_quantile_sample(np.random.default_rng(seed), gamma, 1.0, n)
         g, b = fit_gpd(y)
         assert -0.5 <= g <= 1.0 and np.isfinite(b) and b > 0
-        assert gpd_nll(y, g, b) <= gpd_fit_reference(y)[0] + 1e-9
+        assert gpd_nll_reference(y, g, b) <= gpd_fit_reference(y)[0] + 1e-9
 
     @pytest.mark.parametrize("gamma, clipped", [(1.5, 1.0), (-0.8, -0.5)])
     def test_shape_is_clipped_exactly(self, gamma, clipped):
@@ -330,8 +329,17 @@ class TestGpd:
         (0.2, 0.0), (0.2, -1.0),                              # non-positive scale
     ])
     def test_nll_matches_closed_form(self, gamma, beta):
+        # the oracle every NLL here is checked against is minus the summed log
+        # of the GPD density, written as a power; zero density outside the support
         y = gpd_quantile_sample(np.random.default_rng(8), 0.3, 0.5, 200)
-        assert gpd_nll(y, gamma, beta) == gpd_nll_reference(y, gamma, beta)
+        with np.errstate(all="ignore"):
+            if abs(gamma) < 1e-12:
+                density = np.exp(-y / beta) / beta
+            else:
+                density = (1.0 + gamma * y / beta) ** (-1.0 - 1.0 / gamma) / beta
+            density = np.where((beta > 0) & (1.0 + gamma * y / beta > 0), density, 0.0)
+            expected = -float(np.log(density).sum())
+        assert gpd_nll_reference(y, gamma, beta) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_nonpositive_excesses(self):
         with pytest.raises(ValueError):
@@ -400,6 +408,23 @@ class TestPot:
         assert res.diagnostics["n_exceedances"] == 400
         assert -0.5 < res.diagnostics["gamma"] < 1.0
         assert res.diagnostics["gamma_on_clip"] is False
+
+    @pytest.mark.parametrize("gamma, clipped", [
+        (-0.8, -0.5), (-0.2, None), (0.0, None), (0.3, None), (1.5, 1.0),
+    ])
+    def test_nll_is_the_likelihood_of_the_fit(self, gamma, clipped):
+        # the diagnostic comes from the fit's theta profile; it must equal the
+        # closed-form likelihood of the reported (gamma, beta), clipped fits too
+        scores = gpd_quantile_sample(np.random.default_rng(21), gamma, 1.0, 5000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            diag = pot_threshold(scores).diagnostics
+        assert diag["gamma_on_clip"] is (clipped is not None)
+        if clipped is not None:
+            assert diag["gamma"] == clipped
+        excesses = scores[scores > diag["init_threshold"]] - diag["init_threshold"]
+        expected = gpd_nll_reference(excesses, diag["gamma"], diag["beta"])
+        assert abs(diag["nll"] - expected) <= 1e-12 * abs(expected)
 
 
 class TestScoreSequence:

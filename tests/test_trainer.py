@@ -64,9 +64,12 @@ class TestTrainConfig:
         {"epochs": -1}, {"batch_size": 0}, {"learning_rate": 0.0},
         {"val_fraction": 1.0}, {"val_fraction": -0.1},
         {"learning_rate": float("nan")}, {"learning_rate": float("inf")}, {"seed": -1},
+        # a bool compares as 1 or 0 but is no rate or fraction
+        {"learning_rate": True}, {"val_fraction": False}, {"val_fraction": True},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             TrainConfig(**kwargs)
 
     @pytest.mark.parametrize("field, value", [
@@ -248,12 +251,12 @@ def _held_bytes(tape, params, floats=False):
 
 
 def _chunk_bytes(params, chunk):
-    """The ``_CHUNK_BYTES`` value that makes ``_chunk_size(params) == chunk``."""
+    """The ``_CHUNK_BYTES`` value that makes ``_chunk_sizes(params)[0] == chunk``."""
     return chunk * trainer._window_tape_bytes(params)[0]
 
 
 def _score_chunk_bytes(params, chunk):
-    """The ``_CHUNK_BYTES`` value that makes ``_score_chunk_size(params) == chunk``."""
+    """The ``_CHUNK_BYTES`` value that makes ``_chunk_sizes(params)[1] == chunk``."""
     return chunk * trainer._window_tape_bytes(params)[1]
 
 
@@ -318,7 +321,7 @@ class TestChunkedTape:
             for w in windows
         ]
         with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, chunk)):
-            assert trainer._score_chunk_size(params) == chunk
+            assert trainer._chunk_sizes(params)[1] == chunk
             scores = window_scores(params, windows)
         np.testing.assert_allclose(scores, manual, rtol=1e-12)
 
@@ -327,7 +330,7 @@ class TestChunkedTape:
         # paper shapes, so pair_scores runs in blocks of query rows; chunk + 1
         # windows make one chunk of the default size and a short one
         params = init_forecaster(25, _variants(ModelConfig(dropout=0.0))[variant], seed=3)
-        chunk = trainer._chunk_size(params)
+        chunk = trainer._chunk_sizes(params)[0]
         assert chunk >= 4
         windows = _toy_windows(n=101 + chunk, m=25, window=100)
         ref_loss, ref_grads, scales = _per_window_reference(params, windows)
@@ -340,12 +343,9 @@ class TestChunkedTape:
         np.testing.assert_allclose(window_scores(params, windows), manual, rtol=1e-12)
 
     def test_chunk_sizes_of_the_named_configs(self):
-        sizes = {name: trainer._chunk_size(init_forecaster(m, cfg))
+        sizes = {name: trainer._chunk_sizes(init_forecaster(m, cfg))
                  for name, (m, cfg) in NAMED_CONFIGS.items()}
-        assert sizes == {"demo": 250, "small": 380, "paper": 9}
-        sizes = {name: trainer._score_chunk_size(init_forecaster(m, cfg))
-                 for name, (m, cfg) in NAMED_CONFIGS.items()}
-        assert sizes == {"demo": 298, "small": 445, "paper": 17}
+        assert sizes == {"demo": (250, 298), "small": (380, 445), "paper": (9, 17)}
 
     @pytest.mark.parametrize("name, variant", [
         pytest.param(name, variant, id=name if variant == "dynamic" else f"{name}-{variant}")
@@ -357,7 +357,7 @@ class TestChunkedTape:
         # for the full model and for each variant that drops or narrows a branch
         m, cfg = NAMED_CONFIGS[name]
         params = init_forecaster(m, _variants(cfg)[variant])
-        size = trainer._chunk_size(params)
+        size = trainer._chunk_sizes(params)[0]
         chunk = build_windows(_toy_series(n=cfg.window + size, m=m), cfg.window)[np.arange(size)]
         with Tape(np.random.default_rng(0)) as tape:
             pred = forward(Tensor(chunk[:, :-1]), params)
@@ -385,25 +385,36 @@ class TestChunkedTape:
 
     def test_probe_changes_no_grad_and_no_training_run(self):
         # the probe runs no backward and draws its dropout masks from an rng
-        # of its own: a run probing its chunk size equals one told the size
+        # of its own: a run probing its chunk sizes equals one told the sizes
         cfg = replace(TINY, dropout=0.1)
         params = init_forecaster(2, cfg, seed=1)
         grads = [np.full(t.values.shape, 0.5) for t in params.tensors()]
         for t, g in zip(params.tensors(), grads):
             t.grad = g
-        size = trainer._chunk_size(params)
+        sizes = trainer._chunk_sizes(params)
         assert all(t.grad is g and (g == 0.5).all() for t, g in zip(params.tensors(), grads))
 
-        def run(chunk_size):
-            with mock.patch.object(trainer, "_chunk_size", chunk_size):
+        def run(chunk_sizes):
+            with mock.patch.object(trainer, "_chunk_sizes", chunk_sizes):
                 result = train(init_forecaster(2, cfg, seed=1), _toy_windows(),
                                TrainConfig(epochs=2, batch_size=8, seed=5))
             return result.loss_history, [t.values for t in result.params.tensors()]
 
-        probed, told = run(trainer._chunk_size), run(lambda params: size)
+        probed, told = run(trainer._chunk_sizes), run(lambda params: sizes)
         assert probed[0] == told[0]
         for a, b in zip(probed[1], told[1]):
             np.testing.assert_array_equal(a, b)
+
+    def test_train_probes_once_for_both_loops(self, monkeypatch):
+        # the shapes never change during a run: one probe sizes the training
+        # chunks and every epoch's validation scoring
+        calls, real = [], trainer._window_tape_bytes
+        monkeypatch.setattr(trainer, "_window_tape_bytes",
+                            lambda params: calls.append(params) or real(params))
+        result = train(init_forecaster(2, TINY, seed=1), _toy_windows(),
+                       TrainConfig(epochs=3, batch_size=8, val_fraction=0.25))
+        assert len(result.val_history) == 3
+        assert len(calls) == 1
 
     def test_same_seed_with_dropout_is_identical(self):
         cfg = replace(TINY, dropout=0.1)
@@ -492,7 +503,7 @@ class TestSharedScores:
         # one full chunk of the default size and a 1-window partial last chunk
         m, cfg = NAMED_CONFIGS[name]
         params = init_forecaster(m, _score_variants(replace(cfg, dropout=0.0))[variant], seed=3)
-        size = trainer._score_chunk_size(params)
+        size = trainer._chunk_sizes(params)[1]
         windows = build_windows(_toy_series(n=cfg.window + size + 1, m=m), cfg.window)
         assert len(windows) == size + 1
         _assert_scores_match(window_scores(params, windows),
@@ -507,7 +518,7 @@ class TestSharedScores:
         params = init_forecaster(m, _score_variants(cfg)[variant], seed=5)
         windows = build_windows(_toy_series(n=cfg.window + 23, m=m, seed=1), cfg.window)
         with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, chunk)):
-            assert trainer._score_chunk_size(params) == chunk
+            assert trainer._chunk_sizes(params)[1] == chunk
             scores = window_scores(params, windows)
         _assert_scores_match(scores, _per_window_scores(params, windows))
 
@@ -591,7 +602,7 @@ class TestSharedScores:
         # within the one chunk budget
         m, cfg = NAMED_CONFIGS.get(name, (2, TINY))
         params = init_forecaster(m, _variants(cfg)[variant])
-        size = trainer._score_chunk_size(params)
+        size = trainer._chunk_sizes(params)[1]
         x = Tensor(build_windows(_toy_series(n=cfg.window + size, m=m), cfg.window)[:, :-1])
         forward(x, params)
         tracemalloc.start()
