@@ -304,8 +304,9 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _maybe_record(Tensor(np.concatenate([p.values for p in parts], axis=-1)), rule, parts)
 
 
-# Floats in a pair block: with its sign mask, under glibc's default 128 KiB mmap threshold.
-_PAIR_BLOCK_FLOATS = 14 * 2**10
+# Floats in a pair block: few blocks keep the per-block Python and BLAS calls cheap, and
+# a block, its slope-scaled copy and its sign mask (0.97 MB) fit a 2 MiB per-core L2 cache.
+_PAIR_BLOCK_FLOATS = 56 * 2**10
 
 
 def _pair_blocks(lead: tuple, n: int, row: int) -> list[tuple]:
@@ -347,7 +348,9 @@ def pair_scores(left: Tensor, right: Tensor, v: Tensor) -> Tensor:
     taped = _taped((left, right, v))
     pos = np.empty(scores.shape + (d,), dtype=bool) if taped else None  # the only pair-sized state
     for key in blocks:
-        pairs = lb[key][..., :, None, :] + rb[key[0]][..., None, :, :]
+        pairs = np.empty(scores[key].shape + (d,))
+        pairs[...] = rb[key[0]][..., None, :, :]  # long contiguous runs, then one add
+        pairs += lb[key][..., :, None, :]
         if taped:
             np.greater_equal(pairs, 0, out=pos[key])
         np.maximum(pairs, slope * pairs, out=pairs)  # leaky_relu, exact for 0 <= slope <= 1

@@ -59,6 +59,13 @@ def int_field(name: str, value, low: int) -> int:
     return int(value)
 
 
+def real_field(name: str, value):
+    """``value``, refusing a bool or anything not a real number (str, None, complex)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 @dataclass
 class ModelConfig:
     window: int = 100
@@ -81,7 +88,7 @@ class ModelConfig:
         self.dilations = tuple(int_field("dilations", d, 1) for d in self.dilations)
         if not self.dilations:
             raise ValueError("dilations must not be empty")
-        if isinstance(self.dropout, bool) or not 0.0 <= self.dropout < 1.0:
+        if not 0.0 <= real_field("dropout", self.dropout) < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.attention_mode not in MODES:
             raise ValueError(f"unknown attention_mode {self.attention_mode!r}")

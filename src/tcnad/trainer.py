@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tape, Tensor, backward, rmse_loss
-from .forecaster import ForecasterParams, forward, int_field
+from .forecaster import ForecasterParams, forward, int_field, real_field
 from .optim import AdamState, adam_step
 
 # The one chunk budget, 3.75 MiB: what a training chunk's windows keep on the
@@ -137,10 +137,10 @@ class TrainConfig:
     def __post_init__(self):
         self.epochs = int_field("epochs", self.epochs, 0)
         self.batch_size = int_field("batch_size", self.batch_size, 1)
-        if isinstance(self.learning_rate, bool) or not 0 < self.learning_rate < np.inf:
+        if not 0 < real_field("learning_rate", self.learning_rate) < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         self.seed = int_field("seed", self.seed, 0)
-        if isinstance(self.val_fraction, bool) or not 0.0 <= self.val_fraction < 1.0:
+        if not 0.0 <= real_field("val_fraction", self.val_fraction) < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 

@@ -350,9 +350,9 @@ class TestPairScores:
                                                       for b in (0, 1) for i in (0, 2)]
         assert autodiff._pair_blocks((), 3, 50) == [(0, slice(i, i + 1)) for i in range(3)]
 
-    def test_paper_shape_temporaries_stay_under_the_mmap_threshold(self, monkeypatch):
-        # glibc maps fresh pages for every allocation of 128 KiB or more; each
-        # pair block and its slope-scaled copy are alive when np.maximum runs
+    def test_paper_shape_temporaries_stay_within_one_block(self, monkeypatch):
+        # each pair block and its slope-scaled copy are alive when np.maximum
+        # runs; a paper window's 43 query rows take two blocks of 22
         rng = np.random.default_rng(0)
         left, right, v = (Tensor(rng.standard_normal(s)) for s in [(43, 25), (100, 25), (25,)])
         numpy_arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
@@ -370,8 +370,25 @@ class TestPairScores:
         finally:
             tracemalloc.stop()
         assert out.values.shape == (43, 100)
-        assert len(alive) == 9          # blocks of 5 query rows, 100 KB each
-        assert max(map(max, alive)) < 128 * 2**10
+        assert len(alive) == 2
+        assert max(map(max, alive)) <= autodiff._PAIR_BLOCK_FLOATS * 8
+
+    @pytest.mark.parametrize("lead, n, p, d", [((9,), 43, 100, 25),   # temporal, paper chunk
+                                               ((9,), 25, 25, 100)])  # variable
+    def test_paper_shapes_agree_across_block_budgets(self, lead, n, p, d, monkeypatch):
+        # bit-equal scores; gradients sum their per-block parts in other orders
+        rng = np.random.default_rng(3)
+        left, right = rng.standard_normal(lead + (n, d)), rng.standard_normal(lead + (p, d))
+        v, g = rng.standard_normal(d), rng.standard_normal(lead + (n, p))
+        runs = []
+        for budget in [autodiff._PAIR_BLOCK_FLOATS, 14 * 2**10, lead[0] * n * p * d]:
+            monkeypatch.setattr(autodiff, "_PAIR_BLOCK_FLOATS", budget)
+            runs.append(self._run(left, right, v, g))
+        (want, *want_grads), *others = runs[::-1]
+        for got, *grads in others:
+            np.testing.assert_array_equal(got, want)
+            for a, b in zip(grads, want_grads):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
 
     def test_rejects_bad_arguments(self):
         a, v = Tensor(np.zeros((4, 3))), Tensor(np.zeros(3))

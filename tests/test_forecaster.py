@@ -105,6 +105,8 @@ class TestConfigValidation:
         {"mlp_layers": -1},
         {"dropout": False},   # a bool compares as 0 or 1 but is no rate
         {"dropout": True},
+        # before, a TypeError from the comparison named no field
+        {"dropout": "0.1"}, {"dropout": None}, {"dropout": 0.1j},
     ])
     def test_bad_configs_rejected(self, kwargs):
         (field,) = kwargs

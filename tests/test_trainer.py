@@ -66,6 +66,8 @@ class TestTrainConfig:
         {"learning_rate": float("nan")}, {"learning_rate": float("inf")}, {"seed": -1},
         # a bool compares as 1 or 0 but is no rate or fraction
         {"learning_rate": True}, {"val_fraction": False}, {"val_fraction": True},
+        # before, a failed comparison raised a TypeError naming no field
+        {"learning_rate": "0.1"}, {"val_fraction": None}, {"learning_rate": 1 + 0j},
     ])
     def test_validation(self, kwargs):
         (field,) = kwargs
