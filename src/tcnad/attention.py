@@ -47,6 +47,7 @@ from .autodiff import (
     slice_cols,
     softmax_rows,
     transpose,
+    uniform_param,
 )
 
 MODES = ("dynamic", "static")
@@ -106,10 +107,8 @@ def init_attention(
         w_shape, a_len = (d_out, d_in), 2 * d_out
     else:
         raise ValueError(f"unknown attention mode {mode!r}")
-    wb = 1.0 / np.sqrt(w_shape[1])
-    ab = 1.0 / np.sqrt(a_len)
-    weight = Tensor(rng.uniform(-wb, wb, size=w_shape), requires_grad=True)
-    score_vec = Tensor(rng.uniform(-ab, ab, size=a_len), requires_grad=True)
+    weight = uniform_param(rng, w_shape, w_shape[1])
+    score_vec = uniform_param(rng, a_len, a_len)
     return AttentionParams(weight, score_vec, activation=activation)
 
 

@@ -75,6 +75,12 @@ class Tensor:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
 
+def uniform_param(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
+    """A trainable weight drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+    bound = 1.0 / np.sqrt(fan_in)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+
 _TAPE_STACK: list["Tape"] = []
 
 

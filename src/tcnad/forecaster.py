@@ -43,6 +43,7 @@ from .autodiff import (
     reshape,
     slice_rows,
     take_row,
+    uniform_param,
 )
 from .tcn import TcnBlockParams, init_tcn_stack, receptive_field, tcn_forward
 
@@ -66,6 +67,13 @@ def real_field(name: str, value):
     return value
 
 
+def bool_field(name: str, value) -> bool:
+    """``value`` as a bool, refusing anything but a bool or a numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 @dataclass
 class ModelConfig:
     window: int = 100
@@ -85,7 +93,10 @@ class ModelConfig:
         for name, low in (("window", 1), ("conv_kernel", 1), ("tcn_kernel", 1),
                           ("tcn_channels", 1), ("mlp_layers", 0), ("mlp_units", 1)):
             setattr(self, name, int_field(name, getattr(self, name), low))
-        self.dilations = tuple(int_field("dilations", d, 1) for d in self.dilations)
+        try:
+            self.dilations = tuple(int_field("dilations", d, 1) for d in self.dilations)
+        except TypeError:
+            raise ValueError(f"dilations must be a sequence, got {self.dilations!r}") from None
         if not self.dilations:
             raise ValueError("dilations must not be empty")
         if not 0.0 <= real_field("dropout", self.dropout) < 1.0:
@@ -96,6 +107,8 @@ class ModelConfig:
             raise ValueError(
                 f"unknown attention_activation {self.attention_activation!r}"
             )
+        for name in ("temporal_attention", "variable_attention"):
+            setattr(self, name, bool_field(name, getattr(self, name)))
 
 
 @dataclass
@@ -136,28 +149,20 @@ class ForecasterParams:
 
 def init_forecaster(n_features: int, config: ModelConfig, seed: int = 0) -> ForecasterParams:
     """Fan-in scaled uniform weights, zero biases, all drawn from one seeded rng."""
-    if n_features < 1:
-        raise ValueError(f"n_features must be >= 1, got {n_features}")
+    n_features = int_field("n_features", n_features, 1)
     seed = int_field("seed", seed, 0)
     rng = np.random.default_rng(seed)
     m, k = n_features, config.conv_kernel
 
-    bound = 1.0 / np.sqrt(k * m)
-    preconv_filters = Tensor(rng.uniform(-bound, bound, size=(k, m, m)), requires_grad=True)
+    preconv_filters = uniform_param(rng, (k, m, m), k * m)
     preconv_bias = Tensor(np.zeros(m), requires_grad=True)
 
-    temporal = None
-    if config.temporal_attention:
-        temporal = init_attention(
-            m, mode=config.attention_mode,
-            activation=config.attention_activation, rng=rng,
-        )
-    variable = None
-    if config.variable_attention:
-        variable = init_attention(
-            config.window, mode=config.attention_mode,
-            activation=config.attention_activation, rng=rng,
-        )
+    def head(d_in: int) -> AttentionParams:
+        return init_attention(d_in, mode=config.attention_mode,
+                              activation=config.attention_activation, rng=rng)
+
+    temporal = head(m) if config.temporal_attention else None
+    variable = head(config.window) if config.variable_attention else None
 
     branches = 1 + (temporal is not None) + (variable is not None)
     tcn = init_tcn_stack(
@@ -168,11 +173,8 @@ def init_forecaster(n_features: int, config: ModelConfig, seed: int = 0) -> Fore
     mlp: list[tuple[Tensor, Tensor]] = []
     dims = [config.tcn_channels] + [config.mlp_units] * config.mlp_layers + [m]
     for d_in, d_out in zip(dims[:-1], dims[1:]):
-        wb = 1.0 / np.sqrt(d_in)
-        mlp.append((
-            Tensor(rng.uniform(-wb, wb, size=(d_in, d_out)), requires_grad=True),
-            Tensor(np.zeros(d_out), requires_grad=True),
-        ))
+        mlp.append((uniform_param(rng, (d_in, d_out), d_in),
+                    Tensor(np.zeros(d_out), requires_grad=True)))
 
     return ForecasterParams(
         config=config, n_features=n_features, seed=seed,
@@ -295,7 +297,7 @@ def load_checkpoint(path):
         cfg_dict = dict(doc["config"])
         cfg_dict["dilations"] = tuple(cfg_dict["dilations"])
         config = ModelConfig(**cfg_dict)
-        params = init_forecaster(int(doc["n_features"]), config, int(doc["seed"]))
+        params = init_forecaster(doc["n_features"], config, doc["seed"])
         saved = doc["tensors"]
         expected = params.named_parameters()
         expected_names = {name for name, _ in expected}

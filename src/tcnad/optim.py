@@ -8,6 +8,9 @@ import numpy as np
 
 from .autodiff import Tensor
 
+# Moment decay rates and the denominator's epsilon, Adam's published defaults.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -18,9 +21,6 @@ class AdamState:
     """
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -45,14 +45,14 @@ def adam_step(params: list[Tensor], state: AdamState):
     state._ensure(params)
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for i, p in enumerate(params):
         if p.grad is None:
             continue
         g = p.grad
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
+        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * (g * g)
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        p.values -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.values -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)

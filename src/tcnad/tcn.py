@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, causal_dilated_conv1d, dropout, leaky_relu, slice_rows
+from .autodiff import Tensor, add, causal_dilated_conv1d, dropout, leaky_relu, slice_rows, uniform_param
 
 
 @dataclass
@@ -46,33 +46,6 @@ class TcnBlockParams:
         return self.conv1_filters.values.shape[0]
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-
-def init_tcn_block(
-    c_in: int,
-    c_out: int,
-    kernel: int,
-    dilation: int,
-    dropout_rate: float,
-    rng: np.random.Generator,
-) -> TcnBlockParams:
-    down = None
-    if c_in != c_out:
-        down = _uniform(rng, (1, c_in, c_out), c_in)
-    return TcnBlockParams(
-        conv1_filters=_uniform(rng, (kernel, c_in, c_out), kernel * c_in),
-        conv1_bias=Tensor(np.zeros(c_out), requires_grad=True),
-        conv2_filters=_uniform(rng, (kernel, c_out, c_out), kernel * c_out),
-        conv2_bias=Tensor(np.zeros(c_out), requires_grad=True),
-        downsample=down,
-        dilation=dilation,
-        dropout_rate=dropout_rate,
-    )
-
-
 def init_tcn_stack(
     c_in: int,
     channels: int,
@@ -81,11 +54,20 @@ def init_tcn_stack(
     dropout_rate: float,
     rng: np.random.Generator,
 ) -> list[TcnBlockParams]:
+    """Fan-in uniform convs and zero biases; a block draws its downsample conv first."""
     blocks = []
-    prev = c_in
     for d in dilations:
-        blocks.append(init_tcn_block(prev, channels, kernel, d, dropout_rate, rng))
-        prev = channels
+        down = uniform_param(rng, (1, c_in, channels), c_in) if c_in != channels else None
+        blocks.append(TcnBlockParams(
+            conv1_filters=uniform_param(rng, (kernel, c_in, channels), kernel * c_in),
+            conv1_bias=Tensor(np.zeros(channels), requires_grad=True),
+            conv2_filters=uniform_param(rng, (kernel, channels, channels), kernel * channels),
+            conv2_bias=Tensor(np.zeros(channels), requires_grad=True),
+            downsample=down,
+            dilation=d,
+            dropout_rate=dropout_rate,
+        ))
+        c_in = channels
     return blocks
 
 
@@ -110,10 +92,8 @@ def tcn_block_forward(x: Tensor, params: TcnBlockParams, rows: int | None = None
 
 def block_rows(blocks: list[TcnBlockParams], w: int, rows: int | None) -> list[int]:
     """Rows each block outputs for the stack's last ``rows`` (None: all w)."""
-    out = [w if rows is None else rows]
-    for b in reversed(blocks[1:]):
-        out.insert(0, min(w, out[0] + 2 * (b.kernel_size - 1) * b.dilation))
-    return out
+    n = w if rows is None else rows
+    return [min(w, n - 1 + receptive_field(blocks[i + 1:])) for i in range(len(blocks) - 1)] + [n]
 
 
 def tcn_forward(x: Tensor, blocks: list[TcnBlockParams], rows: int | None = None) -> Tensor:
@@ -124,7 +104,4 @@ def tcn_forward(x: Tensor, blocks: list[TcnBlockParams], rows: int | None = None
 
 def receptive_field(blocks: list[TcnBlockParams]) -> int:
     """Number of trailing input steps that can influence the last output step."""
-    rf = 1
-    for b in blocks:
-        rf += 2 * (b.kernel_size - 1) * b.dilation
-    return rf
+    return 1 + sum(2 * (b.kernel_size - 1) * b.dilation for b in blocks)

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tape, Tensor, backward, rmse_loss
-from .forecaster import ForecasterParams, forward, int_field, real_field
+from .forecaster import ForecasterParams, bool_field, forward, int_field, real_field
 from .optim import AdamState, adam_step
 
 # The one chunk budget, 3.75 MiB: what a training chunk's windows keep on the
@@ -53,8 +53,7 @@ def build_windows(series: np.ndarray, window: int) -> np.ndarray:
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 2:
         raise ValueError(f"expected a (N, m) series, got shape {series.shape}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    window = int_field("window", window, 1)
     n = series.shape[0]
     if n <= window:
         raise EmptyDatasetError(
@@ -140,6 +139,7 @@ class TrainConfig:
         if not 0 < real_field("learning_rate", self.learning_rate) < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         self.seed = int_field("seed", self.seed, 0)
+        self.shuffle = bool_field("shuffle", self.shuffle)
         if not 0.0 <= real_field("val_fraction", self.val_fraction) < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import conv_reference, numeric_grad, pair_scores_reference, record_arrays, rel_err
-from tcnad import autodiff
+from tcnad import autodiff, optim
 from tcnad.autodiff import (
     Tape,
     Tensor,
@@ -704,6 +704,21 @@ class TestAdam:
         adam_step([p], state)
         # bias correction makes the very first step ~= lr regardless of gradient scale
         np.testing.assert_allclose(p.values, [0.9], atol=1e-8)
+
+    def test_two_steps_follow_the_bias_corrected_form(self):
+        # the second step is the first whose moments mix two gradients
+        assert (optim.BETA1, optim.BETA2, optim.EPS) == (0.9, 0.999, 1e-8)
+        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        state = AdamState(learning_rate=0.1)
+        m = v = np.zeros(2)
+        want = p.values.copy()
+        for t, g in enumerate([np.array([0.5, -1.0]), np.array([-0.25, 3.0])], start=1):
+            p.grad = g
+            adam_step([p], state)
+            m, v = 0.9 * m + 0.1 * g, 0.999 * v + 0.001 * g * g
+            want -= 0.1 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
+        np.testing.assert_allclose(p.values, want, rtol=1e-12)
+        assert state.step == 2
 
     def test_skips_missing_grads(self):
         p = Tensor(np.array([1.0]), requires_grad=True)

@@ -107,6 +107,11 @@ class TestConfigValidation:
         {"dropout": True},
         # before, a TypeError from the comparison named no field
         {"dropout": "0.1"}, {"dropout": None}, {"dropout": 0.1j},
+        # before, "false" built the attention view and 0 or None dropped it
+        {"temporal_attention": "false"}, {"temporal_attention": 0},
+        {"variable_attention": None},
+        # before, a bare TypeError: 'int' object is not iterable
+        {"dilations": 4}, {"dilations": None},
     ])
     def test_bad_configs_rejected(self, kwargs):
         (field,) = kwargs
@@ -141,6 +146,14 @@ class TestConfigValidation:
         save_checkpoint(tmp_path / "c.json", init_forecaster(2, cfg))
         assert load_checkpoint(tmp_path / "c.json")[0].config == cfg
 
+    def test_numpy_bools_become_bools(self, tmp_path):
+        # before, a numpy bool stayed one and the checkpoint's JSON refused it
+        cfg = replace(TINY, temporal_attention=np.bool_(False), variable_attention=np.True_)
+        assert (cfg.temporal_attention, cfg.variable_attention) == (False, True)
+        assert all(type(v) is bool for v in (cfg.temporal_attention, cfg.variable_attention))
+        save_checkpoint(tmp_path / "c.json", init_forecaster(2, cfg))
+        assert load_checkpoint(tmp_path / "c.json")[0].temporal is None
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("seed", [1.5, True, "3", -1])
@@ -148,6 +161,22 @@ class TestDeterminism:
         # before, 1.5 and "3" died inside numpy naming no field, True seeded as 1
         with pytest.raises(ValueError, match="^seed must be"):
             init_forecaster(3, TINY, seed=seed)
+
+    @pytest.mark.parametrize("n_features, message", [
+        (2.5, "must be an integer"), ("3", "must be an integer"), (True, "must be an integer"),
+        (0, "must be >= 1, got 0"),
+    ])
+    def test_init_rejects_a_feature_count_that_is_no_count(self, n_features, message):
+        # before, 2.5 and "3" raised bare TypeErrors and True built one feature
+        with pytest.raises(ValueError, match=f"^n_features {message}"):
+            init_forecaster(n_features, TINY)
+
+    def test_numpy_feature_count_becomes_int(self, tmp_path):
+        # before, the model trained but save_checkpoint could not write an int64
+        params = init_forecaster(np.int64(3), TINY)
+        assert type(params.n_features) is int
+        save_checkpoint(tmp_path / "c.json", params)
+        assert load_checkpoint(tmp_path / "c.json")[0].n_features == 3
 
     def test_init_is_seeded(self):
         a = init_forecaster(3, TINY, seed=7)
@@ -454,6 +483,20 @@ class TestCheckpoints:
         broken["tensors"]["stray"] = doc["tensors"]["preconv.bias"]
         path.write_text(json.dumps(broken))
         with pytest.raises(DataFormatError, match="unexpected tensors"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 3.9), ("seed", True), ("seed", "3"), ("n_features", 2.7), ("n_features", "2"),
+    ])
+    def test_rejects_a_count_that_is_no_integer(self, tmp_path, field, value):
+        # before, int() truncated each to an integer and the model loaded
+        import json
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_forecaster(2, TINY, seed=3))
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(doc | {field: value}))
+        with pytest.raises(DataFormatError, match=f"malformed checkpoint \\({field} must be"):
             load_checkpoint(path)
 
     def test_rejects_shape_mismatch(self, tmp_path):

@@ -58,6 +58,15 @@ class TestBuildWindows:
         with pytest.raises(ValueError):
             build_windows(np.zeros(20), 5)
 
+    @pytest.mark.parametrize("window, message", [
+        (2.5, "must be an integer"), ("3", "must be an integer"), (True, "must be an integer"),
+        (0, "must be >= 1, got 0"),
+    ])
+    def test_rejects_a_window_that_is_no_count(self, window, message):
+        # before, 2.5 and "3" raised bare TypeErrors and True made windows of 1
+        with pytest.raises(ValueError, match=f"^window {message}"):
+            build_windows(np.zeros((20, 2)), window)
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
@@ -68,6 +77,8 @@ class TestTrainConfig:
         {"learning_rate": True}, {"val_fraction": False}, {"val_fraction": True},
         # before, a failed comparison raised a TypeError naming no field
         {"learning_rate": "0.1"}, {"val_fraction": None}, {"learning_rate": 1 + 0j},
+        # before, any value was taken and "no" shuffled
+        {"shuffle": "no"}, {"shuffle": None}, {"shuffle": 1},
     ])
     def test_validation(self, kwargs):
         (field,) = kwargs
