@@ -518,7 +518,7 @@ def causal_dilated_conv1d(x: Tensor, filters: Tensor, dilation: int = 1, rows: i
     return _maybe_record(Tensor(out), rule, (x, filters), (xv, fv))
 
 
-def _row_rmse(resid: np.ndarray) -> np.ndarray:
+def row_rmse(resid: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(resid * resid, axis=-1, keepdims=True))
 
 
@@ -543,14 +543,14 @@ def rmse_loss(pred: Tensor, target: Tensor, divisor: float = 1.0) -> Tensor:
     pn, tn = pred.node, target.node
 
     def rule(g):
-        denom = resid.shape[-1] * _row_rmse(resid) * divisor
+        denom = resid.shape[-1] * row_rmse(resid) * divisor
         gp = np.divide(float(g) * resid, denom, out=np.zeros_like(resid), where=denom != 0)
         if pn.requires_grad:
             pn.accumulate_grad(gp)
         if tn.requires_grad:
             tn.accumulate_grad(-gp)
 
-    return _maybe_record(Tensor(_row_rmse(resid).sum() / divisor), rule, (pred, target), (resid,))
+    return _maybe_record(Tensor(row_rmse(resid).sum() / divisor), rule, (pred, target), (resid,))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

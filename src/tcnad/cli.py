@@ -11,7 +11,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -279,11 +279,7 @@ def cmd_threshold(args) -> int:
         print(f"{key}={result.diagnostics[key]}")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(
-                {"method": result.method, "threshold": result.threshold,
-                 "diagnostics": result.diagnostics},
-                fh, indent=2, sort_keys=True, default=float,
-            )
+            json.dump(asdict(result), fh, indent=2, sort_keys=True, default=float)
             fh.write("\n")
     return EXIT_OK
 
@@ -371,7 +367,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"tcnad {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, EmptyDatasetError, FileNotFoundError, OSError) as exc:
+    except (DataFormatError, EmptyDatasetError, OSError) as exc:
         print(f"tcnad {args.command}: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergedError, GpdFitError) as exc:

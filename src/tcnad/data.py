@@ -30,7 +30,7 @@ import numpy as np
 
 from .evaluation import AnomalySegment, EvalReport
 from .forecaster import ModelConfig
-from .thresholds import ScoreSequence, _require_finite
+from .thresholds import ScoreSequence, _require_finite, first_non_finite
 from .trainer import TrainConfig
 
 
@@ -65,6 +65,10 @@ class NormalizationStats:
         self.maximum = np.asarray(self.maximum, dtype=np.float64)
         if self.minimum.shape != self.maximum.shape:
             raise ValueError("min/max shape mismatch")
+        below = np.flatnonzero(self.maximum < self.minimum)
+        if below.size:
+            raise ValueError(f"normalization maximum {self.maximum.flat[below[0]]} is below its "
+                             f"minimum {self.minimum.flat[below[0]]} at index {below[0]}")
 
 
 def compute_stats(train: np.ndarray, mode: str = "per_feature") -> NormalizationStats:
@@ -130,12 +134,10 @@ def read_matrix(path) -> np.ndarray:
     with open(path, "rb") as fh:
         npy = fh.read(len(magic)) == magic
     x = _read_npy(path) if npy else read_matrix_csv(path)
-    finite = np.isfinite(x)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise DataFormatError(
-            f"{path}: matrix contains non-finite value {x[row, col]} at row {row}, column {col}"
-        )
+    index = first_non_finite(x)
+    if index is not None:
+        raise DataFormatError("{}: matrix contains non-finite value {} at row {}, column {}"
+                              .format(path, x[index], *index))
     return x
 
 
@@ -153,7 +155,6 @@ class ManifestEntry:
 
 @dataclass
 class ChannelDataset:
-    channel: str
     train: np.ndarray
     test: np.ndarray
     segments: list[AnomalySegment] = field(default_factory=list)
@@ -260,7 +261,7 @@ def load_channel(data_dir, channel: str, manifest: dict | None = None) -> Channe
             raise DataFormatError(
                 f"{channel}: segment [{seg.start}, {seg.end}] exceeds test length {test.shape[0]}"
             )
-    return ChannelDataset(channel=channel, train=train, test=test, segments=entry.segments)
+    return ChannelDataset(train=train, test=test, segments=entry.segments)
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +405,10 @@ def write_scores_csv(path, seq: ScoreSequence):
 
 def read_scores_csv(path) -> ScoreSequence:
     scores, first = _read_timestep_csv(path, "score", np.float64)
-    bad = np.flatnonzero(~np.isfinite(scores))
-    if bad.size:
-        raise DataFormatError(
-            f"{path}: non-finite score {scores[bad[0]]} at timestep {first + bad[0]}"
-        )
+    index = first_non_finite(scores)
+    if index is not None:
+        raise DataFormatError(f"{path}: non-finite score {scores[index]} at timestep "
+                              f"{first + index[0]}")
     return ScoreSequence(scores=scores, first_timestep=first)
 
 

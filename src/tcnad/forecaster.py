@@ -241,9 +241,11 @@ def _encode_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": base64.b64encode(buf).decode("ascii")}
 
 
-def _decode_array(entry: dict) -> np.ndarray:
+def _decode_array(entry: dict, name: str) -> np.ndarray:
+    from .thresholds import _require_finite       # thresholds imports this module
     raw = base64.b64decode(entry["data"])
     arr = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"])
+    _require_finite(arr, name)
     return np.array(arr, dtype=np.float64)
 
 
@@ -256,7 +258,7 @@ def save_checkpoint(path, params: ForecasterParams, stats=None):
     """
     doc = {
         "format": CHECKPOINT_FORMAT,
-        "config": asdict(params.config) | {"dilations": list(params.config.dilations)},
+        "config": asdict(params.config),
         "n_features": params.n_features,
         "seed": params.seed,
         "normalization": None,
@@ -294,32 +296,28 @@ def load_checkpoint(path):
             if isinstance(doc, dict) else f"{path}: not a checkpoint file"
         )
     try:
-        cfg_dict = dict(doc["config"])
-        cfg_dict["dilations"] = tuple(cfg_dict["dilations"])
-        config = ModelConfig(**cfg_dict)
+        config = ModelConfig(**doc["config"])
         params = init_forecaster(doc["n_features"], config, doc["seed"])
         saved = doc["tensors"]
         expected = params.named_parameters()
-        expected_names = {name for name, _ in expected}
-        extra = set(saved) - expected_names
+        extra = set(saved) - {name for name, _ in expected}
         if extra:
             raise DataFormatError(f"{path}: unexpected tensors {sorted(extra)}")
         for name, tensor in expected:
             if name not in saved:
                 raise DataFormatError(f"{path}: missing tensor {name!r}")
-            arr = _decode_array(saved[name])
+            arr = _decode_array(saved[name], f"tensor {name!r}")
             if arr.shape != tensor.values.shape:
                 raise DataFormatError(
                     f"{path}: tensor {name!r} has shape {arr.shape}, "
                     f"expected {tensor.values.shape}"
                 )
             tensor.values = arr
-        stats = None
-        if doc.get("normalization") is not None:
-            nd = doc["normalization"]
+        stats, nd = None, doc.get("normalization")
+        if nd is not None:
             stats = NormalizationStats(
-                minimum=_decode_array(nd["minimum"]),
-                maximum=_decode_array(nd["maximum"]),
+                minimum=_decode_array(nd["minimum"], "normalization minimum"),
+                maximum=_decode_array(nd["maximum"], "normalization maximum"),
                 mode=nd["mode"],
             )
             shape = (params.n_features,) if stats.mode == "per_feature" else (1,)

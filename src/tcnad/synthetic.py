@@ -3,7 +3,7 @@
 Used by the end-to-end tests and the demo scripts. Each feature is a sum of
 two sines (distinct periods, phases, amplitudes) plus light gaussian noise;
 anomalies are contiguous level shifts added to the test portion and recorded
-both as a 0/1 label vector and as segments.
+as segments only; ``evaluation.labels_from_segments`` makes the 0/1 labels.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .evaluation import AnomalySegment
 class SyntheticDataset:
     train: np.ndarray
     test: np.ndarray
-    labels: np.ndarray
     segments: list[AnomalySegment] = field(default_factory=list)
 
 
@@ -56,7 +55,6 @@ def sines_with_level_shifts(
     x = waves.sum(axis=2) + noise * rng.standard_normal((total, m))
 
     train, test = x[:n_train].copy(), x[n_train:].copy()
-    labels = np.zeros(n_test, dtype=np.int64)
     segments: list[AnomalySegment] = []
 
     gap = 40
@@ -70,8 +68,7 @@ def sines_with_level_shifts(
         end = start + length - 1
         direction = rng.choice((-1.0, 1.0), size=m)
         test[start : end + 1] += shift * direction
-        labels[start : end + 1] = 1
         segments.append(AnomalySegment(start, end))
         cursor = end + 1 + gap
 
-    return SyntheticDataset(train=train, test=test, labels=labels, segments=segments)
+    return SyntheticDataset(train=train, test=test, segments=segments)

@@ -59,15 +59,18 @@ class ThresholdResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def first_non_finite(values: np.ndarray) -> tuple[int, ...] | None:
+    """The index of the first non-finite entry of ``values`` in C order, or None."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    return tuple(int(i) for i in np.unravel_index(bad[0], values.shape)) if bad.size else None
+
+
 def _require_finite(values: np.ndarray, name: str):
     """Raise ValueError naming the first non-finite entry of ``values``."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        index = np.unravel_index(bad[0], values.shape)
-        where = index[0] if len(index) == 1 else tuple(int(i) for i in index)
-        raise ValueError(
-            f"{name} has a non-finite value {float(values[index])} at index {where}"
-        )
+    index = first_non_finite(values)
+    if index is not None:
+        where = index[0] if len(index) == 1 else index
+        raise ValueError(f"{name} has a non-finite value {float(values[index])} at index {where}")
 
 
 def anomaly_scores(params: ForecasterParams, series: np.ndarray) -> ScoreSequence:

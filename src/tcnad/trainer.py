@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import Tape, Tensor, backward, rmse_loss
+from .autodiff import Tape, Tensor, backward, rmse_loss, row_rmse
 from .forecaster import ForecasterParams, bool_field, forward, int_field, real_field
 from .optim import AdamState, adam_step
 
@@ -89,8 +89,7 @@ def _scores(params: ForecasterParams, windows: np.ndarray, size: int) -> np.ndar
     for start in range(0, len(windows), size):
         preds[start : start + size] = forward(Tensor(windows[start : start + size, :-1]),
                                               params).values
-    diff = preds - windows[:, -1]
-    return np.sqrt(np.mean(diff * diff, axis=1))
+    return row_rmse(preds - windows[:, -1])[:, 0]
 
 
 def window_scores(params: ForecasterParams, windows: np.ndarray) -> np.ndarray:
@@ -146,7 +145,6 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    params: ForecasterParams
     loss_history: list[float] = field(default_factory=list)
     val_history: list[float] = field(default_factory=list)
 
@@ -183,7 +181,7 @@ def train(
     tensors = params.tensors()
     size, score_size = _chunk_sizes(params)
     adam = AdamState(learning_rate=config.learning_rate)
-    result = TrainResult(params=params)
+    result = TrainResult()
 
     for epoch in range(config.epochs):
         order = np.arange(n)

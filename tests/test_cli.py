@@ -11,6 +11,7 @@ import pytest
 
 import tcnad
 import tcnad.cli
+import tcnad.forecaster
 from tcnad.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from tcnad.data import (
     ManifestEntry,
@@ -333,6 +334,32 @@ class TestDataErrors:
                 in capsys.readouterr().err)
         assert not (tmp_path / "scores.csv").exists()
 
+    @pytest.mark.parametrize("section, name, values, message", [
+        ("tensors", "preconv.bias", [0.0, np.nan, 0.0],
+         "tensor 'preconv.bias' has a non-finite value nan at index 1"),
+        ("normalization", "maximum", [1.0, np.inf, 1.0],
+         "normalization maximum has a non-finite value inf at index 1"),
+        ("normalization", "maximum", [1.0, -0.5, 1.0],
+         "normalization maximum -0.5 is below its minimum 0.0 at index 1"),
+    ])
+    def test_score_refuses_checkpoint_values_training_cannot_produce(
+            self, tmp_path, capsys, section, name, values, message):
+        # before, each scored with exit 0: NaN scores, or a feature normalized to 0
+        ckpt = tmp_path / "m4.ckpt"
+        cfg = ModelConfig(window=8, tcn_channels=4, dilations=(1,), mlp_layers=0)
+        save_checkpoint(ckpt, init_forecaster(3, cfg, seed=0),
+                        NormalizationStats(np.zeros(3), np.ones(3)))
+        doc = json.loads(ckpt.read_text())
+        doc[section][name] = tcnad.forecaster._encode_array(np.array(values))
+        ckpt.write_text(json.dumps(doc))
+        test = tmp_path / "test.csv"
+        write_matrix_csv(test, np.full((50, 3), 0.5))
+        code = main(["score", "--checkpoint", str(ckpt), "--test", str(test),
+                     "--out", str(tmp_path / "scores.csv")])
+        assert code == EXIT_DATA
+        assert f"{ckpt}: malformed checkpoint ({message})" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()
+
     def test_train_bad_manifest_num_values(self, tmp_path, capsys):
         _write_dataset(tmp_path)
         manifest = tmp_path / "labeled_anomalies.csv"
@@ -385,6 +412,18 @@ class TestThresholdCommand:
         write_scores_csv(path, ScoreSequence(rng.exponential(1.0, 3000), 0))
         assert main(["threshold", "--scores", str(path), "--method", "pot"]) == EXIT_OK
         assert "method=pot" in capsys.readouterr().out
+
+    def test_pot_out_writes_the_three_result_fields(self, tmp_path, capsys):
+        path, out = tmp_path / "s.csv", tmp_path / "th.json"
+        write_scores_csv(path, ScoreSequence(np.random.default_rng(1).exponential(1.0, 3000), 0))
+        code = main(["threshold", "--scores", str(path), "--method", "pot", "--out", str(out)])
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert sorted(payload) == ["diagnostics", "method", "threshold"]
+        assert payload["method"] == "pot"
+        assert f"threshold={payload['threshold']!r}" in capsys.readouterr().out
+        assert payload["diagnostics"]["gamma_on_clip"] is False
+        assert '"gamma_on_clip": false' in out.read_text()
 
     def test_non_finite_scores_are_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "s.csv"

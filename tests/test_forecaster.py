@@ -43,6 +43,17 @@ from tcnad.trainer import accumulate_gradients, build_windows, window_scores
 TINY = ModelConfig(window=8, conv_kernel=3, tcn_kernel=2, tcn_channels=4,
                    dilations=(1, 2), mlp_layers=2, mlp_units=4, dropout=0.0)
 
+# (section, name, values, message): one array of a 3-feature checkpoint replaced
+# by values load_checkpoint refuses, and the refusal it names
+BAD_CHECKPOINT_ARRAYS = [
+    ("tensors", "preconv.bias", [0.0, np.nan, 0.0],
+     "tensor 'preconv.bias' has a non-finite value nan at index 1"),
+    ("normalization", "maximum", [1.0, np.inf, 1.0],
+     "normalization maximum has a non-finite value inf at index 1"),
+    ("normalization", "maximum", [1.0, -0.5, 1.0],
+     "normalization maximum -0.5 is below its minimum 0.0 at index 1"),
+]
+
 
 class TestShapes:
     def test_default_config_shapes(self):
@@ -532,6 +543,32 @@ class TestCheckpoints:
         save_checkpoint(path, params, NormalizationStats(np.zeros(expected), np.ones(expected),
                                                          mode))
         assert load_checkpoint(path)[1].minimum.shape == expected
+
+    # values neither training nor compute_stats produces; each used to load, and
+    # scoring then wrote NaN scores or normalized a feature to 0 everywhere
+    @pytest.mark.parametrize("section, name, values, message", BAD_CHECKPOINT_ARRAYS)
+    def test_rejects_values_training_cannot_produce(self, tmp_path, section, name, values,
+                                                    message):
+        import json
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_forecaster(3, TINY, seed=0),
+                        NormalizationStats(np.zeros(3), np.ones(3)))
+        doc = json.loads(path.read_text())
+        doc[section][name] = tcnad.forecaster._encode_array(np.array(values))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=re.escape(f"m.ckpt: malformed checkpoint "
+                                                            f"({message})")):
+            load_checkpoint(path)
+
+    def test_config_dilations_is_a_json_array_that_loads_as_a_tuple(self, tmp_path):
+        import json
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_forecaster(2, TINY, seed=0))
+        assert '"dilations":[1,2]' in path.read_text()
+        assert json.loads(path.read_text())["config"]["dilations"] == [1, 2]
+        assert load_checkpoint(path)[0].config.dilations == (1, 2)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

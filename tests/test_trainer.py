@@ -408,10 +408,10 @@ class TestChunkedTape:
         assert all(t.grad is g and (g == 0.5).all() for t, g in zip(params.tensors(), grads))
 
         def run(chunk_sizes):
+            run_params = init_forecaster(2, cfg, seed=1)
             with mock.patch.object(trainer, "_chunk_sizes", chunk_sizes):
-                result = train(init_forecaster(2, cfg, seed=1), _toy_windows(),
-                               TrainConfig(epochs=2, batch_size=8, seed=5))
-            return result.loss_history, [t.values for t in result.params.tensors()]
+                result = train(run_params, _toy_windows(), TrainConfig(epochs=2, batch_size=8, seed=5))
+            return result.loss_history, [t.values for t in run_params.tensors()]
 
         probed, told = run(trainer._chunk_sizes), run(lambda params: sizes)
         assert probed[0] == told[0]
@@ -435,12 +435,13 @@ class TestChunkedTape:
         def run():
             params = init_forecaster(2, cfg, seed=1)
             with mock.patch.object(trainer, "_CHUNK_BYTES", _chunk_bytes(params, 3)):
-                return train(params, _toy_windows(), TrainConfig(epochs=3, batch_size=8, seed=5))
+                result = train(params, _toy_windows(), TrainConfig(epochs=3, batch_size=8, seed=5))
+            return result.loss_history, [t.values for t in params.tensors()]
 
         first, second = run(), run()
-        assert first.loss_history == second.loss_history
-        for a, b in zip(first.params.tensors(), second.params.tensors()):
-            np.testing.assert_array_equal(a.values, b.values)
+        assert first[0] == second[0]
+        for a, b in zip(first[1], second[1]):
+            np.testing.assert_array_equal(a, b)
 
 
 # derandomized, so every run checks the same examples and Tier-1 stays stable
