@@ -22,7 +22,7 @@ from tcnad.attention import (
     temporal_attention,
     variable_attention,
 )
-from tcnad.autodiff import Tensor, softmax_rows
+from tcnad.autodiff import Tensor, fan_in_init, softmax_rows
 
 rng = np.random.default_rng(7)
 
@@ -31,8 +31,8 @@ rng = np.random.default_rng(7)
 # ---------------------------------------------------------------------------
 window = Tensor(rng.standard_normal((6, 4)))
 
-temporal_params = init_attention(4, mode="dynamic", rng=rng)
-variable_params = init_attention(6, mode="dynamic", rng=rng)
+temporal_params = init_attention(4, mode="dynamic", source=fan_in_init(rng), prefix="temporal")
+variable_params = init_attention(6, mode="dynamic", source=fan_in_init(rng), prefix="variable")
 
 # every time step queries, and the views come back one row per time step
 h_time = temporal_attention(window, window, temporal_params)
@@ -52,7 +52,7 @@ print("row sums:", weights.sum(axis=1))
 # ---------------------------------------------------------------------------
 # 3. static scoring collapses to one shared ranking
 # ---------------------------------------------------------------------------
-static_params = init_attention(4, 5, mode="static", rng=rng)
+static_params = init_attention(4, 5, mode="static", source=fan_in_init(rng), prefix="static")
 e_static = static_scores(window, window, static_params).values
 order = np.argsort(-e_static, axis=1)
 print("\nstatic scores: preference order of neighbours, per query")

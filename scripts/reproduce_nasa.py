@@ -15,9 +15,12 @@ table, writes a report CSV, and states the verdict per spacecraft.
 
 Expected raw layout (the archive's own layout, read in place)::
 
-    <raw>/train/<chan>.npy            float array, shape (n_train, 25)
-    <raw>/test/<chan>.npy             float array, shape (n_test, 25)
+    <raw>/train/<chan>.npy            float array, shape (n_train, m)
+    <raw>/test/<chan>.npy             float array, shape (n_test, m)
     <raw>/labeled_anomalies.csv       chan_id,spacecraft,anomaly_sequences,...
+
+where m, a channel's width, is 25 for SMAP and 55 for MSL (Hundman et al.,
+KDD 2018); a matrix of any width is read.
 
 ``--work`` receives ``checkpoints/``, ``scores/`` and ``report.csv``.
 

@@ -1,9 +1,10 @@
 """Graph-style attention of query nodes over fully connected key nodes.
 
 ``attend(queries, keys, values, params)`` scores each query node against
-every key node, softmax-normalizes each query's row of scores, and uses the
-weights to aggregate the values (one per key). Two node views of a telemetry
-window X (w rows of m features) call it:
+every key node, softmax-normalizes each query's row of scores, uses the
+weights to aggregate the values (one per key) and passes the result through
+a sigmoid, as MTAD-GAT does. Two node views of a telemetry window X (w rows
+of m features) call it:
 
 * temporal attention treats time steps as nodes with m-dim features: the
   given rows query all w rows of X, which are keys and values alike;
@@ -47,11 +48,9 @@ from .autodiff import (
     slice_cols,
     softmax_rows,
     transpose,
-    uniform_param,
 )
 
 MODES = ("dynamic", "static")
-ACTIVATIONS = ("sigmoid", "identity")
 
 
 @dataclass
@@ -64,11 +63,8 @@ class AttentionParams:
 
     weight: Tensor
     score_vec: Tensor
-    activation: str = "sigmoid"
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown attention activation {self.activation!r}")
         w, a = self.weight.values.shape, self.score_vec.values.shape
         if not (len(w) == 2 and min(w) > 0
                 and (a == (2 * w[0],) or (a == (w[0],) and w[1] % 2 == 0))):
@@ -95,21 +91,21 @@ def init_attention(
     d_out: int | None = None,
     *,
     mode: str = "dynamic",
-    activation: str = "sigmoid",
-    rng: np.random.Generator,
+    source,
+    prefix: str,
 ) -> AttentionParams:
-    """Fan-in scaled uniform init; score_vec scaled by its own length."""
-    if d_out is None:
-        d_out = d_in
+    """``<prefix>.weight`` and ``<prefix>.score_vec`` from the parameter
+    ``source`` (``autodiff.fan_in_init``); the weight's fan-in is its row
+    length, the score vector's its own length."""
+    d_out = d_in if d_out is None else d_out
     if mode == "dynamic":
         w_shape, a_len = (d_out, 2 * d_in), d_out
     elif mode == "static":
         w_shape, a_len = (d_out, d_in), 2 * d_out
     else:
         raise ValueError(f"unknown attention mode {mode!r}")
-    weight = uniform_param(rng, w_shape, w_shape[1])
-    score_vec = uniform_param(rng, a_len, a_len)
-    return AttentionParams(weight, score_vec, activation=activation)
+    return AttentionParams(source(f"{prefix}.weight", w_shape, w_shape[1]),
+                           source(f"{prefix}.score_vec", (a_len,), a_len))
 
 
 def _check_nodes(params: AttentionParams, *nodes: Tensor):
@@ -144,18 +140,17 @@ def _scores(queries: Tensor, keys: Tensor, params: AttentionParams) -> Tensor:
     return scores(queries, keys, params)
 
 
-def _aggregate(scores: Tensor, values: Tensor, params: AttentionParams) -> Tensor:
+def _aggregate(scores: Tensor, values: Tensor) -> Tensor:
     """Softmax the (..., q, n) scores per query, aggregate the (..., n, d_v)
-    values, then activate; returns (..., q, d_v)."""
-    agg = matmul(softmax_rows(scores), values)
-    return sigmoid(agg) if params.activation == "sigmoid" else agg
+    values, then apply the sigmoid; returns (..., q, d_v)."""
+    return sigmoid(matmul(softmax_rows(scores), values))
 
 
 def attend(queries: Tensor, keys: Tensor, values: Tensor, params: AttentionParams) -> Tensor:
     """Score the (..., q, d_in) queries against the (..., n, d_in) keys,
     softmax-normalize per query, aggregate the (..., n, d_v) values, then
-    activate; returns (..., q, d_v)."""
-    return _aggregate(_scores(queries, keys, params), values, params)
+    apply the sigmoid; returns (..., q, d_v)."""
+    return _aggregate(_scores(queries, keys, params), values)
 
 
 def _shared_scores(x: Tensor, rows: Tensor, params: AttentionParams, edge: int) -> Tensor:
@@ -214,7 +209,7 @@ def temporal_attention(
             raise ValueError(f"shared scores need a (B, w, m) chunk, got {x.values.shape}")
     if shared_from is None or shared_from >= x.values.shape[-2]:
         return attend(rows, x, x, params)
-    return _aggregate(_shared_scores(x, rows, params, shared_from), x, params)
+    return _aggregate(_shared_scores(x, rows, params, shared_from), x)
 
 
 def variable_attention(x: Tensor, rows: Tensor, params: AttentionParams) -> Tensor:

@@ -75,10 +75,16 @@ class Tensor:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
 
-def uniform_param(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
-    """A trainable weight drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+def fan_in_init(rng: np.random.Generator):
+    """A parameter source, ``source(name, shape, fan_in) -> Tensor``, for the model
+    builders: a trainable weight drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)), or
+    zeros for a bias (``fan_in`` None), in the order they are asked for."""
+    def draw(name: str, shape: tuple[int, ...], fan_in: int | None) -> Tensor:
+        if fan_in is None:
+            return Tensor(np.zeros(shape), requires_grad=True)
+        bound = 1.0 / np.sqrt(fan_in)
+        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    return draw
 
 
 _TAPE_STACK: list["Tape"] = []

@@ -271,7 +271,7 @@ def load_channel(data_dir, channel: str, manifest: dict | None = None) -> Channe
 # config key -> default; the default's type decides how the value is parsed
 _MODEL_FIELDS = {f.name: f.default for f in fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name: f.default for f in fields(TrainConfig)}
-_FIXED_FIELDS = {"optimizer": "adam", "loss": "rmse"}
+_FIXED_FIELDS = {"optimizer": "adam", "loss": "rmse", "attention_activation": "sigmoid"}
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}

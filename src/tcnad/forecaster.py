@@ -7,9 +7,11 @@ three are concatenated feature-wise, a dilated TCN stack mixes them over time,
 and an MLP head maps the last time step to the m predicted values. Past the
 preconvolution only the rows that can reach that time step are computed.
 
-Parameters are plain dataclasses of autodiff tensors; ``save_checkpoint`` /
-``load_checkpoint`` round-trip them (plus normalization stats) bit-exactly
-through a single JSON file.
+Parameters are plain dataclasses of autodiff tensors, made by one builder,
+``_build``, that names each tensor and gives its shape and fan-in once:
+``init_forecaster`` draws them, and ``load_checkpoint`` reads them back from
+the single JSON file ``save_checkpoint`` writes, bit-exactly, with the
+normalization stats, checking each stored shape before decoding it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .attention import (
-    ACTIVATIONS,
     MODES,
     AttentionParams,
     init_attention,
@@ -38,12 +39,12 @@ from .autodiff import (
     causal_dilated_conv1d,
     concat_cols,
     dropout,
+    fan_in_init,
     leaky_relu,
     linear,
     reshape,
     slice_rows,
     take_row,
-    uniform_param,
 )
 from .tcn import TcnBlockParams, init_tcn_stack, receptive_field, tcn_forward
 
@@ -85,7 +86,6 @@ class ModelConfig:
     mlp_units: int = 32
     dropout: float = 0.1
     attention_mode: str = "dynamic"
-    attention_activation: str = "sigmoid"
     temporal_attention: bool = True
     variable_attention: bool = True
 
@@ -103,10 +103,6 @@ class ModelConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.attention_mode not in MODES:
             raise ValueError(f"unknown attention_mode {self.attention_mode!r}")
-        if self.attention_activation not in ACTIVATIONS:
-            raise ValueError(
-                f"unknown attention_activation {self.attention_activation!r}"
-            )
         for name in ("temporal_attention", "variable_attention"):
             setattr(self, name, bool_field(name, getattr(self, name)))
 
@@ -121,66 +117,51 @@ class ForecasterParams:
     temporal: AttentionParams | None
     variable: AttentionParams | None
     tcn: list[TcnBlockParams]
-    mlp: list[tuple[Tensor, Tensor]] = field(default_factory=list)
+    mlp: list[tuple[Tensor, Tensor]]
+    built: list[tuple[str, Tensor]] = field(repr=False)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        """Trainable tensors in a stable order (checkpoint and optimizer rely on it)."""
-        out = [("preconv.filters", self.preconv_filters), ("preconv.bias", self.preconv_bias)]
-        if self.temporal is not None:
-            out += [("temporal.weight", self.temporal.weight),
-                    ("temporal.score_vec", self.temporal.score_vec)]
-        if self.variable is not None:
-            out += [("variable.weight", self.variable.weight),
-                    ("variable.score_vec", self.variable.score_vec)]
-        for i, b in enumerate(self.tcn):
-            out += [(f"tcn.{i}.conv1_filters", b.conv1_filters),
-                    (f"tcn.{i}.conv1_bias", b.conv1_bias),
-                    (f"tcn.{i}.conv2_filters", b.conv2_filters),
-                    (f"tcn.{i}.conv2_bias", b.conv2_bias)]
-            if b.downsample is not None:
-                out.append((f"tcn.{i}.downsample", b.downsample))
-        for i, (w, bias) in enumerate(self.mlp):
-            out += [(f"mlp.{i}.weight", w), (f"mlp.{i}.bias", bias)]
-        return out
+        """Trainable tensors in ``_build``'s order (checkpoint and optimizer rely on it)."""
+        return self.built
 
     def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
+        return [t for _, t in self.built]
+
+
+def _build(n_features: int, config: ModelConfig, seed: int, source) -> ForecasterParams:
+    """The model ``config`` sets for ``n_features``, each tensor taken from
+    ``source(name, shape, fan_in)`` (``fan_in`` None for a bias) in one order:
+    preconv, temporal then variable attention, each TCN block, the MLP."""
+    m = int_field("n_features", n_features, 1)
+    built: list[tuple[str, Tensor]] = []
+
+    def take(name: str, shape: tuple[int, ...], fan_in: int | None) -> Tensor:
+        tensor = source(name, shape, fan_in)
+        built.append((name, tensor))
+        return tensor
+
+    k = config.conv_kernel
+    preconv_filters = take("preconv.filters", (k, m, m), k * m)
+    preconv_bias = take("preconv.bias", (m,), None)
+    temporal, variable = (
+        init_attention(d_in, mode=config.attention_mode, source=take, prefix=name) if on else None
+        for name, d_in, on in (("temporal", m, config.temporal_attention),
+                               ("variable", config.window, config.variable_attention)))
+    c_in = (1 + config.temporal_attention + config.variable_attention) * m
+    tcn = init_tcn_stack(c_in, config.tcn_channels, config.tcn_kernel, config.dilations,
+                         config.dropout, take, "tcn")
+    dims = [config.tcn_channels] + [config.mlp_units] * config.mlp_layers + [m]
+    mlp = [(take(f"mlp.{i}.weight", (d_in, d_out), d_in), take(f"mlp.{i}.bias", (d_out,), None))
+           for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:]))]
+    return ForecasterParams(config, m, seed, preconv_filters, preconv_bias, temporal, variable, tcn,
+                            mlp, built)
 
 
 def init_forecaster(n_features: int, config: ModelConfig, seed: int = 0) -> ForecasterParams:
-    """Fan-in scaled uniform weights, zero biases, all drawn from one seeded rng."""
-    n_features = int_field("n_features", n_features, 1)
+    """Fan-in scaled uniform weights and zero biases (``fan_in_init``), drawn in
+    ``_build``'s order from one rng seeded by ``seed``."""
     seed = int_field("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    m, k = n_features, config.conv_kernel
-
-    preconv_filters = uniform_param(rng, (k, m, m), k * m)
-    preconv_bias = Tensor(np.zeros(m), requires_grad=True)
-
-    def head(d_in: int) -> AttentionParams:
-        return init_attention(d_in, mode=config.attention_mode,
-                              activation=config.attention_activation, rng=rng)
-
-    temporal = head(m) if config.temporal_attention else None
-    variable = head(config.window) if config.variable_attention else None
-
-    branches = 1 + (temporal is not None) + (variable is not None)
-    tcn = init_tcn_stack(
-        branches * m, config.tcn_channels, config.tcn_kernel,
-        config.dilations, config.dropout, rng,
-    )
-
-    mlp: list[tuple[Tensor, Tensor]] = []
-    dims = [config.tcn_channels] + [config.mlp_units] * config.mlp_layers + [m]
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        mlp.append((uniform_param(rng, (d_in, d_out), d_in),
-                    Tensor(np.zeros(d_out), requires_grad=True)))
-
-    return ForecasterParams(
-        config=config, n_features=n_features, seed=seed,
-        preconv_filters=preconv_filters, preconv_bias=preconv_bias,
-        temporal=temporal, variable=variable, tcn=tcn, mlp=mlp,
-    )
+    return _build(n_features, config, seed, fan_in_init(np.random.default_rng(seed)))
 
 
 def forward(x: Tensor, params: ForecasterParams) -> Tensor:
@@ -296,23 +277,27 @@ def load_checkpoint(path):
             if isinstance(doc, dict) else f"{path}: not a checkpoint file"
         )
     try:
-        config = ModelConfig(**doc["config"])
-        params = init_forecaster(doc["n_features"], config, doc["seed"])
+        config = dict(doc["config"])
+        # every checkpoint written while attention had a choice of activation stores it
+        activation = config.pop("attention_activation", "sigmoid")
+        if activation != "sigmoid":
+            raise DataFormatError(f"{path}: config.attention_activation {activation!r} is not "
+                                  f"supported; attention always applies the sigmoid")
         saved = doc["tensors"]
-        expected = params.named_parameters()
-        extra = set(saved) - {name for name, _ in expected}
-        if extra:
-            raise DataFormatError(f"{path}: unexpected tensors {sorted(extra)}")
-        for name, tensor in expected:
+
+        def stored(name: str, shape: tuple[int, ...], fan_in: int | None) -> Tensor:
             if name not in saved:
                 raise DataFormatError(f"{path}: missing tensor {name!r}")
-            arr = _decode_array(saved[name], f"tensor {name!r}")
-            if arr.shape != tensor.values.shape:
-                raise DataFormatError(
-                    f"{path}: tensor {name!r} has shape {arr.shape}, "
-                    f"expected {tensor.values.shape}"
-                )
-            tensor.values = arr
+            got = tuple(saved[name]["shape"])
+            if got != shape:
+                raise DataFormatError(f"{path}: tensor {name!r} has shape {got}, expected {shape}")
+            return Tensor(_decode_array(saved[name], f"tensor {name!r}"), requires_grad=True)
+
+        params = _build(doc["n_features"], ModelConfig(**config),
+                        int_field("seed", doc["seed"], 0), stored)
+        extra = set(saved) - {name for name, _ in params.built}
+        if extra:
+            raise DataFormatError(f"{path}: unexpected tensors {sorted(extra)}")
         stats, nd = None, doc.get("normalization")
         if nd is not None:
             stats = NormalizationStats(

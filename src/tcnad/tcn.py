@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .autodiff import Tensor, add, causal_dilated_conv1d, dropout, leaky_relu, slice_rows, uniform_param
+from .autodiff import Tensor, add, causal_dilated_conv1d, dropout, leaky_relu, slice_rows
 
 
 @dataclass
@@ -52,17 +50,21 @@ def init_tcn_stack(
     kernel: int,
     dilations: tuple[int, ...],
     dropout_rate: float,
-    rng: np.random.Generator,
+    source,
+    prefix: str,
 ) -> list[TcnBlockParams]:
-    """Fan-in uniform convs and zero biases; a block draws its downsample conv first."""
+    """Block i's tensors from the parameter ``source`` (``autodiff.fan_in_init``),
+    named ``<prefix>.<i>.<field>``: its downsample conv first, then conv1 and conv2."""
     blocks = []
-    for d in dilations:
-        down = uniform_param(rng, (1, c_in, channels), c_in) if c_in != channels else None
+    for i, d in enumerate(dilations):
+        name = f"{prefix}.{i}"
+        down = source(f"{name}.downsample", (1, c_in, channels), c_in) if c_in != channels else None
         blocks.append(TcnBlockParams(
-            conv1_filters=uniform_param(rng, (kernel, c_in, channels), kernel * c_in),
-            conv1_bias=Tensor(np.zeros(channels), requires_grad=True),
-            conv2_filters=uniform_param(rng, (kernel, channels, channels), kernel * channels),
-            conv2_bias=Tensor(np.zeros(channels), requires_grad=True),
+            conv1_filters=source(f"{name}.conv1_filters", (kernel, c_in, channels), kernel * c_in),
+            conv1_bias=source(f"{name}.conv1_bias", (channels,), None),
+            conv2_filters=source(f"{name}.conv2_filters", (kernel, channels, channels),
+                                 kernel * channels),
+            conv2_bias=source(f"{name}.conv2_bias", (channels,), None),
             downsample=down,
             dilation=d,
             dropout_rate=dropout_rate,

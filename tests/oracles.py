@@ -139,6 +139,50 @@ def gpd_fit_reference(y: np.ndarray) -> tuple[float, float, float]:
     return best
 
 
+def init_reference(m: int, cfg, seed: int) -> list[tuple[str, np.ndarray]]:
+    """Every initial forecaster tensor, named, in the documented draw order: the
+    preconv, temporal then variable attention (each on if its flag is), then per
+    TCN block its downsample conv (when its input width is not the channel
+    count), conv1 and conv2, then the MLP. Weights come from one rng seeded by
+    ``seed`` as U(-1/sqrt(fan_in), 1/sqrt(fan_in)), biases are zeros."""
+    rng = np.random.default_rng(seed)
+    out = []
+
+    def weight(name, shape, fan_in):
+        bound = 1.0 / np.sqrt(fan_in)
+        out.append((name, rng.uniform(-bound, bound, size=shape)))
+
+    def bias(name, n):
+        out.append((name, np.zeros(n)))
+
+    k = cfg.conv_kernel
+    weight("preconv.filters", (k, m, m), k * m)
+    bias("preconv.bias", m)
+    for name, d, on in (("temporal", m, cfg.temporal_attention),
+                        ("variable", cfg.window, cfg.variable_attention)):
+        if on and cfg.attention_mode == "dynamic":
+            weight(f"{name}.weight", (d, 2 * d), 2 * d)
+            weight(f"{name}.score_vec", (d,), d)
+        elif on:
+            weight(f"{name}.weight", (d, d), d)
+            weight(f"{name}.score_vec", (2 * d,), 2 * d)
+    c_in = m * (1 + cfg.temporal_attention + cfg.variable_attention)
+    c, kt = cfg.tcn_channels, cfg.tcn_kernel
+    for i in range(len(cfg.dilations)):
+        if c_in != c:
+            weight(f"tcn.{i}.downsample", (1, c_in, c), c_in)
+        weight(f"tcn.{i}.conv1_filters", (kt, c_in, c), kt * c_in)
+        bias(f"tcn.{i}.conv1_bias", c)
+        weight(f"tcn.{i}.conv2_filters", (kt, c, c), kt * c)
+        bias(f"tcn.{i}.conv2_bias", c)
+        c_in = c
+    dims = [c] + [cfg.mlp_units] * cfg.mlp_layers + [m]
+    for i in range(len(dims) - 1):
+        weight(f"mlp.{i}.weight", (dims[i], dims[i + 1]), dims[i])
+        bias(f"mlp.{i}.bias", dims[i + 1])
+    return out
+
+
 def record_arrays(records) -> list[np.ndarray]:
     """The arrays tape records reach, found by walking them by hand: each
     record's output and what its rule closes over, through lists, tuples and

@@ -31,6 +31,7 @@ from tcnad.autodiff import (
     Tensor,
     backward,
     causal_dilated_conv1d,
+    fan_in_init,
     rmse_loss,
     softmax_rows,
 )
@@ -200,7 +201,7 @@ def test_criterion_4_attention_properties(capfd):
         # (a) attention rows sum to one
         for mode, scores in (("dynamic", dynamic_scores), ("static", static_scores)):
             for _ in range(10):
-                params = init_attention(4, 5, mode=mode, rng=rng)
+                params = init_attention(4, 5, mode=mode, source=fan_in_init(rng), prefix="head")
                 x = Tensor(rng.standard_normal((6, 4)))
                 weights = softmax_rows(scores(x, x, params)).values
                 np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
@@ -208,7 +209,7 @@ def test_criterion_4_attention_properties(capfd):
         # (b) static scores rank every neighbour identically for all queries
         for draw in range(100):
             d_rng = np.random.default_rng(1000 + draw)
-            params = init_attention(3, 4, mode="static", rng=d_rng)
+            params = init_attention(3, 4, mode="static", source=fan_in_init(d_rng), prefix="head")
             x = Tensor(d_rng.standard_normal((6, 3)))
             e = static_scores(x, x, params).values
             rankings = np.argsort(e, axis=1)

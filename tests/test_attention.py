@@ -17,10 +17,12 @@ from tcnad.autodiff import (
     Tape,
     Tensor,
     backward,
+    fan_in_init,
     matmul,
     pair_scores,
     reshape,
     rmse_loss,
+    sigmoid,
     slice_cols,
     slice_rows,
     softmax_rows,
@@ -28,16 +30,20 @@ from tcnad.autodiff import (
 )
 
 
-def _dyn(weight, score_vec, **kw):
-    params = AttentionParams(Tensor(weight), Tensor(score_vec), **kw)
+def _dyn(weight, score_vec):
+    params = AttentionParams(Tensor(weight), Tensor(score_vec))
     assert params.mode == "dynamic"
     return params
 
 
-def _sta(weight, score_vec, **kw):
-    params = AttentionParams(Tensor(weight), Tensor(score_vec), **kw)
+def _sta(weight, score_vec):
+    params = AttentionParams(Tensor(weight), Tensor(score_vec))
     assert params.mode == "static"
     return params
+
+
+def _sigmoid(z):
+    return sigmoid(Tensor(z)).values
 
 
 def _weights(queries, keys, params):
@@ -74,7 +80,7 @@ class TestScoreValues:
         # reference: p and q from the two halves of score_vec, each its own (d_out, 1) column
         rng = np.random.default_rng(4)
         d_in, d_out = 3, 4
-        params = init_attention(d_in, d_out, mode="static", rng=rng)
+        params = init_attention(d_in, d_out, mode="static", source=fan_in_init(rng), prefix="head")
         x = Tensor(rng.standard_normal(lead + (5, d_in)), requires_grad=True)
         upstream = rng.standard_normal(lead + (5, 5))
 
@@ -109,7 +115,8 @@ class TestScoreValues:
     def test_feature_dim_mismatch(self):
         good, bad = Tensor(np.zeros((3, 1))), Tensor(np.zeros((3, 2)))
         for mode, scores in (("dynamic", dynamic_scores), ("static", static_scores)):
-            params = init_attention(1, 2, mode=mode, rng=np.random.default_rng(0))
+            params = init_attention(1, 2, mode=mode, source=fan_in_init(np.random.default_rng(0)),
+                                    prefix="head")
             for queries, keys in ((bad, good), (good, bad)):
                 with pytest.raises(ValueError, match=r"\(\.\.\., n, 1\), got \(3, 2\)"):
                     scores(queries, keys, params)
@@ -123,7 +130,7 @@ class TestStaticCollapse:
     def test_global_ranking(self, seed):
         rng = np.random.default_rng(seed)
         n, d_in, d_out = 6, 3, 4
-        params = init_attention(d_in, d_out, mode="static", rng=rng)
+        params = init_attention(d_in, d_out, mode="static", source=fan_in_init(rng), prefix="head")
         x = Tensor(rng.standard_normal((n, d_in)))
         e = static_scores(x, x, params).values
         rankings = np.argsort(e, axis=1)
@@ -142,7 +149,7 @@ class TestAttend:
     def test_weights_row_stochastic(self, mode):
         rng = np.random.default_rng(42)
         for _ in range(10):
-            params = init_attention(3, mode=mode, rng=rng)
+            params = init_attention(3, mode=mode, source=fan_in_init(rng), prefix="head")
             x = Tensor(rng.standard_normal((7, 3)) * 3)
             weights = _weights(x, x, params).values
             np.testing.assert_allclose(weights.sum(axis=1), np.ones(7), atol=1e-9)
@@ -150,41 +157,42 @@ class TestAttend:
 
     def test_sigmoid_activation_bounds(self):
         rng = np.random.default_rng(0)
-        params = init_attention(2, rng=rng)
+        params = init_attention(2, source=fan_in_init(rng), prefix="head")
         x = Tensor(rng.standard_normal((5, 2)))
         out = attend(x, x, x, params).values
         assert ((out > 0) & (out < 1)).all()
 
-    def test_identity_activation_returns_convex_combination(self):
+    def test_sigmoid_of_a_convex_combination(self):
         rng = np.random.default_rng(1)
-        params = init_attention(2, activation="identity", rng=rng)
+        params = init_attention(2, source=fan_in_init(rng), prefix="head")
         x = rng.standard_normal((6, 2))
         t = Tensor(x)
         out = attend(t, t, t, params).values
-        np.testing.assert_allclose(out, _weights(t, t, params).values @ x)
-        # convex combinations stay inside the per-feature range of the inputs
-        assert (out <= x.max(axis=0) + 1e-12).all()
-        assert (out >= x.min(axis=0) - 1e-12).all()
+        np.testing.assert_allclose(out, _sigmoid(_weights(t, t, params).values @ x))
+        # convex combinations stay inside the per-feature range of the inputs,
+        # and the sigmoid is monotone
+        assert (out <= _sigmoid(x.max(axis=0)) + 1e-12).all()
+        assert (out >= _sigmoid(x.min(axis=0)) - 1e-12).all()
 
     def test_uniform_rows_aggregate_to_themselves(self):
         rng = np.random.default_rng(2)
-        params = init_attention(3, activation="identity", rng=rng)
+        params = init_attention(3, source=fan_in_init(rng), prefix="head")
         row = np.array([0.3, -1.2, 2.0])
         x = np.tile(row, (5, 1))
         t = Tensor(x)
-        np.testing.assert_allclose(attend(t, t, t, params).values, x, atol=1e-12)
+        np.testing.assert_allclose(attend(t, t, t, params).values, _sigmoid(x), atol=1e-12)
 
     def test_single_node(self):
         rng = np.random.default_rng(3)
-        params = init_attention(2, activation="identity", rng=rng)
+        params = init_attention(2, source=fan_in_init(rng), prefix="head")
         x = np.array([[1.5, -0.5]])
         t = Tensor(x)
         np.testing.assert_allclose(_weights(t, t, params).values, [[1.0]])
-        np.testing.assert_allclose(attend(t, t, t, params).values, x)
+        np.testing.assert_allclose(attend(t, t, t, params).values, _sigmoid(x))
 
     def test_d_out_independent_of_d_in(self):
         rng = np.random.default_rng(4)
-        params = init_attention(2, 5, rng=rng)
+        params = init_attention(2, 5, source=fan_in_init(rng), prefix="head")
         assert params.weight.values.shape == (5, 4)
         x = Tensor(rng.standard_normal((3, 2)))
         assert attend(x, x, x, params).values.shape == (3, 2)
@@ -195,13 +203,14 @@ class TestAttend:
         # q queries over n keys aggregate n values of their own width d_v
         rng = np.random.default_rng(5)
         q, n, d_in, d_v = 2, 5, 3, 4
-        params = init_attention(d_in, mode=mode, activation="identity", rng=rng)
+        params = init_attention(d_in, mode=mode, source=fan_in_init(rng), prefix="head")
         queries = Tensor(rng.standard_normal((q, d_in)))
         keys = Tensor(rng.standard_normal((n, d_in)))
         values = rng.standard_normal((n, d_v))
         out = attend(queries, keys, Tensor(values), params).values
         assert out.shape == (q, d_v)
-        np.testing.assert_array_equal(out, _weights(queries, keys, params).values @ values)
+        weights = _weights(queries, keys, params).values
+        np.testing.assert_array_equal(out, _sigmoid(weights @ values))
 
 
 class TestQueryRows:
@@ -228,7 +237,7 @@ class TestQueryRows:
     def test_attend_last_query_rows(self, mode, lead):
         rng = np.random.default_rng(7)
         n, d, r = 9, 3, 4
-        params = init_attention(d, 5, mode=mode, rng=rng)
+        params = init_attention(d, 5, mode=mode, source=fan_in_init(rng), prefix="head")
         x = rng.standard_normal(lead + (n, d)) * 2
         upstream = rng.standard_normal(lead + (r, d))
         padded = np.zeros(lead + (n, d))
@@ -260,7 +269,7 @@ class TestQueryRows:
         padded = np.zeros((2, w, m))
         padded[:, w - r :] = upstream
         for view, d_in in ((temporal_attention, m), (variable_attention, w)):
-            params = init_attention(d_in, mode=mode, rng=rng)
+            params = init_attention(d_in, mode=mode, source=fan_in_init(rng), prefix="head")
             part, part_grads = self._run(lambda t: view(t, slice_rows(t, w - r, w), params),
                                          params, x, upstream)
             full, full_grads = self._run(lambda t: view(t, t, params), params, x, padded)
@@ -290,7 +299,7 @@ class TestSharedScores:
         w, m, edge = 10, 4, 3
         x = Tensor(_overlapping_windows(rng, n, w, m, edge))
         rows = slice_rows(x, w - r, w)
-        params = init_attention(m, mode=mode, rng=rng)
+        params = init_attention(m, mode=mode, source=fan_in_init(rng), prefix="head")
         shared = temporal_attention(x, rows, params, shared_from=edge).values
         np.testing.assert_allclose(shared, temporal_attention(x, rows, params).values,
                                    rtol=1e-14, atol=1e-15)
@@ -298,7 +307,7 @@ class TestSharedScores:
     def test_refuses_a_tape_and_unbatched_windows(self):
         rng = np.random.default_rng(12)
         x = Tensor(_overlapping_windows(rng, 4, 6, 2, 1))
-        params = init_attention(2, rng=rng)
+        params = init_attention(2, source=fan_in_init(rng), prefix="head")
         with Tape(), pytest.raises(RuntimeError, match="not taped"):
             temporal_attention(x, x, params, shared_from=1)
         with pytest.raises(ValueError, match=r"\(B, w, m\) chunk"):
@@ -315,8 +324,8 @@ class TestWindowViews:
         rng = np.random.default_rng(42)
         w, m = 9, 4
         x = Tensor(rng.standard_normal((w, m)))
-        t_params = init_attention(m, rng=rng)
-        v_params = init_attention(w, rng=rng)
+        t_params = init_attention(m, source=fan_in_init(rng), prefix="head")
+        v_params = init_attention(w, source=fan_in_init(rng), prefix="head")
         assert temporal_attention(x, x, t_params).values.shape == (w, m)
         assert variable_attention(x, x, v_params).values.shape == (w, m)
 
@@ -324,7 +333,7 @@ class TestWindowViews:
         rng = np.random.default_rng(5)
         w, m = 6, 3
         x = Tensor(rng.standard_normal((w, m)))
-        params = init_attention(w, rng=rng)
+        params = init_attention(w, source=fan_in_init(rng), prefix="head")
         direct = variable_attention(x, x, params).values
         nodes = transpose(x)
         via_t = transpose(Tensor(temporal_attention(nodes, nodes, params).values)).values
@@ -336,7 +345,7 @@ class TestWindowViews:
         rng = np.random.default_rng(6)
         w = 8
         x = rng.standard_normal((w, 2))
-        params = init_attention(w, rng=rng)
+        params = init_attention(w, source=fan_in_init(rng), prefix="head")
         base = _variable_view(x, params)
         perm = np.array([1, 0])
         permuted = _variable_view(x[:, perm], params)
@@ -348,7 +357,7 @@ class TestWindowViews:
         rng = np.random.default_rng(seed)
         w, m = 7, 5
         x = rng.standard_normal((w, m))
-        params = init_attention(w, rng=rng)
+        params = init_attention(w, source=fan_in_init(rng), prefix="head")
         base = _variable_view(x, params)
         perm = rng.permutation(m)
         permuted = _variable_view(x[:, perm], params)
@@ -359,7 +368,7 @@ class TestGradients:
     @pytest.mark.parametrize("mode", ["dynamic", "static"])
     def test_attend_params_match_fd(self, mode):
         rng = np.random.default_rng(42)
-        params = init_attention(3, mode=mode, rng=rng)
+        params = init_attention(3, mode=mode, source=fan_in_init(rng), prefix="head")
         x = rng.standard_normal((5, 3))
         target = rng.standard_normal((5, 3))
 
@@ -381,7 +390,8 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"weight \(2, 2\) and score_vec \(3,\) fit neither"):
             AttentionParams(Tensor(np.eye(2)), Tensor(np.ones(3)))
         with pytest.raises(ValueError, match="unknown attention mode 'other'"):
-            init_attention(2, mode="other", rng=np.random.default_rng(0))
+            init_attention(2, mode="other", source=fan_in_init(np.random.default_rng(0)),
+                           prefix="head")
 
     def test_dynamic_needs_even_columns(self):
         with pytest.raises(ValueError):
@@ -398,14 +408,15 @@ class TestValidation:
     @pytest.mark.parametrize("mode", ["dynamic", "static"])
     @pytest.mark.parametrize("d_in, d_out", [(3, 3), (2, 5), (5, 2)])
     def test_init_reports_its_mode(self, mode, d_in, d_out):
-        params = init_attention(d_in, d_out, mode=mode, rng=np.random.default_rng(0))
+        params = init_attention(d_in, d_out, mode=mode,
+                                source=fan_in_init(np.random.default_rng(0)), prefix="head")
         assert (params.mode, params.d_in, params.d_out) == (mode, d_in, d_out)
 
     def test_init_shapes(self):
         rng = np.random.default_rng(0)
-        dyn = init_attention(4, rng=rng)
+        dyn = init_attention(4, source=fan_in_init(rng), prefix="head")
         assert dyn.weight.values.shape == (4, 8)
         assert dyn.score_vec.values.shape == (4,)
-        sta = init_attention(4, mode="static", rng=rng)
+        sta = init_attention(4, mode="static", source=fan_in_init(rng), prefix="head")
         assert sta.weight.values.shape == (4, 4)
         assert sta.score_vec.values.shape == (8,)

@@ -360,6 +360,71 @@ class TestDataErrors:
         assert f"{ckpt}: malformed checkpoint ({message})" in capsys.readouterr().err
         assert not (tmp_path / "scores.csv").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        # before, these two tried a full random init of the stored size first:
+        # MemoryError ("Unable to allocate 497. PiB"), exit 1
+        (lambda doc: doc.update(n_features=10**8),
+         "tensor 'preconv.filters' has shape (7, 3, 3), expected (7, 100000000, 100000000)"),
+        (lambda doc: doc["config"].update(window=10**7),
+         "tensor 'variable.weight' has shape (8, 16), expected (10000000, 20000000)"),
+        (lambda doc: doc["tensors"].update(
+            {"mlp.0.weight": tcnad.forecaster._encode_array(np.zeros((3, 4)))}),
+         "tensor 'mlp.0.weight' has shape (3, 4), expected (4, 3)"),
+        (lambda doc: doc["tensors"].pop("temporal.score_vec"),
+         "missing tensor 'temporal.score_vec'"),
+        (lambda doc: doc["tensors"].update({"tcn.1.conv1_bias": doc["tensors"]["mlp.0.bias"]}),
+         "unexpected tensors ['tcn.1.conv1_bias']"),
+        (lambda doc: doc["config"].update(attention_activation="identity"),
+         "config.attention_activation 'identity' is not supported"),
+    ], ids=["n_features", "window", "shape", "missing", "extra", "activation"])
+    def test_score_refuses_a_checkpoint_that_does_not_fit_its_config(
+            self, tmp_path, capsys, edit, message):
+        ckpt = tmp_path / "m5.ckpt"
+        cfg = ModelConfig(window=8, tcn_channels=4, dilations=(1,), mlp_layers=0)
+        save_checkpoint(ckpt, init_forecaster(3, cfg, seed=0))
+        doc = json.loads(ckpt.read_text())
+        edit(doc)
+        ckpt.write_text(json.dumps(doc))
+        test = tmp_path / "test.csv"
+        write_matrix_csv(test, np.full((50, 3), 0.5))
+        code = main(["score", "--checkpoint", str(ckpt), "--test", str(test),
+                     "--out", str(tmp_path / "scores.csv")])
+        assert code == EXIT_DATA
+        assert f"tcnad score: data error: {ckpt}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()
+
+    def test_score_reads_a_checkpoint_that_stores_the_sigmoid_activation(self, tmp_path):
+        # attention always applies the sigmoid; checkpoints written while it was a
+        # config field store "attention_activation": "sigmoid" and load as before
+        ckpt = tmp_path / "m.ckpt"
+        cfg = ModelConfig(window=8, tcn_channels=4, dilations=(1,), mlp_layers=0)
+        save_checkpoint(ckpt, init_forecaster(3, cfg, seed=0),
+                        NormalizationStats(np.zeros(3), np.ones(3)))
+        old = tmp_path / "old.ckpt"
+        doc = json.loads(ckpt.read_text())
+        doc["config"]["attention_activation"] = "sigmoid"
+        old.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        test = tmp_path / "test.csv"
+        write_matrix_csv(test, np.random.default_rng(0).random((50, 3)))
+        for path in (ckpt, old):
+            assert main(["score", "--checkpoint", str(path), "--test", str(test),
+                         "--out", str(tmp_path / f"{path.stem}.csv")]) == EXIT_OK
+        assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "m.csv").read_bytes()
+        resaved = tmp_path / "resaved.ckpt"
+        save_checkpoint(resaved, *tcnad.forecaster.load_checkpoint(old))
+        assert resaved.read_bytes() == ckpt.read_bytes()
+
+    def test_train_refuses_a_config_that_sets_the_identity_activation(self, tmp_path, capsys):
+        _write_dataset(tmp_path)
+        cfg = tmp_path / "identity.cfg"
+        cfg.write_text(CONFIG + "attention_activation = identity\n")
+        code = main(["train", "--data", str(tmp_path), "--channel", "C-1",
+                     "--out", str(tmp_path / "run"), "--config", str(cfg)])
+        assert code == EXIT_DATA
+        assert (f"{cfg}:11: only attention_activation = sigmoid is supported, got 'identity'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
     def test_train_bad_manifest_num_values(self, tmp_path, capsys):
         _write_dataset(tmp_path)
         manifest = tmp_path / "labeled_anomalies.csv"

@@ -432,7 +432,7 @@ mlp_layers = 2
 mlp_units = 24
 dropout = 0.2
 attention_mode = static
-attention_activation = identity
+attention_activation = sigmoid
 temporal_attention = yes
 variable_attention = off
 
@@ -457,7 +457,6 @@ loss = rmse
         assert model.dilations == (1, 2, 4)
         assert model.dropout == pytest.approx(0.2)
         assert model.attention_mode == "static"
-        assert model.attention_activation == "identity"
         assert model.temporal_attention is True
         assert model.variable_attention is False
         assert train.epochs == 5
@@ -510,6 +509,9 @@ loss = rmse
             parse_config_file(path)
         path.write_text("loss = mae\n")
         with pytest.raises(DataFormatError, match="loss"):
+            parse_config_file(path)
+        path.write_text("attention_activation = identity\n")
+        with pytest.raises(DataFormatError, match="attention_activation"):
             parse_config_file(path)
 
     def test_invalid_config_value_rejected(self, tmp_path):

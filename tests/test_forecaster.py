@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import tcnad.attention
 import tcnad.forecaster
 import tcnad.trainer
-from oracles import numeric_grad, rel_err
+from oracles import init_reference, numeric_grad, rel_err
 from tcnad.attention import attend
 from tcnad.autodiff import (
     Tape,
@@ -112,7 +112,7 @@ class TestConfigValidation:
         {"dropout": 1.0},
         {"dropout": -0.1},
         {"attention_mode": "both"},
-        {"attention_activation": "relu"},
+        {"tcn_channels": 0},
         {"mlp_layers": -1},
         {"dropout": False},   # a bool compares as 0 or 1 but is no rate
         {"dropout": True},
@@ -164,6 +164,29 @@ class TestConfigValidation:
         assert all(type(v) is bool for v in (cfg.temporal_attention, cfg.variable_attention))
         save_checkpoint(tmp_path / "c.json", init_forecaster(2, cfg))
         assert load_checkpoint(tmp_path / "c.json")[0].temporal is None
+
+
+class TestInit:
+    DEMO = ModelConfig(window=20, conv_kernel=7, tcn_kernel=4, tcn_channels=16,
+                       dilations=(1, 2), mlp_layers=1, mlp_units=16)
+    CONFIGS = {"demo": (3, DEMO), "paper": (25, ModelConfig()),
+               "static": (3, replace(DEMO, attention_mode="static"))}
+
+    @pytest.mark.parametrize("temporal, variable",
+                             [(True, True), (True, False), (False, True), (False, False)])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_init_equals_the_reference_draws(self, name, temporal, variable):
+        m, cfg = self.CONFIGS[name]
+        cfg = replace(cfg, temporal_attention=temporal, variable_attention=variable)
+        params = init_forecaster(m, cfg, seed=6)
+        got = params.named_parameters()
+        ref = init_reference(m, cfg, 6)
+        assert [n for n, _ in got] == [n for n, _ in ref]
+        for (_, t), (_, a) in zip(got, ref):
+            assert t.values.shape == a.shape and t.values.tobytes() == a.tobytes()
+            assert t.requires_grad
+        # the named tensors are the ones forward reads
+        assert got[0][1] is params.preconv_filters and got[-2][1] is params.mlp[-1][0]
 
 
 class TestDeterminism:
@@ -581,17 +604,15 @@ class TestCheckpoints:
     dilations=st.lists(st.integers(1, 4), min_size=1, max_size=3),
     mlp_layers=st.integers(0, 2),
     mode=st.sampled_from(["dynamic", "static"]),
-    activation=st.sampled_from(["sigmoid", "identity"]),
     branches=st.sampled_from([(True, True), (True, False), (False, True), (False, False)]),
     seed=st.integers(0, 2**16),
 )
 def test_checkpoint_roundtrip_property(m, window, conv_kernel, tcn_kernel, tcn_channels,
-                                       dilations, mlp_layers, mode, activation, branches, seed):
+                                       dilations, mlp_layers, mode, branches, seed):
     cfg = ModelConfig(window=window, conv_kernel=conv_kernel, tcn_kernel=tcn_kernel,
                       tcn_channels=tcn_channels, dilations=tuple(dilations),
                       mlp_layers=mlp_layers, mlp_units=3, attention_mode=mode,
-                      attention_activation=activation, temporal_attention=branches[0],
-                      variable_attention=branches[1])
+                      temporal_attention=branches[0], variable_attention=branches[1])
     params = init_forecaster(m, cfg, seed=seed)
     rng = np.random.default_rng(seed)
     for _, t in params.named_parameters():    # move off the init, biases included

@@ -5,7 +5,7 @@ import pytest
 
 import tcnad.tcn
 from oracles import numeric_grad, rel_err
-from tcnad.autodiff import Tape, Tensor, backward, rmse_loss, slice_rows
+from tcnad.autodiff import Tape, Tensor, backward, fan_in_init, rmse_loss, slice_rows
 from tcnad.tcn import (
     TcnBlockParams,
     block_rows,
@@ -67,7 +67,7 @@ class TestBlockForward:
 
     def test_stack_is_block_composition(self):
         rng = np.random.default_rng(1)
-        stack = init_tcn_stack(2, 2, 3, (1, 2), 0.0, rng)
+        stack = init_tcn_stack(2, 2, 3, (1, 2), 0.0, fan_in_init(rng), "tcn")
         x = Tensor(rng.standard_normal((9, 2)))
         whole = tcn_forward(x, stack).values
         step = tcn_block_forward(tcn_block_forward(x, stack[0]), stack[1]).values
@@ -75,7 +75,7 @@ class TestBlockForward:
 
     def test_length_preserved(self):
         rng = np.random.default_rng(2)
-        stack = init_tcn_stack(3, 5, 4, (1, 2, 4), 0.0, rng)
+        stack = init_tcn_stack(3, 5, 4, (1, 2, 4), 0.0, fan_in_init(rng), "tcn")
         out = tcn_forward(Tensor(rng.standard_normal((20, 3))), stack)
         assert out.values.shape == (20, 5)
 
@@ -83,7 +83,7 @@ class TestBlockForward:
 class TestCausality:
     def test_stack_never_looks_ahead(self):
         rng = np.random.default_rng(42)
-        stack = init_tcn_stack(2, 3, 3, (1, 2), 0.0, rng)
+        stack = init_tcn_stack(2, 3, 3, (1, 2), 0.0, fan_in_init(rng), "tcn")
         x = rng.standard_normal((15, 2))
         base = tcn_forward(Tensor(x), stack).values
         for t in (4, 9, 14):
@@ -133,7 +133,7 @@ class TestTrapezoid:
     @pytest.mark.parametrize("w, rows", [(20, 1), (20, 4), (9, 1), (9, 3), (9, 9)])
     def test_matches_the_last_rows_of_the_full_stack(self, w, rows, c_in):
         rng = np.random.default_rng(w * rows)
-        stack = init_tcn_stack(c_in, 3, 3, (1, 2), 0.0, rng)
+        stack = init_tcn_stack(c_in, 3, 3, (1, 2), 0.0, fan_in_init(rng), "tcn")
         assert receptive_field(stack) == 13
         assert (stack[0].downsample is not None) == (c_in != 3)
         x = Tensor(rng.standard_normal((2, w, c_in)))
@@ -157,7 +157,8 @@ class TestTrapezoid:
 
     def test_paper_stack_convs_compute_the_rows_that_are_read(self, monkeypatch):
         # the paper config's TCN: 75 input channels, r = 43 rows, one row read
-        stack = init_tcn_stack(75, 32, 4, (1, 2, 4), 0.0, np.random.default_rng(0))
+        stack = init_tcn_stack(75, 32, 4, (1, 2, 4), 0.0, fan_in_init(np.random.default_rng(0)),
+                               "tcn")
         assert block_rows(stack, 43, 1) == [37, 25, 1]
         rows, real = [], tcnad.tcn.causal_dilated_conv1d
 
@@ -208,7 +209,7 @@ class TestValidation:
 class TestTraining:
     def test_dropout_only_active_in_training(self):
         rng = np.random.default_rng(42)
-        stack = init_tcn_stack(2, 4, 3, (1, 2), 0.5, rng)
+        stack = init_tcn_stack(2, 4, 3, (1, 2), 0.5, fan_in_init(rng), "tcn")
         x = Tensor(rng.standard_normal((12, 2)))
         eval_a = tcn_forward(x, stack).values
         eval_b = tcn_forward(x, stack).values
@@ -219,7 +220,7 @@ class TestTraining:
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(42)
-        stack = init_tcn_stack(2, 3, 2, (1, 2), 0.0, rng)
+        stack = init_tcn_stack(2, 3, 2, (1, 2), 0.0, fan_in_init(rng), "tcn")
         x = rng.standard_normal((8, 2))
         y = rng.standard_normal((8, 3))
 

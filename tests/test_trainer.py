@@ -455,7 +455,6 @@ class TestChunkedTape:
     dilations=st.lists(st.integers(1, 3), min_size=1, max_size=2),
     mlp_layers=st.integers(0, 2),
     mode=st.sampled_from(["dynamic", "static"]),
-    activation=st.sampled_from(["sigmoid", "identity"]),
     temporal=st.booleans(),
     variable=st.booleans(),
     n_windows=st.integers(1, 6),
@@ -464,12 +463,12 @@ class TestChunkedTape:
 )
 def test_chunked_tape_matches_per_window_property(
     window, m, conv_kernel, tcn_kernel, tcn_channels, dilations, mlp_layers, mode,
-    activation, temporal, variable, n_windows, chunk, seed,
+    temporal, variable, n_windows, chunk, seed,
 ):
     cfg = ModelConfig(
         window=window, conv_kernel=conv_kernel, tcn_kernel=tcn_kernel,
         tcn_channels=tcn_channels, dilations=tuple(dilations), mlp_layers=mlp_layers,
-        mlp_units=3, dropout=0.0, attention_mode=mode, attention_activation=activation,
+        mlp_units=3, dropout=0.0, attention_mode=mode,
         temporal_attention=temporal, variable_attention=variable,
     )
     params = init_forecaster(m, cfg, seed=seed)
@@ -490,14 +489,6 @@ def test_chunked_tape_matches_per_window_property(
 # shared temporal-attention scores in window_scores vs per-window forward
 # ---------------------------------------------------------------------------
 
-def _score_variants(cfg):
-    return _variants(cfg) | {
-        "dynamic-identity": replace(cfg, attention_activation="identity"),
-        "static-identity": replace(cfg, attention_mode="static",
-                                   attention_activation="identity"),
-    }
-
-
 def _per_window_scores(params, windows):
     return np.array([np.sqrt(np.mean((forward(Tensor(w[:-1]), params).values - w[-1]) ** 2))
                      for w in windows])
@@ -512,11 +503,11 @@ def _assert_scores_match(scores, ref):
 
 class TestSharedScores:
     @pytest.mark.parametrize("name", ["demo", "paper"])
-    @pytest.mark.parametrize("variant", sorted(_score_variants(TINY)))
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_named_configs_equal_per_window_forward(self, name, variant):
         # one full chunk of the default size and a 1-window partial last chunk
         m, cfg = NAMED_CONFIGS[name]
-        params = init_forecaster(m, _score_variants(replace(cfg, dropout=0.0))[variant], seed=3)
+        params = init_forecaster(m, _variants(replace(cfg, dropout=0.0))[variant], seed=3)
         size = trainer._chunk_sizes(params)[1]
         windows = build_windows(_toy_series(n=cfg.window + size + 1, m=m), cfg.window)
         assert len(windows) == size + 1
@@ -524,12 +515,12 @@ class TestSharedScores:
                              _per_window_scores(params, windows))
 
     @pytest.mark.parametrize("chunk", [1, 2, 5, 16])
-    @pytest.mark.parametrize("variant", sorted(_score_variants(TINY)))
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_forced_chunk_sizes(self, variant, chunk):
         # demo shapes (r > w - conv_kernel + 1, so some queries are edge rows);
         # 23 windows leave a partial last chunk for every size but 1
         m, cfg = NAMED_CONFIGS["demo"]
-        params = init_forecaster(m, _score_variants(cfg)[variant], seed=5)
+        params = init_forecaster(m, _variants(cfg)[variant], seed=5)
         windows = build_windows(_toy_series(n=cfg.window + 23, m=m, seed=1), cfg.window)
         with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, chunk)):
             assert trainer._chunk_sizes(params)[1] == chunk
