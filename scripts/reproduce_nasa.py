@@ -23,6 +23,9 @@ where m, a channel's width, is 25 for SMAP and 55 for MSL (Hundman et al.,
 KDD 2018); a matrix of any width is read.
 
 ``--work`` receives ``checkpoints/``, ``scores/`` and ``report.csv``.
+``checkpoints/train.json`` records the training flags (epochs, batch size,
+learning rate) each checkpoint was trained with, which a checkpoint does not
+hold; ``--resume`` reuses a checkpoint only if those and its model flags match.
 
 Usage::
 
@@ -34,6 +37,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from dataclasses import asdict, replace
@@ -50,27 +54,38 @@ REFERENCE = {
     "MSL": {"precision": 0.9419, "recall": 0.9815, "f1": 0.9613},
 }
 TOLERANCE = 0.05
+# the training flags a checkpoint does not hold, recorded per channel beside the checkpoints
+TRAIN_FLAGS = ("epochs", "batch_size", "learning_rate")
+TRAIN_RECORD = Path("checkpoints", "train.json")
 
 
-def run_channel(raw: Path, manifest: dict, work: Path, channel: str,
-                model_cfg: ModelConfig, train_cfg: TrainConfig, resume: bool, quiet: bool):
+def run_channel(raw: Path, manifest: dict, work: Path, channel: str, model_cfg: ModelConfig,
+                train_cfg: TrainConfig, resume: bool, quiet: bool, trained: dict):
     """Train, score, and pick the per-channel grid threshold; returns a report.
-    ``manifest`` is the archive's ``labeled_anomalies.csv``, parsed once."""
+    ``manifest`` is the archive's ``labeled_anomalies.csv``, parsed once;
+    ``trained`` is ``checkpoints/train.json``, which this keeps up to date."""
     ds = load_channel(raw, channel, manifest)
     ckpt_path = work / "checkpoints" / f"{channel}.ckpt"
+    record = work / TRAIN_RECORD
     scores_path = work / "scores" / f"{channel}.csv"
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     scores_path.parent.mkdir(parents=True, exist_ok=True)
+    flags = {k: getattr(train_cfg, k) for k in TRAIN_FLAGS}
 
     if resume and ckpt_path.exists():
+        if channel not in trained:
+            raise SystemExit(f"{ckpt_path}: {record} has no record of the training flags "
+                             f"it was trained with; rerun without --resume")
         params, stats = load_checkpoint(ckpt_path)
-        saved = asdict(params.config) | {"seed": params.seed}
-        wanted = asdict(model_cfg) | {"seed": train_cfg.seed}
+        saved = asdict(params.config) | {"seed": params.seed} | trained[channel]
+        wanted = asdict(model_cfg) | {"seed": train_cfg.seed} | flags
         changed = [f"{k} {saved[k]!r} -> {wanted[k]!r}" for k in wanted if saved[k] != wanted[k]]
         if changed:
             raise SystemExit(f"{ckpt_path}: checkpoint does not match the requested run "
                              f"({'; '.join(changed)}); rerun without --resume")
     else:
+        trained.pop(channel, None)   # no record while the checkpoint is replaced
+        record.write_text(json.dumps(trained, indent=1))
         progress = None
         if not quiet:
             def progress(epoch, loss):
@@ -78,6 +93,8 @@ def run_channel(raw: Path, manifest: dict, work: Path, channel: str,
                       flush=True)
         stats, params, _ = fit_channel(ds.train, model_cfg, train_cfg, progress=progress)
         save_checkpoint(ckpt_path, params, stats)
+        trained[channel] = flags
+        record.write_text(json.dumps(trained, indent=1))
 
     seq, _, report = evaluate_channel(params, stats, ds.test, ds.segments, channel)
     write_scores_csv(scores_path, seq)
@@ -101,7 +118,8 @@ def main(argv=None) -> int:
                         help="only the first N channels per run (smoke testing)")
     parser.add_argument("--resume", action="store_true",
                         help="reuse existing checkpoints instead of retraining; stops "
-                        "if one was trained with other model flags or seed")
+                        "if one was trained with other model or training flags or seed, "
+                        "or has no record of its training flags")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
     if args.limit is not None and args.limit < 1:
@@ -118,13 +136,15 @@ def main(argv=None) -> int:
     train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                             learning_rate=args.learning_rate, seed=args.seed)
 
+    record = args.work / TRAIN_RECORD
+    trained = json.loads(record.read_text()) if record.exists() else {}
     by_craft: dict[str, list] = {s: [] for s in spacecrafts}
     started = time.time()
     for i, entry in enumerate(entries, start=1):
         print(f"[{i}/{len(entries)}] {entry.spacecraft} {entry.channel} "
               f"(elapsed {time.time() - started:.0f}s)", flush=True)
         report = run_channel(args.raw, manifest, args.work, entry.channel, model_cfg,
-                             train_cfg, args.resume, args.quiet)
+                             train_cfg, args.resume, args.quiet, trained)
         by_craft[entry.spacecraft].append(report)
         print(f"    precision={report.precision:.4f} recall={report.recall:.4f} "
               f"f1={report.f1:.4f}", flush=True)

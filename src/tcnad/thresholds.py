@@ -10,10 +10,10 @@ score exceeds a threshold chosen by one of:
 * ``epsilon_threshold`` -- label-free. Candidates mu + z*sigma are ranked by
   how much removing the points above them cleans up the mean/std, penalized by
   how many points and runs get removed.
-* ``pot_threshold`` -- label-free peaks-over-threshold: fit a generalized
-  Pareto distribution (exact 1-D maximum likelihood, shape clipped to
-  [-0.5, 1]) to the exceedances over a high initial quantile and extrapolate
-  the level exceeded with probability q, which must be below the tail fraction.
+* ``pot_threshold`` -- label-free peaks-over-threshold: fit a generalized Pareto
+  distribution (maximum likelihood by a grid and zoom over theta = gamma/beta,
+  shape clipped to [-0.5, 1]) to the exceedances over a high initial quantile and
+  extrapolate the level exceeded with probability q, below the tail fraction.
 
 Thresholds are always applied strictly: a point is anomalous iff score > th.
 """
@@ -144,7 +144,6 @@ def epsilon_threshold(scores: np.ndarray) -> ThresholdResult:
     mu = float(scores.mean())
     sigma = float(scores.std())  # population std
 
-    best_score = -np.inf
     best: dict | None = None
     if sigma > 0.0:
         for z in DEFAULT_Z_GRID:
@@ -158,15 +157,10 @@ def epsilon_threshold(scores: np.ndarray) -> ThresholdResult:
             delta_sigma = sigma - float(below.std())
             runs = len(_runs(above)[0])
             value = (delta_mu / mu + delta_sigma / sigma) / (n_above + runs**2)
-            if value > best_score:
-                best_score = value
-                best = {
-                    "z": float(z),
-                    "score": value,
-                    "n_above": n_above,
-                    "n_runs": runs,
-                    "threshold": eps,
-                }
+            if best is None or value > best["score"]:
+                best = {"z": float(z), "score": value, "n_above": n_above, "n_runs": runs,
+                        "mu": mu, "sigma": sigma}
+                th = eps
     if best is None:
         warnings.warn(
             "epsilon method: no candidate threshold has points above it; "
@@ -179,8 +173,6 @@ def epsilon_threshold(scores: np.ndarray) -> ThresholdResult:
             threshold=float(scores.max()),
             diagnostics={"fallback": "max", "mu": mu, "sigma": sigma},
         )
-    th = best.pop("threshold")
-    best.update({"mu": mu, "sigma": sigma})
     return ThresholdResult(method="epsilon", threshold=float(th), diagnostics=best)
 
 
@@ -188,44 +180,53 @@ def epsilon_threshold(scores: np.ndarray) -> ThresholdResult:
 # peaks over threshold
 # ---------------------------------------------------------------------------
 
+# fit_gpd's theta grid before its 1/max(y) and 1/mean(y) scales, and its zoom: 33 even
+# points a step narrow the bracket 16-fold, so 7 steps leave 16**-7 = 3.7e-9 of it
+_GRID = (np.geomspace(1e-8, 1.0, 48)[:-1] - 1.0, np.geomspace(1e-4, 1e4, 64))
+_ZOOM, _ZOOM_STEPS = np.arange(33.0), 7
+
+
 def _profile(y: np.ndarray, theta: np.ndarray):
     """(nll, gamma, beta) at each theta = gamma/beta, with the best gamma in [-0.5, 1].
 
     At fixed theta the NLL is n*log(gamma/theta) + (1 + 1/gamma)*S, S = sum(log1p(theta*y)),
     and its one minimum is gamma = S/n. theta = 0 is the exponential limit, beta = mean(y).
     """
-    n, ybar, zero = y.size, y.mean(), theta == 0
+    n, zero = y.size, theta == 0
+    rows = max(1, 2**16 // n)   # blocks of whole rows of 2**16 theta*y floats, where n allows
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.log1p(np.multiply.outer(theta, y)).sum(axis=-1)
+        s = np.concatenate([np.log1p(np.multiply.outer(theta[i:i + rows], y)).sum(axis=-1)
+                            for i in range(0, theta.size, rows)])
         gamma = np.where(zero, 0.0, np.clip(s / n, -0.5, 1.0))
-        beta = np.where(zero, ybar, gamma / theta)
-        nll = np.where(zero, n * np.log(ybar) + n, n * np.log(beta) + (1.0 + 1.0 / gamma) * s)
+        beta = np.where(zero, y.sum() / n, gamma / theta)
+        nll = n * np.log(beta) + np.where(zero, n, (1.0 + 1.0 / gamma) * s)
     return nll, gamma, beta
 
 
-def fit_gpd(excesses: np.ndarray) -> tuple[float, float]:
-    """Maximum-likelihood GPD fit (gamma, beta) with gamma clipped to [-0.5, 1].
+def fit_gpd(excesses: np.ndarray) -> tuple[float, float, float]:
+    """Maximum-likelihood GPD fit (gamma, beta), gamma clipped to [-0.5, 1], and its NLL.
 
     Grimshaw's reduction (Technometrics 1993; SPOT, Siffer et al., KDD 2017) leaves
     a search over theta = gamma/beta alone: a grid over (-1/max y, 1e4/mean y) with
-    0 in it, then golden section between the best grid point's neighbours.
+    0 in it, then zoom steps from the best grid point's neighbours, each over 33 even
+    points and the best so far, keeping one spacing either side of the new best.
     """
     y = np.asarray(excesses, dtype=np.float64)
     if y.size == 0:
         raise GpdFitError("no excesses to fit")
     if np.any(y <= 0) or not np.all(np.isfinite(y)):
         raise ValueError("excesses must be positive and finite")
-    grid = np.concatenate([(np.geomspace(1e-8, 1.0, 48)[:-1] - 1.0) / y.max(), [0.0],
-                           np.geomspace(1e-4, 1e4, 64) / y.mean()])
-    i = int(np.argmin(_profile(y, grid)[0]))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    for _ in range(40):   # golden section: drop the side beyond the worse inner point
-        step = (3.0 - 5.0 ** 0.5) / 2.0 * (hi - lo)
-        fc, fd = _profile(y, np.array([lo + step, hi - step]))[0]
-        lo, hi = (lo, hi - step) if fc < fd else (lo + step, hi)
-    nll, gamma, beta = _profile(y, np.array([grid[i], lo, hi]))
-    best = int(np.argmin(nll))
-    return float(gamma[best]), float(beta[best])
+    theta = np.concatenate([_GRID[0] / y.max(), [0.0], _GRID[1] / y.mean()])
+    nll, gamma, beta = _profile(y, theta)
+    i = int(np.argmin(nll))
+    lo, hi = theta[max(i - 1, 0)], theta[min(i + 1, theta.size - 1)]
+    for _ in range(_ZOOM_STEPS):
+        step = (hi - lo) / (_ZOOM.size - 1)
+        theta = np.append(lo + step * _ZOOM, theta[i])
+        nll, gamma, beta = _profile(y, theta)
+        i = int(np.argmin(nll))
+        lo, hi = max(lo, theta[i] - step), min(hi, theta[i] + step)
+    return float(gamma[i]), float(beta[i]), float(nll[i])
 
 
 def pot_displacement(
@@ -283,7 +284,7 @@ def pot_threshold(
     if q >= n_exc / n_total:
         raise ValueError(f"q={q:g} must be below the tail fraction {n_exc}/{n_total} "
                          f"= {n_exc / n_total:g} above the {init_quantile:g} quantile")
-    gamma, beta = fit_gpd(excesses)
+    gamma, beta, nll = fit_gpd(excesses)
     on_clip = gamma in (-0.5, 1.0)
     if on_clip:
         warnings.warn(f"pot: the shape fitted to {n_exc} exceedances sits on its clip, "
@@ -295,7 +296,6 @@ def pot_threshold(
         threshold=float(threshold),
         diagnostics={
             "gamma": gamma, "gamma_on_clip": on_clip, "beta": beta, "init_threshold": th0,
-            "n_exceedances": n_exc, "n_total": n_total, "q": q,
-            "nll": float(_profile(excesses, np.array([gamma / beta]))[0][0]),
+            "n_exceedances": n_exc, "n_total": n_total, "q": q, "nll": nll,
         },
     )

@@ -139,6 +139,35 @@ def gpd_fit_reference(y: np.ndarray) -> tuple[float, float, float]:
     return best
 
 
+def gpd_profile_reference(y: np.ndarray, theta: np.ndarray):
+    """Grimshaw's profile (nll, gamma, beta) at each theta = gamma/beta, gamma clipped
+    to [-0.5, 1], with S = sum(log1p(theta*y)) summed over one (len(theta), n) array."""
+    n, ybar, zero = y.size, y.mean(), theta == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.log1p(np.multiply.outer(theta, y)).sum(axis=-1)
+        gamma = np.where(zero, 0.0, np.clip(s / n, -0.5, 1.0))
+        beta = np.where(zero, ybar, gamma / theta)
+        nll = np.where(zero, n * np.log(ybar) + n, n * np.log(beta) + (1.0 + 1.0 / gamma) * s)
+    return nll, gamma, beta
+
+
+def gpd_golden_section_fit(y: np.ndarray) -> tuple[float, float, float]:
+    """The clipped GPD fit (gamma, beta, nll) by golden section over theta: the best of
+    a 112-point grid over (-1/max y, 1e4/mean y) with 0 in it, 40 golden-section steps
+    between its neighbours, and a last look at that grid point and the bracket's ends."""
+    grid = np.concatenate([(np.geomspace(1e-8, 1.0, 48)[:-1] - 1.0) / y.max(), [0.0],
+                           np.geomspace(1e-4, 1e4, 64) / y.mean()])
+    i = int(np.argmin(gpd_profile_reference(y, grid)[0]))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    for _ in range(40):   # drop the side beyond the worse inner point
+        step = (3.0 - 5.0 ** 0.5) / 2.0 * (hi - lo)
+        fc, fd = gpd_profile_reference(y, np.array([lo + step, hi - step]))[0]
+        lo, hi = (lo, hi - step) if fc < fd else (lo + step, hi)
+    nll, gamma, beta = gpd_profile_reference(y, np.array([grid[i], lo, hi]))
+    best = int(np.argmin(nll))
+    return float(gamma[best]), float(beta[best]), float(nll[best])
+
+
 def init_reference(m: int, cfg, seed: int) -> list[tuple[str, np.ndarray]]:
     """Every initial forecaster tensor, named, in the documented draw order: the
     preconv, temporal then variable attention (each on if its flag is), then per

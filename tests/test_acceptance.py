@@ -264,7 +264,7 @@ def test_criterion_5_threshold_selectors(capfd):
         # (b) tail-fit parameter recovery on known heavy-tailed excesses
         g_rng = np.random.default_rng(0)
         excesses = gpd_quantile_sample(g_rng, 0.2, 1.0, 5000)
-        gamma_hat, beta_hat = fit_gpd(excesses)
+        gamma_hat, beta_hat, _ = fit_gpd(excesses)
         assert 0.15 <= gamma_hat <= 0.25
         assert 0.95 <= beta_hat <= 1.05
 

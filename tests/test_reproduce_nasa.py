@@ -1,6 +1,7 @@
 """scripts/reproduce_nasa.py on a tiny fabricated .npy archive: train, then resume."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,51 @@ def test_resume_with_changed_model_flags_stops(tmp_path, capsys):
     assert str(work / "checkpoints" / "A-1.ckpt") in message
     assert "window 8 -> 12" in message and "seed 0 -> 3" in message
     assert "dropout" not in message
+    assert scores.read_bytes() == first
+    capsys.readouterr()
+
+
+def test_resume_with_changed_training_flags_stops(tmp_path, capsys):
+    # a checkpoint does not hold its training flags, so train.json does
+    raw, work = tmp_path / "raw", tmp_path / "work"
+    _write_archive(raw)
+    script = _load_script()
+    argv = ["--raw", str(raw), "--work", str(work), "--window", "8", "--limit", "1", "--quiet"]
+
+    assert script.main(argv + ["--epochs", "1"]) == 0
+    assert json.loads((work / "checkpoints" / "train.json").read_text()) == {
+        "A-1": {"epochs": 1, "batch_size": 256, "learning_rate": 1e-3}}
+    scores = work / "scores" / "A-1.csv"
+    first = scores.read_bytes()
+
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv + ["--resume", "--epochs", "5", "--learning-rate", "0.01",
+                            "--batch-size", "16"])
+    message = str(exc.value.code)
+    assert str(work / "checkpoints" / "A-1.ckpt") in message
+    for change in ("epochs 1 -> 5", "batch_size 256 -> 16", "learning_rate 0.001 -> 0.01"):
+        assert change in message
+    assert "window" not in message and "seed" not in message
+    assert scores.read_bytes() == first
+    capsys.readouterr()
+
+
+def test_resume_refuses_a_work_dir_without_a_training_record(tmp_path, capsys):
+    raw, work = tmp_path / "raw", tmp_path / "work"
+    _write_archive(raw)
+    script = _load_script()
+    argv = ["--raw", str(raw), "--work", str(work), "--window", "8", "--epochs", "1",
+            "--limit", "1", "--quiet"]
+
+    assert script.main(argv) == 0
+    record = work / "checkpoints" / "train.json"
+    record.unlink()    # as a work dir written before the record existed
+    scores = work / "scores" / "A-1.csv"
+    first = scores.read_bytes()
+
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv + ["--resume"])
+    assert f"{record} has no record of the training flags" in str(exc.value.code)
     assert scores.read_bytes() == first
     capsys.readouterr()
 

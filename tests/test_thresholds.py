@@ -1,6 +1,10 @@
 """Score computation and the three threshold selectors."""
 
+import importlib.util
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +15,19 @@ from oracles import (
     best_f1_reference,
     counts_reference,
     gpd_fit_reference,
+    gpd_golden_section_fit,
     gpd_nll_reference,
+    gpd_profile_reference,
     gpd_quantile_sample,
     point_adjust_reference,
 )
+from tcnad import thresholds
 from tcnad.autodiff import Tensor
+from tcnad.data import normalize
 from tcnad.evaluation import point_adjusted_counts, point_adjusted_report
 from tcnad.forecaster import ModelConfig, forward, init_forecaster
+from tcnad.pipeline import fit_channel
+from tcnad.synthetic import sines_with_level_shifts
 from tcnad.thresholds import (
     DEFAULT_Z_GRID,
     GpdFitError,
@@ -31,6 +41,7 @@ from tcnad.thresholds import (
     pot_threshold,
 )
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SMALL = ModelConfig(window=8, conv_kernel=3, tcn_kernel=2, tcn_channels=4,
                     dilations=(1,), mlp_layers=1, mlp_units=4, dropout=0.0)
 
@@ -287,21 +298,21 @@ class TestGpd:
     def test_recovers_known_shape_and_scale(self):
         rng = np.random.default_rng(7)
         y = gpd_quantile_sample(rng, 0.2, 1.0, 5000)
-        gamma, beta = fit_gpd(y)
+        gamma, beta, _ = fit_gpd(y)
         assert 0.15 <= gamma <= 0.25
         assert 0.95 <= beta <= 1.05
 
     def test_recovers_exponential_tail(self):
         rng = np.random.default_rng(11)
         y = gpd_quantile_sample(rng, 0.0, 2.0, 5000)
-        gamma, beta = fit_gpd(y)
+        gamma, beta, _ = fit_gpd(y)
         assert abs(gamma) < 0.05
         assert 1.9 <= beta <= 2.1
 
     def test_fit_beats_every_coarse_grid_point(self):
         rng = np.random.default_rng(3)
         y = gpd_quantile_sample(rng, 0.3, 0.5, 2000)
-        gamma, beta = fit_gpd(y)
+        gamma, beta, _ = fit_gpd(y)
         best = gpd_nll_reference(y, gamma, beta)
         for g in np.linspace(-0.4, 1.0, 15):
             for b in y.mean() * np.logspace(-1, 1, 9):
@@ -314,7 +325,7 @@ class TestGpd:
         # POT fits (min_exceedances >= 2) and must still give a finite scale
         seed = 100 * n + int(10 * gamma)
         y = gpd_quantile_sample(np.random.default_rng(seed), gamma, 1.0, n)
-        g, b = fit_gpd(y)
+        g, b, _ = fit_gpd(y)
         assert -0.5 <= g <= 1.0 and np.isfinite(b) and b > 0
         assert gpd_nll_reference(y, g, b) <= gpd_fit_reference(y)[0] + 1e-9
 
@@ -341,11 +352,107 @@ class TestGpd:
             expected = -float(np.log(density).sum())
         assert gpd_nll_reference(y, gamma, beta) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("c", [1e-200, 1e-3, 1e3, 1e200])
+    def test_fit_and_threshold_are_scale_equivariant(self, c):
+        # the theta grid scales with 1/y, so scaling the data scales beta alone
+        for gamma in (-0.8, -0.2, 0.3, 1.5):
+            y = gpd_quantile_sample(np.random.default_rng(30), gamma, 1.0, 400)
+            g, b, _ = fit_gpd(y)
+            g_c, b_c, _ = fit_gpd(c * y)
+            assert g_c == pytest.approx(g, rel=1e-5) and b_c == pytest.approx(c * b, rel=1e-5)
+        scores = np.random.default_rng(31).lognormal(mean=-2.0, sigma=0.5, size=5000)
+        expected = c * pot_threshold(scores).threshold
+        assert pot_threshold(c * scores).threshold == pytest.approx(expected, rel=1e-5)
+
+    def test_profile_blocks_sum_each_row_whole(self):
+        # 5,000 values leave 13 theta rows a block, so the 112 thetas span nine blocks
+        y = gpd_quantile_sample(np.random.default_rng(6), 0.2, 1.0, 5000)
+        theta = np.concatenate([np.linspace(-0.99 / y.max(), 0.0, 40),
+                                np.geomspace(1e-4, 1e4, 72) / y.mean()])
+        for got, expected in zip(thresholds._profile(y, theta), gpd_profile_reference(y, theta)):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_fit_memory_is_bounded(self):
+        # one (len(theta), n) array would be 342 MB at 200k excesses; a block is one row
+        y = gpd_quantile_sample(np.random.default_rng(4), 0.2, 1.0, 200_000)
+        tracemalloc.start()
+        try:
+            fit_gpd(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_pot_profiles_the_grid_then_seven_zoom_steps(self, monkeypatch):
+        sizes, profile = [], thresholds._profile
+        monkeypatch.setattr(thresholds, "_profile",
+                            lambda y, theta: sizes.append(theta.size) or profile(y, theta))
+        pot_threshold(np.random.default_rng(2).exponential(size=600), init_quantile=0.9)
+        assert sizes == [112] + [34] * 7
+
     def test_rejects_nonpositive_excesses(self):
         with pytest.raises(ValueError):
             fit_gpd(np.array([1.0, 0.0, 2.0]))
         with pytest.raises(GpdFitError):
             fit_gpd(np.array([]))
+
+
+def _matches_golden_section(excesses, threshold_of):
+    """The zoom fits no worse than golden section, on the clip where it is, and its
+    threshold ``threshold_of(gamma, beta)`` is within 1e-6 relative."""
+    gamma, beta, nll = fit_gpd(excesses)
+    ref_gamma, ref_beta, ref_nll = gpd_golden_section_fit(excesses)
+    assert nll <= ref_nll + 1e-12 * max(1.0, abs(ref_nll))
+    assert [gamma == clip for clip in (-0.5, 1.0)] == [ref_gamma == clip for clip in (-0.5, 1.0)]
+    expected = threshold_of(ref_gamma, ref_beta)
+    assert abs(threshold_of(gamma, beta) - expected) <= 1e-6 * abs(expected)
+
+
+def _pot_matches_golden_section(scores, init_quantile):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # clipped shapes warn
+        res = pot_threshold(scores, init_quantile=init_quantile)
+    th0, n_exc = res.diagnostics["init_threshold"], res.diagnostics["n_exceedances"]
+    _matches_golden_section(
+        scores[scores > th0] - th0,
+        lambda g, b: th0 + pot_displacement(g, b, res.diagnostics["q"], scores.size, n_exc))
+    return res
+
+
+class TestGoldenSectionEquivalence:
+    """The zoom against the golden-section fit it replaced, on the tails POT meets."""
+
+    @pytest.mark.parametrize("gamma", [-0.8, -0.4, 0.0, 0.3, 1.0, 1.5])
+    @pytest.mark.parametrize("n", [2, 32, 400])
+    def test_gpd_shapes(self, gamma, n):
+        # the tails of test_fit_reaches_the_dense_grid_minimum, as 2% of 50n scores
+        y = gpd_quantile_sample(np.random.default_rng(100 * n + int(10 * gamma)), gamma, 1.0, n)
+        _matches_golden_section(y, lambda g, b: pot_displacement(g, b, 1e-3, 50 * n, n))
+
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(sys.modules, spec.name, module)   # its dataclasses look it up
+            spec.loader.exec_module(module)
+            yield module
+
+    @pytest.mark.parametrize("chain", ["demo", "paper"])
+    def test_benchmark_model_chain_tails(self, workloads, chain):
+        # the residual tails these chains fit at seed 1, both on the lower clip
+        spec = workloads.WORKLOADS[chain].model
+        data = sines_with_level_shifts(seed=1, **spec.synthetic)
+        stats, params, _ = fit_channel(data.train, spec.config, spec.train_config)
+        scores = anomaly_scores(params, normalize(data.test, stats)).scores
+        res = _pot_matches_golden_section(scores, workloads.POT_INIT_QUANTILE)
+        assert res.diagnostics["gamma"] == -0.5
+
+    def test_benchmark_stored_score_series(self, workloads, tmp_path):
+        stored = workloads.write_stored_scores(1, tmp_path)
+        assert len(stored) == 82
+        for _, scores, _ in stored:
+            _pot_matches_golden_section(scores, 0.98)
 
 
 class TestPot:
