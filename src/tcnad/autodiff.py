@@ -16,6 +16,8 @@ per-op; they propagate to the loss where the trainer surfaces them.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 # Negative-side slope of every leaky_relu in the model.
@@ -87,14 +89,19 @@ def fan_in_init(rng: np.random.Generator):
     return draw
 
 
-_TAPE_STACK: list["Tape"] = []
+class _TapeStack(threading.local):
+    def __init__(self):
+        self.tapes: list[Tape] = []   # this thread's open tapes, innermost last
+
+
+_TAPE_STACK = _TapeStack()   # per thread: a tape never reaches ops another thread runs
 
 
 class Tape:
     """Records ops executed under ``with Tape(): ...`` for later replay.
 
-    Entering pushes the tape on a module-level stack; ops consult the top of
-    the stack. Tapes may nest (inner tape records, outer does not see those
+    Entering pushes the tape on the calling thread's stack; ops consult the top
+    of that stack. Tapes may nest (inner tape records, outer does not see those
     ops), though the forecaster only ever uses one at a time.
 
     A tape is the training context: ``dropout`` draws its masks only under a
@@ -112,11 +119,11 @@ class Tape:
         self.saved_bytes = self.float_bytes = 0
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPE_STACK.pop()
+        popped = _TAPE_STACK.tapes.pop()
         assert popped is self
         return False
 
@@ -157,7 +164,7 @@ class Tape:
 
 
 def active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    return _TAPE_STACK.tapes[-1] if _TAPE_STACK.tapes else None
 
 
 def backward(loss: Tensor):
@@ -179,7 +186,7 @@ def backward(loss: Tensor):
 
 def _taped(inputs) -> bool:
     """Whether an op on ``inputs`` is recorded: a tape is active and an input needs a grad."""
-    return bool(_TAPE_STACK) and any(t.node.requires_grad for t in inputs)
+    return bool(_TAPE_STACK.tapes) and any(t.node.requires_grad for t in inputs)
 
 
 def _maybe_record(out: Tensor, rule, inputs, saved=()) -> Tensor:
@@ -187,7 +194,7 @@ def _maybe_record(out: Tensor, rule, inputs, saved=()) -> Tensor:
     arrays the rule holds besides the inputs' and the output's nodes."""
     if _taped(inputs):
         out.node.requires_grad = True
-        tape = _TAPE_STACK[-1]
+        tape = _TAPE_STACK.tapes[-1]
         tape.save(*saved)
         tape.record(out.node, rule)
     return out

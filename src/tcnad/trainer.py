@@ -4,17 +4,20 @@ Both loops push chunks of windows through one batched ``forward``, sized
 against one budget, ``_CHUNK_BYTES``, from what the tape counts for one probe
 window: a training chunk by all its windows keep on the tape, an inference
 chunk by the float arrays among them, which an untaped forward computes too.
-Either bounds memory whatever the batch size.
+One chunk at a time, or one a scoring thread, bounds memory whatever the batch size.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import Tape, Tensor, backward, rmse_loss, row_rmse
+from .autodiff import Tape, Tensor, active_tape, backward, rmse_loss, row_rmse
 from .forecaster import ForecasterParams, bool_field, forward, int_field, real_field
 from .optim import AdamState, adam_step
 
@@ -83,17 +86,41 @@ def _chunk_sizes(params: ForecasterParams) -> tuple[int, int]:
     return max(1, _CHUNK_BYTES // taped), max(1, _CHUNK_BYTES // floats)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS keeps one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _scores(params: ForecasterParams, windows: np.ndarray, size: int) -> np.ndarray:
-    """Per-window RMSE of the one-step forecast, ``size`` windows per untaped forward."""
+    """Per-window RMSE of the one-step forecast, ``size`` windows per untaped forward;
+    min(chunks, usable CPUs) workers, the calling thread among them, take chunks in turn."""
+    if active_tape() is not None:
+        raise RuntimeError("scoring is not taped and drops nothing; call it outside any Tape")
     preds = np.empty((len(windows), params.n_features))
-    for start in range(0, len(windows), size):
-        preds[start : start + size] = forward(Tensor(windows[start : start + size, :-1]),
-                                              params).values
+    chunks = range(0, len(windows), size)
+    workers = max(1, min(len(chunks), _usable_cpus()))
+    todo, lock = iter(chunks), threading.Lock()
+
+    def run():
+        while True:
+            with lock:                          # one worker a chunk, GIL or none
+                start = next(todo, None)
+            if start is None:
+                return
+            preds[start : start + size] = forward(Tensor(windows[start : start + size, :-1]),
+                                                  params).values
+
+    with ThreadPoolExecutor(workers) as pool:   # joins every helper, even on an error
+        helpers = [pool.submit(run) for _ in range(workers - 1)]
+        run()
+        for helper in helpers:
+            helper.result()                     # re-raises a helper's error
     return row_rmse(preds - windows[:, -1])[:, 0]
 
 
 def window_scores(params: ForecasterParams, windows: np.ndarray) -> np.ndarray:
-    """Per-window RMSE of the one-step forecast, without any tape or dropout."""
+    """Per-window RMSE of the one-step forecast, without any tape or dropout, on
+    every usable CPU, in workers x one chunk of memory; refuses an open ``Tape``."""
     return _scores(params, windows, _chunk_sizes(params)[1])
 
 

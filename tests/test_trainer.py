@@ -1,5 +1,9 @@
-"""Window construction, the training loop, and the chunked batched tape."""
+"""Window construction, the training loop, the chunked batched tape, and the
+threaded inference loop."""
 
+import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -12,7 +16,7 @@ from hypothesis import strategies as st
 from oracles import record_arrays
 from tcnad import trainer
 from tcnad.data import compute_stats, normalize
-from tcnad.autodiff import Tape, Tensor, backward, rmse_loss
+from tcnad.autodiff import Tape, Tensor, active_tape, backward, rmse_loss, row_rmse
 from tcnad.attention import temporal_attention
 from tcnad.forecaster import ModelConfig, forward, init_forecaster
 from tcnad.thresholds import anomaly_scores
@@ -617,3 +621,168 @@ class TestSharedScores:
         finally:
             tracemalloc.stop()
         assert peak <= size * trainer._window_tape_bytes(params)[1] <= trainer._CHUNK_BYTES
+
+
+# window 5 < receptive field 7 (tcn_kernel 2, dilations (1, 2)): nothing is pruned
+SHORT = ModelConfig(window=5, conv_kernel=3, tcn_kernel=2, tcn_channels=4,
+                    dilations=(1, 2), mlp_layers=1, mlp_units=4)
+THREAD_CONFIGS = {**NAMED_CONFIGS, "short": (3, SHORT)}
+
+
+class TestThreadedScores:
+    """``_scores`` runs its chunks on min(chunks, usable CPUs) threads; the CPU
+    count is patched, so these tests start at most three helper threads."""
+
+    @staticmethod
+    def _windows(name, chunks, size=4):
+        # chunks x size - 1 windows: the last chunk is one window short
+        m, cfg = THREAD_CONFIGS[name]
+        params = init_forecaster(m, cfg, seed=6)
+        windows = build_windows(_toy_series(n=cfg.window + chunks * size - 1, m=m), cfg.window)
+        return params, windows, size
+
+    @staticmethod
+    def _spy_threads(monkeypatch):
+        # the threads that ran an untaped forward (the chunk-size probe is
+        # taped), and the length of each chunk they ran
+        seen, real = {}, trainer.forward
+
+        def spy(x, params):
+            if active_tape() is None:
+                seen.setdefault(threading.get_ident(), []).append(len(x.values))
+            return real(x, params)
+
+        monkeypatch.setattr(trainer, "forward", spy)
+        return seen
+
+    @pytest.mark.parametrize("chunks", [1, 2, 5])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["demo", "paper", "short"])
+    def test_equals_a_serial_chunk_loop(self, name, workers, chunks, monkeypatch):
+        params, windows, size = self._windows(name, chunks)
+        preds = np.concatenate([forward(Tensor(windows[start : start + size, :-1]), params).values
+                                for start in range(0, len(windows), size)])
+        serial = row_rmse(preds - windows[:, -1])[:, 0]
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: workers)
+        seen = self._spy_threads(monkeypatch)
+        before = threading.active_count()
+        with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, size)):
+            scores = window_scores(params, windows)
+        assert np.array_equal(scores, serial)
+        assert threading.active_count() == before
+        assert len(seen) <= min(workers, chunks)
+        assert sorted(n for runs in seen.values() for n in runs) == [size - 1] + [size] * (chunks - 1)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_every_worker_runs_a_chunk(self, workers, monkeypatch):
+        # each thread's first chunk waits until every worker holds one, which
+        # only as many threads, the calling one among them, can bring about
+        params, windows, size = self._windows("demo", 5)
+        barrier, first, real = threading.Barrier(workers, timeout=30), set(), trainer.forward
+
+        def wait_for_all(x, params):
+            if active_tape() is None and threading.get_ident() not in first:
+                first.add(threading.get_ident())
+                barrier.wait()
+            return real(x, params)
+
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(trainer, "forward", wait_for_all)
+        with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, size)):
+            window_scores(params, windows)
+        assert len(first) == workers and threading.get_ident() in first
+
+    def test_each_chunk_runs_once_under_frequent_switches(self, monkeypatch):
+        # more workers than most runners have cores, one-window chunks and a
+        # switch interval of 1 us: a chunk handed out twice or never shows
+        params = init_forecaster(2, TINY, seed=0)
+        windows = _toy_windows(n=TINY.window + 60)
+        serial = _per_window_scores(params, windows)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 4)
+        seen = self._spy_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, 1)):
+                for _ in range(5):
+                    seen.clear()
+                    scores = window_scores(params, windows)
+                    assert sum(len(runs) for runs in seen.values()) == len(windows)
+                    _assert_scores_match(scores, serial)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        params, windows, size = self._windows("demo", 1, size=298)
+        assert trainer._chunk_sizes(params)[1] == size
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 3)
+
+        def refuse(thread):
+            raise AssertionError(f"{thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert window_scores(params, windows).shape == (size - 1,)
+
+    @pytest.mark.parametrize("failing", range(5))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failing_chunk_reaches_the_caller(self, workers, failing, monkeypatch):
+        # row i of the series holds i, so a chunk's first value names its start
+        params = init_forecaster(2, TINY, seed=0)
+        windows = build_windows(np.repeat(np.arange(TINY.window + 19.0)[:, None], 2, axis=1),
+                                TINY.window)
+        real = trainer.forward
+
+        def forward_failing_on(x, params):
+            if active_tape() is None and x.values[0, 0, 0] == 4 * failing:
+                raise FloatingPointError(f"chunk {failing}")
+            return real(x, params)
+
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(trainer, "forward", forward_failing_on)
+        before = threading.active_count()
+        with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, 4)), \
+                pytest.raises(FloatingPointError, match=f"chunk {failing}"):
+            window_scores(params, windows)
+        assert threading.active_count() == before
+
+    def test_usable_cpus_follow_the_affinity_set(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert trainer._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert trainer._usable_cpus() == 1
+
+    def test_refuses_an_open_tape(self):
+        # before, scoring under a tape applied dropout and recorded every op
+        params = init_forecaster(3, NAMED_CONFIGS["demo"][1], seed=0)
+        windows = build_windows(_toy_series(n=200, m=3), 20)
+        with Tape(np.random.default_rng(0)) as tape, \
+                pytest.raises(RuntimeError, match="not taped"):
+            window_scores(params, windows)
+        assert tape.saved_bytes == 0
+
+    def test_a_tape_in_another_thread_is_not_seen(self):
+        # dropout 0.1: had the other thread's tape reached this one, scoring
+        # would raise, or before the refusal, drop units and score otherwise
+        m, cfg = NAMED_CONFIGS["demo"]
+        params = init_forecaster(m, replace(cfg, dropout=0.1), seed=0)
+        windows = build_windows(_toy_series(n=200, m=m), cfg.window)
+        untaped = window_scores(params, windows)
+        opened, done = threading.Event(), threading.Event()
+
+        def hold_a_tape():
+            with Tape(np.random.default_rng(0)):
+                opened.set()
+                done.wait(timeout=60)
+
+        other = threading.Thread(target=hold_a_tape)
+        other.start()
+        try:
+            assert opened.wait(timeout=60)
+            assert active_tape() is None
+            scores = window_scores(params, windows)
+        finally:
+            done.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert np.array_equal(scores, untaped)
