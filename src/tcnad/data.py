@@ -421,7 +421,7 @@ def write_labels_csv(path, labels: np.ndarray, first_timestep: int = 0):
 def read_labels_csv(path) -> tuple[np.ndarray, int]:
     """Aligned labels file -> (labels, first_timestep)."""
     labels, first = _read_timestep_csv(path, "label", np.int64)
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise DataFormatError(f"{path}: labels must be 0/1")
     return labels, first
 

@@ -64,7 +64,8 @@ def _check_binary(arr: np.ndarray, name: str) -> np.ndarray:
     arr = np.asarray(arr)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
+    # the kind test first: a string array == 0 is a scalar False on numpy 1.24
+    if arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} must contain only 0/1")
     return arr.astype(np.int64)
 

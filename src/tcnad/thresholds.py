@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluation import _runs, f1_from_counts, point_adjusted_counts
+from .evaluation import f1_from_counts, point_adjusted_counts
 from .forecaster import ForecasterParams
 from .trainer import build_windows, window_scores
 
@@ -129,11 +129,13 @@ def best_f1_threshold(scores: np.ndarray, labels: np.ndarray) -> ThresholdResult
 def epsilon_threshold(scores: np.ndarray) -> ThresholdResult:
     """Label-free threshold mu + z*sigma with z chosen from ``DEFAULT_Z_GRID``.
 
-    Each candidate epsilon is scored by the relative drop in mean and std
-    after pruning the points below it, divided by the count of points above
-    plus the squared number of contiguous runs they form. Candidates with no
-    point above epsilon are skipped; if every candidate is skipped the
-    threshold falls back to max(scores) (predict nothing) with a warning.
+    Each candidate epsilon is scored by the relative drop in mean and std when the
+    points above it are pruned and those below kept (a score equal to it is in
+    neither set), over the count of points above plus the squared number of runs
+    they form. Sorted scores and neighbour-pair minima estimate each candidate;
+    those within 1e-9 of the best are re-scored by masking, and the first exact
+    maximum wins. Candidates with no point above epsilon are skipped; if all
+    are, the threshold falls back to max(scores) (predict nothing) with a warning.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size < 2:
@@ -145,22 +147,29 @@ def epsilon_threshold(scores: np.ndarray) -> ThresholdResult:
     sigma = float(scores.std())  # population std
 
     best: dict | None = None
-    if sigma > 0.0:
-        for z in DEFAULT_Z_GRID:
-            eps = mu + z * sigma
-            above = scores > eps
-            n_above = int(above.sum())
-            if n_above == 0:
-                continue
-            below = scores[scores < eps]
-            delta_mu = mu - float(below.mean())
-            delta_sigma = sigma - float(below.std())
-            runs = len(_runs(above)[0])
-            value = (delta_mu / mu + delta_sigma / sigma) / (n_above + runs**2)
+    z = np.array(DEFAULT_Z_GRID)
+    eps, s = mu + z * sigma, np.sort(scores)
+    n_above = scores.size - np.searchsorted(s, eps, side="right")
+    m = np.count_nonzero(n_above)               # n_above falls with z: candidates 0..m-1 count
+    if sigma > 0.0 and m:
+        z, eps, n_above = z[:m], eps[:m], n_above[:m]
+        n_below = np.searchsorted(s, eps)
+        shift = np.cumsum(s - mu)[n_below - 1] / n_below    # below-set mean - mu
+        var = np.cumsum((s - mu) ** 2)[n_below - 1] / n_below - shift * shift
+        # runs = points above - neighbour pairs both above, i.e. whose smaller one is above
+        pairs = np.sort(np.minimum(scores[1:], scores[:-1]))
+        runs = n_above - (pairs.size - np.searchsorted(pairs, eps, side="right"))
+        approx = (1.0 - shift / mu - np.sqrt(np.maximum(var, 0.0)) / sigma) / (n_above + runs**2)
+        for j in np.flatnonzero(approx >= approx.max() - 1e-9):
+            if j and n_below[j] == n_below[j - 1] and n_above[j] == n_above[j - 1]:
+                continue                            # j - 1's sets: the same score, and first
+            below, count, n_runs = scores[scores < eps[j]], int(n_above[j]), int(runs[j])
+            value = ((mu - float(below.mean())) / mu + (sigma - float(below.std())) / sigma) \
+                / (count + n_runs**2)
             if best is None or value > best["score"]:
-                best = {"z": float(z), "score": value, "n_above": n_above, "n_runs": runs,
+                best = {"z": float(z[j]), "score": value, "n_above": count, "n_runs": n_runs,
                         "mu": mu, "sigma": sigma}
-                th = eps
+                th = eps[j]
     if best is None:
         warnings.warn(
             "epsilon method: no candidate threshold has points above it; "
@@ -194,10 +203,11 @@ def _profile(y: np.ndarray, theta: np.ndarray):
     """
     n, zero = y.size, theta == 0
     rows = max(1, 2**16 // n)   # blocks of whole rows of 2**16 theta*y floats, where n allows
+    s = np.empty(theta.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.concatenate([np.log1p(np.multiply.outer(theta[i:i + rows], y)).sum(axis=-1)
-                            for i in range(0, theta.size, rows)])
-        gamma = np.where(zero, 0.0, np.clip(s / n, -0.5, 1.0))
+        for i in range(0, theta.size, rows):
+            s[i:i + rows] = np.log1p(np.multiply.outer(theta[i:i + rows], y)).sum(axis=-1)
+        gamma = np.where(zero, 0.0, np.minimum(np.maximum(s / n, -0.5), 1.0))
         beta = np.where(zero, y.sum() / n, gamma / theta)
         nll = n * np.log(beta) + np.where(zero, n, (1.0 + 1.0 / gamma) * s)
     return nll, gamma, beta
@@ -220,9 +230,11 @@ def fit_gpd(excesses: np.ndarray) -> tuple[float, float, float]:
     nll, gamma, beta = _profile(y, theta)
     i = int(np.argmin(nll))
     lo, hi = theta[max(i - 1, 0)], theta[min(i + 1, theta.size - 1)]
+    zoom = np.empty(_ZOOM.size + 1)                 # refilled in place each step
     for _ in range(_ZOOM_STEPS):
         step = (hi - lo) / (_ZOOM.size - 1)
-        theta = np.append(lo + step * _ZOOM, theta[i])
+        zoom[-1], theta = theta[i], zoom            # the best so far, read before the refill
+        np.add(lo, np.multiply(_ZOOM, step, out=theta[:-1]), out=theta[:-1])
         nll, gamma, beta = _profile(y, theta)
         i = int(np.argmin(nll))
         lo, hi = max(lo, theta[i] - step), min(hi, theta[i] + step)

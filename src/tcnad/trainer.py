@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +93,7 @@ def _usable_cpus() -> int:
 def _scores(params: ForecasterParams, windows: np.ndarray, size: int) -> np.ndarray:
     """Per-window RMSE of the one-step forecast, ``size`` windows per untaped forward;
     min(chunks, usable CPUs) workers, the calling thread among them, take chunks in turn."""
+    from concurrent.futures import ThreadPoolExecutor   # not at the top: it loads logging
     if active_tape() is not None:
         raise RuntimeError("scoring is not taped and drops nothing; call it outside any Tape")
     preds = np.empty((len(windows), params.n_features))

@@ -98,6 +98,34 @@ def best_f1_reference(scores: np.ndarray, labels: np.ndarray) -> tuple[float, fl
     return best_th, best_f1
 
 
+def epsilon_reference(scores: np.ndarray) -> tuple[float | None, dict | None]:
+    """The epsilon rule one candidate at a time: for each z of 2, 2.5, ..., 10 in
+    turn, mask the points above and below eps = mu + z*sigma, count the runs above
+    by their rising edges, and keep the first candidate with the largest
+    (dmu/mu + dsigma/sigma) / (n_above + runs**2). Returns (threshold, diagnostics),
+    or (None, None) when no candidate has a point above it."""
+    scores = np.asarray(scores, dtype=np.float64)
+    mu, sigma = float(scores.mean()), float(scores.std())
+    best, threshold = None, None
+    if sigma > 0.0:
+        for z in np.arange(2.0, 10.0 + 1e-9, 0.5):
+            eps = mu + z * sigma
+            above = scores > eps
+            n_above = int(above.sum())
+            if n_above == 0:
+                continue
+            below = scores[scores < eps]
+            delta_mu = mu - float(below.mean())
+            delta_sigma = sigma - float(below.std())
+            runs = int(above[0]) + int(np.sum(above[1:] & ~above[:-1]))
+            value = (delta_mu / mu + delta_sigma / sigma) / (n_above + runs**2)
+            if best is None or value > best["score"]:
+                best = {"z": float(z), "score": value, "n_above": n_above, "n_runs": runs,
+                        "mu": mu, "sigma": sigma}
+                threshold = float(eps)
+    return threshold, best
+
+
 def gpd_quantile_sample(rng: np.random.Generator, gamma: float, beta: float, n: int) -> np.ndarray:
     """GPD draws via the inverse CDF y = beta/gamma * ((1-u)^-gamma - 1)."""
     u = rng.random(n)

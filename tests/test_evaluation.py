@@ -6,6 +6,7 @@ import pytest
 from oracles import counts_reference, point_adjust_reference, prf_reference
 from tcnad.evaluation import (
     AnomalySegment,
+    _check_binary,
     EvalReport,
     aggregate,
     f1_from_counts,
@@ -53,6 +54,41 @@ class TestSegments:
             AnomalySegment(-1, 2)
         with pytest.raises(ValueError):
             labels_from_segments([AnomalySegment(0, 5)], 5)
+
+
+class TestBinaryInputs:
+    """Labels and predictions are 1-D arrays of 0s and 1s, refused otherwise."""
+
+    REFUSED = {
+        "two": np.array([0, 2, 1]),
+        "minus one": np.array([0, -1, 1]),
+        "a half": np.array([0.0, 0.5, 1.0]),
+        "nan": np.array([0.0, np.nan, 1.0]),
+        "inf": np.array([0.0, np.inf, 1.0]),
+        "strings": np.array(["0", "1", "1"]),
+        "2-d": np.array([[0, 1], [1, 0]]),
+    }
+
+    @pytest.mark.parametrize("values", REFUSED.values(), ids=REFUSED.keys())
+    @pytest.mark.parametrize("call", [
+        lambda v: segments_from_labels(v),
+        lambda v: point_adjusted_report(v, np.zeros(v.shape, dtype=int)),
+        lambda v: point_adjusted_counts(np.zeros(v.shape), v, 0.5),
+    ], ids=["segments_from_labels", "predictions", "labels"])
+    def test_refused(self, call, values):
+        with pytest.raises(ValueError, match="0/1|1-D"):
+            call(values)
+
+    @pytest.mark.parametrize("values", [
+        np.array([True, False, True]),
+        np.array([1.0, 0.0, 1.0]),
+        np.array([1, 0, 1], dtype=np.uint8),
+        [1, 0, 1],
+    ], ids=["bool", "float", "uint8", "list"])
+    def test_accepted_as_int64(self, values):
+        out = _check_binary(values, "labels")
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, [1, 0, 1])
 
 
 class TestPointAdjust:

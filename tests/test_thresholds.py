@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     best_f1_reference,
     counts_reference,
+    epsilon_reference,
     gpd_fit_reference,
     gpd_golden_section_fit,
     gpd_nll_reference,
@@ -42,6 +43,19 @@ from tcnad.thresholds import (
 )
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``perfbench/workloads.py``, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, spec.name, module)   # its dataclasses look it up
+        spec.loader.exec_module(module)
+        yield module
+
+
 SMALL = ModelConfig(window=8, conv_kernel=3, tcn_kernel=2, tcn_channels=4,
                     dilations=(1,), mlp_layers=1, mlp_units=4, dropout=0.0)
 
@@ -230,6 +244,20 @@ def test_point_adjusted_counts_match_reference_walk(case):
         assert (tp[i], fp[i], fn[i]) == counts_reference(adjusted, labels), th
 
 
+def _assert_epsilon_matches_reference(scores):
+    """Threshold and every diagnostic equal the one-candidate-at-a-time loop's."""
+    threshold, best = epsilon_reference(scores)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # the fallback warns
+        res = epsilon_threshold(scores)
+    if best is None:
+        assert res.diagnostics["fallback"] == "max" and res.threshold == scores.max()
+    else:
+        assert res.threshold == threshold
+        assert res.diagnostics == best
+    return res
+
+
 class TestEpsilon:
     def test_default_grid(self):
         np.testing.assert_allclose(DEFAULT_Z_GRID, np.arange(2.0, 10.5, 0.5))
@@ -251,6 +279,7 @@ class TestEpsilon:
         np.testing.assert_allclose(res.diagnostics["score"], best)
         assert res.diagnostics["n_above"] == 1
         assert res.diagnostics["n_runs"] == 1
+        _assert_epsilon_matches_reference(scores)
 
     def test_constant_scores_fall_back_with_warning(self):
         with pytest.warns(RuntimeWarning):
@@ -258,6 +287,7 @@ class TestEpsilon:
         assert res.threshold == 2.5
         assert res.diagnostics.get("fallback") == "max"
         np.testing.assert_array_equal(apply_threshold(np.full(10, 2.5), res.threshold), 0)
+        _assert_epsilon_matches_reference(np.full(10, 2.5))
 
     def test_unreachable_grid_falls_back(self):
         # alternating 0/1: mu + 2 sigma = 1.5 is above every score
@@ -266,6 +296,7 @@ class TestEpsilon:
             res = epsilon_threshold(scores)
         assert res.threshold == scores.max()
         assert res.diagnostics["fallback"] == "max"
+        _assert_epsilon_matches_reference(scores)
 
     def test_separates_obvious_spikes(self):
         rng = np.random.default_rng(42)
@@ -281,6 +312,66 @@ class TestEpsilon:
             epsilon_threshold(np.array([1.0]))
         with pytest.raises(ValueError):
             epsilon_threshold(np.array([1.0, -0.5]))
+
+
+class TestEpsilonMatchesReference:
+    """The sort-based selector against ``epsilon_reference``, exactly."""
+
+    def test_stored_score_series(self, workloads, tmp_path):
+        stored = workloads.write_stored_scores(1, tmp_path)
+        assert len(stored) == 82
+        for _, scores, _ in stored:
+            _assert_epsilon_matches_reference(scores)
+
+    @pytest.mark.parametrize("n", [600, 1980, 8600])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_series(self, n, seed):
+        rng = np.random.default_rng(1000 * seed + n)
+        scores = [rng.exponential(size=n), rng.pareto(1.5, size=n),
+                  np.round(rng.exponential(size=n), 1),    # many ties
+                  np.abs(rng.normal(size=n))]
+        scores[3][rng.integers(0, n, 8)] += 6.0            # a few isolated spikes
+        for s in scores:
+            _assert_epsilon_matches_reference(s)
+
+    # integer scores whose mu and sigma are exact, so a score sits exactly at a
+    # candidate epsilon: misplace it and another candidate wins
+    AT_EPSILON = {
+        # mu = 3, sigma = 4: the 11 is at the best epsilon (z = 2), which prunes
+        # the two 13s, a run at each end of the series
+        "best, above it": [13, 2, 2, 1, 1, 0, 0, 2, 1, 2, 1, 11, 1, 2, 3, 1, 2, 1, 1, 13],
+        # mu = 2, sigma = 3: the 11 is at the best epsilon (z = 3)
+        "best, below it": [0, 0, 1, 2, 2, 0, 1, 0, 0, 2, 2, 2, 0, 2, 0, 0, 0, 1, 3, 1, 2, 11,
+                           12, 1, 7, 0, 2, 2],
+        # mu = 2, sigma = 3: the 8 is at z = 2's epsilon and starts the 14's run
+        "a run start": [1] * 13 + [10] + [1] * 13 + [2, 8, 14],
+    }
+
+    @pytest.mark.parametrize("values", AT_EPSILON.values(), ids=AT_EPSILON.keys())
+    def test_a_score_at_epsilon_is_in_neither_set(self, values):
+        scores = np.array(values, dtype=float)
+        mu, sigma = scores.mean(), scores.std()
+        assert mu == round(mu) and sigma == round(sigma)
+        assert np.isin(mu + np.array(DEFAULT_Z_GRID[:3]) * sigma, scores).any()
+        _assert_epsilon_matches_reference(scores)
+
+    def test_hand_case_at_epsilon(self):
+        scores = np.array(self.AT_EPSILON["best, above it"], dtype=float)
+        res = epsilon_threshold(scores)
+        below = scores[scores < 11.0]
+        assert below.size == scores.size - 3
+        expected = ((3.0 - below.mean()) / 3.0 + (4.0 - below.std()) / 4.0) / (2 + 2**2)
+        assert res.threshold == 11.0
+        assert res.diagnostics == {"z": 2.0, "score": expected, "n_above": 2, "n_runs": 2,
+                                   "mu": 3.0, "sigma": 4.0}
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_runs_touching_an_end(self, where):
+        scores = np.abs(np.random.default_rng(3).normal(0.1, 0.02, 200))
+        scores[where] = 5.0
+        scores[100:103] = 4.0
+        res = _assert_epsilon_matches_reference(scores)
+        assert apply_threshold(scores, res.threshold)[where] == 1
 
 
 class TestGpd:
@@ -428,15 +519,6 @@ class TestGoldenSectionEquivalence:
         # the tails of test_fit_reaches_the_dense_grid_minimum, as 2% of 50n scores
         y = gpd_quantile_sample(np.random.default_rng(100 * n + int(10 * gamma)), gamma, 1.0, n)
         _matches_golden_section(y, lambda g, b: pot_displacement(g, b, 1e-3, 50 * n, n))
-
-    @pytest.fixture(scope="class")
-    def workloads(self):
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-        module = importlib.util.module_from_spec(spec)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setitem(sys.modules, spec.name, module)   # its dataclasses look it up
-            spec.loader.exec_module(module)
-            yield module
 
     @pytest.mark.parametrize("chain", ["demo", "paper"])
     def test_benchmark_model_chain_tails(self, workloads, chain):
