@@ -217,7 +217,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def rule(g):
         if an.requires_grad:
-            an.accumulate_grad(g @ np.swapaxes(bv, -1, -2))
+            # a shared weight's transpose as a C-ordered copy (a few KB) keeps the
+            # batched product on numpy's fast matmul loop; a strided view does not
+            bt = np.ascontiguousarray(bv.T) if bv.ndim == 2 else np.swapaxes(bv, -1, -2)
+            an.accumulate_grad(g @ bt)
         if bn.requires_grad:
             if bv.ndim == 2:
                 # one 2-D matmul sums the shared weight's grad over the batch
@@ -419,12 +422,13 @@ def leaky_relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
+    """1 / (1 + exp(-x)), from e = exp(-|x|) <= 1 so that nothing overflows; exp's
+    underflow to 0 far from 0 is the answer, not an error."""
     v = x.values
-    y = np.empty_like(v)
     pos = v >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    y[~pos] = ev / (1.0 + ev)
+    with np.errstate(under="ignore"):
+        e = np.exp(np.where(pos, -v, v))   # not -abs(v), which would flip a NaN's sign
+    y = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
     xn = x.node
 
     def rule(g):
@@ -524,8 +528,9 @@ def causal_dilated_conv1d(x: Tensor, filters: Tensor, dilation: int = 1, rows: i
             fn.accumulate_grad(gf)
         if xn.requires_grad:
             gx = np.zeros_like(xv)
+            ft = np.ascontiguousarray(fv.transpose(0, 2, 1))   # (K, c_out, c_in), as in matmul
             for j, i, o in taps:
-                gx[..., i, :] += g[..., o, :] @ fv[j].T
+                gx[..., i, :] += g[..., o, :] @ ft[j]
             xn.accumulate_grad(gx)
 
     return _maybe_record(Tensor(out), rule, (x, filters), (xv, fv))

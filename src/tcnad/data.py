@@ -38,10 +38,12 @@ class DataFormatError(Exception):
     """A file does not match the format it is supposed to have."""
 
 
-def _read_text(path) -> str:
-    """The UTF-8 text of ``path``, less a leading BOM; bad bytes raise ``DataFormatError``."""
+def _read_text(path, first_line: bool = False) -> str:
+    """The UTF-8 text of ``path``, or only its first line, less a leading BOM; bad
+    bytes raise ``DataFormatError``."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.readline() if first_line else fh.read()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
@@ -212,8 +214,10 @@ def write_manifest(path, entries: list[ManifestEntry]):
 
 
 def is_manifest(path) -> bool:
-    """True for a manifest header (has ``chan_id``), False for ``timestep,label``."""
-    header = [h.strip() for h in next(csv.reader(io.StringIO(_read_text(path))), [])]
+    """True for a manifest header (has ``chan_id``), False for ``timestep,label``.
+
+    Reads the header line only; the reader called next parses the rest."""
+    header = [h.strip() for h in next(csv.reader([_read_text(path, first_line=True)]), [])]
     if "chan_id" in header:
         return True
     if header[:2] == ["timestep", "label"]:

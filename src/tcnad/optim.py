@@ -47,12 +47,23 @@ def adam_step(params: list[Tensor], state: AdamState):
     t = state.step
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
-    for i, p in enumerate(params):
+    for p, m, v in zip(params, state.m, state.v):
         if p.grad is None:
             continue
+        # the moments update in place and the step takes two scratch buffers;
+        # each product and sum runs in the formula's order, so no bit changes
         g = p.grad
-        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
-        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p.values -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+        buf = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
+        m += buf
+        np.multiply(g, g, out=buf)
+        buf *= 1.0 - BETA2
+        v *= BETA2
+        v += buf
+        np.divide(v, bc2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += EPS
+        step = np.divide(m, bc1)
+        step *= state.learning_rate
+        step /= buf
+        p.values -= step

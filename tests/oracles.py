@@ -27,6 +27,39 @@ def conv_reference(x: np.ndarray, filters: np.ndarray, dilation: int) -> np.ndar
     return out
 
 
+def conv_backward_reference(x: np.ndarray, filters: np.ndarray, dilation: int, g: np.ndarray,
+                            rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(d x, d filters) of the causal dilated conv's last ``rows`` outputs (all w
+    when None) for the upstream grad ``g``, by explicit loops over windows,
+    output steps and taps: output t takes x[t - (K-1-j)*dilation] @ filters[j],
+    so it sends filters[j] @ g[t] back to that input row and adds
+    outer(x[src], g[t]) to tap j."""
+    *lead, w, c_in = x.shape
+    k = filters.shape[0]
+    n = w if rows is None else rows
+    xs, gs = x.reshape(-1, w, c_in), g.reshape(-1, n, g.shape[-1])
+    gx, gf = np.zeros_like(xs), np.zeros_like(filters)
+    for b in range(xs.shape[0]):
+        for r in range(n):
+            t = w - n + r
+            for j in range(k):
+                src = t - (k - 1 - j) * dilation
+                if src < 0:
+                    continue
+                gx[b, src] += filters[j] @ gs[b, r]
+                gf[j] += np.outer(xs[b, src], gs[b, r])
+    return gx.reshape(x.shape), gf
+
+
+def matmul_input_grad_reference(g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d a of ``a @ b`` for the upstream grad ``g``, with ``b`` shared (k, p) or
+    batched (..., k, p): row i gets sum_p g[i, p] * b[:, p], one column p at a time."""
+    out = np.zeros(g.shape[:-1] + (b.shape[-2],))
+    for p in range(b.shape[-1]):
+        out += g[..., p, None] * b[..., None, :, p]
+    return out
+
+
 def pair_scores_reference(left, right, v, slope, g):
     """GATv2 scores ``v . leaky_relu(left_i + right_j)`` and their grads, unfused.
 

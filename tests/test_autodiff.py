@@ -2,11 +2,20 @@
 
 import contextlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import conv_reference, numeric_grad, pair_scores_reference, record_arrays, rel_err
+from oracles import (
+    conv_backward_reference,
+    conv_reference,
+    matmul_input_grad_reference,
+    numeric_grad,
+    pair_scores_reference,
+    record_arrays,
+    rel_err,
+)
 from tcnad import autodiff, optim
 from tcnad.autodiff import (
     Tape,
@@ -504,6 +513,104 @@ class TestConvRows:
             causal_dilated_conv1d(Tensor(np.zeros((6, 2))), Tensor(np.zeros((3, 2, 4))), 2, rows)
 
 
+class TestConvBackwardMatchesReference:
+    """The conv's rule against per-tap loops, at the shapes the model runs: the
+    demo and paper configs' convs (the preconv, TCN convs at dilations 1, 2 and 4
+    and the K = 1 downsample) with a few windows, plus small cases whose first
+    tap's shift (K-1)*dilation reaches past the window."""
+
+    CASES = {
+        # name: (lead, w, c_in, c_out, K, dilation, rows)
+        "demo_preconv": ((4,), 20, 3, 3, 7, 1, None),
+        "demo_conv1": ((4,), 19, 9, 16, 4, 1, 16),
+        "demo_downsample": ((4,), 19, 9, 16, 1, 1, 13),
+        "demo_conv_d2": ((4,), 13, 16, 16, 4, 2, 7),
+        "demo_last_row": ((4,), 7, 16, 16, 4, 2, 1),
+        "paper_preconv": ((2,), 100, 25, 25, 7, 1, None),
+        "paper_conv1": ((2,), 43, 75, 32, 4, 1, 40),
+        "paper_downsample": ((2,), 43, 75, 32, 1, 1, 37),
+        "paper_conv_d2": ((2,), 37, 32, 32, 4, 2, 31),
+        "paper_conv_d4": ((2,), 25, 32, 32, 4, 4, 13),
+        "paper_last_row": ((2,), 13, 32, 32, 4, 4, 1),
+        "shift_past_w": ((3,), 5, 2, 3, 4, 2, None),      # shifts 6, 4, 2, 0 over w = 5
+        "shift_past_w_rows": ((2, 3), 5, 2, 3, 4, 2, 2),
+        "shift_past_w_dilation4": ((3,), 6, 2, 2, 3, 4, 4),  # shifts 8, 4, 0
+        "unbatched": ((), 6, 2, 4, 3, 2, 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_per_tap_loops(self, name):
+        lead, w, c_in, c_out, k, dilation, rows = self.CASES[name]
+        rng = np.random.default_rng(sum(map(ord, name)))
+        x = Tensor(rng.standard_normal(lead + (w, c_in)), requires_grad=True)
+        f = Tensor(rng.standard_normal((k, c_in, c_out)), requires_grad=True)
+        g = rng.standard_normal(lead + (w if rows is None else rows, c_out))
+        with Tape() as tape:
+            out = causal_dilated_conv1d(x, f, dilation, rows)
+            out.grad = g
+            tape.replay_backward()
+        gx, gf = conv_backward_reference(x.values, f.values, dilation, g, rows)
+        np.testing.assert_allclose(x.grad, gx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(f.grad, gf, rtol=1e-12, atol=1e-12)
+
+
+class TestMatmulInputGrad:
+    """matmul's input grad against a column-by-column reference, for shared 2-D
+    weights at the attention, TCN-to-MLP and MLP shapes and for a batched ``b``."""
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((4, 20, 3), (3, 6)),
+        ((4, 1, 16), (16, 3)),
+        ((2, 100, 25), (25, 50)),
+        ((2, 1, 32), (32, 25)),
+        ((2, 3, 5, 4), (4, 7)),
+        ((5, 4), (4, 3)),
+        ((3, 5, 4), (3, 4, 6)),
+    ])
+    def test_matches_reference(self, a_shape, b_shape):
+        rng = np.random.default_rng(len(a_shape) + sum(b_shape))
+        a = Tensor(rng.standard_normal(a_shape), requires_grad=True)
+        b = Tensor(rng.standard_normal(b_shape))
+        g = rng.standard_normal(a_shape[:-1] + b_shape[-1:])
+        with Tape() as tape:
+            out = matmul(a, b)
+            out.grad = g
+            tape.replay_backward()
+        np.testing.assert_allclose(a.grad, matmul_input_grad_reference(g, b.values),
+                                   rtol=1e-12, atol=1e-12)
+
+
+class TestSigmoidBits:
+    """One ``np.where`` over e = exp(-|x|) gives the bits of the two-mask
+    formula, NaN signs included, and raises nothing under errstate(all="raise")."""
+
+    TABLE = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0, -709.0, 745.0, -745.0,
+             1000.0, -1000.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324]
+
+    @staticmethod
+    def _masked(v):
+        y = np.empty_like(v)
+        pos = v >= 0
+        with np.errstate(under="ignore"):
+            y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+            ev = np.exp(v[~pos])
+        y[~pos] = ev / (1.0 + ev)
+        return y
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_table_is_bit_identical_and_silent(self, taped):
+        v = np.array(self.TABLE)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with Tape() if taped else contextlib.nullcontext():
+                out = sigmoid(Tensor(v, requires_grad=taped)).values
+        assert out.tobytes() == self._masked(v).tobytes()
+
+    def test_random_values_are_bit_identical(self):
+        v = np.random.default_rng(3).standard_normal((64, 20, 3)) * 30.0
+        assert sigmoid(Tensor(v)).values.tobytes() == self._masked(v).tobytes()
+
+
 class TestRmse:
     def test_hand_values(self):
         loss = rmse_loss(Tensor([3.0, 0.0]), Tensor([0.0, 4.0]))
@@ -736,6 +843,35 @@ class TestAdam:
             a.grad, b.grad = g.copy(), g.copy()
             adam_step([a, b], state)
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_in_place_steps_are_bit_identical_to_the_formula(self):
+        # five steps of three tensors, one of which never has a grad, against the
+        # out-of-place form; the grads the optimizer reads are left as they were
+        rng = np.random.default_rng(11)
+        params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in ((3, 4), (4,), (2,))]
+        state = AdamState(learning_rate=0.05)
+        want = [p.values.copy() for p in params]
+        m = [np.zeros_like(w) for w in want]
+        v = [np.zeros_like(w) for w in want]
+        b1, b2, eps = optim.BETA1, optim.BETA2, optim.EPS
+        for t in range(1, 6):
+            grads = [rng.standard_normal(p.values.shape) * 10.0 ** (t - 3) for p in params[:2]]
+            params[0].grad, params[1].grad = grads
+            kept = [g.copy() for g in grads]
+            adam_step(params, state)
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                m_hat, v_hat = m[i] / (1.0 - b1 ** t), v[i] / (1.0 - b2 ** t)
+                want[i] = want[i] - 0.05 * m_hat / (np.sqrt(v_hat) + eps)
+            for i in range(3):
+                assert params[i].values.tobytes() == want[i].tobytes()
+            for p, g, k in zip(params, grads, kept):
+                assert p.grad is g and g.tobytes() == k.tobytes()
+            assert params[2].grad is None
+        for i in range(3):
+            assert state.m[i].tobytes() == m[i].tobytes()
+            assert state.v[i].tobytes() == v[i].tobytes()
 
     def test_param_count_mismatch(self):
         p = Tensor(np.zeros(2), requires_grad=True)

@@ -249,6 +249,30 @@ class TestDataErrors:
                     in capsys.readouterr().err)
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("source", ["manifest", "csv"])
+    def test_label_file_read_once_a_command(self, tmp_path, four_point, source, monkeypatch,
+                                            capsys):
+        # telling the two label formats apart reads the header line only
+        scores, labels = four_point
+        if source == "manifest":
+            labels = tmp_path / "labeled_anomalies.csv"
+            write_manifest(labels, [ManifestEntry("C-1", [AnomalySegment(1, 1),
+                                                          AnomalySegment(3, 3)], "X", None)])
+        reads, real_read = [], tcnad.data._read_text
+
+        def counting_read_text(path, first_line=False):
+            if Path(path) == labels:
+                reads.append(first_line)
+            return real_read(path, first_line)
+
+        monkeypatch.setattr(tcnad.data, "_read_text", counting_read_text)
+        for argv in (["threshold", "--method", "grid"], ["evaluate", "--threshold", "0.5"],
+                     ["export-curves", "--threshold", "0.5", "--out", str(tmp_path / "c.csv")]):
+            reads.clear()
+            assert main([*argv, "--scores", str(scores), "--labels", str(labels)]) == EXIT_OK
+            assert reads == [True, False]
+        capsys.readouterr()
+
     def test_manifest_segment_past_its_labels(self, tmp_path, four_point, capsys):
         scores, _ = four_point  # timesteps 0..3
         manifest = tmp_path / "labeled_anomalies.csv"

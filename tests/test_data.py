@@ -21,6 +21,7 @@ from tcnad.data import (
     ManifestEntry,
     NormalizationStats,
     compute_stats,
+    is_manifest,
     load_channel,
     normalize,
     parse_config_file,
@@ -340,6 +341,49 @@ class TestManifest:
         path = tmp_path / "m.csv"
         path.write_text('chan_id,anomaly_sequences\n\nA,[]\n\nA,[]\n')
         with pytest.raises(DataFormatError, match="m.csv:5: chan_id 'A' repeats line 3"):
+            read_manifest(path)
+
+
+class TestIsManifest:
+    """``is_manifest`` tells a manifest from a ``timestep,label`` file by its
+    header line; ``read_manifest`` then parses, and refuses, the rest."""
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("text, want", [
+        ('chan_id,anomaly_sequences\nA-1,"[[1, 2]]"\n', True),
+        ('spacecraft, chan_id ,anomaly_sequences\nSMAP,A-1,[]\n', True),
+        ("timestep,label\n0,1\n1,0\n", False),
+        ("timestep,label\r\n0,1\r\n", False),
+    ], ids=["manifest", "chan_id_second", "labels", "labels_crlf"])
+    def test_header_decides(self, tmp_path, bom, text, want):
+        path = tmp_path / "l.csv"
+        path.write_bytes(bom + text.encode())
+        assert is_manifest(path) is want
+
+    @pytest.mark.parametrize("raw", [b"", b"\xef\xbb\xbf", b"\n", b"label,timestep\n0,1\n"],
+                             ids=["empty", "bom_only", "blank_line", "other_header"])
+    def test_neither_header_is_a_data_error(self, tmp_path, raw):
+        path = tmp_path / "l.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{path}: expected a manifest header with a 'chan_id' column")):
+            is_manifest(path)
+
+    def test_malformed_rows_are_left_to_read_manifest(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text('chan_id,anomaly_sequences\nA,"[[1, 2]]"\nB,"[[5]]"\n')
+        assert is_manifest(path)
+        with pytest.raises(DataFormatError, match="m.csv:3: bad anomaly_sequences"):
+            read_manifest(path)
+
+    def test_reads_the_header_line_only(self, tmp_path):
+        # bytes that are not UTF-8 far past the header: the header still tells,
+        # and the full read names the file
+        path = tmp_path / "m.csv"
+        rows = "".join(f"C-{i},[]\n" for i in range(20_000))
+        path.write_bytes(f"chan_id,anomaly_sequences\n{rows}".encode() + b"D,\xff[]\n")
+        assert is_manifest(path)
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: not UTF-8 text")):
             read_manifest(path)
 
 
