@@ -4,11 +4,15 @@ Both loops push chunks of windows through one batched ``forward``, sized
 against one budget, ``_CHUNK_BYTES``, from what the tape counts for one probe
 window: a training chunk by all its windows keep on the tape, an inference
 chunk by the float arrays among them, which an untaped forward computes too.
-One chunk at a time, or one a scoring thread, bounds memory whatever the batch size.
+Both run their chunks on every usable CPU, one chunk at a time a worker, so
+workers x one chunk bounds memory whatever the batch size; while they run, the
+loaded OpenBLAS is held at one thread, so workers x BLAS threads <= CPUs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import os
 import threading
 from dataclasses import dataclass, field
@@ -17,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tape, Tensor, active_tape, backward, rmse_loss, row_rmse
-from .forecaster import ForecasterParams, bool_field, forward, int_field, real_field
+from .forecaster import ForecasterParams, _build, bool_field, forward, int_field, real_field
 from .optim import AdamState, adam_step
 
 # The one chunk budget, 3.75 MiB: what a training chunk's windows keep on the
@@ -90,18 +94,108 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+# The thread-count symbols of OpenBLAS builds: numpy 2.x's scipy-openblas, the
+# ILP64 build of numpy 1.2x wheels, and a plain system OpenBLAS.
+_BLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads")
+
+
+@functools.cache
+def _blas():
+    """(get, set) thread-count functions of the loaded OpenBLAS, found with
+    ctypes among the libraries ``/proc/self/maps`` lists; None where none is
+    found, or the OS keeps no such list (not Linux)."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = (line.split(None, 5) for line in maps)   # the 6th is the path
+            paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SYMBOLS:
+            try:
+                get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            except AttributeError:
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+_HOLD_LOCK = threading.Lock()
+_held = {"entrants": 0, "threads": 0}
+
+
+@contextlib.contextmanager
+def _blas_hold():
+    """Hold the loaded OpenBLAS at one thread inside; re-entrant and thread-safe:
+    the first entrant saves the count and sets 1, the last one out restores it.
+    Does nothing when ``_blas`` finds no OpenBLAS."""
+    blas = _blas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _HOLD_LOCK:
+        if _held["entrants"] == 0:
+            _held["threads"] = get()
+            set_(1)
+        _held["entrants"] += 1
+    try:
+        yield
+    finally:
+        with _HOLD_LOCK:
+            _held["entrants"] -= 1
+            if _held["entrants"] == 0:
+                set_(_held["threads"])
+
+
+def _workers(chunks: int) -> int:
+    """min(chunks, usable CPUs), or 1 when BLAS cannot be held at one thread a worker."""
+    return max(1, min(chunks, _usable_cpus())) if _blas() is not None else 1
+
+
+def _run_workers(workers: int, fn) -> None:
+    """Run ``fn(k)`` for k in range(workers), the calling thread as worker 0 and
+    one helper thread each for the rest; joins every helper, even on an error,
+    and re-raises the first helper's error. One worker starts no thread."""
+    errors = {}
+
+    def helper(k):
+        try:
+            fn(k)
+        except BaseException as exc:            # re-raised in the calling thread
+            errors[k] = exc
+
+    threads = []
+    try:
+        for k in range(1, workers):
+            threads.append(threading.Thread(target=helper, args=(k,), name=f"tcnad-worker-{k}"))
+            threads[-1].start()
+        fn(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+
+
 def _scores(params: ForecasterParams, windows: np.ndarray, size: int) -> np.ndarray:
     """Per-window RMSE of the one-step forecast, ``size`` windows per untaped forward;
-    min(chunks, usable CPUs) workers, the calling thread among them, take chunks in turn."""
-    from concurrent.futures import ThreadPoolExecutor   # not at the top: it loads logging
+    ``_workers`` workers, the calling thread among them, take chunks in turn."""
     if active_tape() is not None:
         raise RuntimeError("scoring is not taped and drops nothing; call it outside any Tape")
     preds = np.empty((len(windows), params.n_features))
     chunks = range(0, len(windows), size)
-    workers = max(1, min(len(chunks), _usable_cpus()))
     todo, lock = iter(chunks), threading.Lock()
 
-    def run():
+    def run(k):
         while True:
             with lock:                          # one worker a chunk, GIL or none
                 start = next(todo, None)
@@ -110,11 +204,8 @@ def _scores(params: ForecasterParams, windows: np.ndarray, size: int) -> np.ndar
             preds[start : start + size] = forward(Tensor(windows[start : start + size, :-1]),
                                                   params).values
 
-    with ThreadPoolExecutor(workers) as pool:   # joins every helper, even on an error
-        helpers = [pool.submit(run) for _ in range(workers - 1)]
-        run()
-        for helper in helpers:
-            helper.result()                     # re-raises a helper's error
+    with _blas_hold():
+        _run_workers(_workers(len(chunks)), run)
     return row_rmse(preds - windows[:, -1])[:, 0]
 
 
@@ -128,25 +219,50 @@ def accumulate_gradients(
     params: ForecasterParams,
     windows: np.ndarray,
     index: np.ndarray,
-    rng: np.random.Generator | None,
+    seq: np.random.SeedSequence | None,
     size: int,
+    views: tuple[ForecasterParams, ...] = (),
 ) -> float:
     """Add the gradient of the mean RMSE of ``windows[index]`` to every param's ``.grad``.
 
     The minibatch runs in chunks of at most ``size`` windows, one tape each
     (``train`` passes the taped one of ``_chunk_sizes``); ``rmse_loss``
     divides every chunk's loss by the minibatch size, so the chunk gradients
-    add up to the minibatch mean. Each tape carries ``rng``, so the forward draws its dropout masks
-    from it (None is fine at dropout 0). Returns the sum of the per-window RMSEs.
+    add up to the minibatch mean. Chunk c's tape draws its dropout masks from
+    ``default_rng`` of the c-th child of ``seq.spawn(chunks)``, whatever worker
+    runs it (None is fine at dropout 0).
+
+    Chunk c goes to worker c mod W, W = 1 + len(views), capped at the chunk
+    count: worker 0 accumulates into ``params``, helper k into ``views[k - 1]``
+    (``params``' weights with gradient slots of their own), whose gradients
+    are then added into ``params`` in worker order. Returns the sum of the
+    per-window RMSEs, summed in chunk order.
     """
-    n, total = len(index), 0.0
-    for start in range(0, n, size):
-        chunk = windows[index[start : start + size]]
-        with Tape(rng):
-            pred = forward(Tensor(chunk[:, :-1]), params)
-            loss = rmse_loss(pred, Tensor(chunk[:, -1]), n)
-            backward(loss)
-        total += float(loss.values) * n
+    n = len(index)
+    starts = range(0, n, size)
+    rngs = ([np.random.default_rng(child) for child in seq.spawn(len(starts))]
+            if seq is not None else [None] * len(starts))
+    models = (params, *views)[: len(starts) or 1]
+    losses = [0.0] * len(starts)
+
+    def run(k):
+        for c in range(k, len(starts), len(models)):
+            chunk = windows[index[starts[c] : starts[c] + size]]
+            with Tape(rngs[c]):
+                pred = forward(Tensor(chunk[:, :-1]), models[k])
+                loss = rmse_loss(pred, Tensor(chunk[:, -1]), n)
+                backward(loss)
+            losses[c] = float(loss.values)
+
+    _run_workers(len(models), run)
+    for view in models[1:]:
+        for t, v in zip(params.tensors(), view.tensors()):
+            if v.grad is not None:
+                t.node.accumulate_grad(v.grad)
+                v.grad = None
+    total = 0.0
+    for loss in losses:
+        total += loss * n
     return total
 
 
@@ -185,13 +301,17 @@ def train(
     """Minibatch Adam on the ``build_windows`` rows, mutating ``params`` in place.
 
     Each minibatch's gradient of the mean per-window RMSE is accumulated over
-    memory-bounded chunks (``accumulate_gradients``). The epoch loss recorded
+    memory-bounded chunks (``accumulate_gradients``) on ``_workers`` workers,
+    each helper on a view of ``params`` built once here. The epoch loss recorded
     in ``loss_history`` is the mean per-window training RMSE seen during that
     epoch; when ``val_fraction`` > 0 the chronological tail is held out and
     scored after every epoch.
 
-    Per-run randomness (shuffling, dropout masks) comes from two generators
-    spawned off ``config.seed``, so identical inputs give identical results.
+    Per-run randomness (shuffling, dropout masks) comes from two seed
+    sequences spawned off ``config.seed``: one shuffle generator, and one
+    dropout generator a chunk, spawned in turn. Identical inputs and worker
+    counts give identical results; other worker counts differ only by float
+    reassociation of the summed gradients.
     ``progress``, if given, is called as ``progress(epoch, train_loss)``.
     """
     if len(windows) == 0:
@@ -203,32 +323,39 @@ def train(
 
     shuffle_seq, dropout_seq = np.random.SeedSequence(config.seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seq)
-    dropout_rng = np.random.default_rng(dropout_seq)
 
     tensors = params.tensors()
     size, score_size = _chunk_sizes(params)
+
+    def view():                 # params' weights, with gradient slots of their own
+        weights = iter(tensors)
+        return _build(params.n_features, params.config, params.seed,
+                      lambda *_: Tensor(next(weights).values, requires_grad=True))
+
+    views = tuple(view() for _ in range(_workers(-(-min(n, config.batch_size) // size)) - 1))
     adam = AdamState(learning_rate=config.learning_rate)
     result = TrainResult()
 
-    for epoch in range(config.epochs):
-        order = np.arange(n)
-        if config.shuffle:
-            shuffle_rng.shuffle(order)
-        epoch_total = 0.0
-        for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start : start + config.batch_size]
-            for t in tensors:
-                t.zero_grad()
-            batch_total = accumulate_gradients(params, fit_windows, idx, dropout_rng, size)
-            if not np.isfinite(batch_total):
-                bad = next((name for name, t in params.named_parameters()
-                            if t.grad is not None and not np.isfinite(t.grad).all()), None)
-                raise TrainingDivergedError(epoch, batch_index, batch_total, bad)
-            adam_step(tensors, adam)
-            epoch_total += batch_total
-        result.loss_history.append(epoch_total / n)
-        if len(val_windows):
-            result.val_history.append(float(_scores(params, val_windows, score_size).mean()))
-        if progress is not None:
-            progress(epoch, result.loss_history[-1])
+    with _blas_hold():
+        for epoch in range(config.epochs):
+            order = np.arange(n)
+            if config.shuffle:
+                shuffle_rng.shuffle(order)
+            epoch_total = 0.0
+            for batch_index, start in enumerate(range(0, n, config.batch_size)):
+                idx = order[start : start + config.batch_size]
+                for t in tensors:
+                    t.zero_grad()
+                batch_total = accumulate_gradients(params, fit_windows, idx, dropout_seq, size, views)
+                if not np.isfinite(batch_total):
+                    bad = next((name for name, t in params.named_parameters()
+                                if t.grad is not None and not np.isfinite(t.grad).all()), None)
+                    raise TrainingDivergedError(epoch, batch_index, batch_total, bad)
+                adam_step(tensors, adam)
+                epoch_total += batch_total
+            result.loss_history.append(epoch_total / n)
+            if len(val_windows):
+                result.val_history.append(float(_scores(params, val_windows, score_size).mean()))
+            if progress is not None:
+                progress(epoch, result.loss_history[-1])
     return result

@@ -1,6 +1,8 @@
 """Window construction, the training loop, the chunked batched tape, and the
 threaded inference loop."""
 
+import contextlib
+import io
 import os
 import sys
 import threading
@@ -629,6 +631,30 @@ SHORT = ModelConfig(window=5, conv_kernel=3, tcn_kernel=2, tcn_channels=4,
 THREAD_CONFIGS = {**NAMED_CONFIGS, "short": (3, SHORT)}
 
 
+class _FakeBlas:
+    """A stand-in for the loaded OpenBLAS's (get, set) thread-count functions."""
+
+    def __init__(self, threads=4):
+        self.threads = threads
+        self.sets = []
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.sets.append(threads)
+        self.threads = threads
+
+
+def _use_cpus(monkeypatch, workers):
+    """Let the loops run ``workers`` workers: patch the usable CPUs and, where
+    no OpenBLAS is loaded, stand a fake in for it, since then both loops run one."""
+    monkeypatch.setattr(trainer, "_usable_cpus", lambda: workers)
+    if trainer._blas() is None:
+        fake = _FakeBlas()
+        monkeypatch.setattr(trainer, "_blas", lambda: (fake.get, fake.set))
+
+
 class TestThreadedScores:
     """``_scores`` runs its chunks on min(chunks, usable CPUs) threads; the CPU
     count is patched, so these tests start at most three helper threads."""
@@ -663,7 +689,7 @@ class TestThreadedScores:
         preds = np.concatenate([forward(Tensor(windows[start : start + size, :-1]), params).values
                                 for start in range(0, len(windows), size)])
         serial = row_rmse(preds - windows[:, -1])[:, 0]
-        monkeypatch.setattr(trainer, "_usable_cpus", lambda: workers)
+        _use_cpus(monkeypatch, workers)
         seen = self._spy_threads(monkeypatch)
         before = threading.active_count()
         with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, size)):
@@ -686,7 +712,7 @@ class TestThreadedScores:
                 barrier.wait()
             return real(x, params)
 
-        monkeypatch.setattr(trainer, "_usable_cpus", lambda: workers)
+        _use_cpus(monkeypatch, workers)
         monkeypatch.setattr(trainer, "forward", wait_for_all)
         with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, size)):
             window_scores(params, windows)
@@ -698,7 +724,7 @@ class TestThreadedScores:
         params = init_forecaster(2, TINY, seed=0)
         windows = _toy_windows(n=TINY.window + 60)
         serial = _per_window_scores(params, windows)
-        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 4)
+        _use_cpus(monkeypatch, 4)
         seen = self._spy_threads(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -737,7 +763,7 @@ class TestThreadedScores:
                 raise FloatingPointError(f"chunk {failing}")
             return real(x, params)
 
-        monkeypatch.setattr(trainer, "_usable_cpus", lambda: workers)
+        _use_cpus(monkeypatch, workers)
         monkeypatch.setattr(trainer, "forward", forward_failing_on)
         before = threading.active_count()
         with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, 4)), \
@@ -786,3 +812,241 @@ class TestThreadedScores:
             other.join(timeout=60)
         assert not other.is_alive()
         assert np.array_equal(scores, untaped)
+
+
+def _train_run(workers, monkeypatch, dropout=0.0, chunk=3, epochs=2, seed=5, val_fraction=0.0):
+    """Loss history and parameters of a TINY run with ``chunk``-window chunks
+    (3 chunks a minibatch of 8) on ``workers`` usable CPUs."""
+    _use_cpus(monkeypatch, workers)
+    params = init_forecaster(2, replace(TINY, dropout=dropout), seed=1)
+    with mock.patch.object(trainer, "_CHUNK_BYTES", _chunk_bytes(params, chunk)):
+        result = train(params, _toy_windows(), TrainConfig(epochs=epochs, batch_size=8, seed=seed,
+                                                          val_fraction=val_fraction))
+    return result, [t.values.copy() for t in params.tensors()]
+
+
+class TestThreadedTraining:
+    """``train`` runs a minibatch's chunks on min(chunks, usable CPUs) workers,
+    chunk c on worker c mod W; the CPU count is patched, so these tests start
+    at most two helper threads."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_same_seed_and_workers_is_bit_identical(self, workers, dropout, monkeypatch):
+        before = threading.active_count()
+        (first, p1), (second, p2) = (_train_run(workers, monkeypatch, dropout) for _ in range(2))
+        assert threading.active_count() == before      # no helper outlives train
+        assert first.loss_history == second.loss_history
+        for a, b in zip(p1, p2):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_counts_agree_to_reassociation(self, workers, dropout, monkeypatch):
+        # each chunk draws its dropout masks from its own stream, so every
+        # worker count drops the same units; the gradients are summed in
+        # another order, which two epochs of Adam keep within 1.6e-12 relative
+        (serial, ps), (threaded, pt) = (_train_run(w, monkeypatch, dropout, val_fraction=0.25)
+                                        for w in (1, workers))
+        np.testing.assert_allclose(threaded.loss_history, serial.loss_history, rtol=1.6e-12)
+        np.testing.assert_allclose(threaded.val_history, serial.val_history, rtol=1.6e-12)
+        for a, b in zip(pt, ps):
+            assert np.abs(a - b).max() <= 1.6e-12 * np.abs(b).max()
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_chunk_losses_do_not_depend_on_workers(self, dropout):
+        # one minibatch through accumulate_gradients: the same chunks, masks
+        # and losses on one and on three workers, so the total is bit-identical
+        params = init_forecaster(2, replace(TINY, dropout=dropout), seed=1)
+        views = tuple(trainer._build(2, params.config, 1, lambda *_, w=iter(params.tensors()):
+                                     Tensor(next(w).values, requires_grad=True))
+                      for _ in range(2))
+        windows, index = _toy_windows(), np.arange(8)
+        runs = []
+        for helpers in ((), views):
+            for t in params.tensors():
+                t.zero_grad()
+            total = accumulate_gradients(params, windows, index, np.random.SeedSequence(3), 3, helpers)
+            runs.append((total, [t.grad.copy() for t in params.tensors()]))
+            assert all(t.grad is None for view in helpers for t in view.tensors())
+        assert runs[0][0] == runs[1][0]
+        for a, b in zip(runs[1][1], runs[0][1]):
+            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+
+    def test_every_worker_runs_its_chunks(self, monkeypatch):
+        # chunk c of each minibatch runs on worker c mod 3, the calling thread
+        # being worker 0 and helper k a thread named for it; window i holds
+        # i + 1, so a chunk's first value names it (the chunk-size probe's
+        # window is zeros)
+        params = init_forecaster(2, TINY, seed=0)
+        windows = build_windows(np.repeat(np.arange(1, TINY.window + 33.0)[:, None], 2, axis=1),
+                                TINY.window)
+        seen, real = {}, trainer.forward
+
+        def spy(x, params):
+            if active_tape() is not None and x.values.any():
+                seen[int(x.values[0, 0, 0]) - 1] = (threading.current_thread(), len(x.values))
+            return real(x, params)
+
+        _use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(trainer, "forward", spy)
+        with mock.patch.object(trainer, "_CHUNK_BYTES", _chunk_bytes(params, 3)):
+            train(params, windows, TrainConfig(epochs=1, batch_size=8, shuffle=False))
+        assert sorted(seen) == [b + c for b in range(0, 32, 8) for c in (0, 3, 6)]
+        for b in range(0, 32, 8):
+            (main, n0), (one, n1), (two, n2) = (seen[b + c] for c in (0, 3, 6))
+            assert (n0, n1, n2) == (3, 3, 2)
+            assert main is threading.current_thread()
+            assert (one.name, two.name) == ("tcnad-worker-1", "tcnad-worker-2")
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        # TINY's chunks hold far more than a minibatch of 8, validation too
+        def refuse(thread):
+            raise AssertionError(f"{thread.name} started")
+
+        _use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        result = train(init_forecaster(2, TINY, seed=1), _toy_windows(),
+                       TrainConfig(epochs=2, batch_size=8, val_fraction=0.25))
+        assert len(result.loss_history) == len(result.val_history) == 2
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_non_finite_helper_chunk_names_the_first_parameter(self, workers, monkeypatch):
+        # 8 windows in chunks of 4: the NaN target of the last window is in
+        # chunk 1, a helper's on two or three workers; the summed gradients
+        # are checked, so the first parameter in builder order is named
+        _use_cpus(monkeypatch, workers)
+        series = _toy_series(n=12)
+        series[-1, 0] = np.nan
+        params = init_forecaster(2, TINY, seed=0)
+        with mock.patch.object(trainer, "_CHUNK_BYTES", _chunk_bytes(params, 4)), \
+                pytest.raises(TrainingDivergedError) as err:
+            train(params, build_windows(series, 4), TrainConfig(epochs=1, batch_size=8, shuffle=False))
+        assert (err.value.epoch, err.value.batch_index) == (0, 0)
+        assert err.value.parameter == "preconv.filters"
+
+    @pytest.mark.parametrize("failing", range(3))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failing_chunk_reaches_the_caller(self, workers, failing, monkeypatch):
+        # row i of the series holds i + 1 and nothing is shuffled, so a chunk's
+        # first value names its start (the chunk-size probe's window is zeros)
+        params = init_forecaster(2, TINY, seed=0)
+        windows = build_windows(np.repeat(np.arange(1, TINY.window + 9.0)[:, None], 2, axis=1),
+                                TINY.window)
+        real = trainer.forward
+
+        def forward_failing_on(x, params):
+            if active_tape() is not None and x.values[0, 0, 0] == 3 * failing + 1:
+                raise FloatingPointError(f"chunk {failing}")
+            return real(x, params)
+
+        _use_cpus(monkeypatch, workers)
+        monkeypatch.setattr(trainer, "forward", forward_failing_on)
+        before = threading.active_count()
+        with mock.patch.object(trainer, "_CHUNK_BYTES", _chunk_bytes(params, 3)), \
+                pytest.raises(FloatingPointError, match=f"chunk {failing}"):
+            train(params, windows, TrainConfig(epochs=1, batch_size=8, shuffle=False))
+        assert threading.active_count() == before
+
+
+class TestBlasHold:
+    """``_blas_hold`` keeps the loaded OpenBLAS at one thread while any caller
+    is inside, and gives back the count it found; a fake handle stands in."""
+
+    @staticmethod
+    def _fake(monkeypatch, threads=4):
+        fake = _FakeBlas(threads)
+        monkeypatch.setattr(trainer, "_blas", lambda: (fake.get, fake.set))
+        return fake
+
+    def test_restored_after_a_return(self, monkeypatch):
+        fake = self._fake(monkeypatch)
+        with trainer._blas_hold():
+            assert fake.threads == 1
+        assert fake.sets == [1, 4]
+
+    def test_restored_after_a_raise(self, monkeypatch):
+        fake = self._fake(monkeypatch)
+        with pytest.raises(KeyError), trainer._blas_hold():
+            raise KeyError("inside")
+        assert fake.sets == [1, 4]
+
+    def test_nested_holds_restore_once(self, monkeypatch):
+        fake = self._fake(monkeypatch, threads=3)
+        with trainer._blas_hold():
+            with trainer._blas_hold():
+                assert fake.threads == 1
+            assert fake.threads == 1
+        assert fake.sets == [1, 3]
+
+    def test_concurrent_holds_restore_the_original(self, monkeypatch):
+        # both threads are inside at once; the last one out restores 4, not
+        # the 1 the second entrant would have read
+        fake = self._fake(monkeypatch)
+        inside, leave = threading.Barrier(2, timeout=30), threading.Event()
+        seen = []
+
+        def hold(first):
+            with trainer._blas_hold():
+                inside.wait()
+                seen.append(fake.threads)
+                if first:
+                    leave.wait(timeout=30)
+                else:
+                    leave.set()
+
+        threads = [threading.Thread(target=hold, args=(k == 0,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert seen == [1, 1] and fake.threads == 4 and fake.sets == [1, 4]
+
+    def test_both_loops_run_inside_the_hold(self, monkeypatch):
+        # every forward but the chunk-size probe's, whose window is zeros
+        fake, real, seen = self._fake(monkeypatch), trainer.forward, set()
+
+        def spy(x, params):
+            if x.values.any():
+                seen.add(fake.threads)
+            return real(x, params)
+
+        monkeypatch.setattr(trainer, "forward", spy)
+        train(init_forecaster(2, TINY, seed=1), _toy_windows(),
+              TrainConfig(epochs=1, batch_size=8, val_fraction=0.25))
+        window_scores(init_forecaster(2, TINY, seed=1), _toy_windows())
+        assert seen == {1} and fake.threads == 4 and fake.sets == [1, 4, 1, 4]
+
+    def test_no_blas_found_runs_one_worker_and_calls_nothing(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"{thread.name} started")
+
+        monkeypatch.setattr(trainer, "_blas", lambda: None)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert trainer._workers(5) == 1
+        params = init_forecaster(2, TINY, seed=1)
+        with mock.patch.object(trainer, "_CHUNK_BYTES", _chunk_bytes(params, 3)):
+            train(params, _toy_windows(), TrainConfig(epochs=1, batch_size=8, val_fraction=0.25))
+        with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, 3)):
+            assert window_scores(params, _toy_windows()).shape == (36,)
+
+    def test_the_real_hold_sets_one_thread_and_restores(self):
+        blas = trainer._blas()
+        if blas is None:
+            pytest.skip("no OpenBLAS loaded")
+        get, _ = blas
+        threads = get()
+        with trainer._blas_hold():
+            assert get() == 1
+        assert get() == threads
+
+    def test_an_openblas_numpy_on_linux_is_found(self):
+        # numpy 2.x wheels link scipy-openblas, numpy 1.2x wheels an ILP64
+        # OpenBLAS: each must resolve, or both loops silently run one worker
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            np.show_config()
+        if not sys.platform.startswith("linux") or "openblas" not in out.getvalue().lower():
+            pytest.skip("numpy is not linked to OpenBLAS on Linux")
+        assert trainer._blas() is not None
