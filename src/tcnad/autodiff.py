@@ -39,8 +39,9 @@ class GradNode:
 
     def accumulate_grad(self, g: np.ndarray):
         if self.grad is None:
-            # a copy, since rules may hand one array to several inputs (add does)
-            self.grad = np.array(g, dtype=np.float64)
+            # kept, not copied: every rule hands each input an array of its own, a
+            # fresh one or a view of its output's grad, which backward then drops
+            self.grad = g
         else:
             self.grad += g
 
@@ -243,8 +244,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def rule(g):
         if an.requires_grad:
             an.accumulate_grad(g)
-        if bn.requires_grad:
-            bn.accumulate_grad(g.reshape(-1, g.shape[-1]).sum(axis=0) if bias_broadcast else g)
+        if bn.requires_grad and bias_broadcast:
+            bn.accumulate_grad(g.reshape(-1, g.shape[-1]).sum(axis=0))
+        elif bn.requires_grad:   # a copy if a took g: a node keeps the first array it is handed
+            bn.accumulate_grad(g.copy() if an.requires_grad else g)
 
     return _maybe_record(Tensor(a.values + b.values), rule, (a, b))
 
@@ -349,12 +352,12 @@ def pair_scores(left: Tensor, right: Tensor, v: Tensor) -> Tensor:
     out[..., i, j] = v . leaky_relu(left[..., i, :] + right[..., j, :])
 
     The (..., n, p, d) pair tensor lives only in the forward, one of
-    ``_pair_blocks`` at a time; a taped call keeps just its sign mask pos = pair
-    >= 0 (1 byte an element; derivative 1 at 0, as in ``leaky_relu``). As
-    leaky_relu(t) = slope*t + (1-slope)*pos*t (slope = ``LEAKY_SLOPE``), with
-    dl[i] = sum_j g[i, j] * (slope + (1-slope) * pos[i, j]) and dr[j] the same sum
-    over i: d left = dl*v, d right = dr*v and d v = sum(dl*left) + sum(dr*right)
-    over all but the last axis.
+    ``_pair_blocks`` at a time; a taped call keeps just each block's sign mask
+    pos = pair >= 0, packed 8 elements to a byte (derivative 1 at 0, as in
+    ``leaky_relu``). As leaky_relu(t) = slope*t + (1-slope)*pos*t (slope =
+    ``LEAKY_SLOPE``), with dl[i] = sum_j g[i, j] * (slope + (1-slope) * pos[i, j])
+    and dr[j] the same sum over i: d left = dl*v, d right = dr*v and
+    d v = sum(dl*left) + sum(dr*right) over all but the last axis.
     """
     lv, rv, vv = left.values, right.values, v.values
     if (lv.ndim < 2 or lv.shape[:-2] != rv.shape[:-2] or vv.ndim != 1
@@ -368,37 +371,45 @@ def pair_scores(left: Tensor, right: Tensor, v: Tensor) -> Tensor:
     lb, rb = lv.reshape(entries, n, d), rv.reshape(entries, p, d)
     scores = np.empty(lb.shape[:-1] + (p,))
     taped = _taped((left, right, v))
-    pos = np.empty(scores.shape + (d,), dtype=bool) if taped else None  # the only pair-sized state
+    masks = []   # a taped call's packed sign mask of each block: the only pair-sized state
     for key in blocks:
         pairs = np.empty(scores[key].shape + (d,))
         pairs[...] = rb[key[0]][..., None, :, :]  # long contiguous runs, then one add
         pairs += lb[key][..., :, None, :]
         if taped:
-            np.greater_equal(pairs, 0, out=pos[key])
+            masks.append(np.packbits(pairs >= 0, axis=None))
         np.maximum(pairs, slope * pairs, out=pairs)  # leaky_relu, exact for 0 <= slope <= 1
         np.matmul(pairs, vv, out=scores[key])
+        del pairs   # before the next block is made
     ln, rn, vn = left.node, right.node, v.node
     shape, l_shape, r_shape = scores.shape, lv.shape, rv.shape
 
     def rule(g):
         g, s, t = g.reshape(shape), np.empty(lb.shape), np.zeros(rb.shape)
-        for key in blocks:
-            posf, gb = pos[key].astype(np.float64), g[key]
+        for key, mask in zip(blocks, masks):
+            gb = g[key]
+            posf = np.unpackbits(mask, count=gb.size * d).reshape(gb.shape + (d,))
+            posf = posf.astype(np.float64)
             s[key] = (gb[..., :, None, :] @ posf)[..., 0, :]
             t[key[0]] += (np.swapaxes(gb, -1, -2)[..., :, None, :]
                           @ np.swapaxes(posf, -3, -2))[..., 0, :]
-        dl = slope * g.sum(axis=-1)[..., None] + (1.0 - slope) * s
-        dr = slope * g.sum(axis=-2)[..., None] + (1.0 - slope) * t
-        if ln.requires_grad:
-            ln.accumulate_grad((dl * vv).reshape(l_shape))
-        if rn.requires_grad:
-            rn.accumulate_grad((dr * vv).reshape(r_shape))
+            del posf   # before the next block is unpacked
+        s *= 1.0 - slope          # dl and dr built in place, in s and t
+        s += slope * g.sum(axis=-1)[..., None]
+        t *= 1.0 - slope
+        t += slope * g.sum(axis=-2)[..., None]
         if vn.requires_grad:
-            vn.accumulate_grad((dl * lb).reshape(-1, d).sum(axis=0)
-                               + (dr * rb).reshape(-1, d).sum(axis=0))
+            vn.accumulate_grad((s * lb).reshape(-1, d).sum(axis=0)
+                               + (t * rb).reshape(-1, d).sum(axis=0))
+        if ln.requires_grad:
+            s *= vv
+            ln.accumulate_grad(s.reshape(l_shape))
+        if rn.requires_grad:
+            t *= vv
+            rn.accumulate_grad(t.reshape(r_shape))
 
     return _maybe_record(Tensor(scores.reshape(lv.shape[:-1] + (p,))), rule, (left, right, v),
-                         (lb, rb, vv, pos))
+                         (lb, rb, vv, *masks))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +459,8 @@ def softmax_rows(x: Tensor) -> Tensor:
 
     def rule(g):
         gy = g * y
-        xn.accumulate_grad(gy - y * gy.sum(axis=-1, keepdims=True))
+        gy -= y * gy.sum(axis=-1, keepdims=True)
+        xn.accumulate_grad(gy)
 
     return _maybe_record(Tensor(y), rule, (x,), (y,))
 

@@ -84,7 +84,7 @@ def _window_tape_bytes(params: ForecasterParams) -> tuple[int, int]:
 def _chunk_sizes(params: ForecasterParams) -> tuple[int, int]:
     """Windows per taped and per untaped ``forward``, from all one probe window
     keeps and from its float arrays, which an untaped forward computes too:
-    (9, 17) at the paper config, (250, 298) at the demo one."""
+    (15, 17) at the paper config, (7, 9) at 55 features, (270, 298) at the demo one."""
     taped, floats = _window_tape_bytes(params)
     return max(1, _CHUNK_BYTES // taped), max(1, _CHUNK_BYTES // floats)
 

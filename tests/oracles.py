@@ -75,6 +75,45 @@ def pair_scores_reference(left, right, v, slope, g):
     return act @ v, g_pair.sum(axis=-2), g_pair.sum(axis=-3), d_v
 
 
+def pair_scores_bool_mask(left, right, v, slope, g, blocks):
+    """The fused pair-scores forward and rule with the sign mask kept whole, as a
+    bool array of 1 byte an element, run over the same index ``blocks`` of the
+    (entries, n, p, d) pair tensor in the same order: what a packed mask must
+    reproduce bit for bit. Returns (scores, d_left, d_right, d_v)."""
+    n, (p, d), lead = left.shape[-2], right.shape[-2:], left.shape[:-2]
+    entries = int(np.prod(lead))
+    lb, rb = left.reshape(entries, n, d), right.reshape(entries, p, d)
+    scores = np.empty((entries, n, p))
+    pos = np.empty((entries, n, p, d), dtype=bool)
+    for key in blocks:
+        pairs = np.empty(scores[key].shape + (d,))
+        pairs[...] = rb[key[0]][..., None, :, :]
+        pairs += lb[key][..., :, None, :]
+        np.greater_equal(pairs, 0, out=pos[key])
+        np.maximum(pairs, slope * pairs, out=pairs)
+        np.matmul(pairs, v, out=scores[key])
+    g, s, t = g.reshape(scores.shape), np.empty(lb.shape), np.zeros(rb.shape)
+    for key in blocks:
+        posf, gb = pos[key].astype(np.float64), g[key]
+        s[key] = (gb[..., :, None, :] @ posf)[..., 0, :]
+        t[key[0]] += (np.swapaxes(gb, -1, -2)[..., :, None, :]
+                      @ np.swapaxes(posf, -3, -2))[..., 0, :]
+    dl = slope * g.sum(axis=-1)[..., None] + (1.0 - slope) * s
+    dr = slope * g.sum(axis=-2)[..., None] + (1.0 - slope) * t
+    d_v = (dl * lb).reshape(-1, d).sum(axis=0) + (dr * rb).reshape(-1, d).sum(axis=0)
+    return (scores.reshape(lead + (n, p)), (dl * v).reshape(left.shape),
+            (dr * v).reshape(right.shape), d_v)
+
+
+def copying_accumulate_grad(node, g: np.ndarray):
+    """A gradient slot that copies the first array it is handed, so no two
+    slots can ever share memory: what keeping that array must equal bit for bit."""
+    if node.grad is None:
+        node.grad = np.array(g, dtype=np.float64)
+    else:
+        node.grad += g
+
+
 def point_adjust_reference(pred: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Walk the label runs; promote a run iff any of its points is predicted."""
     adjusted = np.array(pred, dtype=int, copy=True)

@@ -10,8 +10,10 @@ import pytest
 from oracles import (
     conv_backward_reference,
     conv_reference,
+    copying_accumulate_grad,
     matmul_input_grad_reference,
     numeric_grad,
+    pair_scores_bool_mask,
     pair_scores_reference,
     record_arrays,
     rel_err,
@@ -38,6 +40,7 @@ from tcnad.autodiff import (
     take_row,
     transpose,
 )
+from tcnad.forecaster import ModelConfig, forward, init_forecaster
 from tcnad.optim import AdamState, adam_step
 
 
@@ -341,15 +344,51 @@ class TestPairScores:
             for a, b in zip(got, want):
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
-    def test_tape_keeps_only_a_sign_mask(self):
+    def test_tape_keeps_only_a_sign_mask(self, monkeypatch):
+        # the two inputs, the score vector, and each block's sign mask packed 8
+        # elements to a byte (rounded up): no pair-sized array of any kind
         rng = np.random.default_rng(0)
-        left = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
-        right = Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
-        with Tape() as tape:
-            pair_scores(left, right, Tensor(rng.standard_normal(3)))
-        assert len(tape) == 1
-        pair_sized = [a for a in record_arrays(tape._records) if a.shape == (2, 4, 5, 3)]
-        assert [a.dtype for a in pair_sized] == [np.bool_]
+        for left_shape, right_shape, budget, mask_bytes in [
+            ((2, 4, 3), (2, 5, 3), autodiff._PAIR_BLOCK_FLOATS, [15]),   # one block of 120 elements
+            ((2, 4, 3), (2, 5, 3), 40, [4, 4, 4, 4]),       # four of 30: 3.75 bytes, kept as 4
+            ((25, 100), (25, 100), autodiff._PAIR_BLOCK_FLOATS, [6875, 938]),  # 22 rows, then 3
+        ]:
+            monkeypatch.setattr(autodiff, "_PAIR_BLOCK_FLOATS", budget)
+            left = Tensor(rng.standard_normal(left_shape), requires_grad=True)
+            right = Tensor(rng.standard_normal(right_shape), requires_grad=True)
+            with Tape() as tape:
+                pair_scores(left, right, Tensor(rng.standard_normal(left_shape[-1])))
+            assert len(tape) == 1
+            held = record_arrays(tape._records)
+            masks = [a for a in held if a.dtype != np.float64]
+            assert all(a.dtype == np.uint8 and a.ndim == 1 for a in masks)
+            assert sorted(a.size for a in masks) == sorted(mask_bytes)
+            assert sorted(a.size for a in held if a.dtype == np.float64) == sorted(
+                [left.values.size, right.values.size, left_shape[-1]])
+            assert tape.saved_bytes - tape.float_bytes == sum(mask_bytes)
+
+    # the shapes each named config's training chunk scores, and the static form
+    # (d = 1); every variable pair entry at the paper config runs a 22-row block
+    # of 55,000 elements and a 3-row one of 7,500, not a multiple of 8
+    @pytest.mark.parametrize("lead, n, p, d", [
+        pytest.param((270,), 19, 20, 3, id="demo-temporal"),
+        pytest.param((270,), 3, 3, 20, id="demo-variable"),
+        pytest.param((15,), 43, 100, 25, id="paper-temporal"),
+        pytest.param((15,), 25, 25, 100, id="paper-variable"),
+        pytest.param((16,), 43, 100, 1, id="static-temporal"),
+        pytest.param((16,), 25, 25, 1, id="static-variable"),
+        pytest.param((), 25, 25, 100, id="odd-tail-block"),
+    ])
+    def test_packed_rule_equals_the_bool_mask_rule(self, lead, n, p, d):
+        rng = np.random.default_rng(5)
+        left, right = rng.standard_normal(lead + (n, d)), rng.standard_normal(lead + (p, d))
+        left[..., 0, :] = -right[..., 0, :]       # pairs at exactly 0, derivative 1
+        v, g = rng.standard_normal(d), rng.standard_normal(lead + (n, p))
+        blocks = autodiff._pair_blocks(lead, n, p * d)
+        got = self._run(left, right, v, g)
+        want = pair_scores_bool_mask(left, right, v, autodiff.LEAKY_SLOPE, g, blocks)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_blocks(self, monkeypatch):
         monkeypatch.setattr(autodiff, "_PAIR_BLOCK_FLOATS", 40)
@@ -360,27 +399,40 @@ class TestPairScores:
         assert autodiff._pair_blocks((), 3, 50) == [(0, slice(i, i + 1)) for i in range(3)]
 
     def test_paper_shape_temporaries_stay_within_one_block(self, monkeypatch):
-        # each pair block and its slope-scaled copy are alive when np.maximum
-        # runs; a paper window's 43 query rows take two blocks of 22
+        # a paper window's 43 query rows take two blocks of 22. When np.maximum
+        # runs, that block and its slope-scaled copy are the only pair-sized
+        # arrays alive; no earlier block is alive when the next is made, nor,
+        # in backward, an earlier float mask block when the next is unpacked
         rng = np.random.default_rng(0)
-        left, right, v = (Tensor(rng.standard_normal(s)) for s in [(43, 25), (100, 25), (25,)])
+        left, right, v = (Tensor(rng.standard_normal(s), requires_grad=True)
+                          for s in [(43, 25), (100, 25), (25,)])
         numpy_arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
-        alive, real_maximum = [], np.maximum
+        block = autodiff._PAIR_BLOCK_FLOATS * 8
+        alive = {"empty": [], "maximum": [], "unpackbits": []}
 
-        def maximum(*args, **kwargs):
-            alive.append([t.size for t in tracemalloc.take_snapshot().filter_traces(
-                [numpy_arrays]).traces])
-            return real_maximum(*args, **kwargs)
+        def watch(name, real):
+            def call(*args, **kwargs):   # the pair-sized arrays: over an eighth of a block
+                alive[name].append([t.size for t in tracemalloc.take_snapshot().filter_traces(
+                    [numpy_arrays]).traces if t.size > block // 8])
+                return real(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(np, "maximum", maximum)
+        for name in alive:
+            monkeypatch.setattr(np, name, watch(name, getattr(np, name)))
         tracemalloc.start()
         try:
-            out = pair_scores(left, right, v)
+            with Tape() as tape:
+                out = pair_scores(left, right, v)
+                out.grad = np.ones(out.values.shape)
+                tape.replay_backward()
         finally:
             tracemalloc.stop()
         assert out.values.shape == (43, 100)
-        assert len(alive) == 2
-        assert max(map(max, alive)) <= autodiff._PAIR_BLOCK_FLOATS * 8
+        assert [len(sizes) for sizes in alive["maximum"]] == [2, 2]
+        assert max(map(max, alive["maximum"])) <= block
+        assert len(alive["empty"]) == 4       # the scores, two blocks, one grad in backward
+        assert len(alive["unpackbits"]) == 2
+        assert alive["empty"] + alive["unpackbits"] == [[]] * 6
 
     @pytest.mark.parametrize("lead, n, p, d", [((9,), 43, 100, 25),   # temporal, paper chunk
                                                ((9,), 25, 25, 100)])  # variable
@@ -801,6 +853,63 @@ class TestBackward:
         assert dropped.any()
         np.testing.assert_array_equal(x.grad[dropped], 0.0)
         assert (x.grad[~dropped] != 0).all()
+
+
+class TestGradOwnership:
+    """A node keeps the first grad array a rule hands it: no two grads share
+    memory, and each equals, bit for bit, what copying that array gives."""
+
+    CASES = {
+        # name: (leaf shapes, graph); add hands one array to both its inputs
+        "add_self": ([(3, 4), (3, 4)], lambda x, y: add(add(x, x), y)),
+        "add_fanout": ([(3, 4), (3, 4)], lambda a, b: add(add(a, b), a)),
+        "concat_cols": ([(2, 3, 2), (2, 3, 4), (2, 4, 3)],
+                        lambda a, b, c: concat_cols([a, b, transpose(c), a])),
+        "transpose_reshape": ([(2, 3, 4), (4, 6)],
+                              lambda x, y: add(reshape(transpose(reshape(transpose(x), (4, 6))),
+                                                       (2, 3, 4)), reshape(y, (2, 3, 4)))),
+    }
+
+    @staticmethod
+    def _check(kept, copied):
+        for a, b in zip(kept, copied):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for i, a in enumerate(kept):
+            assert not any(np.shares_memory(a, b) for b in kept[i + 1 :])
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_op_chains(self, name, monkeypatch):
+        shapes, graph = self.CASES[name]
+
+        def grads():
+            rng = np.random.default_rng(0)
+            leaves = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+            with Tape():
+                out = graph(*leaves)
+                backward(rmse_loss(out, Tensor(rng.standard_normal(out.values.shape))))
+            return [t.grad for t in leaves]
+
+        kept = grads()
+        monkeypatch.setattr(autodiff.GradNode, "accumulate_grad", copying_accumulate_grad)
+        self._check(kept, grads())
+
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    def test_full_forecaster(self, mode, monkeypatch):
+        # paper config with dropout, two windows, and the input taking a grad too
+        cfg = ModelConfig(attention_mode=mode)
+
+        def grads():
+            params = init_forecaster(25, cfg, seed=1)
+            windows = np.random.default_rng(2).standard_normal((2, cfg.window + 1, 25))
+            x = Tensor(windows[:, :-1], requires_grad=True)
+            with Tape(np.random.default_rng(3)):
+                backward(rmse_loss(forward(x, params), Tensor(windows[:, -1]), 2))
+            return [x.grad] + [t.grad for t in params.tensors()]
+
+        kept = grads()
+        assert all(g is not None for g in kept)
+        monkeypatch.setattr(autodiff.GradNode, "accumulate_grad", copying_accumulate_grad)
+        self._check(kept, grads())
 
 
 class TestAdam:
