@@ -329,20 +329,28 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _maybe_record(Tensor(np.concatenate([p.values for p in parts], axis=-1)), rule, parts)
 
 
-# Floats in a pair block: few blocks keep the per-block Python and BLAS calls cheap, and
-# a block, its slope-scaled copy and its sign mask (0.97 MB) fit a 2 MiB per-core L2 cache.
-_PAIR_BLOCK_FLOATS = 56 * 2**10
+# Floats in a pair block: few blocks keep the per-block Python and BLAS calls cheap.
+# A block's values, its slope-scaled copy and its 1-byte sign mask take 8 + 8 + 1 = 17 B
+# an element, 1.86 MiB here, which fits a 2 MiB per-core L2 cache (a 1 MiB L2 spills it)
+# and holds one paper window's temporal pairs (43 x 100 x 25 = 107,500 elements).
+_PAIR_BLOCK_FLOATS = 112 * 2**10
+
+
+def _even_run(total: int, cap: int) -> int:
+    """ceil(total / ceil(total / cap)): the length of the fewest, most even runs
+    of at most ``cap`` that cover ``total``."""
+    return -(-total // -(-total // cap)) if total else cap
 
 
 def _pair_blocks(lead: tuple, n: int, row: int) -> list[tuple]:
     """Index keys of the blocks of a (*lead, n, p, d) pair tensor, ``row`` = p*d
-    floats a query row: runs of whole entries, or of query rows of one entry, of
-    its (entries, n, ...) flattening; ``key[0]`` picks entries."""
+    floats a query row: even runs of whole entries, or of query rows of one
+    entry, of its (entries, n, ...) flattening; ``key[0]`` picks entries."""
     entries = int(np.prod(lead))
     if n * row <= _PAIR_BLOCK_FLOATS:
-        k = _PAIR_BLOCK_FLOATS // (n * row or 1)
+        k = _even_run(entries, _PAIR_BLOCK_FLOATS // (n * row or 1))
         return [(slice(b, b + k),) for b in range(0, entries, k)]
-    q = _PAIR_BLOCK_FLOATS // row or 1
+    q = _even_run(n, _PAIR_BLOCK_FLOATS // row or 1)
     return [(b, slice(i, i + q)) for b in range(entries) for i in range(0, n, q)]
 
 
@@ -372,13 +380,18 @@ def pair_scores(left: Tensor, right: Tensor, v: Tensor) -> Tensor:
     scores = np.empty(lb.shape[:-1] + (p,))
     taped = _taped((left, right, v))
     masks = []   # a taped call's packed sign mask of each block: the only pair-sized state
+    # each block's slope-scaled copy goes into one buffer (blocks[0] is the largest), so a
+    # block frees only itself: freeing both, glibc's default malloc gave the memory back
+    # to the system and faulted it in again every block
+    work = np.empty(scores[blocks[0]].size * d if blocks else 0)
     for key in blocks:
         pairs = np.empty(scores[key].shape + (d,))
         pairs[...] = rb[key[0]][..., None, :, :]  # long contiguous runs, then one add
         pairs += lb[key][..., :, None, :]
         if taped:
             masks.append(np.packbits(pairs >= 0, axis=None))
-        np.maximum(pairs, slope * pairs, out=pairs)  # leaky_relu, exact for 0 <= slope <= 1
+        scaled = np.multiply(pairs, slope, out=work[:pairs.size].reshape(pairs.shape))
+        np.maximum(pairs, scaled, out=pairs)  # leaky_relu, exact for 0 <= slope <= 1
         np.matmul(pairs, vv, out=scores[key])
         del pairs   # before the next block is made
     ln, rn, vn = left.node, right.node, v.node

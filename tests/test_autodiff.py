@@ -351,7 +351,7 @@ class TestPairScores:
         for left_shape, right_shape, budget, mask_bytes in [
             ((2, 4, 3), (2, 5, 3), autodiff._PAIR_BLOCK_FLOATS, [15]),   # one block of 120 elements
             ((2, 4, 3), (2, 5, 3), 40, [4, 4, 4, 4]),       # four of 30: 3.75 bytes, kept as 4
-            ((25, 100), (25, 100), autodiff._PAIR_BLOCK_FLOATS, [6875, 938]),  # 22 rows, then 3
+            ((25, 100), (25, 100), autodiff._PAIR_BLOCK_FLOATS, [7813]),  # one of 62,500
         ]:
             monkeypatch.setattr(autodiff, "_PAIR_BLOCK_FLOATS", budget)
             left = Tensor(rng.standard_normal(left_shape), requires_grad=True)
@@ -368,13 +368,16 @@ class TestPairScores:
             assert tape.saved_bytes - tape.float_bytes == sum(mask_bytes)
 
     # the shapes each named config's training chunk scores, and the static form
-    # (d = 1); every variable pair entry at the paper config runs a 22-row block
-    # of 55,000 elements and a 3-row one of 7,500, not a multiple of 8
+    # (d = 1); a paper variable window is one block of 62,500 elements, and at
+    # 55 features the evened blocks run 15/15/13 (temporal) and 19/19/17
+    # (variable) query rows of 5,500 elements: none a multiple of 8
     @pytest.mark.parametrize("lead, n, p, d", [
         pytest.param((270,), 19, 20, 3, id="demo-temporal"),
         pytest.param((270,), 3, 3, 20, id="demo-variable"),
         pytest.param((15,), 43, 100, 25, id="paper-temporal"),
         pytest.param((15,), 25, 25, 100, id="paper-variable"),
+        pytest.param((7,), 43, 100, 55, id="paper55-temporal"),
+        pytest.param((7,), 55, 55, 100, id="paper55-variable"),
         pytest.param((16,), 43, 100, 1, id="static-temporal"),
         pytest.param((16,), 25, 25, 1, id="static-variable"),
         pytest.param((), 25, 25, 100, id="odd-tail-block"),
@@ -397,15 +400,39 @@ class TestPairScores:
         assert autodiff._pair_blocks((2,), 4, 15) == [(b, slice(i, i + 2))
                                                       for b in (0, 1) for i in (0, 2)]
         assert autodiff._pair_blocks((), 3, 50) == [(0, slice(i, i + 1)) for i in range(3)]
+        # even runs, not cap, ..., remainder: 25 rows at a 22-row cap, 350
+        # entries at a 335-entry cap
+        monkeypatch.setattr(autodiff, "_PAIR_BLOCK_FLOATS", 22 * 2500)
+        assert autodiff._pair_blocks((), 25, 2500) == [(0, slice(0, 13)), (0, slice(13, 26))]
+        monkeypatch.setattr(autodiff, "_PAIR_BLOCK_FLOATS", 335)
+        assert autodiff._pair_blocks((350,), 1, 1) == [(slice(0, 175),), (slice(175, 350),)]
+        assert autodiff._pair_blocks((0,), 1, 1) == autodiff._pair_blocks((0,), 25, 50) == []
+
+    def test_one_paper_window_is_one_block_that_fits_the_l2(self):
+        # a block's values, slope-scaled copy and 1-byte sign mask take 17 B an
+        # element, within a 2 MiB per-core L2; a paper window's temporal
+        # (43 x 100 x 25) and variable (25 x 25 x 100) pairs are one block each
+        assert 17 * autodiff._PAIR_BLOCK_FLOATS <= 2**21
+        assert autodiff._pair_blocks((1,), 43, 100 * 25) == [(slice(0, 1),)]
+        assert autodiff._pair_blocks((1,), 25, 25 * 100) == [(slice(0, 1),)]
+        assert len(autodiff._pair_blocks((15,), 43, 100 * 25)) == 15   # a training chunk
+
+    @pytest.mark.parametrize("n, p, d", [(4, 5, 3), (43, 100, 55)])  # entry runs, row runs
+    def test_empty_batch(self, n, p, d):
+        left, right = np.ones((0, n, d)), np.ones((0, p, d))
+        out, d_left, d_right, d_v = self._run(left, right, np.ones(d), np.ones((0, n, p)))
+        assert (out.shape, d_left.shape, d_right.shape) == ((0, n, p), left.shape, right.shape)
+        np.testing.assert_array_equal(d_v, np.zeros(d))
 
     def test_paper_shape_temporaries_stay_within_one_block(self, monkeypatch):
-        # a paper window's 43 query rows take two blocks of 22. When np.maximum
-        # runs, that block and its slope-scaled copy are the only pair-sized
-        # arrays alive; no earlier block is alive when the next is made, nor,
-        # in backward, an earlier float mask block when the next is unpacked
+        # two paper windows take one block each. When np.maximum runs, that
+        # block and its slope-scaled copy are the only pair-sized arrays alive;
+        # no earlier block is alive when the next is made, only the one buffer
+        # every block's scaled copy goes into, nor, in backward, an earlier
+        # float mask block when the next is unpacked
         rng = np.random.default_rng(0)
         left, right, v = (Tensor(rng.standard_normal(s), requires_grad=True)
-                          for s in [(43, 25), (100, 25), (25,)])
+                          for s in [(2, 43, 25), (2, 100, 25), (25,)])
         numpy_arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
         block = autodiff._PAIR_BLOCK_FLOATS * 8
         alive = {"empty": [], "maximum": [], "unpackbits": []}
@@ -427,22 +454,22 @@ class TestPairScores:
                 tape.replay_backward()
         finally:
             tracemalloc.stop()
-        assert out.values.shape == (43, 100)
+        assert out.values.shape == (2, 43, 100)
         assert [len(sizes) for sizes in alive["maximum"]] == [2, 2]
         assert max(map(max, alive["maximum"])) <= block
-        assert len(alive["empty"]) == 4       # the scores, two blocks, one grad in backward
-        assert len(alive["unpackbits"]) == 2
-        assert alive["empty"] + alive["unpackbits"] == [[]] * 6
+        # the scores, the scaled-copy buffer, two blocks, one grad in backward
+        assert [len(sizes) for sizes in alive["empty"]] == [0, 0, 1, 1, 0]
+        assert alive["unpackbits"] == [[], []]
 
-    @pytest.mark.parametrize("lead, n, p, d", [((9,), 43, 100, 25),   # temporal, paper chunk
-                                               ((9,), 25, 25, 100)])  # variable
+    @pytest.mark.parametrize("lead, n, p, d", [((15,), 43, 100, 25),   # temporal, paper chunk
+                                               ((15,), 25, 25, 100)])  # variable
     def test_paper_shapes_agree_across_block_budgets(self, lead, n, p, d, monkeypatch):
         # bit-equal scores; gradients sum their per-block parts in other orders
         rng = np.random.default_rng(3)
         left, right = rng.standard_normal(lead + (n, d)), rng.standard_normal(lead + (p, d))
         v, g = rng.standard_normal(d), rng.standard_normal(lead + (n, p))
         runs = []
-        for budget in [autodiff._PAIR_BLOCK_FLOATS, 14 * 2**10, lead[0] * n * p * d]:
+        for budget in [autodiff._PAIR_BLOCK_FLOATS, 56 * 2**10, 14 * 2**10, lead[0] * n * p * d]:
             monkeypatch.setattr(autodiff, "_PAIR_BLOCK_FLOATS", budget)
             runs.append(self._run(left, right, v, g))
         (want, *want_grads), *others = runs[::-1]

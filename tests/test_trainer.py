@@ -607,13 +607,14 @@ class TestSharedScores:
 
     @pytest.mark.parametrize("name, variant", [
         pytest.param(name, variant, id=f"{name}-{variant}")
-        for name in sorted(NAMED_CONFIGS) + ["tiny"] for variant in sorted(VARIANTS)
+        for name in sorted(NAMED_CONFIGS) + ["paper55", "tiny"] for variant in sorted(VARIANTS)
     ])
     def test_inference_chunk_stays_within_the_budget(self, name, variant):
         # the traced peak of one untaped chunk, windows aside, stays within
         # what the chunk's windows would keep as floats on a tape, and that
-        # within the one chunk budget
-        m, cfg = NAMED_CONFIGS.get(name, (2, TINY))
+        # within the one chunk budget; at MSL's 55 features (paper55) the
+        # pair blocks are runs of query rows, and largest
+        m, cfg = {**NAMED_CONFIGS, "paper55": (55, ModelConfig()), "tiny": (2, TINY)}[name]
         params = init_forecaster(m, _variants(cfg)[variant])
         size = trainer._chunk_sizes(params)[1]
         x = Tensor(build_windows(_toy_series(n=cfg.window + size, m=m), cfg.window)[:, :-1])
