@@ -161,7 +161,7 @@ def main(argv=None) -> int:
         for r in reports:
             print(f"{r.channel:12s} {r.tp:5d} {r.fp:5d} {r.fn:5d} "
                   f"{r.precision:9.4f} {r.recall:9.4f} {r.f1:9.4f}")
-        summary = replace(aggregate(reports, "micro"), channel=f"{craft}(micro)")
+        summary = replace(aggregate(reports), channel=f"{craft}(micro)")
         all_reports.extend(reports + [summary])
         ref = REFERENCE[craft]
         delta = summary.f1 - ref["f1"]

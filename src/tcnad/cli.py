@@ -100,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--config", help="key = value config file")
     fit.add_argument("--seed", type=int, help="override the config seed")
     fit.add_argument("--epochs", type=int, help="override the config epoch count")
-    fit.add_argument("--global-minmax", action="store_true",
-                     help="normalize with one global min/max instead of per-feature")
     fit.add_argument("--quiet", action="store_true", help="suppress per-epoch progress")
 
     p = sub.add_parser("train", parents=[fit], help="train one forecaster per channel")
@@ -135,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one threshold per scores file, or a single shared one")
     p.add_argument("--channel", action="append",
                    help="channel ids matching --scores (default: file stems)")
-    p.add_argument("--macro", action="store_true",
-                   help="macro-average across channels instead of micro")
     p.add_argument("--out", help="optional report CSV")
     p.set_defaults(func=cmd_evaluate)
 
@@ -160,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _load_configs(args) -> tuple[ModelConfig, TrainConfig, str]:
+def _load_configs(args) -> tuple[ModelConfig, TrainConfig]:
     if args.config:
         model_cfg, train_cfg = parse_config_file(args.config)
     else:
@@ -171,7 +167,7 @@ def _load_configs(args) -> tuple[ModelConfig, TrainConfig, str]:
         train_cfg = replace(train_cfg, epochs=args.epochs)
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
-    return model_cfg, train_cfg, "global" if args.global_minmax else "per_feature"  # norm mode
+    return model_cfg, train_cfg
 
 
 def _read_channels(data_dir, requested: list[str]) -> tuple[dict, list[str]]:
@@ -224,13 +220,13 @@ def _progress(channel, epochs, quiet):
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    model_cfg, train_cfg, norm_mode = _load_configs(args)
+    model_cfg, train_cfg = _load_configs(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest, channels = _read_channels(args.data, args.channel)
     for channel in channels:
         stats, params, result = fit_channel(
-            load_channel(args.data, channel, manifest).train, model_cfg, train_cfg, norm_mode,
+            load_channel(args.data, channel, manifest).train, model_cfg, train_cfg,
             _progress(channel, train_cfg.epochs, args.quiet),
         )
         ckpt = out_dir / f"{channel}.ckpt"
@@ -305,7 +301,7 @@ def cmd_evaluate(args) -> int:
         labels = align(seq, ch)
         preds = apply_threshold(seq.scores, th)
         reports.append(point_adjusted_report(preds, labels, channel=ch))
-    summary = aggregate(reports, "macro" if args.macro else "micro")
+    summary = aggregate(reports)
 
     for r in reports + [summary]:
         print(
@@ -318,7 +314,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    model_cfg, train_cfg, norm_mode = _load_configs(args)
+    model_cfg, train_cfg = _load_configs(args)
     try:
         windows = [int(w) for w in args.windows.replace(" ", "").split(",") if w]
     except ValueError:
@@ -332,11 +328,11 @@ def cmd_sweep(args) -> int:
         ds = load_channel(args.data, channel, manifest)
         for w, per_window in zip(windows, reports):
             stats, params, _ = fit_channel(
-                ds.train, replace(model_cfg, window=w), train_cfg, norm_mode,
+                ds.train, replace(model_cfg, window=w), train_cfg,
                 _progress(channel, train_cfg.epochs, args.quiet),
             )
             per_window.append(evaluate_channel(params, stats, ds.test, ds.segments, channel)[2])
-    summaries = [(w, aggregate(per_window, "micro")) for w, per_window in zip(windows, reports)]
+    summaries = [(w, aggregate(per_window)) for w, per_window in zip(windows, reports)]
     for w, agg in summaries:
         print(f"window={w} precision={agg.precision:.4f} recall={agg.recall:.4f} f1={agg.f1:.4f}")
     if args.out:

@@ -54,48 +54,41 @@ def _read_text(path, first_line: bool = False) -> str:
 
 @dataclass
 class NormalizationStats:
-    """Min/max from the training split; per-feature vectors or global scalars."""
+    """Per-feature min/max from the training split: 1-D, one entry per feature."""
 
     minimum: np.ndarray
     maximum: np.ndarray
-    mode: str = "per_feature"
 
     def __post_init__(self):
-        if self.mode not in ("per_feature", "global"):
-            raise ValueError(f"unknown normalization mode {self.mode!r}")
         self.minimum = np.asarray(self.minimum, dtype=np.float64)
         self.maximum = np.asarray(self.maximum, dtype=np.float64)
-        if self.minimum.shape != self.maximum.shape:
-            raise ValueError("min/max shape mismatch")
+        if self.minimum.ndim != 1 or self.minimum.shape != self.maximum.shape:
+            raise ValueError(f"normalization min/max must be 1-D of one shape, got "
+                             f"{self.minimum.shape} and {self.maximum.shape}")
         below = np.flatnonzero(self.maximum < self.minimum)
         if below.size:
-            raise ValueError(f"normalization maximum {self.maximum.flat[below[0]]} is below its "
-                             f"minimum {self.minimum.flat[below[0]]} at index {below[0]}")
+            raise ValueError(f"normalization maximum {self.maximum[below[0]]} is below its "
+                             f"minimum {self.minimum[below[0]]} at index {below[0]}")
 
 
-def compute_stats(train: np.ndarray, mode: str = "per_feature") -> NormalizationStats:
+def compute_stats(train: np.ndarray) -> NormalizationStats:
     train = np.asarray(train, dtype=np.float64)
     if train.ndim != 2 or train.size == 0:
         raise ValueError(f"expected a non-empty (N, m) matrix, got shape {train.shape}")
     _require_finite(train, "train")
-    if mode == "per_feature":
-        mn, mx = train.min(axis=0), train.max(axis=0)
-        constant = (f"features {np.flatnonzero(mx == mn).tolist()} are constant in the "
-                    "training split; they normalize to 0")
-    elif mode == "global":
-        mn = np.array([train.min()])
-        mx = np.array([train.max()])
-        constant = "training split is globally constant; everything normalizes to 0"
-    else:
-        raise ValueError(f"unknown normalization mode {mode!r}")
+    mn, mx = train.min(axis=0), train.max(axis=0)
     if np.any(mx == mn):
-        warnings.warn(constant, RuntimeWarning, stacklevel=2)
-    return NormalizationStats(minimum=mn, maximum=mx, mode=mode)
+        warnings.warn(f"features {np.flatnonzero(mx == mn).tolist()} are constant in the "
+                      "training split; they normalize to 0", RuntimeWarning, stacklevel=2)
+    return NormalizationStats(minimum=mn, maximum=mx)
 
 
 def normalize(x: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     """(x - min) / (max - min); features with zero range map to 0."""
     x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != stats.minimum.size:
+        raise ValueError(f"normalization stats have {stats.minimum.size} features, "
+                         f"the matrix has {x.shape[-1]}")
     span = stats.maximum - stats.minimum
     safe = np.where(span == 0, 1.0, span)
     out = (x - stats.minimum) / safe

@@ -124,23 +124,11 @@ def point_adjusted_report(
     return _report(*point_adjusted_counts(predictions, labels, 0.0), channel)
 
 
-def aggregate(reports: list[EvalReport], method: str = "micro") -> EvalReport:
-    """Combine per-channel reports.
-
-    micro sums the counts and recomputes the metrics; macro averages the
-    per-channel metrics unweighted (F1 is the mean of F1s, not the harmonic
-    mean of the averaged precision/recall). Counts are summed either way.
-    """
+def aggregate(reports: list[EvalReport]) -> EvalReport:
+    """Micro-average per-channel reports: sum the counts, recompute the metrics."""
     if not reports:
         raise ValueError("aggregate needs at least one report")
     tp = sum(r.tp for r in reports)
     fp = sum(r.fp for r in reports)
     fn = sum(r.fn for r in reports)
-    if method == "micro":
-        return _report(tp, fp, fn, channel=f"all({method})")
-    if method != "macro":
-        raise ValueError(f"unknown aggregation method {method!r}")
-    precision = float(np.mean([r.precision for r in reports]))
-    recall = float(np.mean([r.recall for r in reports]))
-    f1 = float(np.mean([r.f1 for r in reports]))
-    return EvalReport(tp, fp, fn, precision, recall, f1, channel=f"all({method})")
+    return _report(tp, fp, fn, channel="all(micro)")

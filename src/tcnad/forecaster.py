@@ -247,7 +247,6 @@ def save_checkpoint(path, params: ForecasterParams, stats=None):
     }
     if stats is not None:
         doc["normalization"] = {
-            "mode": stats.mode,
             "minimum": _encode_array(stats.minimum),
             "maximum": _encode_array(stats.maximum),
         }
@@ -300,15 +299,17 @@ def load_checkpoint(path):
             raise DataFormatError(f"{path}: unexpected tensors {sorted(extra)}")
         stats, nd = None, doc.get("normalization")
         if nd is not None:
+            # every checkpoint written while min-max also had a global mode stores the mode
+            if "mode" in nd and nd["mode"] != "per_feature":
+                raise DataFormatError(f"{path}: normalization.mode {nd['mode']!r} is not "
+                                      f"supported; normalization is always per_feature")
             stats = NormalizationStats(
                 minimum=_decode_array(nd["minimum"], "normalization minimum"),
                 maximum=_decode_array(nd["maximum"], "normalization maximum"),
-                mode=nd["mode"],
             )
-            shape = (params.n_features,) if stats.mode == "per_feature" else (1,)
-            if stats.minimum.shape != shape:
-                raise DataFormatError(f"{path}: {stats.mode} normalization has shape "
-                                      f"{stats.minimum.shape}, expected {shape}")
+            if stats.minimum.shape != (params.n_features,):
+                raise DataFormatError(f"{path}: per_feature normalization has shape "
+                                      f"{stats.minimum.shape}, expected {(params.n_features,)}")
         return params, stats
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint ({exc})") from None

@@ -19,10 +19,9 @@ from .trainer import TrainConfig, TrainResult, build_windows, train
 
 
 def fit_channel(train_matrix: np.ndarray, model_cfg: ModelConfig, train_cfg: TrainConfig,
-                norm_mode: str = "per_feature", progress=None
-                ) -> tuple[NormalizationStats, ForecasterParams, TrainResult]:
+                progress=None) -> tuple[NormalizationStats, ForecasterParams, TrainResult]:
     """Normalise the train split by its own statistics and train a forecaster on it."""
-    stats = compute_stats(train_matrix, norm_mode)
+    stats = compute_stats(train_matrix)
     windows = build_windows(normalize(train_matrix, stats), model_cfg.window)
     params = init_forecaster(train_matrix.shape[1], model_cfg, seed=train_cfg.seed)
     return stats, params, train(params, windows, train_cfg, progress=progress)

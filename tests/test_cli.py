@@ -157,9 +157,18 @@ class TestUsageErrors:
             return blocks
 
         train, sweep = option_help("train"), option_help("sweep-window")
-        for option in ("--data", "--channel", "--config", "--seed", "--epochs",
-                       "--global-minmax", "--quiet"):
+        for option in ("--data", "--channel", "--config", "--seed", "--epochs", "--quiet"):
             assert len(train[option]) > 2 and sweep[option] == train[option], option
+
+    @pytest.mark.parametrize("command", ["train", "sweep-window"])
+    def test_global_minmax_flag(self, tmp_path, command, capsys):
+        # per-feature min-max is the only normalization
+        _write_dataset(tmp_path)
+        extra = ["--out", str(tmp_path / "run")] if command == "train" else ["--windows", "8"]
+        assert main([command, "--data", str(tmp_path), "--channel", "C-1", "--global-minmax",
+                     "--config", str(_write_config(tmp_path)), "--quiet", *extra]) == EXIT_USAGE
+        assert "unrecognized arguments: --global-minmax" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_calls_share_the_parser_but_no_arguments(self, four_point, capsys):
         scores, labels = four_point
@@ -400,7 +409,12 @@ class TestDataErrors:
          "unexpected tensors ['tcn.1.conv1_bias']"),
         (lambda doc: doc["config"].update(attention_activation="identity"),
          "config.attention_activation 'identity' is not supported"),
-    ], ids=["n_features", "window", "shape", "missing", "extra", "activation"])
+        # as checkpoints written with --global-minmax store it: one shared range
+        (lambda doc: doc.update(normalization={
+            "mode": "global", "minimum": tcnad.forecaster._encode_array(np.zeros(1)),
+            "maximum": tcnad.forecaster._encode_array(np.ones(1))}),
+         "normalization.mode 'global' is not supported"),
+    ], ids=["n_features", "window", "shape", "missing", "extra", "activation", "global"])
     def test_score_refuses_a_checkpoint_that_does_not_fit_its_config(
             self, tmp_path, capsys, edit, message):
         ckpt = tmp_path / "m5.ckpt"
@@ -430,6 +444,29 @@ class TestDataErrors:
         old.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         test = tmp_path / "test.csv"
         write_matrix_csv(test, np.random.default_rng(0).random((50, 3)))
+        for path in (ckpt, old):
+            assert main(["score", "--checkpoint", str(path), "--test", str(test),
+                         "--out", str(tmp_path / f"{path.stem}.csv")]) == EXIT_OK
+        assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "m.csv").read_bytes()
+        resaved = tmp_path / "resaved.ckpt"
+        save_checkpoint(resaved, *tcnad.forecaster.load_checkpoint(old))
+        assert resaved.read_bytes() == ckpt.read_bytes()
+
+    def test_score_reads_a_checkpoint_that_stores_the_per_feature_mode(self, tmp_path):
+        # normalization is always per-feature; checkpoints written while a global
+        # mode existed store "mode": "per_feature" and load as before
+        ckpt = tmp_path / "m.ckpt"
+        cfg = ModelConfig(window=8, tcn_channels=4, dilations=(1,), mlp_layers=0)
+        rng = np.random.default_rng(0)
+        save_checkpoint(ckpt, init_forecaster(3, cfg, seed=0),
+                        NormalizationStats(rng.random(3) - 1, rng.random(3) + 1))
+        assert '"mode"' not in ckpt.read_text()
+        old = tmp_path / "old.ckpt"
+        doc = json.loads(ckpt.read_text())
+        doc["normalization"]["mode"] = "per_feature"
+        old.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        test = tmp_path / "test.csv"
+        write_matrix_csv(test, rng.random((50, 3)))
         for path in (ckpt, old):
             assert main(["score", "--checkpoint", str(path), "--test", str(test),
                          "--out", str(tmp_path / f"{path.stem}.csv")]) == EXIT_OK
@@ -586,13 +623,15 @@ class TestEvaluateCommand:
         capsys.readouterr()
 
     def test_macro_flag(self, four_point, capsys):
+        # micro is the only aggregation
         scores, labels = four_point
         code = main(
             ["evaluate", "--scores", str(scores), "--labels", str(labels),
              "--threshold", "0.5", "--macro"]
         )
-        assert code == EXIT_OK
-        assert "all(macro)" in capsys.readouterr().out
+        assert code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --macro" in err
 
     def test_manifest_labels(self, tmp_path, capsys):
         scores = tmp_path / "C-1.csv"

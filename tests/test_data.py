@@ -72,28 +72,22 @@ class TestNormalization:
         np.testing.assert_allclose(out[:, 0], 0.0)
         np.testing.assert_allclose(out[:, 1], [0.0, 1.0])
 
-    def test_global_mode_shares_one_range(self):
-        train = np.array([[0.0, 5.0], [10.0, 5.0]])
-        stats = compute_stats(train, mode="global")
-        assert stats.minimum.shape == (1,)
-        out = normalize(train, stats)
-        np.testing.assert_allclose(out, [[0.0, 0.5], [1.0, 0.5]])
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            compute_stats(np.ones((2, 2)), mode="zscore")
-        with pytest.raises(ValueError):
-            NormalizationStats(np.zeros(2), np.ones(2), mode="robust")
+    @pytest.mark.parametrize("n_stats", [1, 3])
+    def test_refuses_stats_of_another_width(self, n_stats):
+        # else one feature's range would broadcast over every column without complaint
+        stats = compute_stats(np.arange(2.0 * n_stats).reshape(2, n_stats))
+        with pytest.raises(ValueError, match=re.escape(
+                f"normalization stats have {n_stats} features, the matrix has 4")):
+            normalize(np.ones((3, 4)), stats)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("mode", ["per_feature", "global"])
-    def test_non_finite_train_names_its_index(self, bad, mode):
+    def test_non_finite_train_names_its_index(self, bad):
         # else a NaN or inf surfaces later as a diverged loss that names a gradient
         train = np.random.default_rng(0).random((80, 3))
         train[50, 1] = bad
         with pytest.raises(ValueError, match=re.escape(f"train has a non-finite value {bad} "
                                                        "at index (50, 1)")):
-            compute_stats(train, mode)
+            compute_stats(train)
 
     def test_fit_channel_refuses_an_inf_before_training(self):
         # refused before training, not as a TrainingDivergedError at some batch
@@ -109,6 +103,12 @@ class TestNormalization:
             compute_stats(np.ones(5))
         with pytest.raises(ValueError):
             NormalizationStats(np.zeros(2), np.ones(3))
+
+    def test_stats_are_one_dimensional(self):
+        # one entry per feature: a 2-D min/max would broadcast over rows too
+        with pytest.raises(ValueError, match=re.escape(
+                "normalization min/max must be 1-D of one shape, got (1, 2) and (1, 2)")):
+            NormalizationStats(np.zeros((1, 2)), np.ones((1, 2)))
 
 
 class TestMatrixCsv:

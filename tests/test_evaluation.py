@@ -200,27 +200,19 @@ class TestAggregate:
         ]
 
     def test_micro_sums_counts(self):
-        agg = aggregate(self._reports(), "micro")
-        assert (agg.tp, agg.fp, agg.fn) == (2, 1, 1)
+        agg = aggregate(self._reports())
+        assert (agg.channel, agg.tp, agg.fp, agg.fn) == ("all(micro)", 2, 1, 1)
         assert agg.precision == pytest.approx(2 / 3)
         assert agg.recall == pytest.approx(2 / 3)
         assert agg.f1 == pytest.approx(2 / 3)
 
-    def test_macro_averages_metrics(self):
-        agg = aggregate(self._reports(), "macro")
-        assert agg.precision == pytest.approx(0.75)
-        assert agg.recall == pytest.approx(0.75)
-        assert agg.f1 == pytest.approx(f1_score(1.0, 0.5))
-
     def test_order_invariant(self):
         reports = self._reports()
-        a = aggregate(reports, "micro")
-        b = aggregate(list(reversed(reports)), "micro")
+        a = aggregate(reports)
+        b = aggregate(list(reversed(reports)))
         assert (a.tp, a.fp, a.fn, a.precision, a.recall, a.f1) == \
                (b.tp, b.fp, b.fn, b.precision, b.recall, b.f1)
 
-    def test_bad_method(self):
-        with pytest.raises(ValueError):
-            aggregate(self._reports(), "median")
-        with pytest.raises(ValueError):
-            aggregate([], "micro")
+    def test_needs_a_report(self):
+        with pytest.raises(ValueError, match="at least one report"):
+            aggregate([])

@@ -434,7 +434,6 @@ class TestCheckpoints:
             np.testing.assert_array_equal(ta.values, tb.values)
         np.testing.assert_array_equal(loaded_stats.minimum, stats.minimum)
         np.testing.assert_array_equal(loaded_stats.maximum, stats.maximum)
-        assert loaded_stats.mode == "per_feature"
         assert loaded.config == params.config
         x = np.random.default_rng(0).standard_normal((8, 3))
         np.testing.assert_array_equal(
@@ -552,20 +551,17 @@ class TestCheckpoints:
             load_checkpoint(path)
 
 
-    @pytest.mark.parametrize("mode, size", [("per_feature", 2), ("per_feature", 1),
-                                            ("per_feature", 4), ("global", 3)])
-    def test_rejects_normalization_shape_mismatch(self, tmp_path, mode, size):
-        # one minimum per feature, or one shared; anything else broadcasts wrongly
+    @pytest.mark.parametrize("size", [2, 1, 4])
+    def test_rejects_normalization_shape_mismatch(self, tmp_path, size):
+        # one minimum per feature; any other count scores with the wrong ranges
         path = tmp_path / "m.ckpt"
         params = init_forecaster(3, TINY, seed=0)
-        save_checkpoint(path, params, NormalizationStats(np.zeros(size), np.ones(size), mode))
-        expected = (3,) if mode == "per_feature" else (1,)
+        save_checkpoint(path, params, NormalizationStats(np.zeros(size), np.ones(size)))
         with pytest.raises(DataFormatError, match=re.escape(
-                f"m.ckpt: {mode} normalization has shape ({size},), expected {expected}")):
+                f"m.ckpt: per_feature normalization has shape ({size},), expected (3,)")):
             load_checkpoint(path)
-        save_checkpoint(path, params, NormalizationStats(np.zeros(expected), np.ones(expected),
-                                                         mode))
-        assert load_checkpoint(path)[1].minimum.shape == expected
+        save_checkpoint(path, params, NormalizationStats(np.zeros(3), np.ones(3)))
+        assert load_checkpoint(path)[1].minimum.shape == (3,)
 
     # values neither training nor compute_stats produces; each used to load, and
     # scoring then wrote NaN scores or normalized a feature to 0 everywhere
