@@ -33,20 +33,23 @@ all of them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .autodiff import (
     Tensor,
-    active_tape,
+    concat_cols,
     matmul,
     pair_scores,
     reshape,
     sigmoid,
     slice_cols,
+    slice_rows,
     softmax_rows,
+    take_blocks,
+    take_rows,
     transpose,
 )
 
@@ -153,63 +156,109 @@ def attend(queries: Tensor, keys: Tensor, values: Tensor, params: AttentionParam
     return _aggregate(_scores(queries, keys, params), values)
 
 
-def _shared_scores(x: Tensor, rows: Tensor, params: AttentionParams, edge: int) -> Tensor:
-    """The (n, r, w) scores of the last r rows of n consecutive (w, m) windows
-    against all their rows, each pair whose rows both sit at or past ``edge``
-    scored once per group of about sqrt(r * w) windows.
+# A chunk shares its temporal scores only where its shared blocks score at most
+# this share of the pairs past the padding edge that its windows score apart.
+_SHARE_AT = 0.5
 
-    Row t >= edge of window i is row t - 1 of window i + 1, so a group of g
-    windows holds g + w - edge - 1 distinct such rows, and window u of the
-    group reads its scores from row and column u of the group's block: a
-    strided view whose window step is one row plus one column. Keys before
-    ``edge``, and queries before it (when r > w - edge), are scored per window.
+
+def _union_rows(new: np.ndarray, full: int, group: np.ndarray, heads: np.ndarray, w: int):
+    """Each group's distinct rows, as row indexes of the (n * w, m) flattening of
+    its n windows, and where each window's own ``full`` rows start among them.
+
+    Window i adds its last ``new[i]`` rows, those past the group's earlier
+    windows. The (G, U) index pads each group's rows with row 0 to the
+    longest group's U; padded rows are scored but never read.
     """
-    xv = x.values
-    n, w, m = xv.shape
+    ends = np.cumsum(new)
+    base = (ends - new)[heads][group]             # each window's group start
+    win = np.repeat(np.arange(len(new)), new)
+    row = np.arange(int(ends[-1]))
+    index = np.zeros((len(heads), int((ends - base).max())), dtype=np.int64)
+    index[group[win], row - base[win]] = win * w + w - ends[win] + row
+    return index, ends - base - full
+
+
+@functools.lru_cache(maxsize=64)
+def _share_plan(gaps: bytes, w: int, nq: int, nk: int, share_at: float):
+    """How windows of w rows whose starts move on by the int64 ``gaps`` share
+    the scores of their last ``nq`` rows against their last ``nk``: each
+    group's distinct query and key rows (``_union_rows``) and each window's
+    (group, query offset, key offset), read-only, or None where the groups'
+    blocks would score more than ``share_at`` of the pairs the windows score
+    apart. Cached: every full scoring chunk asks for the same plan.
+
+    Groups are the windows whose starts fall in each of the fewest even spans
+    of at most about sqrt(nq * nk) rows, the span whose block scores the
+    fewest pairs a window whatever the windows' density, as long as their
+    gaps stay under nq. Consecutive windows (gap 1) thus group as
+    ceil(B / sqrt((nq - 1) * (nk - 1))) even runs.
+    """
+    gaps = np.frombuffer(gaps, dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(gaps)])
+    span = int(starts[-1]) + 1
+    groups = int(np.ceil(span / max(1.0, np.sqrt((nq - 1) * (nk - 1)))))
+    cell = starts // -(-span // groups)
+    head = np.concatenate([[True], cell[1:] != cell[:-1]])
+    group, heads = np.cumsum(head) - 1, np.flatnonzero(head)
+    new = [np.where(head, full, np.minimum(np.concatenate([[0], gaps]), full)) for full in (nq, nk)]
+    if (len(heads) * np.add.reduceat(new[0], heads).max() * np.add.reduceat(new[1], heads).max()
+            > share_at * len(starts) * nq * nk):
+        return None
+    (queries, at_q), (keys, at_k) = (_union_rows(rows, full, group, heads, w)
+                                     for rows, full in zip(new, (nq, nk)))
+    plan = queries, keys, np.stack([group, at_q, at_k], axis=1)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def _shared_scores(x: Tensor, rows: Tensor, params: AttentionParams, edge: int, plan) -> Tensor:
+    """The (n, r, w) scores of the last r rows of n (w, m) windows against all
+    their rows, each pair of rows at or past ``edge`` scored once a group.
+
+    The groups of ``plan`` (``_share_plan``) score their distinct query rows
+    against their distinct key rows in one batched call, a block each, and
+    each window reads its (nq, nk) sub-block. In backward the sub-blocks'
+    grads add up in their block, and each distinct row's grad goes to the
+    window row it was read from. Keys before ``edge``, and queries before it
+    (when r > w - edge), are scored per window.
+    """
+    w = x.values.shape[-2]
     q0 = w - rows.values.shape[-2]                   # first query row of a window
     s0 = max(q0, edge)                               # first shared query row
-    nq, nk = w - s0, w - edge                        # shared queries and keys a window
-    groups = int(np.ceil(n / max(1.0, np.sqrt((nq - 1) * (nk - 1)))))
-    g = -(-n // groups)                              # windows a group
-    # window 0's rows from edge on, then each later window's last row; zero rows fill the last group
-    shared = np.concatenate([xv[0, edge:], xv[1:, -1], np.zeros((groups * g - n, m))])
-    keys = sliding_window_view(shared, (g + nk - 1, m))[::g, 0]
-    block = _scores(Tensor(keys[:, nk - nq :]), Tensor(keys), params).values
-    step_g, step_q, step_k = block.strides
-    out = np.empty((groups * g, w - q0, w))
-    out.reshape(groups, g, w - q0, w)[:, :, s0 - q0 :, edge:] = as_strided(
-        block, (groups, g, nq, nk), (step_g, step_q + step_k, step_q, step_k), writeable=False)
-    out = out[:n]
-    if edge:
-        out[:, :, :edge] = _scores(rows, Tensor(xv[:, :edge]), params).values
+    queries, keys, corners = plan
+    block = _scores(take_rows(x, queries), take_rows(x, keys), params)
+    scores = take_blocks(block, (w - s0, w - edge), corners)
     if s0 > q0:
-        out[:, : s0 - q0, edge:] = _scores(Tensor(xv[:, q0:s0]), Tensor(xv[:, edge:]),
-                                           params).values
-    return Tensor(out)
+        early = _scores(slice_rows(x, q0, s0), slice_rows(x, edge, w), params)
+        scores = transpose(concat_cols([transpose(early), transpose(scores)]))
+    if edge:
+        scores = concat_cols([_scores(rows, slice_rows(x, 0, edge), params), scores])
+    return scores
 
 
 def temporal_attention(
-    x: Tensor, rows: Tensor, params: AttentionParams, shared_from: int | None = None
+    x: Tensor, rows: Tensor, params: AttentionParams, starts: np.ndarray | None = None,
+    edge: int = 0,
 ) -> Tensor:
     """The (..., r, m) ``rows`` of a (..., w, m) window attend across its w time
     steps; returns (..., r, m).
 
-    With ``shared_from`` set, ``x`` is (B, w, m): B consecutive windows of one
-    series (window i + 1 is window i moved on one row, as ``build_windows``
-    gives them) in which every row from ``shared_from`` on is the same in each
-    window that holds it, and ``rows`` are their last r rows. The scores
-    between such rows are then computed once for all B windows. This is an
-    inference path: it records no gradient, so it refuses to run under a tape.
+    With ``starts``, ``x`` is (B, w, m): B windows of one series, window i
+    starting at series row ``starts[i]`` (strictly increasing), in which every
+    row from ``edge`` on is the same in each window that holds it, and
+    ``rows`` are their last r rows. Where ``_share_plan`` finds that it at
+    least halves them, the scores between such rows are then computed once
+    for the windows that hold them (``_shared_scores``), taped or not.
     """
-    if shared_from is not None:
-        if active_tape() is not None:
-            raise RuntimeError("shared temporal-attention scores are not taped; "
-                               "compute them outside any Tape")
-        if x.values.ndim != 3:
-            raise ValueError(f"shared scores need a (B, w, m) chunk, got {x.values.shape}")
-    if shared_from is None or shared_from >= x.values.shape[-2]:
+    w = x.values.shape[-2]
+    plan = None
+    if starts is not None and edge < w:
+        plan = _share_plan(np.diff(starts).astype(np.int64).tobytes(), w,
+                           w - max(w - rows.values.shape[-2], edge), w - edge, _SHARE_AT)
+    if plan is None:
         return attend(rows, x, x, params)
-    return _aggregate(_shared_scores(x, rows, params, shared_from), x)
+    return _aggregate(_shared_scores(x, rows, params, edge, plan), x)
 
 
 def variable_attention(x: Tensor, rows: Tensor, params: AttentionParams) -> Tensor:

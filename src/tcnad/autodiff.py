@@ -19,6 +19,7 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Negative-side slope of every leaky_relu in the model.
 LEAKY_SLOPE = 0.2
@@ -308,6 +309,42 @@ def take_row(x: Tensor, index: int) -> Tensor:
     if x.values.ndim >= 2 and not 0 <= index < x.values.shape[-2]:
         raise ValueError(f"take_row index {index} out of range for {x.values.shape[-2]} rows")
     return slice_rows(x, index, index + 1)
+
+
+def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """Rows ``index`` (an int array of any shape) of the (N, d) flattening of a
+    (..., n, d) tensor: (*index.shape, d). A row taken k times gets k grads."""
+    xv, index = x.values, np.asarray(index)
+    xn, in_shape = x.node, xv.shape
+
+    def rule(g):
+        full = np.zeros((int(np.prod(in_shape[:-1])), in_shape[-1]))
+        np.add.at(full, index, g)
+        xn.accumulate_grad(full.reshape(in_shape))
+
+    return _maybe_record(Tensor(xv.reshape(-1, xv.shape[-1])[index]), rule, (x,), (index,))
+
+
+def take_blocks(x: Tensor, shape: tuple[int, int], corners: np.ndarray) -> Tensor:
+    """Blocks of ``shape`` (p, q) cut from the last two axes of an (E, P, Q)
+    tensor at the (k, 3) int ``corners``: block i is x[e, a : a + p, b : b + q]
+    for (e, a, b) = corners[i], so the result is (k, p, q). Blocks may
+    overlap; an element's grad is the sum of those of the blocks that hold it."""
+    xv, corners = x.values, np.asarray(corners)
+    xn, in_shape = x.node, xv.shape
+
+    def rule(g):
+        # one bincount over each block element's flat position in x, where a
+        # loop of block adds makes a GIL hand-off between workers a block
+        e, a, b = corners.T
+        _, rows, cols = in_shape
+        at = ((e * rows + a) * cols + b)[:, None, None] + (
+            np.arange(shape[0])[:, None] * cols + np.arange(shape[1]))
+        full = np.bincount(at.ravel(), g.ravel(), minlength=int(np.prod(in_shape)))
+        xn.accumulate_grad(full.reshape(in_shape))
+
+    out = sliding_window_view(xv, shape, axis=(-2, -1))[tuple(corners.T)]
+    return _maybe_record(Tensor(out), rule, (x,), (corners,))
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:

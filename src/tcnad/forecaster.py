@@ -34,7 +34,6 @@ from .attention import (
 )
 from .autodiff import (
     Tensor,
-    active_tape,
     add,
     causal_dilated_conv1d,
     concat_cols,
@@ -164,7 +163,37 @@ def init_forecaster(n_features: int, config: ModelConfig, seed: int = 0) -> Fore
     return _build(n_features, config, seed, fan_in_init(np.random.default_rng(seed)))
 
 
-def forward(x: Tensor, params: ForecasterParams) -> Tensor:
+def _check_starts(xv: np.ndarray, starts) -> np.ndarray:
+    """``starts`` as an int array, refused unless it gives one strictly
+    increasing series row a window of the (B, w, m) ``xv`` and every two
+    windows hold the same bits in each series row they both hold; each
+    refusal names two window positions."""
+    starts = np.asarray(starts)
+    if xv.ndim != 3 or starts.shape != xv.shape[:1] or starts.dtype.kind not in "iu":
+        raise ValueError(f"starts must be one integer a window of a (B, w, m) batch, got "
+                         f"{starts.dtype} of shape {starts.shape} for windows of shape {xv.shape}")
+    starts = starts.astype(np.int64)
+    down = np.flatnonzero(np.diff(starts) <= 0)
+    if down.size:
+        i = int(down[0])
+        raise ValueError(f"starts must increase strictly: windows {i} and {i + 1} start at "
+                         f"series rows {starts[i]} and {starts[i + 1]}")
+    # row t of window i is row t - d of window i + 1 for t >= d, d the gap
+    # between their starts; the rows windows i and k > i + 1 both hold, every
+    # window between them holds too, so neighbours check all pairs
+    w, bits, gaps = xv.shape[1], xv.view(np.int64), np.diff(starts)
+    for d in np.unique(gaps[gaps < w]).tolist():
+        i = np.flatnonzero(gaps == d)
+        held = ((bits[:-1, d:], bits[1:, : w - d]) if len(i) == len(gaps)
+                else (bits[i, d:], bits[i + 1, : w - d]))
+        if not np.array_equal(*held):
+            i = int(i[(held[0] != held[1]).reshape(len(i), -1).any(axis=1)][0])
+            raise ValueError(f"windows {i} and {i + 1} disagree on a series row both hold "
+                             f"(they start at rows {starts[i]} and {starts[i + 1]})")
+    return starts
+
+
+def forward(x: Tensor, params: ForecasterParams, starts=None) -> Tensor:
     """Predict the next observation from a (..., window, m) tensor; returns (..., m).
 
     The prediction reads the last TCN row, which sees only the last
@@ -176,14 +205,20 @@ def forward(x: Tensor, params: ForecasterParams) -> Tensor:
 
     Leading axes are a batch of independent windows. Under a tape (training)
     one dropout mask per op, drawn from the tape's rng, covers the whole
-    batch. Untaped, dropout is off, and a (B, w, m) batch whose windows each
-    move on one row, as ``build_windows`` gives them, has its preconv rows
-    past the zero padding scored by temporal attention once.
+    batch; untaped, dropout is off. ``starts``, if given, is each window of
+    a (B, w, m) batch's first series row, strictly increasing, as the
+    trainer's loops pass it: training a sorted chunk's indexes into the
+    ``build_windows`` rows, scoring an arange. Temporal attention then
+    scores the preconv rows past the zero padding once for the windows that
+    hold them, where that at least halves those pairs, taped or not.
+    Windows that disagree on a series row they both hold are refused.
     """
     cfg = params.config
     w, m = cfg.window, params.n_features
     if x.values.shape[-2:] != (w, m):
         raise ValueError(f"expected windows of shape (..., {w}, {m}), got {x.values.shape}")
+    if starts is not None:
+        starts = _check_starts(x.values, starts)
     r = min(w, receptive_field(params.tcn))
 
     h = add(causal_dilated_conv1d(x, params.preconv_filters, 1), params.preconv_bias)
@@ -191,11 +226,8 @@ def forward(x: Tensor, params: ForecasterParams) -> Tensor:
     tail = slice_rows(h, w - r, w)
     parts = [tail]
     if params.temporal is not None:
-        xv = x.values
-        shared = (active_tape() is None and xv.ndim == 3
-                  and np.array_equal(xv[1:, :-1], xv[:-1, 1:]))
-        parts.append(temporal_attention(h, tail, params.temporal,
-                                        cfg.conv_kernel - 1 if shared else None))
+        parts.append(temporal_attention(h, tail, params.temporal, starts=starts,
+                                        edge=cfg.conv_kernel - 1))
     if params.variable is not None:
         parts.append(variable_attention(h, tail, params.variable))
     z = concat_cols(parts) if len(parts) > 1 else parts[0]

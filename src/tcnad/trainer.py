@@ -187,7 +187,8 @@ def _run_workers(workers: int, fn) -> None:
 
 
 def _scores(params: ForecasterParams, windows: np.ndarray, size: int) -> np.ndarray:
-    """Per-window RMSE of the one-step forecast, ``size`` windows per untaped forward;
+    """Per-window RMSE of the one-step forecast of the ``build_windows`` rows,
+    ``size`` windows per untaped forward, which is told they are consecutive;
     ``_workers`` workers, the calling thread among them, take chunks in turn."""
     if active_tape() is not None:
         raise RuntimeError("scoring is not taped and drops nothing; call it outside any Tape")
@@ -201,8 +202,9 @@ def _scores(params: ForecasterParams, windows: np.ndarray, size: int) -> np.ndar
                 start = next(todo, None)
             if start is None:
                 return
-            preds[start : start + size] = forward(Tensor(windows[start : start + size, :-1]),
-                                                  params).values
+            chunk = windows[start : start + size, :-1]
+            preds[start : start + size] = forward(Tensor(chunk), params,
+                                                  np.arange(start, start + len(chunk))).values
 
     with _blas_hold():
         _run_workers(_workers(len(chunks)), run)
@@ -210,8 +212,9 @@ def _scores(params: ForecasterParams, windows: np.ndarray, size: int) -> np.ndar
 
 
 def window_scores(params: ForecasterParams, windows: np.ndarray) -> np.ndarray:
-    """Per-window RMSE of the one-step forecast, without any tape or dropout, on
-    every usable CPU, in workers x one chunk of memory; refuses an open ``Tape``."""
+    """Per-window RMSE of the one-step forecast of the ``build_windows`` rows,
+    without any tape or dropout, on every usable CPU, in workers x one chunk of
+    memory; refuses an open ``Tape``."""
     return _scores(params, windows, _chunk_sizes(params)[1])
 
 
@@ -225,12 +228,16 @@ def accumulate_gradients(
 ) -> float:
     """Add the gradient of the mean RMSE of ``windows[index]`` to every param's ``.grad``.
 
-    The minibatch runs in chunks of at most ``size`` windows, one tape each
-    (``train`` passes the taped one of ``_chunk_sizes``); ``rmse_loss``
-    divides every chunk's loss by the minibatch size, so the chunk gradients
-    add up to the minibatch mean. Chunk c's tape draws its dropout masks from
-    ``default_rng`` of the c-th child of ``seq.spawn(chunks)``, whatever worker
-    runs it (None is fine at dropout 0).
+    ``windows`` are ``build_windows`` rows, window i starting at series row i.
+    The minibatch is sorted, then runs in chunks of at most ``size`` windows,
+    one tape each (``train`` passes the taped one of ``_chunk_sizes``); each
+    chunk's ``forward`` is told its windows' indexes, so temporal attention
+    shares the scores of the rows its windows both hold, unless the chunk
+    repeats a window. ``rmse_loss`` divides every chunk's loss by the
+    minibatch size, so the chunk gradients add up to the minibatch mean.
+    Chunk c of the sorted minibatch draws its dropout masks from
+    ``default_rng`` of the c-th child of ``seq.spawn(chunks)``, whatever
+    worker runs it (None is fine at dropout 0).
 
     Chunk c goes to worker c mod W, W = 1 + len(views), capped at the chunk
     count: worker 0 accumulates into ``params``, helper k into ``views[k - 1]``
@@ -238,18 +245,21 @@ def accumulate_gradients(
     are then added into ``params`` in worker order. Returns the sum of the
     per-window RMSEs, summed in chunk order.
     """
+    index = np.sort(np.arange(len(windows))[index])
     n = len(index)
-    starts = range(0, n, size)
-    rngs = ([np.random.default_rng(child) for child in seq.spawn(len(starts))]
-            if seq is not None else [None] * len(starts))
-    models = (params, *views)[: len(starts) or 1]
-    losses = [0.0] * len(starts)
+    cuts = range(0, n, size)
+    rngs = ([np.random.default_rng(child) for child in seq.spawn(len(cuts))]
+            if seq is not None else [None] * len(cuts))
+    models = (params, *views)[: len(cuts) or 1]
+    losses = [0.0] * len(cuts)
 
     def run(k):
-        for c in range(k, len(starts), len(models)):
-            chunk = windows[index[starts[c] : starts[c] + size]]
+        for c in range(k, len(cuts), len(models)):
+            rows = index[cuts[c] : cuts[c] + size]
+            chunk = windows[rows]
+            starts = rows if np.all(rows[1:] > rows[:-1]) else None
             with Tape(rngs[c]):
-                pred = forward(Tensor(chunk[:, :-1]), models[k])
+                pred = forward(Tensor(chunk[:, :-1]), models[k], starts)
                 loss = rmse_loss(pred, Tensor(chunk[:, -1]), n)
                 backward(loss)
             losses[c] = float(loss.values)
@@ -301,7 +311,8 @@ def train(
     """Minibatch Adam on the ``build_windows`` rows, mutating ``params`` in place.
 
     Each minibatch's gradient of the mean per-window RMSE is accumulated over
-    memory-bounded chunks (``accumulate_gradients``) on ``_workers`` workers,
+    memory-bounded chunks of its sorted indexes (``accumulate_gradients``),
+    whose windows share temporal-attention scores, on ``_workers`` workers,
     each helper on a view of ``params`` built once here. The epoch loss recorded
     in ``loss_history`` is the mean per-window training RMSE seen during that
     epoch; when ``val_fraction`` > 0 the chronological tail is held out and
@@ -309,9 +320,9 @@ def train(
 
     Per-run randomness (shuffling, dropout masks) comes from two seed
     sequences spawned off ``config.seed``: one shuffle generator, and one
-    dropout generator a chunk, spawned in turn. Identical inputs and worker
-    counts give identical results; other worker counts differ only by float
-    reassociation of the summed gradients.
+    dropout generator a chunk of the sorted minibatch, spawned in turn.
+    Identical inputs and worker counts give identical results; other worker
+    counts differ only by float reassociation of the summed gradients.
     ``progress``, if given, is called as ``progress(epoch, train_loss)``.
     """
     if len(windows) == 0:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tcnad.attention
 from oracles import numeric_grad, rel_err
 from tcnad.attention import (
     AttentionParams,
@@ -279,39 +280,84 @@ class TestQueryRows:
                 self._assert_close(new, ref)
 
 
-def _overlapping_windows(rng, n, w, m, edge):
-    """n windows of one series of rows, each moved on one row from the last,
+def _overlapping_windows(rng, starts, w, m, edge):
+    """Windows of w rows of one series, window i from series row starts[i],
     whose first ``edge`` rows are each window's own (as a zero-padded conv leaves them)."""
-    series = rng.standard_normal((n + w - 1, m))
-    x = np.stack([series[i : i + w] for i in range(n)])
-    x[:, :edge] = rng.standard_normal((n, edge, m))
+    series = rng.standard_normal((starts[-1] + w, m))
+    x = np.stack([series[s : s + w] for s in starts])
+    x[:, :edge] = rng.standard_normal((len(starts), edge, m))
     return x
+
+
+def _share_always(monkeypatch):
+    # small windows rarely halve their pairs by sharing; these tests share anyway
+    monkeypatch.setattr(tcnad.attention, "_SHARE_AT", np.inf)
 
 
 class TestSharedScores:
     # r = 3 shares every query row; r = 8 > w - edge also has edge queries;
-    # 23 windows make several groups, the last one filled with zero rows
+    # 23 windows make several groups, padded to the longest one's rows
     @pytest.mark.parametrize("n", [1, 2, 23])
     @pytest.mark.parametrize("r", [3, 8])
     @pytest.mark.parametrize("mode", ["dynamic", "static"])
-    def test_equals_per_window_attention(self, mode, r, n):
+    def test_equals_per_window_attention(self, mode, r, n, monkeypatch):
+        _share_always(monkeypatch)
         rng = np.random.default_rng(11)
         w, m, edge = 10, 4, 3
-        x = Tensor(_overlapping_windows(rng, n, w, m, edge))
+        x = Tensor(_overlapping_windows(rng, np.arange(n), w, m, edge))
         rows = slice_rows(x, w - r, w)
         params = init_attention(m, mode=mode, source=fan_in_init(rng), prefix="head")
-        shared = temporal_attention(x, rows, params, shared_from=edge).values
+        shared = temporal_attention(x, rows, params, starts=np.arange(n), edge=edge).values
         np.testing.assert_allclose(shared, temporal_attention(x, rows, params).values,
                                    rtol=1e-14, atol=1e-15)
 
-    def test_refuses_a_tape_and_unbatched_windows(self):
-        rng = np.random.default_rng(12)
-        x = Tensor(_overlapping_windows(rng, 4, 6, 2, 1))
-        params = init_attention(2, source=fan_in_init(rng), prefix="head")
-        with Tape(), pytest.raises(RuntimeError, match="not taped"):
-            temporal_attention(x, x, params, shared_from=1)
-        with pytest.raises(ValueError, match=r"\(B, w, m\) chunk"):
-            temporal_attention(Tensor(x.values[0]), Tensor(x.values[0]), params, shared_from=1)
+    # gaps of 1, of several rows, past the queries (>= nq = 3), and of at
+    # least w - edge = 7, where windows share no row past the edge
+    @pytest.mark.parametrize("starts", [[0, 1, 2, 3], [0, 2, 5, 6, 9], [0, 4, 11, 12, 30]],
+                             ids=["gap1", "gaps", "apart"])
+    @pytest.mark.parametrize("r", [3, 8])
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    def test_taped_gradients_equal_per_window(self, mode, r, starts, monkeypatch):
+        # the weights' grads agree; each window row's grad may land on another
+        # window's copy of the same series row, so rows past the edge agree
+        # summed per series row
+        _share_always(monkeypatch)
+        rng = np.random.default_rng(13)
+        w, m, edge = 10, 4, 3
+        starts = np.array(starts)
+        values = _overlapping_windows(rng, starts, w, m, edge)
+        params = init_attention(m, mode=mode, source=fan_in_init(rng), prefix="head")
+        target = rng.standard_normal((len(starts), r, m))
+
+        def grads(**sharing):
+            x = Tensor(values, requires_grad=True)
+            for p in (params.weight, params.score_vec):
+                p.zero_grad()
+            with Tape():
+                out = temporal_attention(x, slice_rows(x, w - r, w), params, **sharing)
+                backward(rmse_loss(out, Tensor(target)))
+            series = np.zeros((starts[-1] + w, m))
+            np.add.at(series, (starts[:, None] + np.arange(edge, w)), x.grad[:, edge:])
+            return [params.weight.grad, params.score_vec.grad, x.grad[:, :edge], series]
+
+        for got, ref in zip(grads(starts=starts, edge=edge), grads()):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14 * np.abs(ref).max())
+
+    def test_shares_only_where_it_halves_the_pairs(self):
+        # 15 windows of the paper shapes (r = 43, edge 6) at gap 2 score one
+        # 71 x 122 block, against 15 x 43 x 94 pairs apart; at gap 16 their
+        # four groups' 91 x 142 blocks score more than half of that
+        w, nq, nk = 100, 43, 94
+
+        def plan(starts):
+            return tcnad.attention._share_plan(np.diff(starts).tobytes(), w, nq, nk, 0.5)
+
+        queries, keys, corners = plan(np.arange(0, 30, 2))
+        assert queries.shape == (1, nq + 28) and keys.shape == (1, nk + 28)
+        np.testing.assert_array_equal(corners, np.stack([np.zeros(15), np.arange(0, 30, 2),
+                                                         np.arange(0, 30, 2)], axis=1))
+        assert plan(np.arange(0, 240, 16)) is None
+        assert plan(np.arange(1)) is None
 
 
 def _variable_view(x, params):

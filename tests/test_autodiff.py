@@ -37,7 +37,9 @@ from tcnad.autodiff import (
     slice_cols,
     slice_rows,
     softmax_rows,
+    take_blocks,
     take_row,
+    take_rows,
     transpose,
 )
 from tcnad.forecaster import ModelConfig, forward, init_forecaster
@@ -164,6 +166,9 @@ class TestRecords:
         "pair_scores": (pair_scores, [(2, 4, 3), (2, 5, 3), (3,)]),
         "conv": (lambda x, f: causal_dilated_conv1d(x, f, 2, 3), [(2, 6, 2), (3, 2, 4)]),
         "rmse_loss": (lambda p, t: rmse_loss(p, t, 2.0), [(2, 3), (2, 3)]),
+        "take_rows": (lambda x: take_rows(x, np.array([[0, 5], [5, 7]])), [(2, 4, 3)]),
+        "take_blocks": (lambda x: take_blocks(x, (2, 3), np.array([[0, 0, 1], [1, 2, 0]])),
+                        [(2, 4, 5)]),
     }
     # ops whose rules read no values at all, at most a dropout mask
     SHAPES_ONLY = {"add", "add_bias", "transpose", "reshape", "slice_cols", "slice_rows",
@@ -486,6 +491,45 @@ class TestPairScores:
                                  (Tensor(np.zeros(3)), Tensor(np.zeros(3)), v)]:
             with pytest.raises(ValueError):
                 pair_scores(left, right, vec)
+
+
+class TestGathers:
+    """``take_rows`` and ``take_blocks`` against plain indexing, with repeated
+    rows and overlapping blocks, whose grads must add up."""
+
+    @staticmethod
+    def _grad(op, x, upstream):
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = op(t)
+            out.grad = upstream
+            tape.replay_backward()
+        return out.values, t.grad
+
+    def test_take_rows(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((3, 4, 2))
+        index = np.array([[1, 5, 5], [11, 0, 5]])
+        upstream = rng.standard_normal((2, 3, 2))
+        out, grad = self._grad(lambda t: take_rows(t, index), x, upstream)
+        flat = x.reshape(12, 2)
+        np.testing.assert_array_equal(out, flat[index])
+        ref = np.zeros((12, 2))
+        for i, row in np.ndenumerate(index):
+            ref[row] += upstream[i]
+        np.testing.assert_allclose(grad, ref.reshape(x.shape), rtol=1e-15)
+
+    def test_take_blocks(self):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((2, 5, 6))
+        corners = np.array([[0, 0, 0], [0, 1, 2], [1, 2, 3], [0, 1, 2], [1, 0, 0]])
+        upstream = rng.standard_normal((5, 3, 3))
+        out, grad = self._grad(lambda t: take_blocks(t, (3, 3), corners), x, upstream)
+        ref = np.zeros_like(x)
+        for i, (e, a, b) in enumerate(corners):
+            np.testing.assert_array_equal(out[i], x[e, a : a + 3, b : b + 3])
+            ref[e, a : a + 3, b : b + 3] += upstream[i]
+        np.testing.assert_allclose(grad, ref, rtol=1e-15)
 
 
 class TestConvForward:

@@ -312,7 +312,7 @@ class TestGradientFlow:
         assert decreases >= 15
 
 
-def _unpruned_forward(x, params):
+def _unpruned_forward(x, params, starts=None):
     """Reference forward in which every layer computes all w rows (dropout 0 only)
     and every window is scored on its own."""
     assert params.config.dropout == 0.0
@@ -400,9 +400,9 @@ class TestReceptiveFieldPruning:
         def spy(view):
             real = getattr(tcnad.forecaster, view)
 
-            def wrapped(x, tail, attention_params, *shared_from):
+            def wrapped(x, tail, attention_params, **sharing):
                 rows[view] = tail
-                return real(x, tail, attention_params, *shared_from)
+                return real(x, tail, attention_params, **sharing)
 
             return wrapped
 

@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import record_arrays
+import tcnad.attention
 from tcnad import trainer
 from tcnad.data import compute_stats, normalize
 from tcnad.autodiff import Tape, Tensor, active_tape, backward, rmse_loss, row_rmse
-from tcnad.attention import temporal_attention
 from tcnad.forecaster import ModelConfig, forward, init_forecaster
 from tcnad.thresholds import anomaly_scores
 from tcnad.trainer import (
@@ -547,17 +547,14 @@ class TestSharedScores:
             scores = window_scores(params, windows)
         _assert_scores_match(scores, _per_window_scores(params, windows))
 
-    def test_window_scores_share_consecutive_chunks_only(self, monkeypatch):
+    def test_window_scores_share_every_chunk(self, monkeypatch):
+        # scoring tells forward its windows are consecutive: a demo chunk of
+        # 40 windows scores its shared pairs in 4 groups, and per window as well
         calls = self._spy_shared(monkeypatch)
         params, windows = self._demo_windows(40)
-        window_scores(params, windows)
+        scores = window_scores(params, windows)
         assert calls == [windows[:, :-1].shape]
-        # shuffled windows are not consecutive: every window is scored on its own
-        calls.clear()
-        order = np.random.default_rng(0).permutation(len(windows))
-        scores = window_scores(params, windows[order])
-        assert calls == []
-        _assert_scores_match(scores, _per_window_scores(params, windows[order]))
+        _assert_scores_match(scores, _per_window_scores(params, windows))
 
     @staticmethod
     def _spy_shared(monkeypatch):
@@ -574,36 +571,167 @@ class TestSharedScores:
         params = init_forecaster(m, cfg, seed=0)
         return params, build_windows(_toy_series(n=cfg.window + n, m=m), cfg.window)
 
-    def test_forward_shares_nothing_on_a_shuffled_batch(self, monkeypatch):
-        # the same rows in another order move on by other than one row
+    def test_forward_shares_nothing_without_starts(self, monkeypatch):
+        # consecutive windows, but nothing says so: every window on its own
         calls = self._spy_shared(monkeypatch)
         params, windows = self._demo_windows(12)
-        windows = windows[np.random.default_rng(0).permutation(len(windows))]
         pred = forward(Tensor(windows[:, :-1]), params).values
         ref = np.stack([forward(Tensor(w[:-1]), params).values for w in windows])
         assert calls == []
         assert np.abs(pred - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    def test_forward_shares_a_consecutive_batch_once(self, monkeypatch):
+    def test_forward_shares_consecutive_starts_once(self, monkeypatch):
         calls = self._spy_shared(monkeypatch)
         params, windows = self._demo_windows(12)
-        forward(Tensor(windows[:, :-1]), params)
+        forward(Tensor(windows[:, :-1]), params, np.arange(12))
         assert calls == [windows[:, :-1].shape]
 
-    def test_sharing_refuses_a_tape(self, monkeypatch):
-        # taped, forward scores a consecutive batch per window; asked to share
-        # under a tape, temporal attention raises. At dropout 0 the training
-        # tape's rng draws nothing, so the taped and untaped scores agree.
+    # gaps of 1, of several rows, and of at least w - edge (94 at paper, 14 at
+    # demo), where windows share no row past the edge
+    @pytest.mark.parametrize("gaps", ["gap1", "gaps", "apart"])
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    @pytest.mark.parametrize("name", ["demo", "paper", "paper55"])
+    def test_taped_sharing_equals_per_window(self, name, mode, gaps, monkeypatch):
+        # at dropout 0, a chunk's parameter grads with its windows' starts,
+        # shared whatever it saves, equal those of its windows apart
+        monkeypatch.setattr(tcnad.attention, "_SHARE_AT", np.inf)
+        m, cfg = {**NAMED_CONFIGS, "paper55": (55, ModelConfig())}[name]
+        params = init_forecaster(m, replace(cfg, dropout=0.0, attention_mode=mode), seed=2)
+        step = {"gap1": [1], "gaps": [2, 1, 5, 3, 7], "apart": [cfg.window, 2 * cfg.window]}[gaps]
+        starts = np.cumsum([0] + step * (6 // len(step)))
+        windows = build_windows(_toy_series(n=starts[-1] + cfg.window + 1, m=m), cfg.window)
+        chunk = windows[starts]
+
+        def grads(starts):
+            for t in params.tensors():
+                t.zero_grad()
+            with Tape():
+                pred = forward(Tensor(chunk[:, :-1]), params, starts)
+                loss = rmse_loss(pred, Tensor(chunk[:, -1]), len(chunk))
+                backward(loss)
+            return float(loss.values), [t.grad for t in params.tensors()]
+
+        (shared_loss, shared), (loss, apart) = grads(starts), grads(None)
+        np.testing.assert_allclose(shared_loss, loss, rtol=1e-12)
+        for (name, _), got, ref in zip(params.named_parameters(), shared, apart):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    @staticmethod
+    def _temporal_pair_calls(monkeypatch):
+        # the (lead, n, p) of each pair_scores call temporal attention makes
+        import tcnad.attention
+        import tcnad.forecaster
+
+        calls, inside = [], []
+        real_pairs, real_temporal = tcnad.attention.pair_scores, tcnad.forecaster.temporal_attention
+
+        def pairs(left, right, v):
+            if inside:
+                calls.append(left.values.shape[:-1] + right.values.shape[-2:-1])
+            return real_pairs(left, right, v)
+
+        def temporal(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_temporal(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(tcnad.attention, "pair_scores", pairs)
+        monkeypatch.setattr(tcnad.forecaster, "temporal_attention", temporal)
+        return calls
+
+    @staticmethod
+    def _sorted_chunk(name, windows, batch, seed=0):
+        """The first taped chunk of a sorted random minibatch of ``batch`` of
+        ``windows`` build_windows rows at the named config."""
+        m, cfg = NAMED_CONFIGS[name]
+        params = init_forecaster(m, replace(cfg, dropout=0.0), seed=1)
+        size = trainer._chunk_sizes(params)[0]
+        index = np.sort(np.random.default_rng(seed).permutation(windows)[:batch])[:size]
+        series = _toy_series(n=windows + cfg.window, m=m, seed=seed)
+        return params, build_windows(series, cfg.window)[index], index
+
+    def test_sorted_paper_chunk_scores_a_third_of_the_pairs(self, monkeypatch):
+        # paper's 256 of 512 windows: 15 windows a chunk at a mean gap of 2
+        calls = self._temporal_pair_calls(monkeypatch)
+        params, chunk, index = self._sorted_chunk("paper", 512, 256)
+        counts = []
+        for starts in (index, None):
+            calls.clear()
+            with Tape():
+                forward(Tensor(chunk[:, :-1]), params, starts)
+            counts.append(sum(int(np.prod(shape)) for shape in calls))
+        assert counts[1] == len(index) * 43 * 100
+        assert counts[0] <= counts[1] / 3
+
+    def test_demo_density_chunk_scores_as_apart(self, monkeypatch):
+        # the demo workload draws 128 of 4,980 windows (a mean gap of 39 rows,
+        # window 20): sharing would save little, so the pair_scores calls are
+        # those of the windows apart
+        calls = self._temporal_pair_calls(monkeypatch)
+        params, chunk, index = self._sorted_chunk("demo", 4980, 128)
+        assert len(index) == 128
+        runs = []
+        for starts in (index, None):
+            calls.clear()
+            with Tape():
+                forward(Tensor(chunk[:, :-1]), params, starts)
+            runs.append(list(calls))
+        assert runs[0] == runs[1] == [(128, 19, 20)]
+
+    def test_a_repeated_window_trains_per_window(self, monkeypatch):
+        # the public accumulate_gradients takes any index: a chunk that holds
+        # a window twice scores per window, as unsorted chunks did, sharing or not
+        monkeypatch.setattr(tcnad.attention, "_SHARE_AT", np.inf)
         calls = self._spy_shared(monkeypatch)
-        params, windows = self._demo_windows(12)
+        params, windows = self._demo_windows(30)
         params = init_forecaster(params.n_features, replace(params.config, dropout=0.0))
-        x = Tensor(windows[:, :-1])
-        with Tape(np.random.default_rng(0)):
-            pred = forward(x, params).values
+        index = np.array([9, 3, 5, 3, 20, 4])
+        ref_loss, ref_grads, scales = _per_window_reference(params, windows[index])
+        for t in params.tensors():
+            t.zero_grad()
+        total = accumulate_gradients(params, windows, index, None, len(index))
         assert calls == []
-        _assert_scores_match(pred, forward(x, params).values)
-        with Tape(np.random.default_rng(0)), pytest.raises(RuntimeError, match="not taped"):
-            temporal_attention(x, x, params.temporal, shared_from=1)
+        np.testing.assert_allclose(total / len(index), ref_loss, rtol=1e-12)
+        for t, ref, scale in zip(params.tensors(), ref_grads, scales):
+            _assert_close(t.grad, ref, scale)
+
+    def test_train_equals_training_apart(self, monkeypatch):
+        # at dropout 0 sharing changes no result beyond float reassociation:
+        # minibatches of 64 of 300 demo windows, every chunk shared or none
+        m, cfg = NAMED_CONFIGS["demo"]
+        windows = build_windows(_toy_series(n=cfg.window + 300, m=m), cfg.window)
+        runs = []
+        for share_at in (np.inf, 0.0):
+            monkeypatch.setattr(tcnad.attention, "_SHARE_AT", share_at)
+            params = init_forecaster(m, replace(cfg, dropout=0.0), seed=3)
+            result = train(params, windows, TrainConfig(epochs=2, batch_size=64, seed=4))
+            runs.append((result.loss_history, [t.values for t in params.tensors()]))
+        np.testing.assert_allclose(runs[0][0], runs[1][0], rtol=1e-12)
+        for got, ref in zip(runs[0][1], runs[1][1]):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("starts, message", [
+        ([0, 1, 1, 2], r"increase strictly: windows 1 and 2 start at series rows 1 and 1"),
+        ([0, 2, 1, 3], r"increase strictly: windows 1 and 2 start at series rows 2 and 1"),
+        ([0, 1, 2], r"one integer a window of a \(B, w, m\) batch"),
+        ([0.0, 1.0, 2.0, 3.0], r"one integer a window"),
+        ([0, 1, 3, 4], r"windows 1 and 2 disagree on a series row both hold"),
+    ], ids=["repeat", "decrease", "length", "floats", "disagree"])
+    def test_forward_refuses_bad_starts(self, starts, message):
+        # windows 0-3 of one series: a start that skips a row claims window 2
+        # holds another window's rows
+        params, windows = self._demo_windows(4)
+        with pytest.raises(ValueError, match=message):
+            forward(Tensor(windows[:, :-1]), params, np.array(starts))
+
+    def test_forward_refuses_starts_for_shuffled_windows(self):
+        params, windows = self._demo_windows(6)
+        with pytest.raises(ValueError, match="windows 0 and 1 disagree"):
+            forward(Tensor(windows[[0, 2, 1, 3, 4, 5], :-1]), params, np.arange(6))
+        with pytest.raises(ValueError, match=r"\(B, w, m\) batch"):
+            forward(Tensor(windows[0, :-1]), params, np.arange(1))
 
     @pytest.mark.parametrize("name, variant", [
         pytest.param(name, variant, id=f"{name}-{variant}")
@@ -618,10 +746,10 @@ class TestSharedScores:
         params = init_forecaster(m, _variants(cfg)[variant])
         size = trainer._chunk_sizes(params)[1]
         x = Tensor(build_windows(_toy_series(n=cfg.window + size, m=m), cfg.window)[:, :-1])
-        forward(x, params)
+        forward(x, params, np.arange(size))
         tracemalloc.start()
         try:
-            forward(x, params)
+            forward(x, params, np.arange(size))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -676,10 +804,10 @@ class TestThreadedScores:
         # taped), and the length of each chunk they ran
         seen, real = {}, trainer.forward
 
-        def spy(x, params):
+        def spy(x, params, starts=None):
             if active_tape() is None:
                 seen.setdefault(threading.get_ident(), []).append(len(x.values))
-            return real(x, params)
+            return real(x, params, starts)
 
         monkeypatch.setattr(trainer, "forward", spy)
         return seen
@@ -689,7 +817,8 @@ class TestThreadedScores:
     @pytest.mark.parametrize("name", ["demo", "paper", "short"])
     def test_equals_a_serial_chunk_loop(self, name, workers, chunks, monkeypatch):
         params, windows, size = self._windows(name, chunks)
-        preds = np.concatenate([forward(Tensor(windows[start : start + size, :-1]), params).values
+        preds = np.concatenate([forward(Tensor(windows[start : start + size, :-1]), params,
+                                        np.arange(start, min(start + size, len(windows)))).values
                                 for start in range(0, len(windows), size)])
         serial = row_rmse(preds - windows[:, -1])[:, 0]
         _use_cpus(monkeypatch, workers)
@@ -709,11 +838,11 @@ class TestThreadedScores:
         params, windows, size = self._windows("demo", 5)
         barrier, first, real = threading.Barrier(workers, timeout=30), set(), trainer.forward
 
-        def wait_for_all(x, params):
+        def wait_for_all(x, params, starts=None):
             if active_tape() is None and threading.get_ident() not in first:
                 first.add(threading.get_ident())
                 barrier.wait()
-            return real(x, params)
+            return real(x, params, starts)
 
         _use_cpus(monkeypatch, workers)
         monkeypatch.setattr(trainer, "forward", wait_for_all)
@@ -761,10 +890,10 @@ class TestThreadedScores:
                                 TINY.window)
         real = trainer.forward
 
-        def forward_failing_on(x, params):
+        def forward_failing_on(x, params, starts=None):
             if active_tape() is None and x.values[0, 0, 0] == 4 * failing:
                 raise FloatingPointError(f"chunk {failing}")
-            return real(x, params)
+            return real(x, params, starts)
 
         _use_cpus(monkeypatch, workers)
         monkeypatch.setattr(trainer, "forward", forward_failing_on)
@@ -886,10 +1015,10 @@ class TestThreadedTraining:
                                 TINY.window)
         seen, real = {}, trainer.forward
 
-        def spy(x, params):
+        def spy(x, params, starts=None):
             if active_tape() is not None and x.values.any():
                 seen[int(x.values[0, 0, 0]) - 1] = (threading.current_thread(), len(x.values))
-            return real(x, params)
+            return real(x, params, starts)
 
         _use_cpus(monkeypatch, 3)
         monkeypatch.setattr(trainer, "forward", spy)
@@ -938,10 +1067,10 @@ class TestThreadedTraining:
                                 TINY.window)
         real = trainer.forward
 
-        def forward_failing_on(x, params):
+        def forward_failing_on(x, params, starts=None):
             if active_tape() is not None and x.values[0, 0, 0] == 3 * failing + 1:
                 raise FloatingPointError(f"chunk {failing}")
-            return real(x, params)
+            return real(x, params, starts)
 
         _use_cpus(monkeypatch, workers)
         monkeypatch.setattr(trainer, "forward", forward_failing_on)
@@ -1009,10 +1138,10 @@ class TestBlasHold:
         # every forward but the chunk-size probe's, whose window is zeros
         fake, real, seen = self._fake(monkeypatch), trainer.forward, set()
 
-        def spy(x, params):
+        def spy(x, params, starts=None):
             if x.values.any():
                 seen.add(fake.threads)
-            return real(x, params)
+            return real(x, params, starts)
 
         monkeypatch.setattr(trainer, "forward", spy)
         train(init_forecaster(2, TINY, seed=1), _toy_windows(),
