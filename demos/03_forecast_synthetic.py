@@ -6,6 +6,8 @@ Adam. Here we use a short sine-mixture dataset so the whole run takes a few
 seconds, then look at the loss curve and a handful of predictions.
 """
 
+import numpy as np
+
 from tcnad.autodiff import Tensor
 from tcnad.data import compute_stats, normalize
 from tcnad.forecaster import ModelConfig, forward, init_forecaster
@@ -46,9 +48,9 @@ if result.val_history:
 # ---------------------------------------------------------------------------
 test = normalize(ds.test, stats)
 print("\n t   truth            prediction")
-for t in range(model_cfg.window, model_cfg.window + 8):
-    window = test[t - model_cfg.window : t]
-    pred = forward(Tensor(window), params).values
+# one forward over the test series: window i starts at row i, predicts row i + w
+preds = forward(Tensor(test), params, np.arange(8)).values
+for t, pred in enumerate(preds, start=model_cfg.window):
     truth = test[t]
     print(f"{t:3d}  [{truth[0]:6.3f} {truth[1]:6.3f}]  [{pred[0]:6.3f} {pred[1]:6.3f}]")
 

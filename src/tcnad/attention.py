@@ -245,7 +245,7 @@ def temporal_attention(
     steps; returns (..., r, m).
 
     With ``starts``, ``x`` is (B, w, m): B windows of one series, window i
-    starting at series row ``starts[i]`` (strictly increasing), in which every
+    starting at series row ``starts[i]`` (non-decreasing), in which every
     row from ``edge`` on is the same in each window that holds it, and
     ``rows`` are their last r rows. Where ``_share_plan`` finds that it at
     least halves them, the scores between such rows are then computed once

@@ -44,6 +44,7 @@ from .autodiff import (
     reshape,
     slice_rows,
     take_row,
+    take_rows,
 )
 from .tcn import TcnBlockParams, init_tcn_stack, receptive_field, tcn_forward
 
@@ -163,65 +164,49 @@ def init_forecaster(n_features: int, config: ModelConfig, seed: int = 0) -> Fore
     return _build(n_features, config, seed, fan_in_init(np.random.default_rng(seed)))
 
 
-def _check_starts(xv: np.ndarray, starts) -> np.ndarray:
-    """``starts`` as an int array, refused unless it gives one strictly
-    increasing series row a window of the (B, w, m) ``xv`` and every two
-    windows hold the same bits in each series row they both hold; each
-    refusal names two window positions."""
-    starts = np.asarray(starts)
-    if xv.ndim != 3 or starts.shape != xv.shape[:1] or starts.dtype.kind not in "iu":
-        raise ValueError(f"starts must be one integer a window of a (B, w, m) batch, got "
-                         f"{starts.dtype} of shape {starts.shape} for windows of shape {xv.shape}")
-    starts = starts.astype(np.int64)
-    down = np.flatnonzero(np.diff(starts) <= 0)
-    if down.size:
-        i = int(down[0])
-        raise ValueError(f"starts must increase strictly: windows {i} and {i + 1} start at "
-                         f"series rows {starts[i]} and {starts[i + 1]}")
-    # row t of window i is row t - d of window i + 1 for t >= d, d the gap
-    # between their starts; the rows windows i and k > i + 1 both hold, every
-    # window between them holds too, so neighbours check all pairs
-    w, bits, gaps = xv.shape[1], xv.view(np.int64), np.diff(starts)
-    for d in np.unique(gaps[gaps < w]).tolist():
-        i = np.flatnonzero(gaps == d)
-        held = ((bits[:-1, d:], bits[1:, : w - d]) if len(i) == len(gaps)
-                else (bits[i, d:], bits[i + 1, : w - d]))
-        if not np.array_equal(*held):
-            i = int(i[(held[0] != held[1]).reshape(len(i), -1).any(axis=1)][0])
-            raise ValueError(f"windows {i} and {i + 1} disagree on a series row both hold "
-                             f"(they start at rows {starts[i]} and {starts[i + 1]})")
-    return starts
+def forward(series: Tensor, params: ForecasterParams, starts) -> Tensor:
+    """Predict the row after each window of an (N, m) series; returns (B, m).
 
-
-def forward(x: Tensor, params: ForecasterParams, starts=None) -> Tensor:
-    """Predict the next observation from a (..., window, m) tensor; returns (..., m).
+    Window i is series rows ``starts[i]`` to ``starts[i] + w - 1``, ``starts``
+    being one non-decreasing 1-D integer array in [0, N - w]; independent
+    windows are their rows one after another, at starts 0, w, 2w, .... The
+    windows are gathered from the series, so any two agree on the rows both hold.
 
     The prediction reads the last TCN row, which sees only the last
     r = min(w, receptive_field) rows of the TCN input. The preconv runs over
     all w rows, since every row is an attention key; the last r rows, cut
     once, are the temporal attention queries, the time steps variable
     attention aggregates, and the first part of the TCN input, whose convs
-    compute only the rows that reach that last row.
+    compute only the rows that reach that last row. Temporal attention scores
+    the preconv rows past the zero padding once for the windows that hold
+    them, where that at least halves those pairs, taped or not.
 
-    Leading axes are a batch of independent windows. Under a tape (training)
-    one dropout mask per op, drawn from the tape's rng, covers the whole
-    batch; untaped, dropout is off. ``starts``, if given, is each window of
-    a (B, w, m) batch's first series row, strictly increasing, as the
-    trainer's loops pass it: training a sorted chunk's indexes into the
-    ``build_windows`` rows, scoring an arange. Temporal attention then
-    scores the preconv rows past the zero padding once for the windows that
-    hold them, where that at least halves those pairs, taped or not.
-    Windows that disagree on a series row they both hold are refused.
+    Under a tape (training) one dropout mask per op, drawn from the tape's
+    rng, covers the whole batch; untaped, dropout is off.
     """
     cfg = params.config
     w, m = cfg.window, params.n_features
-    if x.values.shape[-2:] != (w, m):
-        raise ValueError(f"expected windows of shape (..., {w}, {m}), got {x.values.shape}")
-    if starts is not None:
-        starts = _check_starts(x.values, starts)
+    if series.values.ndim != 2 or series.values.shape[1] != m:
+        raise ValueError(f"expected a (N, {m}) series, got shape {series.values.shape}")
+    starts = np.asarray(starts)
+    if starts.ndim != 1 or starts.dtype.kind not in "iu":
+        raise ValueError(f"starts must be one 1-D integer array, got {starts.dtype} "
+                         f"of shape {starts.shape}")
+    starts = starts.astype(np.int64)
+    down = np.flatnonzero(np.diff(starts) < 0)
+    if down.size:
+        i = down[0]
+        raise ValueError(f"starts must not decrease: windows {i} and {i + 1} start at "
+                         f"series rows {starts[i]} and {starts[i + 1]}")
+    last = len(series.values) - w
+    if starts.size and not 0 <= starts[0] <= starts[-1] <= last:
+        raise ValueError(f"starts must lie in [0, N - w] = [0, {last}] for windows of {w} rows, "
+                         f"got {starts[0]} to {starts[-1]}")
     r = min(w, receptive_field(params.tcn))
 
+    x = take_rows(series, starts[:, None] + np.arange(w))
     h = add(causal_dilated_conv1d(x, params.preconv_filters, 1), params.preconv_bias)
+    del x                                          # untaped, freed before attention runs
 
     tail = slice_rows(h, w - r, w)
     parts = [tail]
@@ -234,7 +219,7 @@ def forward(x: Tensor, params: ForecasterParams, starts=None) -> Tensor:
     del h, tail, parts                             # untaped, freed before the TCN runs
 
     z = tcn_forward(z, params.tcn, rows=1)
-    out = take_row(z, 0)                           # (..., 1, tcn_channels)
+    out = take_row(z, 0)                           # (B, 1, tcn_channels)
 
     n_layers = len(params.mlp)
     for i, (weight, bias) in enumerate(params.mlp):
@@ -242,7 +227,7 @@ def forward(x: Tensor, params: ForecasterParams, starts=None) -> Tensor:
         if i < n_layers - 1:
             out = leaky_relu(out)
             out = dropout(out, cfg.dropout)
-    return reshape(out, x.values.shape[:-2] + (m,))
+    return reshape(out, (len(starts), m))
 
 
 # ---------------------------------------------------------------------------

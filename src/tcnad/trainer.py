@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .autodiff import Tape, Tensor, active_tape, backward, rmse_loss, row_rmse
 from .forecaster import ForecasterParams, _build, bool_field, forward, int_field, real_field
@@ -68,23 +68,36 @@ def build_windows(series: np.ndarray, window: int) -> np.ndarray:
     return sliding_window_view(series, (window + 1, series.shape[1]))[:, 0]
 
 
+def _series_rows(windows: np.ndarray, window: int) -> np.ndarray:
+    """The series rows under ``build_windows`` rows of ``window`` input rows,
+    read in place: window i's row t is row i + t, which equal strides along
+    the first two axes prove. Refuses any other array, a copy among them."""
+    if not (windows.ndim == 3 and windows.shape[1] == window + 1
+            and windows.strides[0] == windows.strides[1]):
+        raise ValueError(f"windows must be build_windows rows of a window of {window}, "
+                         f"window i starting at series row i; got shape {windows.shape} "
+                         f"and strides {windows.strides}")
+    return as_strided(windows, (len(windows) + window, windows.shape[2]), windows.strides[1:],
+                      writeable=False)
+
+
 def _window_tape_bytes(params: ForecasterParams) -> tuple[int, int]:
     """Bytes one window keeps on the tape, parameters aside, as the tape counts
     them for a taped forward and loss on a zero window: all of them, and the
     floating-point part. The probe's dropout masks come from an rng of its own."""
-    window = np.zeros((1, params.config.window + 1, params.n_features))
+    series = np.zeros((params.config.window + 1, params.n_features))
     with Tape(np.random.default_rng(0)) as tape:
         tape.save(*(t.values for t in params.tensors()))
         fixed, fixed_floats = tape.saved_bytes, tape.float_bytes
-        pred = forward(Tensor(window[:, :-1]), params)
-        rmse_loss(pred, Tensor(window[:, -1]))
+        pred = forward(Tensor(series), params, [0])
+        rmse_loss(pred, Tensor(series[-1:]))
         return tape.saved_bytes - fixed, tape.float_bytes - fixed_floats
 
 
 def _chunk_sizes(params: ForecasterParams) -> tuple[int, int]:
     """Windows per taped and per untaped ``forward``, from all one probe window
     keeps and from its float arrays, which an untaped forward computes too:
-    (15, 17) at the paper config, (7, 9) at 55 features, (270, 298) at the demo one."""
+    (15, 17) at the paper config, (7, 9) at 55 features, (270, 299) at the demo one."""
     taped, floats = _window_tape_bytes(params)
     return max(1, _CHUNK_BYTES // taped), max(1, _CHUNK_BYTES // floats)
 
@@ -188,10 +201,11 @@ def _run_workers(workers: int, fn) -> None:
 
 def _scores(params: ForecasterParams, windows: np.ndarray, size: int) -> np.ndarray:
     """Per-window RMSE of the one-step forecast of the ``build_windows`` rows,
-    ``size`` windows per untaped forward, which is told they are consecutive;
-    ``_workers`` workers, the calling thread among them, take chunks in turn."""
+    ``size`` windows per untaped forward of their series rows; ``_workers``
+    workers, the calling thread among them, take chunks in turn."""
     if active_tape() is not None:
         raise RuntimeError("scoring is not taped and drops nothing; call it outside any Tape")
+    series = _series_rows(windows, params.config.window)
     preds = np.empty((len(windows), params.n_features))
     chunks = range(0, len(windows), size)
     todo, lock = iter(chunks), threading.Lock()
@@ -202,9 +216,8 @@ def _scores(params: ForecasterParams, windows: np.ndarray, size: int) -> np.ndar
                 start = next(todo, None)
             if start is None:
                 return
-            chunk = windows[start : start + size, :-1]
-            preds[start : start + size] = forward(Tensor(chunk), params,
-                                                  np.arange(start, start + len(chunk))).values
+            stop = min(start + size, len(windows))
+            preds[start:stop] = forward(Tensor(series), params, np.arange(start, stop)).values
 
     with _blas_hold():
         _run_workers(_workers(len(chunks)), run)
@@ -228,12 +241,12 @@ def accumulate_gradients(
 ) -> float:
     """Add the gradient of the mean RMSE of ``windows[index]`` to every param's ``.grad``.
 
-    ``windows`` are ``build_windows`` rows, window i starting at series row i.
-    The minibatch is sorted, then runs in chunks of at most ``size`` windows,
-    one tape each (``train`` passes the taped one of ``_chunk_sizes``); each
-    chunk's ``forward`` is told its windows' indexes, so temporal attention
-    shares the scores of the rows its windows both hold, unless the chunk
-    repeats a window. ``rmse_loss`` divides every chunk's loss by the
+    ``windows`` are ``build_windows`` rows, window i starting at series row i;
+    any other array is refused. The minibatch is sorted, then runs in chunks
+    of at most ``size`` windows, one tape each (``train`` passes the taped one
+    of ``_chunk_sizes``); each chunk's ``forward`` reads the series rows at
+    its windows' indexes, so temporal attention shares the scores of the rows
+    its windows both hold. ``rmse_loss`` divides every chunk's loss by the
     minibatch size, so the chunk gradients add up to the minibatch mean.
     Chunk c of the sorted minibatch draws its dropout masks from
     ``default_rng`` of the c-th child of ``seq.spawn(chunks)``, whatever
@@ -245,6 +258,7 @@ def accumulate_gradients(
     are then added into ``params`` in worker order. Returns the sum of the
     per-window RMSEs, summed in chunk order.
     """
+    series = _series_rows(windows, params.config.window)
     index = np.sort(np.arange(len(windows))[index])
     n = len(index)
     cuts = range(0, n, size)
@@ -256,11 +270,9 @@ def accumulate_gradients(
     def run(k):
         for c in range(k, len(cuts), len(models)):
             rows = index[cuts[c] : cuts[c] + size]
-            chunk = windows[rows]
-            starts = rows if np.all(rows[1:] > rows[:-1]) else None
             with Tape(rngs[c]):
-                pred = forward(Tensor(chunk[:, :-1]), models[k], starts)
-                loss = rmse_loss(pred, Tensor(chunk[:, -1]), n)
+                pred = forward(Tensor(series), models[k], rows)
+                loss = rmse_loss(pred, Tensor(windows[rows, -1]), n)
                 backward(loss)
             losses[c] = float(loss.values)
 

@@ -95,15 +95,15 @@ def test_criterion_1_end_to_end_gradients(capfd):
             params = init_forecaster(3, cfg, seed=200 + draw)
             rng = np.random.default_rng(draw)
             x = rng.standard_normal((8, 3))
-            target = rng.standard_normal(3)
+            target = rng.standard_normal((1, 3))
             x_t = Tensor(x, requires_grad=True)
 
             with Tape() as tape:
-                loss = rmse_loss(forward(x_t, params), Tensor(target))
+                loss = rmse_loss(forward(x_t, params, [0]), Tensor(target))
                 backward(loss)
 
             def loss_value():
-                return float(rmse_loss(forward(Tensor(x), params), Tensor(target)).values)
+                return float(rmse_loss(forward(Tensor(x), params, [0]), Tensor(target)).values)
 
             tensors = [t for _, t in params.named_parameters()]
             for _ in range(15):
@@ -119,7 +119,7 @@ def test_criterion_1_end_to_end_gradients(capfd):
 
                 def input_loss():
                     return float(
-                        rmse_loss(forward(Tensor(x), params), Tensor(target)).values
+                        rmse_loss(forward(Tensor(x), params, [0]), Tensor(target)).values
                     )
 
                 numeric = numeric_grad(input_loss, x, [idx], eps=1e-5)[idx]

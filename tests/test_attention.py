@@ -312,15 +312,17 @@ class TestSharedScores:
                                    rtol=1e-14, atol=1e-15)
 
     # gaps of 1, of several rows, past the queries (>= nq = 3), and of at
-    # least w - edge = 7, where windows share no row past the edge
-    @pytest.mark.parametrize("starts", [[0, 1, 2, 3], [0, 2, 5, 6, 9], [0, 4, 11, 12, 30]],
-                             ids=["gap1", "gaps", "apart"])
+    # least w - edge = 7, where windows share no row past the edge; gaps of 0,
+    # where a repeated window reads its twin's sub-block
+    @pytest.mark.parametrize("starts", [[0, 1, 2, 3], [0, 2, 5, 6, 9], [0, 4, 11, 12, 30],
+                                        [0, 3, 3, 5, 9], [2, 2, 2, 2], [0, 1, 1, 2, 30, 30]],
+                             ids=["gap1", "gaps", "apart", "repeat", "one_start", "repeats"])
     @pytest.mark.parametrize("r", [3, 8])
     @pytest.mark.parametrize("mode", ["dynamic", "static"])
     def test_taped_gradients_equal_per_window(self, mode, r, starts, monkeypatch):
-        # the weights' grads agree; each window row's grad may land on another
-        # window's copy of the same series row, so rows past the edge agree
-        # summed per series row
+        # the outputs and the weights' grads agree; each window row's grad may
+        # land on another window's copy of the same series row, so rows past
+        # the edge agree summed per series row
         _share_always(monkeypatch)
         rng = np.random.default_rng(13)
         w, m, edge = 10, 4, 3
@@ -338,7 +340,8 @@ class TestSharedScores:
                 backward(rmse_loss(out, Tensor(target)))
             series = np.zeros((starts[-1] + w, m))
             np.add.at(series, (starts[:, None] + np.arange(edge, w)), x.grad[:, edge:])
-            return [params.weight.grad, params.score_vec.grad, x.grad[:, :edge], series]
+            return [out.values, params.weight.grad, params.score_vec.grad, x.grad[:, :edge],
+                    series]
 
         for got, ref in zip(grads(starts=starts, edge=edge), grads()):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14 * np.abs(ref).max())

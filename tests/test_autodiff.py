@@ -972,9 +972,10 @@ class TestGradOwnership:
         def grads():
             params = init_forecaster(25, cfg, seed=1)
             windows = np.random.default_rng(2).standard_normal((2, cfg.window + 1, 25))
-            x = Tensor(windows[:, :-1], requires_grad=True)
+            x = Tensor(windows[:, :-1].reshape(-1, 25), requires_grad=True)
             with Tape(np.random.default_rng(3)):
-                backward(rmse_loss(forward(x, params), Tensor(windows[:, -1]), 2))
+                backward(rmse_loss(forward(x, params, [0, cfg.window]),
+                                   Tensor(windows[:, -1]), 2))
             return [x.grad] + [t.grad for t in params.tensors()]
 
         kept = grads()

@@ -43,6 +43,13 @@ from tcnad.trainer import accumulate_gradients, build_windows, window_scores
 TINY = ModelConfig(window=8, conv_kernel=3, tcn_kernel=2, tcn_channels=4,
                    dilations=(1, 2), mlp_layers=2, mlp_units=4, dropout=0.0)
 
+
+def _apart(windows):
+    """A (B, w, m) stack of independent windows as ``forward``'s series and
+    starts: their rows one after another, starts 0, w, 2w, ..."""
+    b, w, m = windows.shape
+    return Tensor(windows.reshape(b * w, m)), np.arange(b) * w
+
 # (section, name, values, message): one array of a 3-feature checkpoint replaced
 # by values load_checkpoint refuses, and the refusal it names
 BAD_CHECKPOINT_ARRAYS = [
@@ -65,7 +72,7 @@ class TestShapes:
         assert params.variable.weight.values.shape == (100, 200)
         assert len(params.mlp) == 3  # two hidden layers + output
         x = np.random.default_rng(42).standard_normal((100, 25))
-        assert forward(Tensor(x), params).values.shape == (25,)
+        assert forward(Tensor(x), params, [0]).values.shape == (1, 25)
 
     def test_branch_toggles_change_concat_width(self):
         m = 3
@@ -78,7 +85,7 @@ class TestShapes:
             assert (params.variable is None) == (not variable)
             assert params.tcn[0].conv1_filters.values.shape[1] == width
             x = np.random.default_rng(0).standard_normal((8, m))
-            assert forward(Tensor(x), params).values.shape == (m,)
+            assert forward(Tensor(x), params, [0]).values.shape == (1, m)
 
     def test_static_attention_mode(self):
         cfg = ModelConfig(window=8, tcn_channels=4, mlp_units=4, attention_mode="static")
@@ -87,14 +94,16 @@ class TestShapes:
         assert params.temporal.weight.values.shape == (3, 3)
         assert params.temporal.score_vec.values.shape == (6,)
         x = np.random.default_rng(0).standard_normal((8, 3))
-        assert forward(Tensor(x), params).values.shape == (3,)
+        assert forward(Tensor(x), params, [0]).values.shape == (1, 3)
 
     def test_rejects_wrong_window_shape(self):
         params = init_forecaster(3, TINY, seed=0)
-        with pytest.raises(ValueError):
-            forward(Tensor(np.zeros((9, 3))), params)
-        with pytest.raises(ValueError):
-            forward(Tensor(np.zeros((8, 2))), params)
+        with pytest.raises(ValueError, match=r"starts must lie in \[0, N - w\] = \[0, -1\]"):
+            forward(Tensor(np.zeros((7, 3))), params, [0])
+        with pytest.raises(ValueError, match=r"expected a \(N, 3\) series, got shape \(8, 2\)"):
+            forward(Tensor(np.zeros((8, 2))), params, [0])
+        with pytest.raises(ValueError, match=r"expected a \(N, 3\) series, got shape \(1, 8, 3\)"):
+            forward(Tensor(np.zeros((1, 8, 3))), params, [0])
 
     def test_mlp_zero_hidden_layers(self):
         cfg = ModelConfig(window=8, tcn_channels=4, mlp_layers=0)
@@ -228,30 +237,31 @@ class TestDeterminism:
         params = init_forecaster(3, TINY, seed=0)
         x = np.random.default_rng(1).standard_normal((8, 3))
         np.testing.assert_array_equal(
-            forward(Tensor(x), params).values, forward(Tensor(x), params).values
+            forward(Tensor(x), params, [0]).values, forward(Tensor(x), params, [0]).values
         )
 
     def test_untaped_forward_ignores_dropout(self):
         # only a tape switches dropout on: untaped, a dropout-0.3 model is its
         # dropout-0 twin bit for bit, and no rng exists to draw from
-        x = Tensor(np.random.default_rng(1).standard_normal((5, 8, 3)))
+        x, starts = _apart(np.random.default_rng(1).standard_normal((5, 8, 3)))
         cfg = ModelConfig(window=8, tcn_channels=4, mlp_units=4, dropout=0.3)
         dropped = init_forecaster(3, cfg, seed=0)
         plain = init_forecaster(3, replace(cfg, dropout=0.0), seed=0)
         for a, b in zip(dropped.tensors(), plain.tensors()):
             np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(forward(x, dropped).values, forward(x, plain).values)
+        np.testing.assert_array_equal(forward(x, dropped, starts).values,
+                                      forward(x, plain, starts).values)
 
     def test_taped_forward_is_fixed_by_the_tape_rng(self):
         cfg = ModelConfig(window=8, tcn_channels=4, mlp_units=4, dropout=0.3)
         params = init_forecaster(3, cfg, seed=0)
-        x = Tensor(np.random.default_rng(1).standard_normal((5, 8, 3)))
+        x, starts = _apart(np.random.default_rng(1).standard_normal((5, 8, 3)))
         runs = []
         for _ in range(2):
             with Tape(np.random.default_rng(7)):
-                runs.append(forward(x, params).values)
+                runs.append(forward(x, params, starts).values)
         np.testing.assert_array_equal(runs[0], runs[1])
-        assert not np.array_equal(runs[0], forward(x, params).values)
+        assert not np.array_equal(runs[0], forward(x, params, starts).values)
 
     def test_training_mode_needs_rng_when_dropout_active(self):
         cfg = ModelConfig(window=8, tcn_channels=4, mlp_units=4, dropout=0.2)
@@ -259,7 +269,7 @@ class TestDeterminism:
         x = Tensor(np.zeros((8, 3)))
         # a tape without an rng refuses dropout > 0
         with Tape(), pytest.raises(ValueError, match=r"Tape\(rng\)"):
-            forward(x, params)
+            forward(x, params, [0])
 
 
 class TestGradientFlow:
@@ -268,8 +278,8 @@ class TestGradientFlow:
         rng = np.random.default_rng(2)
         with Tape():
             loss = rmse_loss(
-                forward(Tensor(rng.standard_normal((8, 3))), params),
-                Tensor(rng.standard_normal(3)),
+                forward(Tensor(rng.standard_normal((8, 3))), params, [0]),
+                Tensor(rng.standard_normal((1, 3))),
             )
             backward(loss)
         for name, t in params.named_parameters():
@@ -280,10 +290,10 @@ class TestGradientFlow:
         params = init_forecaster(2, TINY, seed=3)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((8, 2))
-        y = rng.standard_normal(2)
+        y = rng.standard_normal((1, 2))
 
         def run():
-            return rmse_loss(forward(Tensor(x), params), Tensor(y))
+            return rmse_loss(forward(Tensor(x), params, [0]), Tensor(y))
 
         with Tape():
             backward(run())
@@ -300,23 +310,24 @@ class TestGradientFlow:
         for seed in range(20):
             params = init_forecaster(2, TINY, seed=seed)
             rng = np.random.default_rng(1000 + seed)
-            x, y = rng.standard_normal((8, 2)), rng.standard_normal(2)
+            x, y = rng.standard_normal((8, 2)), rng.standard_normal((1, 2))
 
             with Tape():
-                loss = rmse_loss(forward(Tensor(x), params), Tensor(y))
+                loss = rmse_loss(forward(Tensor(x), params, [0]), Tensor(y))
                 backward(loss)
             before = float(loss.values)
             adam_step(params.tensors(), AdamState(learning_rate=1e-4))
-            after = float(rmse_loss(forward(Tensor(x), params), Tensor(y)).values)
+            after = float(rmse_loss(forward(Tensor(x), params, [0]), Tensor(y)).values)
             decreases += after < before
         assert decreases >= 15
 
 
-def _unpruned_forward(x, params, starts=None):
+def _unpruned_forward(series, params, starts):
     """Reference forward in which every layer computes all w rows (dropout 0 only)
     and every window is scored on its own."""
     assert params.config.dropout == 0.0
     w = params.config.window
+    x = Tensor(series.values[np.asarray(starts)[:, None] + np.arange(w)])
     h = add(causal_dilated_conv1d(x, params.preconv_filters, 1), params.preconv_bias)
     parts = [h]
     if params.temporal is not None:
@@ -330,7 +341,7 @@ def _unpruned_forward(x, params, starts=None):
         out = linear(out, weight, bias)
         if i < len(params.mlp) - 1:
             out = leaky_relu(out)
-    return reshape(out, x.values.shape[:-2] + (params.n_features,))
+    return reshape(out, (len(starts), params.n_features))
 
 
 VARIANTS = {
@@ -386,8 +397,9 @@ class TestReceptiveFieldPruning:
             return out
 
         monkeypatch.setattr(tcnad.attention, "attend", spy)
-        # random windows do not overlap, so temporal attention is not shared
-        forward(Tensor(np.random.default_rng(0).standard_normal((5, w, 3))), params)
+        # windows w rows apart hold no row in common, so temporal attention is not shared
+        x, starts = _apart(np.random.default_rng(0).standard_normal((5, w, 3)))
+        forward(x, params, starts)
         assert seen["temporal"] == [(5, r, 3), (5, w, 3), (5, w, 3), (5, r, 3)]
         # variables are scored over full columns but aggregate only r time steps
         assert seen["variable"] == [(5, 3, w), (5, 3, w), (5, 3, r), (5, 3, r)]
@@ -413,8 +425,8 @@ class TestReceptiveFieldPruning:
         for view in ("temporal_attention", "variable_attention"):
             monkeypatch.setattr(tcnad.forecaster, view, spy(view))
         monkeypatch.setattr(tcnad.forecaster, "concat_cols", concat_spy)
-        x = np.random.default_rng(1).standard_normal((2, TINY.window, 3))
-        forward(Tensor(x), params)
+        x, starts = _apart(np.random.default_rng(1).standard_normal((2, TINY.window, 3)))
+        forward(x, params, starts)
         assert rows["temporal_attention"] is rows["variable_attention"] is parts[0]
         assert parts[0].values.shape == (2, r, 3)
         assert len(parts) == 3
@@ -437,7 +449,7 @@ class TestCheckpoints:
         assert loaded.config == params.config
         x = np.random.default_rng(0).standard_normal((8, 3))
         np.testing.assert_array_equal(
-            forward(Tensor(x), params).values, forward(Tensor(x), loaded).values
+            forward(Tensor(x), params, [0]).values, forward(Tensor(x), loaded, [0]).values
         )
 
     def test_roundtrip_without_stats(self, tmp_path):
@@ -458,7 +470,7 @@ class TestCheckpoints:
         assert loaded.config.temporal_attention is False
         x = np.random.default_rng(0).standard_normal((8, 3))
         np.testing.assert_array_equal(
-            forward(Tensor(x), params).values, forward(Tensor(x), loaded).values
+            forward(Tensor(x), params, [0]).values, forward(Tensor(x), loaded, [0]).values
         )
 
     def test_save_is_byte_deterministic(self, tmp_path):

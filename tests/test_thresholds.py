@@ -65,7 +65,7 @@ class TestScores:
         params = init_forecaster(3, SMALL, seed=1)
         series = np.random.default_rng(1).standard_normal((20, 3))
         manual = [
-            np.sqrt(np.mean((forward(Tensor(series[t - 8 : t]), params).values - series[t]) ** 2))
+            np.sqrt(np.mean((forward(Tensor(series), params, [t - 8]).values - series[t]) ** 2))
             for t in range(8, 20)
         ]
         np.testing.assert_allclose(anomaly_scores(params, series).scores, manual, rtol=1e-12)

@@ -116,6 +116,11 @@ def _toy_windows(n=40, m=2, window=4, seed=0):
     return build_windows(_toy_series(n, m, seed), window)
 
 
+def _rows_of(windows):
+    """The series rows ``build_windows`` rows of one series hold, in order."""
+    return np.concatenate([windows[:, 0], windows[-1, 1:]])
+
+
 class TestTrainLoop:
     def test_zero_epochs_is_identity(self):
         params = init_forecaster(2, TINY, seed=0)
@@ -224,7 +229,7 @@ class TestEvaluateLoss:
         params = init_forecaster(2, TINY, seed=0)
         windows = _toy_windows(n=16)
         manual = np.mean([
-            np.sqrt(np.mean((forward(Tensor(w[:-1]), params).values - w[-1]) ** 2))
+            np.sqrt(np.mean((forward(Tensor(w[:-1]), params, [0]).values - w[-1]) ** 2))
             for w in windows
         ])
         np.testing.assert_allclose(window_scores(params, windows).mean(), manual,
@@ -293,7 +298,7 @@ def _per_window_reference(params, windows):
         for t in tensors:
             t.zero_grad()
         with Tape():
-            loss = rmse_loss(forward(Tensor(win[:-1]), params), Tensor(win[-1]))
+            loss = rmse_loss(forward(Tensor(win[:-1]), params, [0]), Tensor(win[-1:]))
             backward(loss)
         losses.append(float(loss.values))
         for i, (acc, t) in enumerate(zip(sums, tensors)):
@@ -336,7 +341,7 @@ class TestChunkedTape:
         params = init_forecaster(2, VARIANTS[variant], seed=2)
         windows = _toy_windows(n=17)
         manual = [
-            np.sqrt(np.mean((forward(Tensor(w[:-1]), params).values - w[-1]) ** 2))
+            np.sqrt(np.mean((forward(Tensor(w[:-1]), params, [0]).values - w[-1]) ** 2))
             for w in windows
         ]
         with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, chunk)):
@@ -357,7 +362,7 @@ class TestChunkedTape:
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
         for g, ref, scale in zip(grads, ref_grads, scales):
             _assert_close(g, ref, scale)
-        manual = [np.sqrt(np.mean((forward(Tensor(w[:-1]), params).values - w[-1]) ** 2))
+        manual = [np.sqrt(np.mean((forward(Tensor(w[:-1]), params, [0]).values - w[-1]) ** 2))
                   for w in windows]
         np.testing.assert_allclose(window_scores(params, windows), manual, rtol=1e-12)
 
@@ -365,8 +370,10 @@ class TestChunkedTape:
         sizes = {name: trainer._chunk_sizes(init_forecaster(m, cfg))
                  for name, (m, cfg) in NAMED_CONFIGS.items()}
         # the pair scores' sign masks packed to a bit an element: taped chunks
-        # grew from (250, 380, 9) windows; untaped ones keep no mask
-        assert sizes == {"demo": (270, 298), "small": (411, 445), "paper": (15, 17)}
+        # grew from (250, 380, 9) windows; untaped ones keep no mask. The
+        # preconv input is a gathered (w, m) window, no longer a view whose
+        # buffer also holds the target row: m * 8 bytes less a window
+        assert sizes == {"demo": (270, 299), "small": (412, 446), "paper": (15, 17)}
 
     @pytest.mark.parametrize("name, variant", [
         pytest.param(name, variant, id=name if variant == "dynamic" else f"{name}-{variant}")
@@ -379,10 +386,12 @@ class TestChunkedTape:
         m, cfg = NAMED_CONFIGS[name]
         params = init_forecaster(m, _variants(cfg)[variant])
         size = trainer._chunk_sizes(params)[0]
-        chunk = build_windows(_toy_series(n=cfg.window + size, m=m), cfg.window)[np.arange(size)]
+        # windows w rows apart, which share nothing
+        starts = np.arange(size) * cfg.window
+        series = _toy_series(n=(size + 1) * cfg.window, m=m)
         with Tape(np.random.default_rng(0)) as tape:
-            pred = forward(Tensor(chunk[:, :-1]), params)
-            rmse_loss(pred, Tensor(chunk[:, -1]), size)
+            pred = forward(Tensor(series), params, starts)
+            rmse_loss(pred, Tensor(series[starts + cfg.window]), size)
             held = _held_bytes(tape, params)
         floor = 0.8 if variant == "dynamic" else 0.75
         assert floor * trainer._CHUNK_BYTES <= held <= trainer._CHUNK_BYTES
@@ -397,10 +406,10 @@ class TestChunkedTape:
         # parameters aside
         m, cfg = NAMED_CONFIGS[name]
         params = init_forecaster(m, _variants(cfg)[variant])
-        window = build_windows(_toy_series(n=cfg.window + 1, m=m), cfg.window)[[0]]
+        series = _toy_series(n=cfg.window + 1, m=m)
         with Tape(np.random.default_rng(1)) as tape:
-            pred = forward(Tensor(window[:, :-1]), params)
-            rmse_loss(pred, Tensor(window[:, -1]))
+            pred = forward(Tensor(series), params, [0])
+            rmse_loss(pred, Tensor(series[cfg.window:]))
             held = _held_bytes(tape, params), _held_bytes(tape, params, floats=True)
             assert trainer._window_tape_bytes(params) == held
 
@@ -488,7 +497,7 @@ def test_chunked_tape_matches_per_window_property(
         _assert_close(g, ref, scale)
     with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, chunk)):
         scores = window_scores(params, windows)
-    manual = [np.sqrt(np.mean((forward(Tensor(w[:-1]), params).values - w[-1]) ** 2))
+    manual = [np.sqrt(np.mean((forward(Tensor(w[:-1]), params, [0]).values - w[-1]) ** 2))
               for w in windows]
     np.testing.assert_allclose(scores, manual, rtol=1e-12)
 
@@ -498,7 +507,7 @@ def test_chunked_tape_matches_per_window_property(
 # ---------------------------------------------------------------------------
 
 def _per_window_scores(params, windows):
-    return np.array([np.sqrt(np.mean((forward(Tensor(w[:-1]), params).values - w[-1]) ** 2))
+    return np.array([np.sqrt(np.mean((forward(Tensor(w[:-1]), params, [0]).values - w[-1]) ** 2))
                      for w in windows])
 
 
@@ -571,19 +580,10 @@ class TestSharedScores:
         params = init_forecaster(m, cfg, seed=0)
         return params, build_windows(_toy_series(n=cfg.window + n, m=m), cfg.window)
 
-    def test_forward_shares_nothing_without_starts(self, monkeypatch):
-        # consecutive windows, but nothing says so: every window on its own
-        calls = self._spy_shared(monkeypatch)
-        params, windows = self._demo_windows(12)
-        pred = forward(Tensor(windows[:, :-1]), params).values
-        ref = np.stack([forward(Tensor(w[:-1]), params).values for w in windows])
-        assert calls == []
-        assert np.abs(pred - ref).max() <= 1e-14 * np.abs(ref).max()
-
     def test_forward_shares_consecutive_starts_once(self, monkeypatch):
         calls = self._spy_shared(monkeypatch)
         params, windows = self._demo_windows(12)
-        forward(Tensor(windows[:, :-1]), params, np.arange(12))
+        forward(Tensor(_rows_of(windows)), params, np.arange(12))
         assert calls == [windows[:, :-1].shape]
 
     # gaps of 1, of several rows, and of at least w - edge (94 at paper, 14 at
@@ -592,26 +592,25 @@ class TestSharedScores:
     @pytest.mark.parametrize("mode", ["dynamic", "static"])
     @pytest.mark.parametrize("name", ["demo", "paper", "paper55"])
     def test_taped_sharing_equals_per_window(self, name, mode, gaps, monkeypatch):
-        # at dropout 0, a chunk's parameter grads with its windows' starts,
-        # shared whatever it saves, equal those of its windows apart
-        monkeypatch.setattr(tcnad.attention, "_SHARE_AT", np.inf)
+        # at dropout 0, a chunk's parameter grads shared whatever it saves
+        # equal those of its windows apart
         m, cfg = {**NAMED_CONFIGS, "paper55": (55, ModelConfig())}[name]
         params = init_forecaster(m, replace(cfg, dropout=0.0, attention_mode=mode), seed=2)
         step = {"gap1": [1], "gaps": [2, 1, 5, 3, 7], "apart": [cfg.window, 2 * cfg.window]}[gaps]
         starts = np.cumsum([0] + step * (6 // len(step)))
-        windows = build_windows(_toy_series(n=starts[-1] + cfg.window + 1, m=m), cfg.window)
-        chunk = windows[starts]
+        series = _toy_series(n=starts[-1] + cfg.window + 1, m=m)
 
-        def grads(starts):
+        def grads(share_at):
+            monkeypatch.setattr(tcnad.attention, "_SHARE_AT", share_at)
             for t in params.tensors():
                 t.zero_grad()
             with Tape():
-                pred = forward(Tensor(chunk[:, :-1]), params, starts)
-                loss = rmse_loss(pred, Tensor(chunk[:, -1]), len(chunk))
+                pred = forward(Tensor(series), params, starts)
+                loss = rmse_loss(pred, Tensor(series[starts + cfg.window]), len(starts))
                 backward(loss)
             return float(loss.values), [t.grad for t in params.tensors()]
 
-        (shared_loss, shared), (loss, apart) = grads(starts), grads(None)
+        (shared_loss, shared), (loss, apart) = grads(np.inf), grads(0.0)
         np.testing.assert_allclose(shared_loss, loss, rtol=1e-12)
         for (name, _), got, ref in zip(params.named_parameters(), shared, apart):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
@@ -643,24 +642,24 @@ class TestSharedScores:
 
     @staticmethod
     def _sorted_chunk(name, windows, batch, seed=0):
-        """The first taped chunk of a sorted random minibatch of ``batch`` of
-        ``windows`` build_windows rows at the named config."""
+        """The series and first taped chunk of a sorted random minibatch of
+        ``batch`` of its ``windows`` build_windows rows at the named config."""
         m, cfg = NAMED_CONFIGS[name]
         params = init_forecaster(m, replace(cfg, dropout=0.0), seed=1)
         size = trainer._chunk_sizes(params)[0]
         index = np.sort(np.random.default_rng(seed).permutation(windows)[:batch])[:size]
-        series = _toy_series(n=windows + cfg.window, m=m, seed=seed)
-        return params, build_windows(series, cfg.window)[index], index
+        return params, _toy_series(n=windows + cfg.window, m=m, seed=seed), index
 
     def test_sorted_paper_chunk_scores_a_third_of_the_pairs(self, monkeypatch):
         # paper's 256 of 512 windows: 15 windows a chunk at a mean gap of 2
         calls = self._temporal_pair_calls(monkeypatch)
-        params, chunk, index = self._sorted_chunk("paper", 512, 256)
+        params, series, index = self._sorted_chunk("paper", 512, 256)
         counts = []
-        for starts in (index, None):
+        for share_at in (tcnad.attention._SHARE_AT, 0.0):
+            monkeypatch.setattr(tcnad.attention, "_SHARE_AT", share_at)
             calls.clear()
             with Tape():
-                forward(Tensor(chunk[:, :-1]), params, starts)
+                forward(Tensor(series), params, index)
             counts.append(sum(int(np.prod(shape)) for shape in calls))
         assert counts[1] == len(index) * 43 * 100
         assert counts[0] <= counts[1] / 3
@@ -670,19 +669,21 @@ class TestSharedScores:
         # window 20): sharing would save little, so the pair_scores calls are
         # those of the windows apart
         calls = self._temporal_pair_calls(monkeypatch)
-        params, chunk, index = self._sorted_chunk("demo", 4980, 128)
+        params, series, index = self._sorted_chunk("demo", 4980, 128)
         assert len(index) == 128
         runs = []
-        for starts in (index, None):
+        for share_at in (tcnad.attention._SHARE_AT, 0.0):
+            monkeypatch.setattr(tcnad.attention, "_SHARE_AT", share_at)
             calls.clear()
             with Tape():
-                forward(Tensor(chunk[:, :-1]), params, starts)
+                forward(Tensor(series), params, index)
             runs.append(list(calls))
         assert runs[0] == runs[1] == [(128, 19, 20)]
 
     def test_a_repeated_window_trains_per_window(self, monkeypatch):
         # the public accumulate_gradients takes any index: a chunk that holds
-        # a window twice scores per window, as unsorted chunks did, sharing or not
+        # a window twice still shares, the repeat reading its twin's sub-block,
+        # and equals the per-window gradients
         monkeypatch.setattr(tcnad.attention, "_SHARE_AT", np.inf)
         calls = self._spy_shared(monkeypatch)
         params, windows = self._demo_windows(30)
@@ -691,8 +692,9 @@ class TestSharedScores:
         ref_loss, ref_grads, scales = _per_window_reference(params, windows[index])
         for t in params.tensors():
             t.zero_grad()
+        calls.clear()
         total = accumulate_gradients(params, windows, index, None, len(index))
-        assert calls == []
+        assert calls == [(6, 20, 3)]
         np.testing.assert_allclose(total / len(index), ref_loss, rtol=1e-12)
         for t, ref, scale in zip(params.tensors(), ref_grads, scales):
             _assert_close(t.grad, ref, scale)
@@ -713,25 +715,34 @@ class TestSharedScores:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("starts, message", [
-        ([0, 1, 1, 2], r"increase strictly: windows 1 and 2 start at series rows 1 and 1"),
-        ([0, 2, 1, 3], r"increase strictly: windows 1 and 2 start at series rows 2 and 1"),
-        ([0, 1, 2], r"one integer a window of a \(B, w, m\) batch"),
-        ([0.0, 1.0, 2.0, 3.0], r"one integer a window"),
-        ([0, 1, 3, 4], r"windows 1 and 2 disagree on a series row both hold"),
-    ], ids=["repeat", "decrease", "length", "floats", "disagree"])
+        ([0, 2, 1, 3], r"not decrease: windows 1 and 2 start at series rows 2 and 1"),
+        ([-1, 0, 2], r"lie in \[0, N - w\] = \[0, 4\] for windows of 20 rows, got -1 to 2"),
+        ([0, 2, 5], r"lie in \[0, N - w\] = \[0, 4\] for windows of 20 rows, got 0 to 5"),
+        ([0.0, 1.0, 2.0], r"one 1-D integer array, got float64 of shape \(3,\)"),
+        ([[0, 1], [2, 3]], r"one 1-D integer array, got int64 of shape \(2, 2\)"),
+    ], ids=["decrease", "negative", "length", "floats", "two_d"])
     def test_forward_refuses_bad_starts(self, starts, message):
-        # windows 0-3 of one series: a start that skips a row claims window 2
-        # holds another window's rows
+        # the 24 rows of a demo series hold windows starting at rows 0-4: a
+        # negative start would wrap to the series' end, one past 4 runs off it
         params, windows = self._demo_windows(4)
         with pytest.raises(ValueError, match=message):
-            forward(Tensor(windows[:, :-1]), params, np.array(starts))
+            forward(Tensor(_rows_of(windows)), params, np.array(starts))
 
-    def test_forward_refuses_starts_for_shuffled_windows(self):
-        params, windows = self._demo_windows(6)
-        with pytest.raises(ValueError, match="windows 0 and 1 disagree"):
-            forward(Tensor(windows[[0, 2, 1, 3, 4, 5], :-1]), params, np.arange(6))
-        with pytest.raises(ValueError, match=r"\(B, w, m\) batch"):
-            forward(Tensor(windows[0, :-1]), params, np.arange(1))
+    @pytest.mark.parametrize("form", ["copy", "every_other", "window"])
+    @pytest.mark.parametrize("loop", ["train", "window_scores", "accumulate_gradients"])
+    def test_loops_refuse_what_is_not_build_windows_rows(self, loop, form):
+        # a copy of the rows or every other row holds the same windows, but
+        # not as window i starting at series row i; rows of another window
+        # length do not fit the model
+        params, windows = self._demo_windows(8)
+        given = {"copy": np.array(windows), "every_other": windows[::2],
+                 "window": build_windows(_rows_of(windows), 19)}[form]
+        run = {"train": lambda: train(params, given, TrainConfig(epochs=1)),
+               "window_scores": lambda: window_scores(params, given),
+               "accumulate_gradients": lambda: accumulate_gradients(
+                   params, given, np.arange(2), None, 2)}[loop]
+        with pytest.raises(ValueError, match="must be build_windows rows of a window of 20"):
+            run()
 
     @pytest.mark.parametrize("name, variant", [
         pytest.param(name, variant, id=f"{name}-{variant}")
@@ -745,7 +756,7 @@ class TestSharedScores:
         m, cfg = {**NAMED_CONFIGS, "paper55": (55, ModelConfig()), "tiny": (2, TINY)}[name]
         params = init_forecaster(m, _variants(cfg)[variant])
         size = trainer._chunk_sizes(params)[1]
-        x = Tensor(build_windows(_toy_series(n=cfg.window + size, m=m), cfg.window)[:, :-1])
+        x = Tensor(_toy_series(n=cfg.window + size, m=m))
         forward(x, params, np.arange(size))
         tracemalloc.start()
         try:
@@ -804,10 +815,10 @@ class TestThreadedScores:
         # taped), and the length of each chunk they ran
         seen, real = {}, trainer.forward
 
-        def spy(x, params, starts=None):
+        def spy(series, params, starts):
             if active_tape() is None:
-                seen.setdefault(threading.get_ident(), []).append(len(x.values))
-            return real(x, params, starts)
+                seen.setdefault(threading.get_ident(), []).append(len(starts))
+            return real(series, params, starts)
 
         monkeypatch.setattr(trainer, "forward", spy)
         return seen
@@ -817,7 +828,8 @@ class TestThreadedScores:
     @pytest.mark.parametrize("name", ["demo", "paper", "short"])
     def test_equals_a_serial_chunk_loop(self, name, workers, chunks, monkeypatch):
         params, windows, size = self._windows(name, chunks)
-        preds = np.concatenate([forward(Tensor(windows[start : start + size, :-1]), params,
+        series = Tensor(_rows_of(windows))
+        preds = np.concatenate([forward(series, params,
                                         np.arange(start, min(start + size, len(windows)))).values
                                 for start in range(0, len(windows), size)])
         serial = row_rmse(preds - windows[:, -1])[:, 0]
@@ -838,11 +850,11 @@ class TestThreadedScores:
         params, windows, size = self._windows("demo", 5)
         barrier, first, real = threading.Barrier(workers, timeout=30), set(), trainer.forward
 
-        def wait_for_all(x, params, starts=None):
+        def wait_for_all(series, params, starts):
             if active_tape() is None and threading.get_ident() not in first:
                 first.add(threading.get_ident())
                 barrier.wait()
-            return real(x, params, starts)
+            return real(series, params, starts)
 
         _use_cpus(monkeypatch, workers)
         monkeypatch.setattr(trainer, "forward", wait_for_all)
@@ -871,7 +883,7 @@ class TestThreadedScores:
             sys.setswitchinterval(interval)
 
     def test_one_chunk_starts_no_thread(self, monkeypatch):
-        params, windows, size = self._windows("demo", 1, size=298)
+        params, windows, size = self._windows("demo", 1, size=299)
         assert trainer._chunk_sizes(params)[1] == size
         monkeypatch.setattr(trainer, "_usable_cpus", lambda: 3)
 
@@ -884,16 +896,15 @@ class TestThreadedScores:
     @pytest.mark.parametrize("failing", range(5))
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_a_failing_chunk_reaches_the_caller(self, workers, failing, monkeypatch):
-        # row i of the series holds i, so a chunk's first value names its start
+        # a chunk's first start names it
         params = init_forecaster(2, TINY, seed=0)
-        windows = build_windows(np.repeat(np.arange(TINY.window + 19.0)[:, None], 2, axis=1),
-                                TINY.window)
+        windows = _toy_windows(n=TINY.window + 19)
         real = trainer.forward
 
-        def forward_failing_on(x, params, starts=None):
-            if active_tape() is None and x.values[0, 0, 0] == 4 * failing:
+        def forward_failing_on(series, params, starts):
+            if active_tape() is None and starts[0] == 4 * failing:
                 raise FloatingPointError(f"chunk {failing}")
-            return real(x, params, starts)
+            return real(series, params, starts)
 
         _use_cpus(monkeypatch, workers)
         monkeypatch.setattr(trainer, "forward", forward_failing_on)
@@ -1007,18 +1018,16 @@ class TestThreadedTraining:
 
     def test_every_worker_runs_its_chunks(self, monkeypatch):
         # chunk c of each minibatch runs on worker c mod 3, the calling thread
-        # being worker 0 and helper k a thread named for it; window i holds
-        # i + 1, so a chunk's first value names it (the chunk-size probe's
-        # window is zeros)
+        # being worker 0 and helper k a thread named for it; a chunk's first
+        # start names it (the chunk-size probe's series is zeros)
         params = init_forecaster(2, TINY, seed=0)
-        windows = build_windows(np.repeat(np.arange(1, TINY.window + 33.0)[:, None], 2, axis=1),
-                                TINY.window)
+        windows = _toy_windows(n=TINY.window + 32)
         seen, real = {}, trainer.forward
 
-        def spy(x, params, starts=None):
-            if active_tape() is not None and x.values.any():
-                seen[int(x.values[0, 0, 0]) - 1] = (threading.current_thread(), len(x.values))
-            return real(x, params, starts)
+        def spy(series, params, starts):
+            if active_tape() is not None and series.values.any():
+                seen[int(starts[0])] = (threading.current_thread(), len(starts))
+            return real(series, params, starts)
 
         _use_cpus(monkeypatch, 3)
         monkeypatch.setattr(trainer, "forward", spy)
@@ -1060,17 +1069,16 @@ class TestThreadedTraining:
     @pytest.mark.parametrize("failing", range(3))
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_a_failing_chunk_reaches_the_caller(self, workers, failing, monkeypatch):
-        # row i of the series holds i + 1 and nothing is shuffled, so a chunk's
-        # first value names its start (the chunk-size probe's window is zeros)
+        # nothing is shuffled, so a chunk's first start names it (the
+        # chunk-size probe's series is zeros)
         params = init_forecaster(2, TINY, seed=0)
-        windows = build_windows(np.repeat(np.arange(1, TINY.window + 9.0)[:, None], 2, axis=1),
-                                TINY.window)
+        windows = _toy_windows(n=TINY.window + 8)
         real = trainer.forward
 
-        def forward_failing_on(x, params, starts=None):
-            if active_tape() is not None and x.values[0, 0, 0] == 3 * failing + 1:
+        def forward_failing_on(series, params, starts):
+            if active_tape() is not None and series.values.any() and starts[0] == 3 * failing:
                 raise FloatingPointError(f"chunk {failing}")
-            return real(x, params, starts)
+            return real(series, params, starts)
 
         _use_cpus(monkeypatch, workers)
         monkeypatch.setattr(trainer, "forward", forward_failing_on)
@@ -1135,13 +1143,13 @@ class TestBlasHold:
         assert seen == [1, 1] and fake.threads == 4 and fake.sets == [1, 4]
 
     def test_both_loops_run_inside_the_hold(self, monkeypatch):
-        # every forward but the chunk-size probe's, whose window is zeros
+        # every forward but the chunk-size probe's, whose series is zeros
         fake, real, seen = self._fake(monkeypatch), trainer.forward, set()
 
-        def spy(x, params, starts=None):
-            if x.values.any():
+        def spy(series, params, starts):
+            if series.values.any():
                 seen.add(fake.threads)
-            return real(x, params, starts)
+            return real(series, params, starts)
 
         monkeypatch.setattr(trainer, "forward", spy)
         train(init_forecaster(2, TINY, seed=1), _toy_windows(),
