@@ -43,7 +43,8 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from tcnad.data import load_channel, read_manifest, write_report_csv, write_scores_csv
+from tcnad.data import (DataFormatError, load_channel, read_manifest, write_report_csv,
+                        write_scores_csv)
 from tcnad.evaluation import aggregate
 from tcnad.forecaster import ModelConfig, load_checkpoint, save_checkpoint
 from tcnad.pipeline import evaluate_channel, fit_channel
@@ -76,7 +77,10 @@ def run_channel(raw: Path, manifest: dict, work: Path, channel: str, model_cfg: 
         if channel not in trained:
             raise SystemExit(f"{ckpt_path}: {record} has no record of the training flags "
                              f"it was trained with; rerun without --resume")
-        params, stats = load_checkpoint(ckpt_path)
+        try:
+            params, stats = load_checkpoint(ckpt_path)
+        except DataFormatError as exc:          # a v1 file among them: its message names it
+            raise SystemExit(f"{exc}; rerun without --resume") from None
         saved = asdict(params.config) | {"seed": params.seed} | trained[channel]
         wanted = asdict(model_cfg) | {"seed": train_cfg.seed} | flags
         changed = [f"{k} {saved[k]!r} -> {wanted[k]!r}" for k in wanted if saved[k] != wanted[k]]

@@ -40,13 +40,11 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    concat_cols,
     matmul,
     pair_scores,
     reshape,
     sigmoid,
     slice_cols,
-    slice_rows,
     softmax_rows,
     take_blocks,
     take_rows,
@@ -157,7 +155,7 @@ def attend(queries: Tensor, keys: Tensor, values: Tensor, params: AttentionParam
 
 
 # A chunk shares its temporal scores only where its shared blocks score at most
-# this share of the pairs past the padding edge that its windows score apart.
+# this share of the pairs that its windows score apart.
 _SHARE_AT = 0.5
 
 
@@ -212,53 +210,41 @@ def _share_plan(gaps: bytes, w: int, nq: int, nk: int, share_at: float):
     return plan
 
 
-def _shared_scores(x: Tensor, rows: Tensor, params: AttentionParams, edge: int, plan) -> Tensor:
+def _shared_scores(x: Tensor, rows: Tensor, params: AttentionParams, plan) -> Tensor:
     """The (n, r, w) scores of the last r rows of n (w, m) windows against all
-    their rows, each pair of rows at or past ``edge`` scored once a group.
+    their rows, each pair of series rows scored once a group.
 
     The groups of ``plan`` (``_share_plan``) score their distinct query rows
     against their distinct key rows in one batched call, a block each, and
-    each window reads its (nq, nk) sub-block. In backward the sub-blocks'
+    each window reads its (r, w) sub-block. In backward the sub-blocks'
     grads add up in their block, and each distinct row's grad goes to the
-    window row it was read from. Keys before ``edge``, and queries before it
-    (when r > w - edge), are scored per window.
+    window row it was read from.
     """
-    w = x.values.shape[-2]
-    q0 = w - rows.values.shape[-2]                   # first query row of a window
-    s0 = max(q0, edge)                               # first shared query row
     queries, keys, corners = plan
     block = _scores(take_rows(x, queries), take_rows(x, keys), params)
-    scores = take_blocks(block, (w - s0, w - edge), corners)
-    if s0 > q0:
-        early = _scores(slice_rows(x, q0, s0), slice_rows(x, edge, w), params)
-        scores = transpose(concat_cols([transpose(early), transpose(scores)]))
-    if edge:
-        scores = concat_cols([_scores(rows, slice_rows(x, 0, edge), params), scores])
-    return scores
+    return take_blocks(block, (rows.values.shape[-2], x.values.shape[-2]), corners)
 
 
 def temporal_attention(
     x: Tensor, rows: Tensor, params: AttentionParams, starts: np.ndarray | None = None,
-    edge: int = 0,
 ) -> Tensor:
     """The (..., r, m) ``rows`` of a (..., w, m) window attend across its w time
     steps; returns (..., r, m).
 
     With ``starts``, ``x`` is (B, w, m): B windows of one series, window i
     starting at series row ``starts[i]`` (non-decreasing), in which every
-    row from ``edge`` on is the same in each window that holds it, and
-    ``rows`` are their last r rows. Where ``_share_plan`` finds that it at
-    least halves them, the scores between such rows are then computed once
-    for the windows that hold them (``_shared_scores``), taped or not.
+    row is the same in each window that holds it, and ``rows`` are their
+    last r rows. Where ``_share_plan`` finds that it at least halves them,
+    the scores between such rows are then computed once for the windows that
+    hold them (``_shared_scores``), taped or not.
     """
-    w = x.values.shape[-2]
-    plan = None
-    if starts is not None and edge < w:
+    w, plan = x.values.shape[-2], None
+    if starts is not None:
         plan = _share_plan(np.diff(starts).astype(np.int64).tobytes(), w,
-                           w - max(w - rows.values.shape[-2], edge), w - edge, _SHARE_AT)
+                           rows.values.shape[-2], w, _SHARE_AT)
     if plan is None:
         return attend(rows, x, x, params)
-    return _aggregate(_shared_scores(x, rows, params, edge, plan), x)
+    return _aggregate(_shared_scores(x, rows, params, plan), x)
 
 
 def variable_attention(x: Tensor, rows: Tensor, params: AttentionParams) -> Tensor:

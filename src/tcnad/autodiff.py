@@ -318,8 +318,11 @@ def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
     xn, in_shape = x.node, xv.shape
 
     def rule(g):
-        full = np.zeros((int(np.prod(in_shape[:-1])), in_shape[-1]))
-        np.add.at(full, index, g)
+        # one bincount over each taken element's flat position in x: np.add.at
+        # took 4x as long on a paper chunk's (15, 100) window gather
+        d = in_shape[-1]
+        at = index[..., None] * d + np.arange(d)
+        full = np.bincount(at.ravel(), g.ravel(), minlength=int(np.prod(in_shape)))
         xn.accumulate_grad(full.reshape(in_shape))
 
     return _maybe_record(Tensor(xv.reshape(-1, xv.shape[-1])[index]), rule, (x,), (index,))
@@ -570,9 +573,9 @@ def causal_dilated_conv1d(x: Tensor, filters: Tensor, dilation: int = 1, rows: i
         raise ValueError("kernel size must be >= 1")
     if f_in != c_in:
         raise ValueError(f"filter channel mismatch: x has {c_in}, filters expect {f_in}")
-    n = w if rows is None else rows
-    if not 1 <= n <= w:
+    if rows is not None and not 1 <= rows <= w:
         raise ValueError(f"rows must be in [1, {w}], got {rows}")
+    n = w if rows is None else rows
     # tap j adds x[t - s] @ filters[j], s = (K-1-j)*dilation, to outputs t >= s: rows i to o
     taps = [(j, slice(max(0, w - n - s), w - s), slice(max(0, s - w + n), n))
             for j, s in enumerate(range((k - 1) * dilation, -1, -dilation)) if s < w]

@@ -48,7 +48,8 @@ from .autodiff import (
 )
 from .tcn import TcnBlockParams, init_tcn_stack, receptive_field, tcn_forward
 
-CHECKPOINT_FORMAT = "tcnad-checkpoint-v1"
+# v2: the preconv reads each window's history, so v1 weights give other scores
+CHECKPOINT_FORMAT = "tcnad-checkpoint-v2"
 
 
 def int_field(name: str, value, low: int) -> int:
@@ -168,18 +169,22 @@ def forward(series: Tensor, params: ForecasterParams, starts) -> Tensor:
     """Predict the row after each window of an (N, m) series; returns (B, m).
 
     Window i is series rows ``starts[i]`` to ``starts[i] + w - 1``, ``starts``
-    being one non-decreasing 1-D integer array in [0, N - w]; independent
-    windows are their rows one after another, at starts 0, w, 2w, .... The
-    windows are gathered from the series, so any two agree on the rows both hold.
+    being one non-decreasing 1-D integer array in [0, N - w]. The preconv is
+    causal over the series: a window's first rows read the conv_kernel - 1
+    rows before it, zeros before row 0 (so the first windows of a series see
+    zeros). It runs once a distinct row: the starts are cut into runs whose
+    rows, that history included, overlap or touch, the conv runs once over
+    the runs' rows laid end to end, and each window takes its w rows of it.
+    The first conv_kernel - 1 outputs of a later run read the previous run's
+    tail; no window reads them.
 
     The prediction reads the last TCN row, which sees only the last
-    r = min(w, receptive_field) rows of the TCN input. The preconv runs over
-    all w rows, since every row is an attention key; the last r rows, cut
-    once, are the temporal attention queries, the time steps variable
-    attention aggregates, and the first part of the TCN input, whose convs
-    compute only the rows that reach that last row. Temporal attention scores
-    the preconv rows past the zero padding once for the windows that hold
-    them, where that at least halves those pairs, taped or not.
+    r = min(w, receptive_field) rows of the TCN input. Every preconv row of a
+    window is an attention key; the last r rows, cut once, are the temporal
+    attention queries, the time steps variable attention aggregates, and the
+    first part of the TCN input, whose convs compute only the rows that reach
+    that last row. Temporal attention scores each pair of series rows once for
+    the windows that hold them, where that at least halves the pairs.
 
     Under a tape (training) one dropout mask per op, drawn from the tape's
     rng, covers the whole batch; untaped, dropout is off.
@@ -204,15 +209,22 @@ def forward(series: Tensor, params: ForecasterParams, starts) -> Tensor:
                          f"got {starts[0]} to {starts[-1]}")
     r = min(w, receptive_field(params.tcn))
 
-    x = take_rows(series, starts[:, None] + np.arange(w))
+    # cut the windows into runs whose rows, history included, overlap or touch,
+    # and lay the runs' rows end to end in x; shift: series row minus x row
+    first = np.maximum(starts - (cfg.conv_kernel - 1), 0)
+    head = np.ones(len(starts), dtype=bool)
+    head[1:] = first[1:] > starts[:-1] + w
+    size = starts[np.roll(head, -1)] + w - first[head]
+    shift = first[head] - np.cumsum(size) + size
+    x = take_rows(series, np.arange(int(size.sum())) + np.repeat(shift, size))
     h = add(causal_dilated_conv1d(x, params.preconv_filters, 1), params.preconv_bias)
     del x                                          # untaped, freed before attention runs
+    h = take_rows(h, (starts - shift[np.cumsum(head) - 1])[:, None] + np.arange(w))
 
     tail = slice_rows(h, w - r, w)
     parts = [tail]
     if params.temporal is not None:
-        parts.append(temporal_attention(h, tail, params.temporal, starts=starts,
-                                        edge=cfg.conv_kernel - 1))
+        parts.append(temporal_attention(h, tail, params.temporal, starts=starts))
     if params.variable is not None:
         parts.append(variable_attention(h, tail, params.variable))
     z = concat_cols(parts) if len(parts) > 1 else parts[0]
@@ -287,18 +299,15 @@ def load_checkpoint(path):
             doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: not a checkpoint file ({exc})") from None
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise DataFormatError(
-            f"{path}: unsupported checkpoint format {doc.get('format')!r}"
-            if isinstance(doc, dict) else f"{path}: not a checkpoint file"
-        )
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: not a checkpoint file")
+    if doc.get("format") == "tcnad-checkpoint-v1":
+        raise DataFormatError(f"{path}: a tcnad-checkpoint-v1 file, trained with a preconv that "
+                              f"zero-padded every window; its weights give other scores now, "
+                              f"so retrain to write {CHECKPOINT_FORMAT}")
+    if doc.get("format") != CHECKPOINT_FORMAT:
+        raise DataFormatError(f"{path}: unsupported checkpoint format {doc.get('format')!r}")
     try:
-        config = dict(doc["config"])
-        # every checkpoint written while attention had a choice of activation stores it
-        activation = config.pop("attention_activation", "sigmoid")
-        if activation != "sigmoid":
-            raise DataFormatError(f"{path}: config.attention_activation {activation!r} is not "
-                                  f"supported; attention always applies the sigmoid")
         saved = doc["tensors"]
 
         def stored(name: str, shape: tuple[int, ...], fan_in: int | None) -> Tensor:
@@ -309,17 +318,13 @@ def load_checkpoint(path):
                 raise DataFormatError(f"{path}: tensor {name!r} has shape {got}, expected {shape}")
             return Tensor(_decode_array(saved[name], f"tensor {name!r}"), requires_grad=True)
 
-        params = _build(doc["n_features"], ModelConfig(**config),
+        params = _build(doc["n_features"], ModelConfig(**doc["config"]),
                         int_field("seed", doc["seed"], 0), stored)
         extra = set(saved) - {name for name, _ in params.built}
         if extra:
             raise DataFormatError(f"{path}: unexpected tensors {sorted(extra)}")
         stats, nd = None, doc.get("normalization")
         if nd is not None:
-            # every checkpoint written while min-max also had a global mode stores the mode
-            if "mode" in nd and nd["mode"] != "per_feature":
-                raise DataFormatError(f"{path}: normalization.mode {nd['mode']!r} is not "
-                                      f"supported; normalization is always per_feature")
             stats = NormalizationStats(
                 minimum=_decode_array(nd["minimum"], "normalization minimum"),
                 maximum=_decode_array(nd["maximum"], "normalization maximum"),

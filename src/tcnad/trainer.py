@@ -83,13 +83,15 @@ def _series_rows(windows: np.ndarray, window: int) -> np.ndarray:
 
 def _window_tape_bytes(params: ForecasterParams) -> tuple[int, int]:
     """Bytes one window keeps on the tape, parameters aside, as the tape counts
-    them for a taped forward and loss on a zero window: all of them, and the
-    floating-point part. The probe's dropout masks come from an rng of its own."""
-    series = np.zeros((params.config.window + 1, params.n_features))
+    them for a taped forward and loss on a zero window after the conv_kernel - 1
+    rows a lone window's preconv reads: all of them, and the floating-point
+    part. The probe's dropout masks come from an rng of its own."""
+    edge = params.config.conv_kernel - 1
+    series = np.zeros((params.config.window + edge + 1, params.n_features))
     with Tape(np.random.default_rng(0)) as tape:
         tape.save(*(t.values for t in params.tensors()))
         fixed, fixed_floats = tape.saved_bytes, tape.float_bytes
-        pred = forward(Tensor(series), params, [0])
+        pred = forward(Tensor(series), params, [edge])
         rmse_loss(pred, Tensor(series[-1:]))
         return tape.saved_bytes - fixed, tape.float_bytes - fixed_floats
 
@@ -97,7 +99,7 @@ def _window_tape_bytes(params: ForecasterParams) -> tuple[int, int]:
 def _chunk_sizes(params: ForecasterParams) -> tuple[int, int]:
     """Windows per taped and per untaped ``forward``, from all one probe window
     keeps and from its float arrays, which an untaped forward computes too:
-    (15, 17) at the paper config, (7, 9) at 55 features, (270, 299) at the demo one."""
+    (15, 17) at the paper config, (7, 9) at 55 features, (265, 296) at the demo one."""
     taped, floats = _window_tape_bytes(params)
     return max(1, _CHUNK_BYTES // taped), max(1, _CHUNK_BYTES // floats)
 
@@ -227,7 +229,8 @@ def _scores(params: ForecasterParams, windows: np.ndarray, size: int) -> np.ndar
 def window_scores(params: ForecasterParams, windows: np.ndarray) -> np.ndarray:
     """Per-window RMSE of the one-step forecast of the ``build_windows`` rows,
     without any tape or dropout, on every usable CPU, in workers x one chunk of
-    memory; refuses an open ``Tape``."""
+    memory; refuses an open ``Tape``. The rows are the windows' whole history:
+    the preconv of the first windows reads zeros before them."""
     return _scores(params, windows, _chunk_sizes(params)[1])
 
 
@@ -328,7 +331,8 @@ def train(
     each helper on a view of ``params`` built once here. The epoch loss recorded
     in ``loss_history`` is the mean per-window training RMSE seen during that
     epoch; when ``val_fraction`` > 0 the chronological tail is held out and
-    scored after every epoch.
+    scored after every epoch, its first windows, like the first training ones,
+    reading zeros before them.
 
     Per-run randomness (shuffling, dropout masks) comes from two seed
     sequences spawned off ``config.seed``: one shuffle generator, and one

@@ -280,13 +280,10 @@ class TestQueryRows:
                 self._assert_close(new, ref)
 
 
-def _overlapping_windows(rng, starts, w, m, edge):
-    """Windows of w rows of one series, window i from series row starts[i],
-    whose first ``edge`` rows are each window's own (as a zero-padded conv leaves them)."""
+def _overlapping_windows(rng, starts, w, m):
+    """Windows of w rows of one series, window i from series row starts[i]."""
     series = rng.standard_normal((starts[-1] + w, m))
-    x = np.stack([series[s : s + w] for s in starts])
-    x[:, :edge] = rng.standard_normal((len(starts), edge, m))
-    return x
+    return np.stack([series[s : s + w] for s in starts])
 
 
 def _share_always(monkeypatch):
@@ -295,25 +292,25 @@ def _share_always(monkeypatch):
 
 
 class TestSharedScores:
-    # r = 3 shares every query row; r = 8 > w - edge also has edge queries;
-    # 23 windows make several groups, padded to the longest one's rows
+    # r = 3 and r = 8 query rows of windows of 10; 23 windows make several
+    # groups, padded to the longest one's rows
     @pytest.mark.parametrize("n", [1, 2, 23])
     @pytest.mark.parametrize("r", [3, 8])
     @pytest.mark.parametrize("mode", ["dynamic", "static"])
     def test_equals_per_window_attention(self, mode, r, n, monkeypatch):
         _share_always(monkeypatch)
         rng = np.random.default_rng(11)
-        w, m, edge = 10, 4, 3
-        x = Tensor(_overlapping_windows(rng, np.arange(n), w, m, edge))
+        w, m = 10, 4
+        x = Tensor(_overlapping_windows(rng, np.arange(n), w, m))
         rows = slice_rows(x, w - r, w)
         params = init_attention(m, mode=mode, source=fan_in_init(rng), prefix="head")
-        shared = temporal_attention(x, rows, params, starts=np.arange(n), edge=edge).values
+        shared = temporal_attention(x, rows, params, starts=np.arange(n)).values
         np.testing.assert_allclose(shared, temporal_attention(x, rows, params).values,
                                    rtol=1e-14, atol=1e-15)
 
     # gaps of 1, of several rows, past the queries (>= nq = 3), and of at
-    # least w - edge = 7, where windows share no row past the edge; gaps of 0,
-    # where a repeated window reads its twin's sub-block
+    # least w = 10, where windows share no row; gaps of 0, where a repeated
+    # window reads its twin's sub-block
     @pytest.mark.parametrize("starts", [[0, 1, 2, 3], [0, 2, 5, 6, 9], [0, 4, 11, 12, 30],
                                         [0, 3, 3, 5, 9], [2, 2, 2, 2], [0, 1, 1, 2, 30, 30]],
                              ids=["gap1", "gaps", "apart", "repeat", "one_start", "repeats"])
@@ -321,13 +318,13 @@ class TestSharedScores:
     @pytest.mark.parametrize("mode", ["dynamic", "static"])
     def test_taped_gradients_equal_per_window(self, mode, r, starts, monkeypatch):
         # the outputs and the weights' grads agree; each window row's grad may
-        # land on another window's copy of the same series row, so rows past
-        # the edge agree summed per series row
+        # land on another window's copy of the same series row, so the rows'
+        # grads agree summed per series row
         _share_always(monkeypatch)
         rng = np.random.default_rng(13)
-        w, m, edge = 10, 4, 3
+        w, m = 10, 4
         starts = np.array(starts)
-        values = _overlapping_windows(rng, starts, w, m, edge)
+        values = _overlapping_windows(rng, starts, w, m)
         params = init_attention(m, mode=mode, source=fan_in_init(rng), prefix="head")
         target = rng.standard_normal((len(starts), r, m))
 
@@ -339,18 +336,17 @@ class TestSharedScores:
                 out = temporal_attention(x, slice_rows(x, w - r, w), params, **sharing)
                 backward(rmse_loss(out, Tensor(target)))
             series = np.zeros((starts[-1] + w, m))
-            np.add.at(series, (starts[:, None] + np.arange(edge, w)), x.grad[:, edge:])
-            return [out.values, params.weight.grad, params.score_vec.grad, x.grad[:, :edge],
-                    series]
+            np.add.at(series, starts[:, None] + np.arange(w), x.grad)
+            return [out.values, params.weight.grad, params.score_vec.grad, series]
 
-        for got, ref in zip(grads(starts=starts, edge=edge), grads()):
+        for got, ref in zip(grads(starts=starts), grads()):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14 * np.abs(ref).max())
 
     def test_shares_only_where_it_halves_the_pairs(self):
-        # 15 windows of the paper shapes (r = 43, edge 6) at gap 2 score one
-        # 71 x 122 block, against 15 x 43 x 94 pairs apart; at gap 16 their
-        # four groups' 91 x 142 blocks score more than half of that
-        w, nq, nk = 100, 43, 94
+        # 15 windows of the paper shapes (r = 43) at gap 2 score one 71 x 128
+        # block, against 15 x 43 x 100 pairs apart; at gap 16 their four
+        # groups' 91 x 148 blocks score more than half of that
+        w, nq, nk = 100, 43, 100
 
         def plan(starts):
             return tcnad.attention._share_plan(np.diff(starts).tobytes(), w, nq, nk, 0.5)

@@ -507,17 +507,19 @@ class TestGathers:
         return out.values, t.grad
 
     def test_take_rows(self):
+        # a 2-D index that repeats a row, and a 1-D one that takes one row four
+        # times; the grads add in index order, so they match the loop bit for bit
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 4, 2))
-        index = np.array([[1, 5, 5], [11, 0, 5]])
-        upstream = rng.standard_normal((2, 3, 2))
-        out, grad = self._grad(lambda t: take_rows(t, index), x, upstream)
-        flat = x.reshape(12, 2)
-        np.testing.assert_array_equal(out, flat[index])
-        ref = np.zeros((12, 2))
-        for i, row in np.ndenumerate(index):
-            ref[row] += upstream[i]
-        np.testing.assert_allclose(grad, ref.reshape(x.shape), rtol=1e-15)
+        for index in (np.array([[1, 5, 5], [11, 0, 5]]), np.array([7, 2, 7, 7, 7, 0])):
+            upstream = rng.standard_normal((*index.shape, 2))
+            out, grad = self._grad(lambda t: take_rows(t, index), x, upstream)
+            flat = x.reshape(12, 2)
+            np.testing.assert_array_equal(out, flat[index])
+            ref = np.zeros((12, 2))
+            for i, row in np.ndenumerate(index):
+                ref[row] += upstream[i]
+            np.testing.assert_array_equal(grad, ref.reshape(x.shape))
 
     def test_take_blocks(self):
         rng = np.random.default_rng(1)

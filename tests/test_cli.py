@@ -407,13 +407,17 @@ class TestDataErrors:
          "missing tensor 'temporal.score_vec'"),
         (lambda doc: doc["tensors"].update({"tcn.1.conv1_bias": doc["tensors"]["mlp.0.bias"]}),
          "unexpected tensors ['tcn.1.conv1_bias']"),
-        (lambda doc: doc["config"].update(attention_activation="identity"),
-         "config.attention_activation 'identity' is not supported"),
+        # the two keys only v1 files store: such a file is a v1 one, refused whole
+        (lambda doc: doc.update(format="tcnad-checkpoint-v1") or doc["config"].update(
+            attention_activation="identity"),
+         "a tcnad-checkpoint-v1 file, trained with a preconv that zero-padded every window; "
+         "its weights give other scores now, so retrain to write tcnad-checkpoint-v2"),
         # as checkpoints written with --global-minmax store it: one shared range
-        (lambda doc: doc.update(normalization={
+        (lambda doc: doc.update(format="tcnad-checkpoint-v1", normalization={
             "mode": "global", "minimum": tcnad.forecaster._encode_array(np.zeros(1)),
             "maximum": tcnad.forecaster._encode_array(np.ones(1))}),
-         "normalization.mode 'global' is not supported"),
+         "a tcnad-checkpoint-v1 file, trained with a preconv that zero-padded every window; "
+         "its weights give other scores now, so retrain to write tcnad-checkpoint-v2"),
     ], ids=["n_features", "window", "shape", "missing", "extra", "activation", "global"])
     def test_score_refuses_a_checkpoint_that_does_not_fit_its_config(
             self, tmp_path, capsys, edit, message):
@@ -431,49 +435,32 @@ class TestDataErrors:
         assert f"tcnad score: data error: {ckpt}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "scores.csv").exists()
 
-    def test_score_reads_a_checkpoint_that_stores_the_sigmoid_activation(self, tmp_path):
-        # attention always applies the sigmoid; checkpoints written while it was a
-        # config field store "attention_activation": "sigmoid" and load as before
+    # v1 files that loaded before: one storing the sigmoid activation, written
+    # while it was a config field, and one storing the per_feature mode,
+    # written while a global one existed; both are refused with exit 2
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["config"].update(attention_activation="sigmoid"),
+        lambda doc: doc["normalization"].update(mode="per_feature"),
+    ], ids=["sigmoid_activation", "per_feature_mode"])
+    def test_score_refuses_a_v1_checkpoint(self, tmp_path, capsys, edit):
         ckpt = tmp_path / "m.ckpt"
         cfg = ModelConfig(window=8, tcn_channels=4, dilations=(1,), mlp_layers=0)
         save_checkpoint(ckpt, init_forecaster(3, cfg, seed=0),
                         NormalizationStats(np.zeros(3), np.ones(3)))
-        old = tmp_path / "old.ckpt"
         doc = json.loads(ckpt.read_text())
-        doc["config"]["attention_activation"] = "sigmoid"
-        old.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        assert doc["format"] == "tcnad-checkpoint-v2"
+        doc["format"] = "tcnad-checkpoint-v1"
+        edit(doc)
+        ckpt.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         test = tmp_path / "test.csv"
         write_matrix_csv(test, np.random.default_rng(0).random((50, 3)))
-        for path in (ckpt, old):
-            assert main(["score", "--checkpoint", str(path), "--test", str(test),
-                         "--out", str(tmp_path / f"{path.stem}.csv")]) == EXIT_OK
-        assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "m.csv").read_bytes()
-        resaved = tmp_path / "resaved.ckpt"
-        save_checkpoint(resaved, *tcnad.forecaster.load_checkpoint(old))
-        assert resaved.read_bytes() == ckpt.read_bytes()
-
-    def test_score_reads_a_checkpoint_that_stores_the_per_feature_mode(self, tmp_path):
-        # normalization is always per-feature; checkpoints written while a global
-        # mode existed store "mode": "per_feature" and load as before
-        ckpt = tmp_path / "m.ckpt"
-        cfg = ModelConfig(window=8, tcn_channels=4, dilations=(1,), mlp_layers=0)
-        rng = np.random.default_rng(0)
-        save_checkpoint(ckpt, init_forecaster(3, cfg, seed=0),
-                        NormalizationStats(rng.random(3) - 1, rng.random(3) + 1))
-        assert '"mode"' not in ckpt.read_text()
-        old = tmp_path / "old.ckpt"
-        doc = json.loads(ckpt.read_text())
-        doc["normalization"]["mode"] = "per_feature"
-        old.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-        test = tmp_path / "test.csv"
-        write_matrix_csv(test, rng.random((50, 3)))
-        for path in (ckpt, old):
-            assert main(["score", "--checkpoint", str(path), "--test", str(test),
-                         "--out", str(tmp_path / f"{path.stem}.csv")]) == EXIT_OK
-        assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "m.csv").read_bytes()
-        resaved = tmp_path / "resaved.ckpt"
-        save_checkpoint(resaved, *tcnad.forecaster.load_checkpoint(old))
-        assert resaved.read_bytes() == ckpt.read_bytes()
+        code = main(["score", "--checkpoint", str(ckpt), "--test", str(test),
+                     "--out", str(tmp_path / "scores.csv")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"tcnad score: data error: {ckpt}: a tcnad-checkpoint-v1 file" in err
+        assert "retrain" in err
+        assert not (tmp_path / "scores.csv").exists()
 
     def test_train_refuses_a_config_that_sets_the_identity_activation(self, tmp_path, capsys):
         _write_dataset(tmp_path)
@@ -787,9 +774,9 @@ class TestPipeline:
         assert calls == [manifest]
         # the losses printed before the manifest was shared
         assert capsys.readouterr().out.splitlines() == [
-            f"C-1: 2 epochs, final loss 0.355411, saved {run / 'C-1.ckpt'}",
-            f"C-2: 2 epochs, final loss 0.353305, saved {run / 'C-2.ckpt'}",
-            f"C-3: 2 epochs, final loss 0.355119, saved {run / 'C-3.ckpt'}",
+            f"C-1: 2 epochs, final loss 0.357119, saved {run / 'C-1.ckpt'}",
+            f"C-2: 2 epochs, final loss 0.357607, saved {run / 'C-2.ckpt'}",
+            f"C-3: 2 epochs, final loss 0.355555, saved {run / 'C-3.ckpt'}",
         ]
         for ch in ("C-1", "C-2", "C-3"):
             alone = tmp_path / ch

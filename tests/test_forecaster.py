@@ -26,7 +26,9 @@ from tcnad.autodiff import (
     linear,
     reshape,
     rmse_loss,
+    slice_rows,
     take_row,
+    take_rows,
     transpose,
 )
 from tcnad.data import DataFormatError, NormalizationStats
@@ -323,12 +325,17 @@ class TestGradientFlow:
 
 
 def _unpruned_forward(series, params, starts):
-    """Reference forward in which every layer computes all w rows (dropout 0 only)
-    and every window is scored on its own."""
+    """Reference forward in which every window is computed on its own and every
+    layer computes all w rows (dropout 0 only): window i's preconv runs over
+    its own copy of the w + conv_kernel - 1 series rows from
+    starts[i] - conv_kernel + 1, zero rows before series row 0, and keeps its
+    last w rows. Differentiable in ``series``."""
     assert params.config.dropout == 0.0
-    w = params.config.window
-    x = Tensor(series.values[np.asarray(starts)[:, None] + np.arange(w)])
+    w, m, edge = params.config.window, params.n_features, params.config.conv_kernel - 1
+    padded = transpose(concat_cols([Tensor(np.zeros((m, edge))), transpose(series)]))
+    x = take_rows(padded, np.asarray(starts)[:, None] + np.arange(w + edge))
     h = add(causal_dilated_conv1d(x, params.preconv_filters, 1), params.preconv_bias)
+    h = slice_rows(h, edge, w + edge)
     parts = [h]
     if params.temporal is not None:
         parts.append(attend(h, h, h, params.temporal))
@@ -430,6 +437,77 @@ class TestReceptiveFieldPruning:
         assert rows["temporal_attention"] is rows["variable_attention"] is parts[0]
         assert parts[0].values.shape == (2, r, 3)
         assert len(parts) == 3
+
+
+# conv_kernel 4 gives each window edge = 3 history rows; r = 7 < w
+CAUSAL = ModelConfig(window=8, conv_kernel=4, tcn_kernel=2, tcn_channels=4,
+                     dilations=(1, 2), mlp_layers=2, mlp_units=4, dropout=0.0)
+
+
+class TestSeriesCausalPreconv:
+    """A window's preconv reads the conv_kernel - 1 series rows before it,
+    zeros before series row 0, and runs once a distinct row of a chunk;
+    ``_unpruned_forward`` computes each window on its own."""
+
+    @staticmethod
+    def _series(n=60, m=3, seed=5):
+        return np.random.default_rng(seed).standard_normal((n, m))
+
+    @pytest.mark.parametrize("starts", [[20], list(range(10, 30))], ids=["alone", "in_a_run"])
+    def test_a_window_reads_the_edge_rows_before_it(self, starts):
+        params = init_forecaster(3, CAUSAL, seed=1)
+        s, edge = 20, CAUSAL.conv_kernel - 1
+        series = self._series()
+        at = starts.index(s)
+        base = forward(Tensor(series), params, starts).values[at]
+        for row, moves in ((s - 1, True), (s - edge, True), (s - edge - 1, False)):
+            bumped = series.copy()
+            bumped[row] += 1.0
+            pred = forward(Tensor(bumped), params, starts).values[at]
+            assert (not np.array_equal(pred, base)) == moves, row
+
+    def test_the_first_windows_see_zeros_before_row_0(self):
+        # windows 0 to edge - 1 of a series equal those windows of the series
+        # after edge zero rows, alone and in one run with the windows after them
+        params = init_forecaster(3, CAUSAL, seed=2)
+        edge = CAUSAL.conv_kernel - 1
+        series = self._series()
+        padded = np.concatenate([np.zeros((edge, 3)), series])
+        for starts in ([[s] for s in range(edge)] + [list(range(2 * edge))]):
+            np.testing.assert_allclose(
+                forward(Tensor(series), params, starts).values,
+                forward(Tensor(padded), params, np.array(starts) + edge).values,
+                rtol=1e-14, atol=1e-15)
+
+    def test_no_starts_cut_no_runs(self):
+        # an empty chunk gathers no rows, and the conv runs over none
+        params = init_forecaster(3, CAUSAL, seed=2)
+        assert forward(Tensor(self._series()), params, np.arange(0)).values.shape == (0, 3)
+
+    @pytest.mark.parametrize("share_at", [np.inf, 0.0], ids=["shared", "apart"])
+    @pytest.mark.parametrize("starts", [
+        list(range(12)), [3, 9, 30, 31, 50], [4, 4, 5, 20, 20, 21], [0, 1, 2, 15]],
+        ids=["consecutive", "sparse", "repeated", "before_edge"])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_runs_equal_per_window_form(self, variant, starts, share_at, monkeypatch):
+        # outputs, every parameter's grad and the series grad, with temporal
+        # scores shared wherever a plan exists and with none shared
+        monkeypatch.setattr(tcnad.attention, "_SHARE_AT", share_at)
+        params = init_forecaster(3, replace(CAUSAL, **VARIANTS[variant]), seed=3)
+        values = self._series()
+        target = Tensor(np.random.default_rng(6).standard_normal((len(starts), 3)))
+
+        def run(fwd):
+            series = Tensor(values, requires_grad=True)
+            for t in params.tensors():
+                t.zero_grad()
+            with Tape():
+                out = fwd(series, params, np.array(starts))
+                backward(rmse_loss(out, target))
+            return [out.values, series.grad] + [t.grad for t in params.tensors()]
+
+        for new, ref in zip(run(forward), run(_unpruned_forward)):
+            assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestCheckpoints:

@@ -108,6 +108,30 @@ def test_resume_with_changed_training_flags_stops(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_resume_stops_on_a_v1_checkpoint(tmp_path, capsys):
+    # a checkpoint written before the preconv read each window's history loads
+    # to other scores: --resume stops, naming it, and leaves the scores alone
+    raw, work = tmp_path / "raw", tmp_path / "work"
+    _write_archive(raw)
+    script = _load_script()
+    argv = ["--raw", str(raw), "--work", str(work), "--window", "8", "--epochs", "1",
+            "--limit", "1", "--quiet"]
+
+    assert script.main(argv) == 0
+    ckpt = work / "checkpoints" / "A-1.ckpt"
+    ckpt.write_text(ckpt.read_text().replace("tcnad-checkpoint-v2", "tcnad-checkpoint-v1"))
+    scores = work / "scores" / "A-1.csv"
+    first = scores.read_bytes()
+
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv + ["--resume"])
+    message = str(exc.value.code)
+    assert str(ckpt) in message and "tcnad-checkpoint-v1" in message and "retrain" in message
+    assert message.endswith("rerun without --resume")
+    assert scores.read_bytes() == first
+    capsys.readouterr()
+
+
 def test_resume_refuses_a_work_dir_without_a_training_record(tmp_path, capsys):
     raw, work = tmp_path / "raw", tmp_path / "work"
     _write_archive(raw)

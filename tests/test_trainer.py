@@ -228,10 +228,7 @@ class TestEvaluateLoss:
         # the validation loss train reports is the mean of window_scores
         params = init_forecaster(2, TINY, seed=0)
         windows = _toy_windows(n=16)
-        manual = np.mean([
-            np.sqrt(np.mean((forward(Tensor(w[:-1]), params, [0]).values - w[-1]) ** 2))
-            for w in windows
-        ])
+        manual = np.mean(_per_window_scores(params, windows))
         np.testing.assert_allclose(window_scores(params, windows).mean(), manual,
                                    rtol=1e-12)
 
@@ -284,8 +281,10 @@ def _score_chunk_bytes(params, chunk):
     return chunk * trainer._window_tape_bytes(params)[1]
 
 
-def _per_window_reference(params, windows):
-    """Mean loss and mean gradients of one 2-D forward per window.
+def _per_window_reference(params, windows, index=None):
+    """Mean loss and mean gradients of one forward per window of the
+    ``build_windows`` rows at ``index`` (all of them by default), each on the
+    full series.
 
     Also returns, per tensor, the largest per-window gradient entry: the mean
     can cancel to ~0, so agreement is judged relative to what was summed.
@@ -294,18 +293,20 @@ def _per_window_reference(params, windows):
     sums = [np.zeros_like(t.values) for t in tensors]
     scales = [0.0] * len(tensors)
     losses = []
-    for win in windows:
+    series = Tensor(_rows_of(windows))
+    index = np.arange(len(windows)) if index is None else index
+    for s in index:
         for t in tensors:
             t.zero_grad()
         with Tape():
-            loss = rmse_loss(forward(Tensor(win[:-1]), params, [0]), Tensor(win[-1:]))
+            loss = rmse_loss(forward(series, params, [s]), Tensor(windows[s, -1:]))
             backward(loss)
         losses.append(float(loss.values))
         for i, (acc, t) in enumerate(zip(sums, tensors)):
             if t.grad is not None:
                 acc += t.grad
                 scales[i] = max(scales[i], float(np.abs(t.grad).max()))
-    return np.mean(losses), [acc / len(windows) for acc in sums], scales
+    return np.mean(losses), [acc / len(index) for acc in sums], scales
 
 
 def _chunked(params, windows, chunk):
@@ -340,10 +341,7 @@ class TestChunkedTape:
     def test_window_scores_equal_per_window_forward(self, variant, chunk):
         params = init_forecaster(2, VARIANTS[variant], seed=2)
         windows = _toy_windows(n=17)
-        manual = [
-            np.sqrt(np.mean((forward(Tensor(w[:-1]), params, [0]).values - w[-1]) ** 2))
-            for w in windows
-        ]
+        manual = _per_window_scores(params, windows)
         with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, chunk)):
             assert trainer._chunk_sizes(params)[1] == chunk
             scores = window_scores(params, windows)
@@ -362,18 +360,19 @@ class TestChunkedTape:
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
         for g, ref, scale in zip(grads, ref_grads, scales):
             _assert_close(g, ref, scale)
-        manual = [np.sqrt(np.mean((forward(Tensor(w[:-1]), params, [0]).values - w[-1]) ** 2))
-                  for w in windows]
-        np.testing.assert_allclose(window_scores(params, windows), manual, rtol=1e-12)
+        np.testing.assert_allclose(window_scores(params, windows),
+                                   _per_window_scores(params, windows), rtol=1e-12)
 
     def test_chunk_sizes_of_the_named_configs(self):
         sizes = {name: trainer._chunk_sizes(init_forecaster(m, cfg))
                  for name, (m, cfg) in NAMED_CONFIGS.items()}
         # the pair scores' sign masks packed to a bit an element: taped chunks
         # grew from (250, 380, 9) windows; untaped ones keep no mask. The
-        # preconv input is a gathered (w, m) window, no longer a view whose
-        # buffer also holds the target row: m * 8 bytes less a window
-        assert sizes == {"demo": (270, 299), "small": (412, 446), "paper": (15, 17)}
+        # probe window carries its conv_kernel - 1 history rows, which a lone
+        # window's preconv reads: the conv keeps a (w + 6, m) input, and the
+        # window's gather from the conv output its (1, w) index, so a window
+        # keeps (6 * m + w) * 8 bytes more
+        assert sizes == {"demo": (265, 296), "small": (401, 439), "paper": (15, 17)}
 
     @pytest.mark.parametrize("name, variant", [
         pytest.param(name, variant, id=name if variant == "dynamic" else f"{name}-{variant}")
@@ -406,10 +405,11 @@ class TestChunkedTape:
         # parameters aside
         m, cfg = NAMED_CONFIGS[name]
         params = init_forecaster(m, _variants(cfg)[variant])
-        series = _toy_series(n=cfg.window + 1, m=m)
+        edge = cfg.conv_kernel - 1
+        series = _toy_series(n=cfg.window + edge + 1, m=m)
         with Tape(np.random.default_rng(1)) as tape:
-            pred = forward(Tensor(series), params, [0])
-            rmse_loss(pred, Tensor(series[cfg.window:]))
+            pred = forward(Tensor(series), params, [edge])
+            rmse_loss(pred, Tensor(series[-1:]))
             held = _held_bytes(tape, params), _held_bytes(tape, params, floats=True)
             assert trainer._window_tape_bytes(params) == held
 
@@ -497,9 +497,7 @@ def test_chunked_tape_matches_per_window_property(
         _assert_close(g, ref, scale)
     with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, chunk)):
         scores = window_scores(params, windows)
-    manual = [np.sqrt(np.mean((forward(Tensor(w[:-1]), params, [0]).values - w[-1]) ** 2))
-              for w in windows]
-    np.testing.assert_allclose(scores, manual, rtol=1e-12)
+    np.testing.assert_allclose(scores, _per_window_scores(params, windows), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +505,11 @@ def test_chunked_tape_matches_per_window_property(
 # ---------------------------------------------------------------------------
 
 def _per_window_scores(params, windows):
-    return np.array([np.sqrt(np.mean((forward(Tensor(w[:-1]), params, [0]).values - w[-1]) ** 2))
-                     for w in windows])
+    """The RMSE of one forward per window of the ``build_windows`` rows, each
+    on the full series."""
+    series = Tensor(_rows_of(windows))
+    return np.array([np.sqrt(np.mean((forward(series, params, [s]).values - w[-1]) ** 2))
+                     for s, w in enumerate(windows)])
 
 
 def _assert_scores_match(scores, ref):
@@ -534,8 +535,8 @@ class TestSharedScores:
     @pytest.mark.parametrize("chunk", [1, 2, 5, 16])
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_forced_chunk_sizes(self, variant, chunk):
-        # demo shapes (r > w - conv_kernel + 1, so some queries are edge rows);
-        # 23 windows leave a partial last chunk for every size but 1
+        # demo shapes (r = 19 query rows of w = 20); 23 windows leave a
+        # partial last chunk for every size but 1
         m, cfg = NAMED_CONFIGS["demo"]
         params = init_forecaster(m, _variants(cfg)[variant], seed=5)
         windows = build_windows(_toy_series(n=cfg.window + 23, m=m, seed=1), cfg.window)
@@ -547,8 +548,8 @@ class TestSharedScores:
     @pytest.mark.parametrize("window, conv_kernel", [(3, 5), (5, 5), (6, 5), (9, 1)])
     @pytest.mark.parametrize("mode", ["dynamic", "static"])
     def test_windows_near_the_conv_kernel(self, window, conv_kernel, mode):
-        # window < conv_kernel shares nothing; window == conv_kernel shares one
-        # row a window; conv_kernel 1 leaves no edge rows at all
+        # windows shorter than, as long as and longer than the conv_kernel - 1
+        # history rows a window's preconv reads; conv_kernel 1 reads none
         cfg = replace(TINY, window=window, conv_kernel=conv_kernel, attention_mode=mode)
         params = init_forecaster(2, cfg, seed=7)
         windows = _toy_windows(n=window + 30, window=window)
@@ -558,7 +559,7 @@ class TestSharedScores:
 
     def test_window_scores_share_every_chunk(self, monkeypatch):
         # scoring tells forward its windows are consecutive: a demo chunk of
-        # 40 windows scores its shared pairs in 4 groups, and per window as well
+        # 40 windows scores its pairs once a group, none per window
         calls = self._spy_shared(monkeypatch)
         params, windows = self._demo_windows(40)
         scores = window_scores(params, windows)
@@ -586,8 +587,8 @@ class TestSharedScores:
         forward(Tensor(_rows_of(windows)), params, np.arange(12))
         assert calls == [windows[:, :-1].shape]
 
-    # gaps of 1, of several rows, and of at least w - edge (94 at paper, 14 at
-    # demo), where windows share no row past the edge
+    # gaps of 1, of several rows, and of at least w (100 at paper, 20 at
+    # demo), where windows share no row
     @pytest.mark.parametrize("gaps", ["gap1", "gaps", "apart"])
     @pytest.mark.parametrize("mode", ["dynamic", "static"])
     @pytest.mark.parametrize("name", ["demo", "paper", "paper55"])
@@ -689,7 +690,7 @@ class TestSharedScores:
         params, windows = self._demo_windows(30)
         params = init_forecaster(params.n_features, replace(params.config, dropout=0.0))
         index = np.array([9, 3, 5, 3, 20, 4])
-        ref_loss, ref_grads, scales = _per_window_reference(params, windows[index])
+        ref_loss, ref_grads, scales = _per_window_reference(params, windows, index)
         for t in params.tensors():
             t.zero_grad()
         calls.clear()
@@ -882,8 +883,20 @@ class TestThreadedScores:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_scores_do_not_depend_on_chunk_size_or_workers(self, monkeypatch):
+        # a chunk's first windows read the preconv rows of the series before
+        # them, not zeros: every chunk size and worker count gives each
+        # window's own forward on the full series, to the shared block's 1e-14
+        params, windows, _ = self._windows("demo", 1, size=61)
+        serial = _per_window_scores(params, windows)
+        for workers in (1, 3):
+            _use_cpus(monkeypatch, workers)
+            for chunk in (1, 7, 60):
+                with mock.patch.object(trainer, "_CHUNK_BYTES", _score_chunk_bytes(params, chunk)):
+                    _assert_scores_match(window_scores(params, windows), serial)
+
     def test_one_chunk_starts_no_thread(self, monkeypatch):
-        params, windows, size = self._windows("demo", 1, size=299)
+        params, windows, size = self._windows("demo", 1, size=296)
         assert trainer._chunk_sizes(params)[1] == size
         monkeypatch.setattr(trainer, "_usable_cpus", lambda: 3)
 
